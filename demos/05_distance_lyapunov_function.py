@@ -1,10 +1,11 @@
 """Turn a metric into a distance-to-origin Lyapunov function.
 
 The metric induces lengths, geodesics and a distance; the distance to the
-origin decreases along the flow at a certified rate.  Geodesic two-point
-problems are solved by damped-Newton shooting; anything the solver cannot
-close is returned flagged as a straight-line upper bound and excluded from
-decrease certificates (none occurs here).
+origin decreases along the flow at a certified rate.  In one dimension the
+distance is the quadrature of sqrt(p) along the segment; in higher
+dimensions geodesic two-point problems are solved by damped-Newton
+shooting.  Anything that does not converge is returned flagged and excluded
+from decrease certificates (none occurs here).
 """
 
 import math

@@ -272,8 +272,13 @@ def estimate_transverse_decay(model, x_box, n_samples=8, horizon=8.0,
     points = sampling.box_points(lo, hi, n_samples, seed)
     rates, runs = [], []
     for x0 in points:
-        traj = transverse_flow(model, np.zeros(model.n_e), x0, horizon,
-                               tol=tol, blowup_norm=1e12)
+        try:
+            traj = transverse_flow(model, np.zeros(model.n_e), x0, horizon,
+                                   tol=tol, blowup_norm=1e12)
+        except BlowUpError as exc:
+            raise FalsificationError(
+                f"transverse linearized decay falsified at x0 = {x0}: {exc}",
+                witness=x0.tolist()) from None
         norms = np.array([np.linalg.norm(p, 2) for p in traj.phi])
         if _check_window_growth(traj.t, norms, horizon):
             raise FalsificationError(

@@ -5,10 +5,14 @@ Geodesics use the standard convention gamma'' + Gamma[gamma', gamma'] = 0,
 under which the P-speed of a geodesic is conserved; the speed-conservation
 check in the test suite is the validator for that sign choice.
 
-Distances are solved as two-point problems on the affine parameter [0, 1]:
-single shooting with a damped Newton iteration on the initial velocity,
-a multiple-shooting fallback, and as a last resort the straight-line length,
-which is only ever returned flagged as an upper bound.
+In one dimension the segment between two points is the only curve joining
+them, so their distance is the quadrature |int_a^b sqrt(p(s)) ds|; a
+quadrature that does not reach its tolerance is returned flagged.  In two
+or more dimensions distances are solved as two-point problems on the affine
+parameter [0, 1]: single shooting with a damped Newton iteration on the
+initial velocity, a multiple-shooting fallback, and as a last resort the
+straight-line length, which is only ever returned flagged as an upper bound.
+The shooting solvers also serve as the test oracle for the 1-D route.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .errors import (
 
 _BVP_TOL = 1e-10
 _NEWTON_MAX_ITER = 25
+_MAX_PANELS = 8192
 
 
 def christoffel(metric, e, h_c=None):
@@ -137,42 +142,53 @@ def riemannian_length(metric, points, rel_tol=1e-8):
     """Length of the piecewise-linear path through `points`.
 
     Composite Simpson per segment, doubling the panel count until the
-    relative change drops below `rel_tol`.
+    relative change drops below `rel_tol` or the count reaches 8192.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] < 2:
         raise LyapmetricError("a path needs at least two points")
-
-    def segment_speed(a, d):
-        def speed(sigma):
-            x = a + sigma * d
-            return math.sqrt(max(float(d @ metric(x) @ d), 0.0))
-
-        return speed
-
-    total = 0.0
-    for k in range(points.shape[0] - 1):
-        a, b = points[k], points[k + 1]
-        d = b - a
-        if float(np.linalg.norm(d)) == 0.0:
-            continue
-        speed = segment_speed(a, d)
-        panels = 4
-        prev = _simpson(speed, panels)
-        while panels <= 4096:
-            panels *= 2
-            cur = _simpson(speed, panels)
-            if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
-                prev = cur
-                break
-            prev = cur
-        total += prev
-    return total
+    return sum(_segment_length(metric, points[k], points[k + 1], rel_tol)[0]
+               for k in range(points.shape[0] - 1))
 
 
-def _simpson(fn, panels):
-    xs = np.linspace(0.0, 1.0, panels + 1)
-    vals = np.array([fn(x) for x in xs])
+def _segment_length(metric, a, b, rel_tol):
+    """Simpson length of the segment a -> b: (length, panels, converged)."""
+    d = b - a
+    if float(np.linalg.norm(d)) == 0.0:
+        return 0.0, 0, True
+
+    def speed(sigma):
+        x = a + sigma * d
+        return math.sqrt(max(float(d @ metric(x) @ d), 0.0))
+
+    return _refined_simpson(speed, rel_tol)
+
+
+def _refined_simpson(fn, rel_tol, scale_floor=1e-300):
+    """Simpson rule for fn on [0, 1], doubling the panels from 4 until two
+    consecutive values differ by at most rel_tol * max(|value|,
+    scale_floor): (value, panels, converged)."""
+    panels = 4
+    vals = np.array([fn(x) for x in np.linspace(0.0, 1.0, panels + 1)])
+    prev = _simpson(vals)
+    while panels < _MAX_PANELS:
+        panels *= 2
+        # the even nodes of the doubled grid are the previous nodes exactly
+        # (power-of-two spacings), so only the midpoints are new
+        xs = np.linspace(0.0, 1.0, panels + 1)
+        refined = np.empty(panels + 1)
+        refined[0::2] = vals
+        refined[1::2] = [fn(x) for x in xs[1::2]]
+        vals = refined
+        cur = _simpson(vals)
+        if abs(cur - prev) <= rel_tol * max(abs(cur), scale_floor):
+            return cur, panels, True
+        prev = cur
+    return prev, panels, False
+
+
+def _simpson(vals):
+    panels = vals.size - 1
     h = 1.0 / panels
     return h / 3.0 * (vals[0] + vals[-1] + 4.0 * np.sum(vals[1:-1:2])
                       + 2.0 * np.sum(vals[2:-1:2]))
@@ -187,12 +203,14 @@ class DistanceValue:
     flagged: bool
     method: str
     initial_velocity: Optional[np.ndarray] = None
+    panels: int = 0
 
     def to_dict(self):
         return {"value": self.value,
                 "endpoint": [float(v) for v in self.endpoint],
                 "residual": self.residual,
                 "iterations": self.iterations,
+                "panels": self.panels,
                 "flagged": self.flagged,
                 "method": self.method}
 
@@ -329,6 +347,13 @@ def _distance_between(metric, start, target, tol=1e-10):
     if gap == 0.0:
         return DistanceValue(0.0, target, 0.0, 0, False, "coincident")
 
+    if start.size == 1:
+        # the segment is the only path joining two points of a line
+        length, panels, converged = _segment_length(metric, start, target,
+                                                    tol)
+        return DistanceValue(length, target, 0.0, 0, not converged,
+                             "quadrature", panels=panels)
+
     hit = _single_shooting(metric, start, target, tol)
     if hit is not None:
         u, length, rnorm, iters = hit
@@ -349,8 +374,9 @@ def _distance_between(metric, start, target, tol=1e-10):
 def distance_to_origin(metric, e, tol=1e-10):
     """Riemannian distance from e to the origin.
 
-    Flagged results are straight-line upper bounds (the solver did not
-    converge); they are excluded from decrease certificates.
+    Flagged results did not converge: an unconverged 1-D quadrature, or in
+    higher dimensions a straight-line upper bound.  They are excluded from
+    decrease certificates.
     """
     e = np.atleast_1d(np.asarray(e, dtype=float))
     return _distance_between(metric, np.zeros(e.size), e, tol)

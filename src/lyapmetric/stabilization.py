@@ -21,6 +21,7 @@ import numpy as np
 from . import expressions
 from .dynamics import flow
 from .errors import ClosednessError, FalsificationError, LyapmetricError
+from .geometry import _refined_simpson
 from .systems import SystemModel
 
 _CLOSEDNESS_TOL = 1e-6
@@ -110,23 +111,7 @@ class PotentialU:
             x = self.base_point + sigma * d
             return float(self.gradient(x) @ d)
 
-        panels = 4
-        prev = _simpson(integrand, panels)
-        while panels <= 4096:
-            panels *= 2
-            cur = _simpson(integrand, panels)
-            if abs(cur - prev) <= self.quad_tol * max(1.0, abs(cur)):
-                return cur
-            prev = cur
-        return prev
-
-
-def _simpson(fn, panels):
-    xs = np.linspace(0.0, 1.0, panels + 1)
-    vals = np.array([fn(x) for x in xs])
-    h = 1.0 / panels
-    return h / 3.0 * (vals[0] + vals[-1] + 4.0 * np.sum(vals[1:-1:2])
-                      + 2.0 * np.sum(vals[2:-1:2]))
+        return _refined_simpson(integrand, self.quad_tol, scale_floor=1.0)[0]
 
 
 def construct_U(metric, g_model, w, base_point=None, sample_points=None,

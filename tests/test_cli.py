@@ -93,6 +93,20 @@ class TestMetricCommand:
         header = (tmp_path / "r" / "metric.csv").read_text().splitlines()[0]
         assert header == "e_1,e_2,P_11,P_12,P_21,P_22"
 
+    def test_transverse_blowup_is_falsified(self, tmp_path):
+        # the transverse transition grows like exp(5t) and passes the
+        # blow-up norm inside the horizon: a falsification with a witness
+        spec = tmp_path / "expanding.txt"
+        spec.write_text("dim=2; e_dim=1; F1 = 5*x1; G1 = 0*x2\n")
+        code = main(["metric", "--system", str(spec), "--variant",
+                     "transverse", "--grid=0.5;", "--out",
+                     str(tmp_path / "r")])
+        assert code == 2
+        report = _read_report(tmp_path / "r")
+        assert report["verdict"] == "falsified"
+        assert "not forward complete" in report["reason"]
+        assert len(report["witness"]) == 1
+
     def test_rescaled_variant(self, tmp_path):
         code = main(["metric", "--system", "scalar-example",
                      "--variant", "rescaled", "--out", str(tmp_path),

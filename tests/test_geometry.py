@@ -102,6 +102,18 @@ class TestRiemannianLength:
                                        rel_tol=1e-10)
         assert abs(a - b) <= 1e-8 * abs(b)
 
+    def test_refinement_reuses_nodes_exactly(self):
+        # reusing the previous nodes must give the same value as evaluating
+        # the final grid from scratch
+        fn = lambda x: math.sqrt(1.0 + math.sin(3.0 * x) ** 2)  # noqa: E731
+        value, panels, converged = geometry._refined_simpson(fn, 1e-10)
+        assert converged
+        vals = np.array([fn(x) for x in np.linspace(0.0, 1.0, panels + 1)])
+        h = 1.0 / panels
+        ref = h / 3.0 * (vals[0] + vals[-1] + 4.0 * np.sum(vals[1:-1:2])
+                         + 2.0 * np.sum(vals[2:-1:2]))
+        assert value == ref
+
 
 class TestDistanceToOrigin:
     def test_constant_metric_closed_form(self):
@@ -170,28 +182,94 @@ class TestShootingFallbacks:
         assert single is not None and multiple is not None
         assert multiple[1] == pytest.approx(single[1], abs=1e-9)
 
-    def test_dispatcher_falls_back_to_multiple(self, quadratic_1d_metric,
-                                               monkeypatch):
+    # diag(1 + x1^2, 1): the x1-axis is a geodesic (x2 -> -x2 symmetry), so
+    # the distance to (1.5, 0) has the closed form of the 1-D quadratic metric
+    @staticmethod
+    def _product_metric():
+        return from_callable(
+            lambda x: np.diag([1.0 + float(x[0]) ** 2, 1.0]), dim=2)
+
+    def test_dispatcher_falls_back_to_multiple(self, monkeypatch):
         monkeypatch.setattr(geometry, "_single_shooting",
                             lambda *args, **kwargs: None)
-        d = geometry.distance_to_origin(quadratic_1d_metric, [1.5])
+        d = geometry.distance_to_origin(self._product_metric(), [1.5, 0.0])
         assert not d.flagged
         assert d.method == "multiple-shooting"
         ref = 0.5 * (1.5 * math.sqrt(1 + 2.25) + math.asinh(1.5))
         assert d.value == pytest.approx(ref, abs=1e-8)
 
-    def test_dispatcher_flags_straight_line_upper_bound(
-            self, quadratic_1d_metric, monkeypatch):
+    def test_dispatcher_flags_straight_line_upper_bound(self, monkeypatch):
         monkeypatch.setattr(geometry, "_single_shooting",
                             lambda *args, **kwargs: None)
         monkeypatch.setattr(geometry, "_multiple_shooting",
                             lambda *args, **kwargs: None)
-        d = geometry.distance_to_origin(quadratic_1d_metric, [1.5])
+        d = geometry.distance_to_origin(self._product_metric(), [1.5, 0.0])
         assert d.flagged
         assert d.method == "straight-line-upper-bound"
         # the fallback is an upper bound (here the segment is the geodesic)
         ref = 0.5 * (1.5 * math.sqrt(1 + 2.25) + math.asinh(1.5))
         assert d.value >= ref - 1e-8
+
+
+class TestOneDimensionalQuadrature:
+    @pytest.fixture(scope="class")
+    def cusp_metric(self):
+        # sqrt(p) has a cusp at 1/3, so Simpson converges only like
+        # panels^-1.5 and cannot reach rel_tol = 1e-10 within the panel cap
+        return from_callable(
+            lambda x: np.array([[1.0 + abs(float(x[0]) - 1.0 / 3.0) ** 0.5]]),
+            dim=1)
+
+    def test_route_selected_by_dimension(self, quadratic_1d_metric):
+        d = geometry.distance_to_origin(quadratic_1d_metric, [1.5])
+        assert d.method == "quadrature"
+        assert not d.flagged
+        assert d.iterations == 0 and d.panels >= 8
+        field = constant_metric(np.array([[2.0, 0.3], [0.3, 1.0]]))
+        assert geometry.distance_to_origin(
+            field, [0.4, -0.2]).method == "single-shooting"
+
+    @pytest.mark.parametrize("which", ["quadratic", "tabulated"])
+    def test_matches_single_shooting(self, which, quadratic_1d_metric,
+                                     scalar_setup):
+        field = quadratic_1d_metric if which == "quadratic" \
+            else scalar_setup[1]
+        for start, target in ((0.0, 0.5), (0.0, 1.5), (0.0, -2.0),
+                              (0.3, 1.1)):
+            start, target = np.array([start]), np.array([target])
+            hit = geometry._single_shooting(field, start, target, 1e-10)
+            assert hit is not None
+            d = geometry._distance_between(field, start, target)
+            assert d.method == "quadrature"
+            assert d.value == pytest.approx(hit[1], abs=1e-9)
+
+    def test_needs_no_christoffel_symbols(self, scalar_setup, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("1-D distances must not shoot geodesics")
+
+        monkeypatch.setattr(geometry, "christoffel", forbidden)
+        model, tab = scalar_setup
+        d = geometry.distance_to_origin(tab, [1.0])
+        assert not d.flagged and d.value > 0.0
+        dini = geometry.dini_derivative_V(tab, model, [1.0])
+        assert not dini.flagged and dini.value < 0.0
+
+    def test_unconverged_quadrature_is_flagged(self, cusp_metric):
+        length, panels, converged = geometry._segment_length(
+            cusp_metric, np.zeros(1), np.ones(1), 1e-10)
+        assert not converged
+        assert panels == geometry._MAX_PANELS
+        d = geometry.distance_to_origin(cusp_metric, [1.0])
+        assert d.flagged
+        assert d.method == "quadrature"
+        assert d.value == length
+        # a segment that avoids the cusp converges as usual
+        assert not geometry.distance_to_origin(cusp_metric, [0.3]).flagged
+
+    def test_unconverged_quadrature_flags_dini(self, cusp_metric):
+        model = parse_system("dim=1; F1 = -x1")
+        dini = geometry.dini_derivative_V(cusp_metric, model, [1.0])
+        assert dini.flagged
 
 
 class TestDini:
