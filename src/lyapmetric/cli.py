@@ -23,13 +23,13 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, catalog, geometry
+from .dynamics import write_csv
 from .errors import FalsificationError, LyapmetricError
 from .estimation import (
     estimate_gain_function,
@@ -71,15 +71,14 @@ class RunConfig:
     variant: str = "along-solutions"
     lambda_gain: float = 1.0
     metric_matrix: str = "I"
-    threads: int = 1
     out: str = "."
     seed: int = 0
 
     def __post_init__(self):
         if self.tol <= 0 or self.horizon <= 0:
             raise LyapmetricError("tolerances and horizons must be positive")
-        if self.samples < 1 or self.threads < 1:
-            raise LyapmetricError("samples and threads must be >= 1")
+        if self.samples < 1:
+            raise LyapmetricError("samples must be >= 1")
 
     def to_dict(self):
         return asdict(self)
@@ -152,16 +151,13 @@ def _resolve_system(spec):
         "readable file")
 
 
-def _parallel_map(fn, items, threads):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def _out_path(config, name):
+    out_dir = Path(config.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir / name
 
 
 def _write_report(config, payload, verdict):
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     report = {
         "schema": 1,
         "tool": {"name": "lyapmetric", "version": __version__},
@@ -171,17 +167,8 @@ def _write_report(config, payload, verdict):
         **payload,
     }
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    (out_dir / "report.json").write_text(text, encoding="utf-8")
+    _out_path(config, "report.json").write_text(text, encoding="utf-8")
     return report
-
-
-def _write_csv(config, name, header, rows):
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / name, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +205,8 @@ def cmd_analyze(config):
         "gain": gain.to_report(),
         "linearized": lin.to_report(),
     }
-    _write_csv(config, "envelopes.csv", ["s", "k", "k_tilde"],
-               [(s, gain.gain(s), lin.gain(s)) for s in radii])
+    write_csv(_out_path(config, "envelopes.csv"), ["s", "k", "k_tilde"],
+              [(s, gain.gain(s), lin.gain(s)) for s in radii])
     _write_report(config, payload, "pass")
     return 0
 
@@ -274,12 +261,7 @@ def cmd_metric(config):
     bounds = metric_bounds(field, config.radii_values(),
                            n_samples=config.samples, seed=config.seed)
 
-    rows = [np.concatenate([p, field(p).ravel()]) for p in grid]
-    n, k = field.point_dim, field.dim
-    _write_csv(config, "metric.csv",
-               [f"e_{i + 1}" for i in range(n)]
-               + [f"P_{i + 1}{j + 1}" for i in range(k) for j in range(k)],
-               rows)
+    field.to_csv(grid, _out_path(config, "metric.csv"))
     payload = {"residuals": report.to_dict(), "bounds": bounds.to_dict()}
     _write_report(config, payload, report.verdict)
     return 0 if report.verdict == "pass" else 2
@@ -319,7 +301,7 @@ def _certify_with_metric(config, model, field):
                 "flagged": dini.flagged, "dini": dini.value,
                 "bound": bound, "ok": ok if not dini.flagged else None}
 
-    rows = _parallel_map(evaluate, list(grid), config.threads)
+    rows = [evaluate(point) for point in grid]
     flagged = sum(1 for r in rows if r["flagged"])
     failures = [r for r in rows if r.get("ok") is False]
     payload = {
@@ -330,10 +312,10 @@ def _certify_with_metric(config, model, field):
     }
     verdict = "pass" if not failures else "fail"
     n = field.point_dim
-    _write_csv(config, "certificate.csv",
-               [f"e_{i + 1}" for i in range(n)] + ["V", "dini", "bound"],
-               [(*r["point"], r["V"], r.get("dini", math.nan),
-                 r.get("bound", math.nan)) for r in rows])
+    write_csv(_out_path(config, "certificate.csv"),
+              [f"e_{i + 1}" for i in range(n)] + ["V", "dini", "bound"],
+              [(*r["point"], r["V"], r.get("dini", math.nan),
+                r.get("bound", math.nan)) for r in rows])
     return payload, verdict
 
 
@@ -406,20 +388,19 @@ def cmd_stabilize(config):
         _write_report(config, {"reason": str(exc)}, "falsified")
         return 2
 
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     text = export_closed_loop(model, field, config.lambda_gain)
     export = {}
     if text is not None:
-        (out_dir / "closed_loop.txt").write_text(text, encoding="utf-8")
+        _out_path(config, "closed_loop.txt").write_text(text,
+                                                        encoding="utf-8")
         export = {"closed_loop_spec": "closed_loop.txt"}
         closed_loop = parse_system(text)
     else:
         radius = float(np.max(np.abs(grid)))
         grid_u, values, meta = tabulate_potential(
             potential, [-radius], [radius])
-        _write_csv(config, "potential.csv", ["w", "U"],
-                   list(zip(grid_u, values)))
+        write_csv(_out_path(config, "potential.csv"), ["w", "U"],
+                  zip(grid_u, values))
         export = {"potential_table": "potential.csv",
                   "potential_meta": meta}
 
@@ -472,8 +453,6 @@ def _add_common(parser):
     parser.add_argument("--metric", dest="metric_matrix",
                         default=_env_default("metric", "I", str),
                         help="constant metric for 'stabilize'")
-    parser.add_argument("--threads", type=int,
-                        default=_env_default("threads", 1, int))
     parser.add_argument("--out",
                         default=_env_default("out", ".", str))
     parser.add_argument("--seed", type=int,
@@ -498,8 +477,7 @@ def config_from_args(args):
         command=args.command, system=args.system, q=args.q, tol=args.tol,
         horizon=args.horizon, radii=args.radii, samples=args.samples,
         grid=args.grid, variant=args.variant, lambda_gain=args.lambda_gain,
-        metric_matrix=args.metric_matrix, threads=args.threads, out=args.out,
-        seed=args.seed)
+        metric_matrix=args.metric_matrix, out=args.out, seed=args.seed)
 
 
 _COMMANDS = {

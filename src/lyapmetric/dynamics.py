@@ -1,14 +1,21 @@
 """Flows, lifted (variational) flows and transverse flows.
 
-The lifted flow integrates the state jointly with the transition matrix
-Phi, Phi' = J(E(t)) Phi, Phi(0) = I, as a single augmented system so the
-cocycle identity Phi(E(e,t), r) Phi(e,t) = Phi(e, t+r) stays tight.
+Every first-order approximation carried along solutions is built by one
+core, :func:`lifted_system`: the state is integrated jointly with its
+transition matrix Phi, Phi' = A(state) Phi, Phi(0) = I, and optionally with
+the running Gramian integral of Phi' Q Phi, as a single augmented system
+with the layout [state | Phi row-major | int Phi' Q Phi].  A caller supplies
+only `step(state) -> (state', A)`; one integration keeps the cocycle
+identity Phi(E(e,t), r) Phi(e,t) = Phi(e, t+r) tight.  The lifted and
+transverse flows here and every metric construction in :mod:`metric` use
+this core.  The module also holds the CSV writer behind every `to_csv` and
+the command-line outputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -16,6 +23,60 @@ from . import integrate
 from .errors import LyapmetricError
 
 _TOL_RANGE = (1e-14, 1e-2)
+
+
+def write_csv(path, header, rows):
+    """Write a header line, then one line per row with 17 significant
+    digits per value."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+class LiftedSystem(NamedTuple):
+    """Augmented right-hand side plus the layout of its vector."""
+
+    rhs: Callable      # (t, y) -> y'
+    y0: Callable       # state0 -> y(0): Phi(0) = I, Gramian(0) = 0
+    split: Callable    # y or rows of y -> (state, Phi, Gramian or None)
+
+
+def lifted_system(step, n_state, n_phi, q=None):
+    """The state lifted with its transition matrix, y = [state | Phi | G].
+
+    `step(state)` returns (state derivative, A) with Phi' = A Phi; `Phi` is
+    n_phi x n_phi, stored row-major.  With `q` the block G accumulates
+    int Phi' Q Phi; without it the vector ends after Phi.
+    """
+    k = n_phi * n_phi
+    size = n_state + (k if q is None else 2 * k)
+    # prebuilt slices keep this per-step closure as cheap as a hand-written one
+    state, trans, gram = (slice(0, n_state), slice(n_state, n_state + k),
+                          slice(n_state + k, size))
+    square = (n_phi, n_phi)
+
+    def rhs(t, y):
+        phi = y[trans].reshape(square)
+        out = np.empty(size)
+        out[state], a = step(y[state])
+        out[trans] = (a @ phi).ravel()
+        if q is not None:
+            out[gram] = (phi.T @ q @ phi).ravel()
+        return out
+
+    def y0(state0):
+        blocks = [np.asarray(state0, dtype=float), np.eye(n_phi).ravel()]
+        if q is not None:
+            blocks.append(np.zeros(k))
+        return np.concatenate(blocks)
+
+    def split(y):
+        shape = y.shape[:-1] + square
+        gramian = None if q is None else y[..., gram].reshape(shape)
+        return y[..., state], y[..., trans].reshape(shape), gramian
+
+    return LiftedSystem(rhs, y0, split)
 
 
 def _check_tol(tol):
@@ -57,11 +118,7 @@ class Trajectory:
             k = self.phi.shape[1]
             header += [f"phi_{i + 1}{j + 1}" for i in range(k) for j in range(k)]
             blocks.append(self.phi.reshape(len(self.t), k * k))
-        data = np.hstack(blocks)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in data:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        write_csv(path, header, np.hstack(blocks))
 
 
 @dataclass
@@ -109,20 +166,14 @@ def variational_flow(model, e0, horizon, tol=1e-9, dense=False,
         raise LyapmetricError(f"initial state has size {e0.size}, expected {n}")
     f, jac = model.f, model.jac
 
-    def rhs(t, y):
-        e = y[:n]
-        phi = y[n:].reshape(n, n)
-        out = np.empty(n + n * n)
-        out[:n] = f(e)
-        out[n:] = (jac(e) @ phi).ravel()
-        return out
+    def step(e):
+        return f(e), jac(e)
 
-    y0 = np.concatenate([e0, np.eye(n).ravel()])
-    sol = integrate.solve(rhs, y0, horizon, rtol=tol, dense=dense,
-                          blowup_norm=blowup_norm)
-    m = len(sol.t)
-    return Trajectory(t=sol.t, states=sol.y[:, :n],
-                      phi=sol.y[:, n:].reshape(m, n, n), dense=sol.dense,
+    lift = lifted_system(step, n, n)
+    sol = integrate.solve(lift.rhs, lift.y0(e0), horizon, rtol=tol,
+                          dense=dense, blowup_norm=blowup_norm)
+    states, phi, _ = lift.split(sol.y)
+    return Trajectory(t=sol.t, states=states, phi=phi, dense=sol.dense,
                       n_state=n, error_estimate=sol.max_error_estimate, tol=tol)
 
 
@@ -143,28 +194,20 @@ def transverse_flow(model, e0, x0, horizon, tol=1e-9, blowup_norm=1e8):
     full_f = model.full.f
     full_jac = model.full.jac
     zeros_e = np.zeros(n_e)
+    n_ex = n_e + n_x
 
-    def rhs(t, y):
-        ex = y[: n_e + n_x]
-        xd = y[n_e + n_x: n_e + n_x + n_x]
-        phi = y[n_e + n_x + n_x:].reshape(n_e, n_e)
-        on_manifold = np.concatenate([zeros_e, xd])
-        out = np.empty(y.size)
-        out[: n_e + n_x] = full_f(ex)
-        out[n_e + n_x: n_e + n_x + n_x] = full_f(on_manifold)[n_e:]
-        a = full_jac(on_manifold)[:n_e, :n_e]
-        out[n_e + n_x + n_x:] = (a @ phi).ravel()
-        return out
+    def step(state):
+        on_manifold = np.concatenate([zeros_e, state[n_ex:]])
+        rate = np.concatenate([full_f(state[:n_ex]),
+                               full_f(on_manifold)[n_e:]])
+        return rate, full_jac(on_manifold)[:n_e, :n_e]
 
-    y0 = np.concatenate([e0, x0, x0, np.eye(n_e).ravel()])
-    sol = integrate.solve(rhs, y0, horizon, rtol=tol, blowup_norm=blowup_norm)
-    m = len(sol.t)
-    split1, split2 = n_e, n_e + n_x
+    lift = lifted_system(step, n_ex + n_x, n_e)
+    sol = integrate.solve(lift.rhs, lift.y0(np.concatenate([e0, x0, x0])),
+                          horizon, rtol=tol, blowup_norm=blowup_norm)
+    states, phi, _ = lift.split(sol.y)
     return TransverseTrajectory(
-        t=sol.t,
-        e=sol.y[:, :split1],
-        x=sol.y[:, split1:split2],
-        x_drift=sol.y[:, split2: split2 + n_x],
-        phi=sol.y[:, split2 + n_x:].reshape(m, n_e, n_e),
+        t=sol.t, e=states[:, :n_e], x=states[:, n_e:n_ex],
+        x_drift=states[:, n_ex:], phi=phi,
         error_estimate=sol.max_error_estimate,
     )

@@ -60,15 +60,10 @@ class DecayEstimate:
             self.rate_fit = self.rate
 
     def gain(self, s):
-        s = abs(float(s))
         if self.gain_radii is None:
             return float(self.gain_const)
-        radii, values = self.gain_radii, self.gain_values
-        if s <= radii[0]:
-            return float(values[0])
-        if s >= radii[-1]:
-            return float(values[-1])
-        return float(np.interp(s, radii, values))
+        return float(np.interp(abs(float(s)), self.gain_radii,
+                               self.gain_values))
 
     def to_report(self):
         out = {"lambda": self.rate, "lambda_fit": self.rate_fit,
@@ -384,12 +379,7 @@ def jacobian_norm_majorant(model, radii, n_samples=64, seed=0):
     values = np.maximum.accumulate(np.array(values))
 
     def majorant(s, _radii=radii, _values=values):
-        s = abs(float(s))
-        if s <= _radii[0]:
-            return float(_values[0])
-        if s >= _radii[-1]:
-            return float(_values[-1])
-        return float(np.interp(s, _radii, _values))
+        return float(np.interp(abs(float(s)), _radii, _values))
 
     majorant.radii = radii
     majorant.values = values

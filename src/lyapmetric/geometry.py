@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import integrate
-from .dynamics import flow
+from .dynamics import flow, write_csv
 from .errors import (
     DerivativeUnreliableError,
     GeodesicDomainError,
@@ -78,11 +78,8 @@ class GeodesicPath:
         """Rows `s, gamma_1..gamma_n, speed`."""
         n = self.points.shape[1]
         header = ["s"] + [f"gamma_{i + 1}" for i in range(n)] + ["speed"]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            for k in range(len(self.s)):
-                row = [self.s[k], *self.points[k], self.speeds[k]]
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        write_csv(path, header, ([self.s[k], *self.points[k], self.speeds[k]]
+                                 for k in range(len(self.s))))
 
 
 def _geodesic_rhs(metric, n):

@@ -1,6 +1,8 @@
 """Metric matrix functions built from transition-matrix quadrature.
 
-Four constructions share one augmented-integration core:
+Four constructions share one augmented-integration core,
+:func:`dynamics.lifted_system`; each supplies only its `step(state) ->
+(state', A)` and Q, and reads the Gramian block of the final vector:
 
 * constant Gramian at the origin        integral of exp(A's) Q exp(As)
 * metric along solutions  P(e)          integral of Phi(e,s)' Q Phi(e,s)
@@ -10,7 +12,7 @@ Four constructions share one augmented-integration core:
                                         state-independent lower bound
 
 plus the residual machinery that checks the matrix inequality
-L_F P(e) <= -Q by flow-aligned differencing of P.
+L_F P(e) <= -Q by flow-aligned differencing of P (:func:`flow_derivative`).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import integrate
-from .dynamics import flow
+from .dynamics import flow, lifted_system, write_csv
 from .errors import (
     DerivativeUnreliableError,
     GeodesicDomainError,
@@ -152,11 +154,8 @@ class MetricField:
         n, k = self.point_dim, self.dim
         header = [f"e_{i + 1}" for i in range(n)] + \
             [f"P_{i + 1}{j + 1}" for i in range(k) for j in range(k)]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            for p in points:
-                row = np.concatenate([p, self(p).ravel()])
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        write_csv(path, header,
+                  (np.concatenate([p, self(p).ravel()]) for p in points))
 
 
 def constant_metric(p, q=None):
@@ -197,18 +196,10 @@ def gramian_at_origin(model, q=None, ode_tol=1e-12):
             f"(spectral abscissa {abscissa:.3g})")
 
     t0 = 2.0 / abs(abscissa)
-
-    def rhs(t, y):
-        x = y[: n * n].reshape(n, n)
-        out = np.empty(2 * n * n)
-        out[: n * n] = (a @ x).ravel()
-        out[n * n:] = (x.T @ q @ x).ravel()
-        return out
-
-    y0 = np.concatenate([np.eye(n).ravel(), np.zeros(n * n)])
-    sol = integrate.solve(rhs, y0, t0, rtol=ode_tol)
-    z = sol.y[-1, : n * n].reshape(n, n)
-    m = sol.y[-1, n * n:].reshape(n, n)
+    no_state = np.empty(0)
+    lift = lifted_system(lambda state: (no_state, a), 0, n, q)
+    sol = integrate.solve(lift.rhs, lift.y0(no_state), t0, rtol=ode_tol)
+    _, z, m = lift.split(sol.y[-1])
 
     for _ in range(64):
         update = z.T @ m @ z
@@ -263,21 +254,16 @@ def solution_metric(model, q=None, decay=None, tail_tol=1e-7, ode_tol=1e-12,
         return _truncation_horizon(gain, decay.rate, q_max, tail_tol,
                                    horizon_cap)
 
-    def rhs(t, y):
-        e = y[:n]
-        phi = y[n: n + n * n].reshape(n, n)
-        out = np.empty(n + 2 * n * n)
-        out[:n] = f(e)
-        out[n: n + n * n] = (jac(e) @ phi).ravel()
-        out[n + n * n:] = (phi.T @ q @ phi).ravel()
-        return out
+    def step(e):
+        return f(e), jac(e)
+
+    lift = lifted_system(step, n, n, q)
 
     def evaluator(point, horizon=None):
         t_end = horizon_rule(point) if horizon is None else float(horizon)
-        y0 = np.concatenate([point, np.eye(n).ravel(), np.zeros(n * n)])
-        sol = integrate.solve(rhs, y0, t_end, rtol=ode_tol,
+        sol = integrate.solve(lift.rhs, lift.y0(point), t_end, rtol=ode_tol,
                               max_steps=500_000)
-        return sol.y[-1, n + n * n:].reshape(n, n)
+        return lift.split(sol.y[-1])[2]
 
     return MetricField(dim=n, q=q, variant="along-solutions",
                        evaluator=evaluator, model=model, decay=decay,
@@ -316,23 +302,17 @@ def transverse_metric_field(model, q=None, decay=None, tail_tol=1e-7,
         return _truncation_horizon(gain, decay.rate, q_max, tail_tol,
                                    horizon_cap)
 
-    def rhs(t, y):
-        xd = y[:n_x]
-        phi = y[n_x: n_x + n_e * n_e].reshape(n_e, n_e)
+    def step(xd):
         on_manifold = np.concatenate([zeros_e, xd])
-        out = np.empty(n_x + 2 * n_e * n_e)
-        out[:n_x] = full_f(on_manifold)[n_e:]
-        a = full_jac(on_manifold)[:n_e, :n_e]
-        out[n_x: n_x + n_e * n_e] = (a @ phi).ravel()
-        out[n_x + n_e * n_e:] = (phi.T @ q @ phi).ravel()
-        return out
+        return full_f(on_manifold)[n_e:], full_jac(on_manifold)[:n_e, :n_e]
+
+    lift = lifted_system(step, n_x, n_e, q)
 
     def evaluator(point, horizon=None):
         t_end = horizon_rule(point) if horizon is None else float(horizon)
-        y0 = np.concatenate([point, np.eye(n_e).ravel(), np.zeros(n_e * n_e)])
-        sol = integrate.solve(rhs, y0, t_end, rtol=ode_tol,
+        sol = integrate.solve(lift.rhs, lift.y0(point), t_end, rtol=ode_tol,
                               blowup_norm=1e12, max_steps=500_000)
-        return sol.y[-1, n_x + n_e * n_e:].reshape(n_e, n_e)
+        return lift.split(sol.y[-1])[2]
 
     return MetricField(dim=n_e, q=q, variant="transverse",
                        evaluator=evaluator, point_dim=n_x, model=model,
@@ -366,32 +346,27 @@ def rescaled_metric_field(model, q=None, tail_tol=1e-7, ode_tol=1e-12,
     q_max = float(np.max(np.linalg.eigvalsh(q)))
     f, jac = model.f, model.jac
 
-    def rhs(t, y):
-        e = y[:n]
-        phi = y[n: n + n * n].reshape(n, n)
+    def step(e):
         j = jac(e)
         scale = 1.0 + float(np.linalg.norm(j, 2)) ** 3
-        out = np.empty(n + 2 * n * n)
-        out[:n] = f(e) / scale
-        out[n: n + n * n] = ((j / scale) @ phi).ravel()
-        out[n + n * n:] = (phi.T @ q @ phi).ravel()
-        return out
+        return f(e) / scale, j / scale
+
+    lift = lifted_system(step, n, n, q)
 
     def run(point, horizon):
-        y0 = np.concatenate([point, np.eye(n).ravel(), np.zeros(n * n)])
+        y0 = lift.y0(point)
         t_done = 0.0
         prev_norm = None
         for _ in range(max_chunks):
             t_target = float(horizon) if horizon is not None \
                 else t_done + chunk
-            sol = integrate.solve(rhs, y0, t_target - t_done, rtol=ode_tol,
-                                  max_steps=500_000)
+            sol = integrate.solve(lift.rhs, y0, t_target - t_done,
+                                  rtol=ode_tol, max_steps=500_000)
             y0 = sol.y[-1]
             t_done = t_target
             if horizon is not None:
                 break
-            phi_norm = float(np.linalg.norm(
-                y0[n: n + n * n].reshape(n, n), 2))
+            phi_norm = float(np.linalg.norm(lift.split(y0)[1], 2))
             if prev_norm is not None and 0.0 < phi_norm < prev_norm:
                 rate = math.log(prev_norm / phi_norm) / chunk
                 tail = phi_norm ** 2 * q_max / (2.0 * rate)
@@ -406,7 +381,7 @@ def rescaled_metric_field(model, q=None, tail_tol=1e-7, ode_tol=1e-12,
 
     def evaluator(point, horizon=None):
         y_final, _ = run(point, horizon)
-        return y_final[n + n * n:].reshape(n, n)
+        return lift.split(y_final)[2]
 
     def horizon_rule(point):
         _, t_done = run(point, None)
@@ -465,6 +440,27 @@ class ResidualReport:
                 "entries": [e.to_dict() for e in self.entries]}
 
 
+def flow_derivative(metric, model, e, h=1e-4, flow_tol=1e-12):
+    """Flow-aligned derivative d_F P(e) of a metric along `model`.
+
+    One-sided differences of P along the flow at steps h and h/2, combined
+    by Richardson extrapolation.  Every P is pinned to the horizon the
+    metric's rule assigns to e, so truncation does not leak into the
+    differences.  Returns (d_flow, disagreement, P(e)), where disagreement
+    is the 2-norm gap between the two extrapolation inputs.
+    """
+    e = np.atleast_1d(np.asarray(e, dtype=float))
+    horizon = metric.horizon_for(e)
+    traj = flow(model, e, h, tol=flow_tol, dense=True)
+    pinned = {} if horizon is None else {"horizon": horizon}
+    p0 = metric(e, **pinned)
+    p_h = metric(traj.states[-1], **pinned)
+    p_h2 = metric(traj.state_at(0.5 * h), **pinned)
+    d1 = (p_h - p0) / h
+    d2 = (p_h2 - p0) / (0.5 * h)
+    return 2.0 * d2 - d1, float(np.linalg.norm(d2 - d1, 2)), p0
+
+
 def lie_derivative_residual(metric, model, e, h=None, flow_tol=1e-12,
                             gate_tol=1e-4, congruence_jac=None):
     """One residual entry R(e) = d_F P(e) + P J + J' P + Q_eff.
@@ -482,21 +478,7 @@ def lie_derivative_residual(metric, model, e, h=None, flow_tol=1e-12,
     if h is None:
         base = metric.tail_tol if metric.tail_tol else 1e-8
         h = max(1e-4, math.sqrt(base))
-    horizon = metric.horizon_for(e)
-
-    traj = flow(model, e, h, tol=flow_tol, dense=True)
-    e_h = traj.states[-1]
-    e_h2 = traj.state_at(0.5 * h)
-
-    p0 = metric(e, horizon=horizon) if horizon is not None else metric(e)
-    p_h = metric(e_h, horizon=horizon) if horizon is not None else metric(e_h)
-    p_h2 = metric(e_h2, horizon=horizon) if horizon is not None \
-        else metric(e_h2)
-
-    d1 = (p_h - p0) / h
-    d2 = (p_h2 - p0) / (0.5 * h)
-    d_flow = 2.0 * d2 - d1
-    disagreement = float(np.linalg.norm(d2 - d1, 2))
+    d_flow, disagreement, p0 = flow_derivative(metric, model, e, h, flow_tol)
     if disagreement > 10.0 * gate_tol:
         raise DerivativeUnreliableError(
             f"derivative step unreliable at e = {e}: Richardson inputs "
@@ -539,22 +521,12 @@ class MetricBounds:
     samples: dict = field(default_factory=dict)
 
     def lower_at(self, s):
-        s = abs(float(s))
-        r, v = self.radii, self.empirical_lower
-        if s <= r[0]:
-            return float(v[0])
-        if s >= r[-1]:
-            return float(v[-1])
-        return float(np.interp(s, r, v))
+        return float(np.interp(abs(float(s)), self.radii,
+                               self.empirical_lower))
 
     def upper_at(self, s):
-        s = abs(float(s))
-        r, v = self.radii, self.empirical_upper
-        if s <= r[0]:
-            return float(v[0])
-        if s >= r[-1]:
-            return float(v[-1])
-        return float(np.interp(s, r, v))
+        return float(np.interp(abs(float(s)), self.radii,
+                               self.empirical_upper))
 
     def to_dict(self):
         out = {"radii": [float(v) for v in self.radii],

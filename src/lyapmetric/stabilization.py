@@ -19,34 +19,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expressions
-from .dynamics import flow
 from .errors import ClosednessError, FalsificationError, LyapmetricError
 from .geometry import _refined_simpson
+from .metric import flow_derivative
 from .systems import SystemModel
 
 _CLOSEDNESS_TOL = 1e-6
 
 
-def directional_metric_derivative(metric, field_model, w, h=1e-4,
-                                  flow_tol=1e-12):
-    """d_X P(w): flow-aligned one-sided difference along `field_model` with
-    Richardson extrapolation over (h, h/2)."""
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    horizon = metric.horizon_for(w)
-    traj = flow(field_model, w, h, tol=flow_tol, dense=True)
-    kwargs = {} if horizon is None else {"horizon": horizon}
-    p0 = metric(w, **kwargs)
-    p_h = metric(traj.states[-1], **kwargs)
-    p_h2 = metric(traj.state_at(0.5 * h), **kwargs)
-    d1 = (p_h - p0) / h
-    d2 = (p_h2 - p0) / (0.5 * h)
-    return 2.0 * d2 - d1
-
-
 def killing_residual(metric, g_model, w, h=1e-4, flow_tol=1e-12):
     """L_g P(w) = d_g P + P dg/dw + (dg/dw)' P and its 2-norm."""
     w = np.atleast_1d(np.asarray(w, dtype=float))
-    d_g = directional_metric_derivative(metric, g_model, w, h, flow_tol)
+    d_g = flow_derivative(metric, g_model, w, h, flow_tol)[0]
     p = metric(w)
     jg = g_model.jac(w)
     residual = d_g + p @ jg + jg.T @ p
@@ -111,7 +95,13 @@ class PotentialU:
             x = self.base_point + sigma * d
             return float(self.gradient(x) @ d)
 
-        return _refined_simpson(integrand, self.quad_tol, scale_floor=1.0)[0]
+        value, panels, converged = _refined_simpson(
+            integrand, self.quad_tol, scale_floor=1.0)
+        if not converged:
+            raise LyapmetricError(
+                f"potential U(w) at w = {w} did not converge to relative "
+                f"tolerance {self.quad_tol:.3g} within {panels} panels")
+        return value
 
 
 def construct_U(metric, g_model, w, base_point=None, sample_points=None,
@@ -224,7 +214,7 @@ def synthesize_controller(control_sys, metric, gain, q=None,
     # condition 1: the damped drift inequality
     decrease_sup = -math.inf
     for w in sample_points:
-        d_f = directional_metric_derivative(metric, control_sys.drift, w)
+        d_f = flow_derivative(metric, control_sys.drift, w)[0]
         p = metric(w)
         jf = control_sys.drift.jac(w)
         pg = p @ g_model.f(w)
@@ -251,7 +241,7 @@ def synthesize_controller(control_sys, metric, gain, q=None,
     # to pass as well.
     closed_sup = -math.inf
     for w in sample_points:
-        d_fc = directional_metric_derivative(metric, closed_loop, w)
+        d_fc = flow_derivative(metric, closed_loop, w)[0]
         p = metric(w)
         jc = closed_loop.jac(w)
         lhs = d_fc + p @ jc + jc.T @ p + q

@@ -225,19 +225,3 @@ class TestDeterminism:
         args = build_parser().parse_args(
             ["analyze", "--system", "scalar-example", "--out", str(tmp_path)])
         assert config_from_args(args).samples == 3
-
-    def test_thread_cap_does_not_change_results(self, tmp_path):
-        payload = tmp_path / "stable.json"
-        payload.write_text(json.dumps({"A": [[0.0, 1.0], [-1.0, -1.0]]}))
-        reports = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"t{threads}"
-            code = main(["certify", "--system", f"linear:{payload}",
-                         "--variant", "origin", "--out", str(out),
-                         "--samples", "2", "--grid", "1,0;0,1;0.7,0.7",
-                         "--threads", threads])
-            assert code == 0
-            report = _read_report(out)
-            del report["config"]  # differs in `threads` and `out` only
-            reports.append(report)
-        assert reports[0] == reports[1]

@@ -222,6 +222,56 @@ class TestLieDerivativeResidual:
         assert data["entries"][0]["h"] > 0
 
 
+class TestHorizonPinnedIdentity:
+    """For P_T(e) = int_0^T Phi(e,s)' Q Phi(e,s) ds the residual is exact:
+    d_F P_T + P_T J + J' P_T + Q = Phi(e,T)' Q Phi(e,T).  Phi(e,T) comes
+    from SciPy DOP853 on the variational equation, not from the lifted
+    core that builds P_T."""
+
+    PLANAR = "dim=2; F1 = -x1 + x2^2; F2 = -2*x2 - x1*x2"
+
+    @staticmethod
+    def _phi_at_horizon(model, e, horizon):
+        from scipy.integrate import solve_ivp
+
+        n = model.dim
+
+        def rhs(t, y):
+            phi = y[n:].reshape(n, n)
+            return np.concatenate([model.f(y[:n]),
+                                   (model.jac(y[:n]) @ phi).ravel()])
+
+        sol = solve_ivp(rhs, (0.0, horizon),
+                        np.concatenate([e, np.eye(n).ravel()]),
+                        method="DOP853", rtol=1e-12, atol=1e-12)
+        return sol.y[n:, -1].reshape(n, n)
+
+    def _check(self, model, decay, points, tail_tol, h):
+        field = solution_metric(model, decay=decay, tail_tol=tail_tol)
+        for p in points:
+            e = np.array(p, dtype=float)
+            phi = self._phi_at_horizon(model, e, field.horizon_for(e))
+            entry = lie_derivative_residual(field, model, e, h=h)
+            assert np.max(np.abs(entry.residual - phi.T @ field.q @ phi)) \
+                <= 1e-7
+
+    # tail_tol 1e3 floors the horizon at T = 1, where Phi(e,T)' Q Phi(e,T)
+    # is of order 0.1 rather than of the certified tail size
+    @pytest.mark.parametrize("tail_tol, h", [(1e-7, None), (1e3, 1e-4)])
+    def test_planar(self, tail_tol, h):
+        model = parse_system(self.PLANAR)
+        decay = estimate_linearized_decay(model, [0.5, 1.0, 2.0],
+                                          n_samples=4, horizon=10.0,
+                                          tol=1e-9, seed=0)
+        self._check(model, decay, [(0.8, -0.5), (0.5, 0.5), (-1.0, 0.3),
+                                   (0.0, 1.0)], tail_tol, h)
+
+    @pytest.mark.parametrize("tail_tol, h", [(1e-7, None), (1e3, 1e-4)])
+    def test_scalar_example(self, scalar_model, scalar_decay, tail_tol, h):
+        self._check(scalar_model, scalar_decay, [(1.0,), (-0.5,), (2.0,)],
+                    tail_tol, h)
+
+
 class TestQuadraticDecreaseAlongLiftedFlow:
     def test_scalar_example(self, scalar_model, scalar_field):
         # d/dt (delta' P(E) delta) = -delta' Q delta along the lifted flow

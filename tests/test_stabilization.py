@@ -98,6 +98,19 @@ class TestConstructU:
         assert direct == pytest.approx(pot(corner) + leg2, abs=1e-6)
         assert direct == pytest.approx(two_leg, abs=1e-12)
 
+    def test_unconverged_potential_raises(self):
+        # the cusp of p at w = 1/3 keeps the Simpson refinement above its
+        # tolerance up to the panel cap: no value may come back silently
+        from lyapmetric.errors import LyapmetricError
+        from lyapmetric.metric import from_callable
+        from lyapmetric.stabilization import PotentialU
+
+        field = from_callable(
+            lambda w: [[1.0 + abs(w[0] - 1.0 / 3.0) ** 0.5]], 1)
+        g = parse_system("dim=1; F1 = 1")
+        with pytest.raises(LyapmetricError, match=r"w = \[1\.\]"):
+            PotentialU(field, g)([1.0])
+
     def test_closedness_violation_raises(self):
         # rotation field with identity metric: omega = (x2, -x1) is not closed
         sys2 = parse_system("dim=2; F1 = -x1; F2 = -x2; g1 = x2; g2 = -x1")
