@@ -40,13 +40,10 @@ from .metric import (
     constant_metric,
     gramian_at_origin,
     lie_derivative_residual,
-    metric_along_solutions,
     metric_bounds,
-    rescaled_metric,
     rescaled_metric_field,
     residual_report,
     solution_metric,
-    transverse_metric,
     transverse_metric_field,
 )
 from .stabilization import (
@@ -73,8 +70,7 @@ __all__ = [
     "jacobian_norm_majorant",
     # metrics
     "MetricField", "ResidualReport", "constant_metric", "gramian_at_origin",
-    "solution_metric", "metric_along_solutions", "transverse_metric",
-    "transverse_metric_field", "rescaled_metric", "rescaled_metric_field",
+    "solution_metric", "transverse_metric_field", "rescaled_metric_field",
     "lie_derivative_residual", "residual_report", "metric_bounds",
     # geometry
     "GeodesicPath", "DistanceValue", "christoffel", "geodesic_ivp",

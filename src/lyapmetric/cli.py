@@ -8,9 +8,11 @@ Four subcommands chain the library end to end:
 * ``stabilize``  controller synthesis, export, closed-loop certification
 
 Exit status contract: 0 = pass, 2 = a claimed property was falsified or a
-certificate failed, 1 = operational error.  Reports embed the resolved
-configuration and are byte-identical across runs with the same config and
-seed (no timestamps, sorted keys).
+certificate failed, 1 = operational error.  Commands let a
+:class:`FalsificationError` propagate; :func:`main` alone turns it into the
+falsified report (reason, witness, stage when known).  Reports embed the
+resolved configuration and are byte-identical across runs with the same
+config and seed (no timestamps, sorted keys).
 
 Every flag can be defaulted through an environment variable with the
 ``LYAPMETRIC_`` prefix (``--lambda-gain`` -> ``LYAPMETRIC_LAMBDA_GAIN``).
@@ -185,21 +187,15 @@ def cmd_analyze(config):
         model = model.drift
     radii = config.radii_values()
 
-    try:
-        les = estimate_les(model, float(radii[0]), n_samples=config.samples,
-                           horizon=config.horizon, tol=config.tol,
-                           seed=config.seed)
-        gain = estimate_gain_function(
-            model, radii, n_samples=config.samples, horizon=config.horizon,
-            les=les, tol=config.tol, seed=config.seed)
-        lin = estimate_linearized_decay(
-            model, radii, n_samples=config.samples, horizon=config.horizon,
-            tol=config.tol, seed=config.seed)
-    except FalsificationError as exc:
-        _write_report(config, {"witness": exc.witness,
-                               "reason": str(exc)}, "falsified")
-        return 2
-
+    les = estimate_les(model, float(radii[0]), n_samples=config.samples,
+                       horizon=config.horizon, tol=config.tol,
+                       seed=config.seed)
+    gain = estimate_gain_function(
+        model, radii, n_samples=config.samples, horizon=config.horizon,
+        les=les, tol=config.tol, seed=config.seed)
+    lin = estimate_linearized_decay(
+        model, radii, n_samples=config.samples, horizon=config.horizon,
+        tol=config.tol, seed=config.seed)
     payload = {
         "local": les.to_report(),
         "gain": gain.to_report(),
@@ -216,6 +212,9 @@ def _build_metric(config, model, ode_tol=1e-12):
     if isinstance(model, TransverseModel) and variant != "transverse":
         raise LyapmetricError(
             "two-block systems are served by --variant transverse")
+    if isinstance(model, ControlSystem):
+        raise LyapmetricError("controlled systems are served by 'stabilize', "
+                              "which closes the loop first")
     if variant == "transverse":
         if not isinstance(model, TransverseModel):
             raise LyapmetricError("--variant transverse needs a two-block "
@@ -242,13 +241,7 @@ def _build_metric(config, model, ode_tol=1e-12):
 
 def cmd_metric(config):
     model = _resolve_system(config.system)
-    try:
-        field, _ = _build_metric(config, model)
-    except FalsificationError as exc:
-        _write_report(config, {"witness": exc.witness,
-                               "reason": str(exc)}, "falsified")
-        return 2
-
+    field, _ = _build_metric(config, model)
     if config.variant == "transverse":
         grid = config.grid_points(model.n_x)
         flow_model = model.drift_field()
@@ -333,16 +326,9 @@ def cmd_certify(config):
                 n_samples=config.samples, horizon=config.horizon,
                 tol=config.tol, seed=config.seed, row_block=model.n_e)
         except FalsificationError as exc:
-            _write_report(config, {"witness": exc.witness,
-                                   "reason": str(exc),
-                                   "stage": "linearized-decay"}, "falsified")
-            return 2
-        try:
-            field, _ = _build_metric(config, model)
-        except FalsificationError as exc:
-            _write_report(config, {"witness": exc.witness,
-                                   "reason": str(exc)}, "falsified")
-            return 2
+            exc.stage = "linearized-decay"
+            raise
+        field, _ = _build_metric(config, model)
         grid = config.grid_points(model.n_x)
         flow_model = model.drift_field()
         congruence = lambda x: model.df_de(np.zeros(model.n_e), x)  # noqa: E731
@@ -355,16 +341,7 @@ def cmd_certify(config):
         _write_report(config, payload, verdict)
         return 0 if verdict == "pass" else 2
 
-    if isinstance(model, ControlSystem):
-        raise LyapmetricError("certify a controlled system through "
-                              "'stabilize', which closes the loop first")
-
-    try:
-        field, _ = _build_metric(config, model, ode_tol=1e-10)
-    except FalsificationError as exc:
-        _write_report(config, {"witness": exc.witness,
-                               "reason": str(exc)}, "falsified")
-        return 2
+    field, _ = _build_metric(config, model, ode_tol=1e-10)
     payload, verdict = _certify_with_metric(config, model, field)
     _write_report(config, payload, verdict)
     return 0 if verdict == "pass" else 2
@@ -381,12 +358,8 @@ def cmd_stabilize(config):
     grid = config.grid_points(n)
     q = config.q_matrix(n)
 
-    try:
-        closed_loop, potential, certificate = synthesize_controller(
-            model, field, gain=config.lambda_gain, q=q, sample_points=grid)
-    except FalsificationError as exc:
-        _write_report(config, {"reason": str(exc)}, "falsified")
-        return 2
+    closed_loop, potential, certificate = synthesize_controller(
+        model, field, gain=config.lambda_gain, q=q, sample_points=grid)
 
     text = export_closed_loop(model, field, config.lambda_gain)
     export = {}
@@ -492,10 +465,14 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         config = config_from_args(args)
-        return _COMMANDS[args.command](config)
-    except FalsificationError as exc:
-        print(f"falsified: {exc}", file=sys.stderr)
-        return 2
+        try:
+            return _COMMANDS[args.command](config)
+        except FalsificationError as exc:
+            payload = {"witness": exc.witness, "reason": str(exc)}
+            if exc.stage is not None:
+                payload["stage"] = exc.stage
+            _write_report(config, payload, "falsified")
+            return 2
     except LyapmetricError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -85,8 +85,10 @@ class ClosednessError(LyapmetricError):
 
 class FalsificationError(LyapmetricError):
     """A claimed stability/decay/certificate property failed on a concrete
-    sample. Carries the witness."""
+    sample. Carries the witness and, when known, the pipeline stage that
+    failed."""
 
-    def __init__(self, message, witness=None):
+    def __init__(self, message, witness=None, stage=None):
         self.witness = witness
+        self.stage = stage
         super().__init__(message)

@@ -118,6 +118,42 @@ def _check_window_growth(t, values, horizon, cap=10.0):
         sups[2] >= cap * max(sups[1], 1e-300)
 
 
+def _sampled_decay(points, run, norms, horizon, claim, series, at="e0",
+                   fit=True):
+    """Run one trajectory per sample point and gate the decay of its series.
+
+    `run(point)` integrates the trajectory and `norms(point, traj)` returns
+    the series whose decay is claimed.  A blow-up, a running sup that keeps
+    growing, or (with `fit`) a tail without exponential decay raises
+    :class:`FalsificationError` naming the `claim` and the gate, with the
+    point as witness.  Returns the envelope rate, the slowest fitted tail
+    rate (0 without `fit`, for series already normalized by a given rate),
+    and per point the sup of series * exp(rate t).
+    """
+    rates, runs = [], []
+    for p in points:
+        def falsified(reason):
+            return FalsificationError(
+                f"{claim} falsified at {at} = {p}: {reason}",
+                witness=p.tolist())
+
+        try:
+            traj = run(p)
+        except BlowUpError as exc:
+            raise falsified(exc) from None
+        values = norms(p, traj)
+        if _check_window_growth(traj.t, values, horizon):
+            raise falsified(f"{series} keeps growing")
+        if fit:
+            rate = _fit_tail_rate(traj.t, values, horizon)
+            if rate is None or rate <= 0.0:
+                raise falsified(f"no exponential tail decay of {series}")
+            rates.append(rate)
+        runs.append((traj.t, values))
+    rate = min(rates) if fit else 0.0
+    return rate, [float(np.max(v * np.exp(rate * t))) for t, v in runs]
+
+
 def estimate_les(model, radius, n_samples=8, horizon=10.0, tol=1e-9, seed=0):
     """Fit (gain, rate) with |E(e,t)| <= gain * exp(-rate t) |e| on samples
     from the sphere |e| = radius.
@@ -131,34 +167,12 @@ def estimate_les(model, radius, n_samples=8, horizon=10.0, tol=1e-9, seed=0):
         raise LyapmetricError("estimate needs an equilibrium at the origin")
     points = sampling.sphere_points(model.dim, radius, n_samples, seed)
     points = np.unique(points, axis=0)
-
-    rates = []
-    trajectories = []
-    for e0 in points:
-        try:
-            traj = flow(model, e0, horizon, tol=tol)
-        except BlowUpError as exc:
-            raise FalsificationError(
-                f"LES falsified at e0 = {e0}: {exc}", witness=e0.tolist()) from None
-        norms = np.linalg.norm(traj.states, axis=1)
-        if _check_window_growth(traj.t, norms, horizon):
-            raise FalsificationError(
-                f"LES falsified at e0 = {e0}: state norm keeps growing",
-                witness=e0.tolist())
-        rate = _fit_tail_rate(traj.t, norms, horizon)
-        if rate is None or rate <= 0.0:
-            raise FalsificationError(
-                f"LES falsified at e0 = {e0}: no exponential tail decay",
-                witness=e0.tolist())
-        rates.append(rate)
-        trajectories.append((e0, traj))
-
-    rate = min(rates)
-    gain = 1.0
-    for e0, traj in trajectories:
-        norms = np.linalg.norm(traj.states, axis=1)
-        gain = max(gain, float(np.max(
-            norms * np.exp(rate * traj.t) / np.linalg.norm(e0))))
+    rate, sups = _sampled_decay(
+        points, lambda e0: flow(model, e0, horizon, tol=tol),
+        lambda e0, traj: np.linalg.norm(traj.states, axis=1),
+        horizon, claim="LES", series="|E|")
+    gain = max([1.0] + [float(s / np.linalg.norm(e0))
+                        for s, e0 in zip(sups, points)])
     info = SampleInfo(len(points), seed, horizon, tol, "sphere")
     return DecayEstimate(rate=rate, radius=radius, samples=info, gain_const=gain)
 
@@ -177,26 +191,19 @@ def estimate_gain_function(model, radii, n_samples=8, horizon=10.0,
                            horizon=horizon, tol=tol, seed=seed)
     rate = _RATE_SHRINK * les.rate  # the sup construction needs rate < les.rate
 
+    def decay_ratio(e0, traj):
+        return (np.linalg.norm(traj.states, axis=1)
+                / (np.linalg.norm(e0) * np.exp(-rate * traj.t)))
+
     sup_per_radius = []
     for j, s in enumerate(radii):
         points = sampling.sphere_points(model.dim, s, n_samples, seed + j)
         points = np.unique(points, axis=0)
-        best = 0.0
-        for e0 in points:
-            try:
-                traj = flow(model, e0, horizon, tol=tol)
-            except BlowUpError as exc:
-                raise FalsificationError(
-                    f"global attractivity falsified at e0 = {e0}: {exc}",
-                    witness=e0.tolist()) from None
-            c = (np.linalg.norm(traj.states, axis=1)
-                 / (np.linalg.norm(e0) * np.exp(-rate * traj.t)))
-            if _check_window_growth(traj.t, c, horizon):
-                raise FalsificationError(
-                    f"global attractivity falsified at e0 = {e0}: "
-                    "the decay ratio keeps growing", witness=e0.tolist())
-            best = max(best, float(np.max(c)))
-        sup_per_radius.append(best)
+        _, sups = _sampled_decay(
+            points, lambda e0: flow(model, e0, horizon, tol=tol), decay_ratio,
+            horizon, claim="global attractivity", series="the decay ratio",
+            fit=False)
+        sup_per_radius.append(max(sups))
 
     values = np.maximum.accumulate(np.maximum(np.asarray(sup_per_radius),
                                               les.gain(radii[0])))
@@ -205,6 +212,10 @@ def estimate_gain_function(model, radii, n_samples=8, horizon=10.0,
     return DecayEstimate(rate=rate, radius=float(radii[-1]), samples=info,
                          gain_radii=radii, gain_values=values,
                          rate_fit=les.rate)
+
+
+def _phi_norms(point, traj, rows=None):
+    return np.linalg.norm(traj.phi[:, :rows], 2, axis=(1, 2))
 
 
 def estimate_linearized_decay(model, radii, n_samples=8, horizon=10.0,
@@ -220,37 +231,21 @@ def estimate_linearized_decay(model, radii, n_samples=8, horizon=10.0,
     transition norms.
     """
     radii = np.sort(np.asarray(radii, dtype=float))
-    runs = []
-    rates = []
+    points, point_radii = [], []
     for j, s in enumerate(radii):
-        points = sampling.sphere_points(model.dim, s, n_samples, seed + 17 * j)
-        points = np.unique(points, axis=0)
-        for e0 in points:
-            try:
-                traj = variational_flow(model, e0, horizon, tol=tol,
-                                        blowup_norm=1e12)
-            except BlowUpError as exc:
-                raise FalsificationError(
-                    f"linearized decay falsified at e0 = {e0}: {exc}",
-                    witness=e0.tolist()) from None
-            phis = traj.phi if row_block is None else traj.phi[:, :row_block, :]
-            norms = np.array([np.linalg.norm(p, 2) for p in phis])
-            if _check_window_growth(traj.t, norms, horizon):
-                raise FalsificationError(
-                    f"linearized decay falsified at e0 = {e0}: "
-                    "|Phi| keeps growing", witness=e0.tolist())
-            rate = _fit_tail_rate(traj.t, norms, horizon)
-            if rate is None or rate <= 0.0:
-                raise FalsificationError(
-                    f"linearized decay falsified at e0 = {e0}: "
-                    "no exponential tail decay of |Phi|", witness=e0.tolist())
-            rates.append(rate)
-            runs.append((s, traj.t, norms))
+        pts = sampling.sphere_points(model.dim, s, n_samples, seed + 17 * j)
+        pts = np.unique(pts, axis=0)
+        points.extend(pts)
+        point_radii.extend([s] * len(pts))
+    rate, sups = _sampled_decay(
+        points,
+        lambda e0: variational_flow(model, e0, horizon, tol=tol,
+                                    blowup_norm=1e12),
+        lambda e0, traj: _phi_norms(e0, traj, row_block),
+        horizon, claim="linearized decay", series="|Phi|")
 
-    rate = min(rates)
     sup_per_radius = {}
-    for s, t, norms in runs:
-        value = float(np.max(norms * np.exp(rate * t)))
+    for s, value in zip(point_radii, sups):
         sup_per_radius[s] = max(sup_per_radius.get(s, 1.0), value)
     values = np.maximum.accumulate(np.array([sup_per_radius[s] for s in radii]))
     info = SampleInfo(int(n_samples * len(radii)), seed, horizon, tol,
@@ -265,32 +260,14 @@ def estimate_transverse_decay(model, x_box, n_samples=8, horizon=8.0,
     conditions sampled from `x_box` = (lo, hi)."""
     lo, hi = x_box
     points = sampling.box_points(lo, hi, n_samples, seed)
-    rates, runs = [], []
-    for x0 in points:
-        try:
-            traj = transverse_flow(model, np.zeros(model.n_e), x0, horizon,
-                                   tol=tol, blowup_norm=1e12)
-        except BlowUpError as exc:
-            raise FalsificationError(
-                f"transverse linearized decay falsified at x0 = {x0}: {exc}",
-                witness=x0.tolist()) from None
-        norms = np.array([np.linalg.norm(p, 2) for p in traj.phi])
-        if _check_window_growth(traj.t, norms, horizon):
-            raise FalsificationError(
-                f"transverse linearized decay falsified at x0 = {x0}",
-                witness=x0.tolist())
-        rate = _fit_tail_rate(traj.t, norms, horizon)
-        if rate is None or rate <= 0.0:
-            raise FalsificationError(
-                f"transverse linearized decay falsified at x0 = {x0}",
-                witness=x0.tolist())
-        rates.append(rate)
-        runs.append((traj.t, norms))
-
-    rate = min(rates)
-    gain = 1.0
-    for t, norms in runs:
-        gain = max(gain, float(np.max(norms * np.exp(rate * t))))
+    zero_e = np.zeros(model.n_e)
+    rate, sups = _sampled_decay(
+        points,
+        lambda x0: transverse_flow(model, zero_e, x0, horizon, tol=tol,
+                                   blowup_norm=1e12),
+        _phi_norms, horizon, claim="transverse linearized decay",
+        series="|Phi|", at="x0")
+    gain = max([1.0] + sups)
     info = SampleInfo(len(points), seed, horizon, tol, "drift box")
     return DecayEstimate(rate=rate, radius=float(np.max(np.abs([lo, hi]))),
                          samples=info, gain_const=gain)

@@ -692,30 +692,6 @@ def _has_fractional_power(tree):
     return any(_has_fractional_power(c) for c in children)
 
 
-def compile_scalar(tree, params):
-    """Compile one expression into a float-returning closure of the state."""
-    bound = bind_params(tree, params)
-    src = (f"def _fn(_x):\n{_unpack_preamble([tree])}"
-           f"    return {bound.emit()}\n")
-    namespace = dict(_COMPILE_GLOBALS)
-    exec(src, namespace)
-    fast = namespace["_fn"]
-    check_complex = _has_fractional_power(tree)
-
-    def wrapped(x, _fast=fast, _tree=tree, _params=params,
-                _check=check_complex):
-        try:
-            value = _fast(x)
-        except (ZeroDivisionError, ValueError, OverflowError):
-            # re-run the tree walker, which localizes the failing node
-            return _tree.eval(x, _params)
-        if _check and isinstance(value, complex):
-            return _tree.eval(x, _params)
-        return value
-
-    return wrapped
-
-
 def compile_vector(trees, params):
     """Compile a list of expressions into one tuple-returning closure."""
     bound = [bind_params(t, params) for t in trees]

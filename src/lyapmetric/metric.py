@@ -33,6 +33,7 @@ from .errors import (
 )
 
 _SYMMETRY_TOL = 1e-10
+_H_FLOOR = 1e-6   # smallest Richardson step before the gate gives up
 
 
 def check_positive_definite(q):
@@ -220,66 +221,61 @@ def gramian_at_origin(model, q=None, ode_tol=1e-12):
 
 
 # ---------------------------------------------------------------------------
-# metric along solutions
+# decay-truncated Gramians: along solutions and transverse
 # ---------------------------------------------------------------------------
 
-def _truncation_horizon(gain, rate, q_max, tail_tol, horizon_cap):
-    target = gain * gain * q_max / (2.0 * rate * tail_tol)
-    horizon = math.log(max(target, 1.0)) / (2.0 * rate)
-    horizon = max(horizon, 1.0)
-    if horizon > horizon_cap:
-        raise TailHorizonError(
-            f"decay data insufficient: tail bound needs horizon {horizon:.1f} "
-            f"> cap {horizon_cap:.1f}")
-    return horizon
+def _decay_truncated_field(model, variant, step, n_state, n_phi, q, decay,
+                           tail_tol, ode_tol, horizon_cap, blowup_norm):
+    """Evaluator point -> integral over [0, T(point)] of Phi' Q Phi for the
+    lifted system of `step`.
 
-
-def solution_metric(model, q=None, decay=None, tail_tol=1e-7, ode_tol=1e-12,
-                    horizon_cap=200.0):
-    """Evaluator e -> P(e) = integral over [0, T(e)] of Phi' Q Phi.
-
-    T(e) comes from the analytic tail bound
-    gain(|e|)^2 mu_max(Q) exp(-2 rate T) / (2 rate) <= tail_tol,
+    T(point) comes from the analytic tail bound
+    gain(|point|)^2 mu_max(Q) exp(-2 rate T) / (2 rate) <= tail_tol,
     so the truncation error is certified by the decay estimate.
     """
     if decay is None:
-        raise LyapmetricError("solution metric needs linearized decay data")
-    n = model.dim
-    q = np.eye(n) if q is None else check_positive_definite(q)
+        raise LyapmetricError(f"{variant} metric needs decay data")
+    q = np.eye(n_phi) if q is None else check_positive_definite(q)
     q_max = float(np.max(np.linalg.eigvalsh(q)))
-    f, jac = model.f, model.jac
 
     def horizon_rule(point):
         gain = decay.gain(float(np.linalg.norm(point)))
-        return _truncation_horizon(gain, decay.rate, q_max, tail_tol,
-                                   horizon_cap)
+        target = gain * gain * q_max / (2.0 * decay.rate * tail_tol)
+        horizon = math.log(max(target, 1.0)) / (2.0 * decay.rate)
+        horizon = max(horizon, 1.0)
+        if horizon > horizon_cap:
+            raise TailHorizonError(
+                f"decay data insufficient: tail bound needs horizon "
+                f"{horizon:.1f} > cap {horizon_cap:.1f}")
+        return horizon
 
-    def step(e):
-        return f(e), jac(e)
-
-    lift = lifted_system(step, n, n, q)
+    lift = lifted_system(step, n_state, n_phi, q)
 
     def evaluator(point, horizon=None):
         t_end = horizon_rule(point) if horizon is None else float(horizon)
         sol = integrate.solve(lift.rhs, lift.y0(point), t_end, rtol=ode_tol,
-                              max_steps=500_000)
+                              blowup_norm=blowup_norm, max_steps=500_000)
         return lift.split(sol.y[-1])[2]
 
-    return MetricField(dim=n, q=q, variant="along-solutions",
-                       evaluator=evaluator, model=model, decay=decay,
+    return MetricField(dim=n_phi, q=q, variant=variant, evaluator=evaluator,
+                       point_dim=n_state, model=model, decay=decay,
                        tail_tol=tail_tol, horizon_rule=horizon_rule,
                        meta={"ode_tol": ode_tol})
 
 
-def metric_along_solutions(model, e, q=None, decay=None, tail_tol=1e-7,
-                           ode_tol=1e-12):
-    """P(e) value (single evaluation of :func:`solution_metric`)."""
-    return solution_metric(model, q, decay, tail_tol, ode_tol)(e)
+def solution_metric(model, q=None, decay=None, tail_tol=1e-7, ode_tol=1e-12,
+                    horizon_cap=200.0):
+    """Evaluator e -> P(e) = integral over [0, T(e)] of Phi' Q Phi, with
+    T(e) certified by the linearized `decay` estimate."""
+    f, jac = model.f, model.jac
 
+    def step(e):
+        return f(e), jac(e)
 
-# ---------------------------------------------------------------------------
-# transverse metric
-# ---------------------------------------------------------------------------
+    return _decay_truncated_field(model, "along-solutions", step, model.dim,
+                                  model.dim, q, decay, tail_tol, ode_tol,
+                                  horizon_cap, blowup_norm=1e8)
+
 
 def transverse_metric_field(model, q=None, decay=None, tail_tol=1e-7,
                             ode_tol=1e-12, horizon_cap=200.0):
@@ -289,41 +285,17 @@ def transverse_metric_field(model, q=None, decay=None, tail_tol=1e-7,
     Xd' = G(0, Xd); `decay` must be a uniform (constant-gain) envelope for
     that transition.
     """
-    if decay is None:
-        raise LyapmetricError("transverse metric needs decay data")
-    n_e, n_x = model.n_e, model.n_x
-    q = np.eye(n_e) if q is None else check_positive_definite(q)
-    q_max = float(np.max(np.linalg.eigvalsh(q)))
+    n_e = model.n_e
     full_f, full_jac = model.full.f, model.full.jac
     zeros_e = np.zeros(n_e)
-
-    def horizon_rule(point):
-        gain = decay.gain(float(np.linalg.norm(point)))
-        return _truncation_horizon(gain, decay.rate, q_max, tail_tol,
-                                   horizon_cap)
 
     def step(xd):
         on_manifold = np.concatenate([zeros_e, xd])
         return full_f(on_manifold)[n_e:], full_jac(on_manifold)[:n_e, :n_e]
 
-    lift = lifted_system(step, n_x, n_e, q)
-
-    def evaluator(point, horizon=None):
-        t_end = horizon_rule(point) if horizon is None else float(horizon)
-        sol = integrate.solve(lift.rhs, lift.y0(point), t_end, rtol=ode_tol,
-                              blowup_norm=1e12, max_steps=500_000)
-        return lift.split(sol.y[-1])[2]
-
-    return MetricField(dim=n_e, q=q, variant="transverse",
-                       evaluator=evaluator, point_dim=n_x, model=model,
-                       decay=decay, tail_tol=tail_tol,
-                       horizon_rule=horizon_rule, meta={"ode_tol": ode_tol})
-
-
-def transverse_metric(model, x, q=None, decay=None, tail_tol=1e-7,
-                      ode_tol=1e-12):
-    """P(x) value (single evaluation of :func:`transverse_metric_field`)."""
-    return transverse_metric_field(model, q, decay, tail_tol, ode_tol)(x)
+    return _decay_truncated_field(model, "transverse", step, model.n_x, n_e,
+                                  q, decay, tail_tol, ode_tol, horizon_cap,
+                                  blowup_norm=1e12)
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +363,6 @@ def rescaled_metric_field(model, q=None, tail_tol=1e-7, ode_tol=1e-12,
                        model=model, tail_tol=tail_tol,
                        horizon_rule=horizon_rule,
                        meta={"ode_tol": ode_tol, "chunk": chunk})
-
-
-def rescaled_metric(model, e, q=None, tail_tol=1e-7, ode_tol=1e-12):
-    """P~(e) value (single evaluation of :func:`rescaled_metric_field`)."""
-    return rescaled_metric_field(model, q, tail_tol, ode_tol)(e)
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +434,8 @@ def lie_derivative_residual(metric, model, e, h=None, flow_tol=1e-12,
 
     d_F P comes from one-sided flow differences at steps h and h/2 with
     Richardson extrapolation; the two extrapolation inputs gate reliability.
+    While they disagree, h is halved (not below 1e-6); the entry records
+    the h that passed.
     For the rescaled variant Q_eff = Q (1 + |dF/de(e)|^3), matching the
     inequality that construction satisfies; otherwise Q_eff = Q.
 
@@ -478,11 +447,16 @@ def lie_derivative_residual(metric, model, e, h=None, flow_tol=1e-12,
     if h is None:
         base = metric.tail_tol if metric.tail_tol else 1e-8
         h = max(1e-4, math.sqrt(base))
-    d_flow, disagreement, p0 = flow_derivative(metric, model, e, h, flow_tol)
-    if disagreement > 10.0 * gate_tol:
-        raise DerivativeUnreliableError(
-            f"derivative step unreliable at e = {e}: Richardson inputs "
-            f"differ by {disagreement:.3g}")
+    while True:
+        d_flow, disagreement, p0 = flow_derivative(metric, model, e, h,
+                                                   flow_tol)
+        if disagreement <= 10.0 * gate_tol:
+            break
+        if 0.5 * h < _H_FLOOR:
+            raise DerivativeUnreliableError(
+                f"derivative step unreliable at e = {e}: Richardson inputs "
+                f"differ by {disagreement:.3g} at h = {h:.3g}")
+        h = 0.5 * h
 
     j = model.jac(e) if congruence_jac is None else congruence_jac(e)
     q_eff = metric.q

@@ -107,6 +107,15 @@ class TestMetricCommand:
         assert "not forward complete" in report["reason"]
         assert len(report["witness"]) == 1
 
+    def test_controlled_system_is_operational_error(self, tmp_path):
+        # metric and certify need a closed loop, which only stabilize builds
+        spec = tmp_path / "plant.txt"
+        spec.write_text("dim=1; F1 = -x1; g1 = 1\n")
+        for command in ("metric", "certify"):
+            code = main([command, "--system", str(spec), "--samples", "2",
+                         "--out", str(tmp_path / command)])
+            assert code == 1
+
     def test_rescaled_variant(self, tmp_path):
         code = main(["metric", "--system", "scalar-example",
                      "--variant", "rescaled", "--out", str(tmp_path),
@@ -205,7 +214,9 @@ class TestStabilize:
                      "--samples", "2", "--grid=-1,1"])
         assert code == 2
         report = _read_report(tmp_path / "r")
+        assert report["verdict"] == "falsified"
         assert "condition 1" in report["reason"]
+        assert "witness" in report
 
 
 class TestDeterminism:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lyapmetric import catalog, parse_system
+from lyapmetric import catalog, parse_system, sampling
 from lyapmetric.dynamics import flow
 from lyapmetric.errors import FalsificationError
 from lyapmetric.estimation import (
@@ -166,6 +166,53 @@ class TestTransverseDecay:
         est = estimate_transverse_decay(model, ([0.9], [1.1]), n_samples=4,
                                         horizon=6.0)
         assert est.gain(1.0) <= math.exp(math.cos(1.0) + 1.0) * 1.01
+
+
+SPHERE_POINTS = [[-1.0], [1.0]]
+BOX = ([-1.0], [1.0])
+
+# estimator name -> (system text template, estimate on the parsed model,
+# the sample points it draws)
+GATE_ESTIMATORS = {
+    "les": ("dim=1; {F}",
+            lambda m: estimate_les(m, 1.0, n_samples=2, horizon=10.0),
+            SPHERE_POINTS),
+    "gain": ("dim=1; {F}",
+             lambda m: estimate_gain_function(m, [1.0], n_samples=2,
+                                              horizon=10.0, les=_fake_les()),
+             SPHERE_POINTS),
+    "linearized": ("dim=1; {F}",
+                   lambda m: estimate_linearized_decay(m, [1.0], n_samples=2,
+                                                       horizon=10.0),
+                   SPHERE_POINTS),
+    "transverse": ("dim=2; e_dim=1; {F}; G1 = 0*x2",
+                   lambda m: estimate_transverse_decay(m, BOX, n_samples=2,
+                                                       horizon=8.0),
+                   sampling.box_points(*BOX, 2, 0).tolist()),
+}
+
+
+@pytest.mark.parametrize("estimator, field, gate", [
+    # e' = e^2 leaves every bound before t = 1 from e = 1
+    ("les", "F1 = x1^2", "not forward complete"),
+    ("les", "F1 = x1", "keeps growing"),
+    ("les", "F1 = 0.1*x1", "no exponential tail decay"),
+    ("gain", "F1 = x1^2", "not forward complete"),
+    ("gain", "F1 = x1", "keeps growing"),
+    ("linearized", "F1 = x1^2", "not forward complete"),
+    ("linearized", "F1 = x1", "keeps growing"),
+    ("linearized", "F1 = 0.1*x1", "no exponential tail decay"),
+    # the transverse transition exp(5t) passes the blow-up norm by t = 8
+    ("transverse", "F1 = 5*x1", "not forward complete"),
+    ("transverse", "F1 = 2*x1", "keeps growing"),
+    ("transverse", "F1 = 0.1*x1", "no exponential tail decay"),
+])
+def test_decay_gates_name_gate_and_witness(estimator, field, gate):
+    text, estimate, points = GATE_ESTIMATORS[estimator]
+    with pytest.raises(FalsificationError) as err:
+        estimate(parse_system(text.format(F=field)))
+    assert err.value.witness in points
+    assert gate in str(err.value)
 
 
 class TestBoundConstants:

@@ -17,9 +17,7 @@ from lyapmetric.metric import (
     constant_metric,
     gramian_at_origin,
     lie_derivative_residual,
-    metric_along_solutions,
     metric_bounds,
-    rescaled_metric,
     rescaled_metric_field,
     residual_report,
     solution_metric,
@@ -81,8 +79,9 @@ class TestSolutionMetric:
         m = parse_system("dim=1; F1 = -x1")
         decay = estimate_linearized_decay(m, [0.5, 1.0, 2.0], n_samples=2,
                                           horizon=10.0)
+        field = solution_metric(m, decay=decay)
         for e in (-2.0, 0.3, 1.0):
-            value = metric_along_solutions(m, np.array([e]), decay=decay)
+            value = field(np.array([e]))
             assert value[0, 0] == pytest.approx(0.5, abs=1e-6)
 
     def test_scalar_example_against_nested_quadrature(self, scalar_field):
@@ -168,13 +167,13 @@ class TestTransverseMetric:
 class TestRescaledMetric:
     def test_linear_recovers_q(self):
         m = parse_system("dim=1; F1 = -x1")
-        assert rescaled_metric(m, np.array([0.7]))[0, 0] == pytest.approx(
-            1.0, abs=1e-6)
+        assert rescaled_metric_field(m)(np.array([0.7]))[0, 0] == \
+            pytest.approx(1.0, abs=1e-6)
 
     def test_scalar_example_at_origin(self, scalar_model):
         # |dF/de(0)| = 1, so P~(0) = Q (1 + 1) / 2 = Q
-        assert rescaled_metric(scalar_model, np.array([0.0]))[0, 0] == \
-            pytest.approx(1.0, abs=1e-6)
+        assert rescaled_metric_field(scalar_model)(np.array([0.0]))[0, 0] \
+            == pytest.approx(1.0, abs=1e-6)
 
     def test_state_independent_floor(self, scalar_model):
         field = rescaled_metric_field(scalar_model)
@@ -214,6 +213,16 @@ class TestLieDerivativeResidual:
                                  [[e] for e in SCALAR_GRID])
         assert report.verdict == "pass"
         assert report.max_eigenvalue <= 1e-4
+
+    def test_richardson_step_halves_until_gate_passes(self):
+        # on the rescaled planar field the default h = sqrt(tail_tol) and
+        # h / 2 fail the gate at (0.8, -0.5); h / 4 passes
+        model = parse_system("dim=2; F1 = -x1 + x2^2; F2 = -2*x2 - x1*x2")
+        field = rescaled_metric_field(model)
+        entry = lie_derivative_residual(field, model, [0.8, -0.5])
+        assert entry.h == pytest.approx(0.25 * math.sqrt(field.tail_tol))
+        assert entry.disagreement <= 10.0 * 1e-4
+        assert entry.max_eigenvalue <= 1e-4
 
     def test_report_serializes(self, scalar_model, scalar_field):
         report = residual_report(scalar_field, scalar_model, [[1.0]])
