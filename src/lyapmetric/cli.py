@@ -92,9 +92,12 @@ class RunConfig:
     # -- parsed views --------------------------------------------------------
 
     def radii_values(self):
-        return np.sort(np.array([float(v) for v in self.radii.split(",")]))
+        return np.sort(_parse_rows(self.radii, "--radii").ravel())
 
     def grid_points(self, dim):
+        """Evaluation points of size `dim`: 'a,b;c,d' (points separated by
+        ';'), 'lo:hi:n' or a comma list of 1-D points; by default sphere
+        samples (dim >= 2) or +-radii (dim 1)."""
         text = self.grid.strip()
         if not text:
             radii = self.radii_values()
@@ -105,36 +108,58 @@ class RunConfig:
             return np.vstack([
                 sampling.sphere_points(dim, r, 4, self.seed) for r in radii])
         if ";" in text:
-            rows = [[float(v) for v in row.split(",")]
-                    for row in text.split(";") if row.strip()]
-            return np.array(rows)
-        if ":" in text:
-            lo, hi, count = text.split(":")
-            return np.linspace(float(lo), float(hi),
-                               int(count)).reshape(-1, 1)
-        return np.array([[float(v)] for v in text.split(",")])
+            pts = _parse_rows(text, "--grid")
+        elif ":" in text:
+            try:
+                lo, hi, count = text.split(":")
+                pts = np.linspace(float(lo), float(hi),
+                                  int(count)).reshape(-1, 1)
+            except ValueError:
+                raise LyapmetricError(
+                    f"--grid range must be 'lo:hi:n', got '{text}'") from None
+        else:
+            pts = _parse_rows(text, "--grid").reshape(-1, 1)
+        if pts.shape[0] == 0 or pts.shape[1] != dim:
+            raise LyapmetricError(
+                f"--grid '{text}' does not give points of size {dim}; "
+                "separate points with ';', as in '1,0;0,1'")
+        return pts
 
     def q_matrix(self, dim):
-        return _parse_matrix(self.q, dim)
+        return _parse_matrix(self.q, dim, "--Q")
 
     def p_matrix(self, dim):
-        return _parse_matrix(self.metric_matrix, dim)
+        return _parse_matrix(self.metric_matrix, dim, "--metric")
 
 
-def _parse_matrix(text, dim):
+def _parse_rows(text, flag):
+    """'a,b;c,d' -> 2-D array of numbers, one row per ';'-separated part."""
+    try:
+        rows = [[float(v) for v in row.split(",")]
+                for row in text.split(";") if row.strip()]
+    except ValueError:
+        rows = []
+    if not rows:
+        raise LyapmetricError(f"{flag}: '{text}' is not a list of numbers")
+    if len({len(row) for row in rows}) > 1:
+        raise LyapmetricError(
+            f"{flag}: the ';'-separated rows of '{text}' differ in length")
+    return np.array(rows)
+
+
+def _parse_matrix(text, dim, flag):
     text = text.strip()
     if text in ("I", "", "identity"):
         return np.eye(dim)
-    if ";" in text:
-        rows = [[float(v) for v in row.split(",")]
-                for row in text.split(";") if row.strip()]
-        return check_positive_definite(np.array(rows))
-    values = [float(v) for v in text.split(",")]
-    if len(values) == 1:
-        return values[0] * np.eye(dim)
-    if len(values) == dim * dim:
-        return check_positive_definite(np.array(values).reshape(dim, dim))
-    raise LyapmetricError(f"cannot parse a {dim}x{dim} matrix from '{text}'")
+    values = _parse_rows(text, flag)
+    if ";" not in text and values.size == 1:
+        return values[0, 0] * np.eye(dim)
+    if ";" not in text and values.size == dim * dim:
+        values = values.reshape(dim, dim)
+    if values.shape != (dim, dim):
+        raise LyapmetricError(
+            f"{flag}: cannot parse a {dim}x{dim} matrix from '{text}'")
+    return check_positive_definite(values)
 
 
 def _resolve_system(spec):
@@ -160,6 +185,7 @@ def _out_path(config, name):
 
 
 def _write_report(config, payload, verdict):
+    """Write report.json and return the exit status of `verdict`."""
     report = {
         "schema": 1,
         "tool": {"name": "lyapmetric", "version": __version__},
@@ -170,7 +196,7 @@ def _write_report(config, payload, verdict):
     }
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     _out_path(config, "report.json").write_text(text, encoding="utf-8")
-    return report
+    return 0 if verdict == "pass" else 2
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +229,7 @@ def cmd_analyze(config):
     }
     write_csv(_out_path(config, "envelopes.csv"), ["s", "k", "k_tilde"],
               [(s, gain.gain(s), lin.gain(s)) for s in radii])
-    _write_report(config, payload, "pass")
-    return 0
+    return _write_report(config, payload, "pass")
 
 
 def _build_metric(config, model, ode_tol=1e-12):
@@ -239,8 +264,9 @@ def _build_metric(config, model, ode_tol=1e-12):
     raise LyapmetricError(f"unknown metric variant '{variant}'")
 
 
-def cmd_metric(config):
-    model = _resolve_system(config.system)
+def _metric_inequality(config, model):
+    """Build the configured metric, check L_F P + Q <= 0 on the grid and
+    take its eigenvalue envelopes: (field, grid, payload, verdict)."""
     field, _ = _build_metric(config, model)
     if config.variant == "transverse":
         grid = config.grid_points(model.n_x)
@@ -253,11 +279,15 @@ def cmd_metric(config):
         report = residual_report(field, model, grid)
     bounds = metric_bounds(field, config.radii_values(),
                            n_samples=config.samples, seed=config.seed)
-
-    field.to_csv(grid, _out_path(config, "metric.csv"))
     payload = {"residuals": report.to_dict(), "bounds": bounds.to_dict()}
-    _write_report(config, payload, report.verdict)
-    return 0 if report.verdict == "pass" else 2
+    return field, grid, payload, report.verdict
+
+
+def cmd_metric(config):
+    field, grid, payload, verdict = _metric_inequality(
+        config, _resolve_system(config.system))
+    field.to_csv(grid, _out_path(config, "metric.csv"))
+    return _write_report(config, payload, verdict)
 
 
 def _certify_with_metric(config, model, field):
@@ -328,23 +358,12 @@ def cmd_certify(config):
         except FalsificationError as exc:
             exc.stage = "linearized-decay"
             raise
-        field, _ = _build_metric(config, model)
-        grid = config.grid_points(model.n_x)
-        flow_model = model.drift_field()
-        congruence = lambda x: model.df_de(np.zeros(model.n_e), x)  # noqa: E731
-        report = residual_report(field, flow_model, grid,
-                                 congruence_jac=congruence)
-        bounds = metric_bounds(field, config.radii_values(),
-                               n_samples=config.samples, seed=config.seed)
-        payload = {"residuals": report.to_dict(), "bounds": bounds.to_dict()}
-        verdict = report.verdict
-        _write_report(config, payload, verdict)
-        return 0 if verdict == "pass" else 2
+        _, _, payload, verdict = _metric_inequality(config, model)
+        return _write_report(config, payload, verdict)
 
     field, _ = _build_metric(config, model, ode_tol=1e-10)
     payload, verdict = _certify_with_metric(config, model, field)
-    _write_report(config, payload, verdict)
-    return 0 if verdict == "pass" else 2
+    return _write_report(config, payload, verdict)
 
 
 def cmd_stabilize(config):
@@ -383,8 +402,7 @@ def cmd_stabilize(config):
         and certify_verdict == "pass" else "fail"
     payload = {"controller": certificate.to_dict(),
                "closed_loop_certificate": certify_payload, **export}
-    _write_report(config, payload, verdict)
-    return 0 if verdict == "pass" else 2
+    return _write_report(config, payload, verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +433,8 @@ def _add_common(parser):
                         default=_env_default("samples", 4, int))
     parser.add_argument("--grid",
                         default=_env_default("grid", "", str),
-                        help="comma list of points, 'lo:hi:n', or "
-                             "semicolon-separated vectors")
+                        help="comma list of 1-D points, 'lo:hi:n', or "
+                             "points separated by ';' ('1,0;0,1')")
     parser.add_argument("--variant",
                         default=_env_default("variant", "along-solutions", str),
                         choices=["origin", "along-solutions", "transverse",
@@ -471,8 +489,7 @@ def main(argv=None):
             payload = {"witness": exc.witness, "reason": str(exc)}
             if exc.stage is not None:
                 payload["stage"] = exc.stage
-            _write_report(config, payload, "falsified")
-            return 2
+            return _write_report(config, payload, "falsified")
     except LyapmetricError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,8 +9,10 @@ A system is described by a small whitespace-insensitive text format made of
 * ``F1..Fk``  field expressions (k = dim, or e_dim when an x-block exists)
 * ``G1..Gm``  x-block field expressions (m = dim - e_dim)
 * ``g1..gn``  optional input vector field for controlled systems
-* ``Q``       optional dense row-major matrix (whitespace/comma separated)
 * any other ``name = number`` defines a scalar parameter
+
+``Q`` is not a statement: the weight of a metric is set with the CLI's
+``--Q`` (or the ``q`` argument of the metric builders).
 
 Expressions support ``+ - * / ^`` (power with constant exponent, ``**`` is an
 alias), unary minus, parentheses, the functions ``sin cos exp ln log sqrt
@@ -724,14 +726,13 @@ def compile_vector(trees, params):
 class ParsedSystem:
     """Statements of a system text, validated and ready to build models."""
 
-    def __init__(self, dim, e_dim, params, f_trees, g_trees, input_trees, q):
+    def __init__(self, dim, e_dim, params, f_trees, g_trees, input_trees):
         self.dim = dim
         self.e_dim = e_dim
         self.params = dict(params)
         self.f_trees = list(f_trees)
         self.g_trees = list(g_trees)
         self.input_trees = list(input_trees)
-        self.q = q
 
     # -- evaluation helpers -------------------------------------------------
 
@@ -782,9 +783,6 @@ class ParsedSystem:
             lines.append(f"G{k + 1} = {t.text()}")
         for k, t in enumerate(self.input_trees):
             lines.append(f"g{k + 1} = {t.text()}")
-        if self.q is not None:
-            flat = " ".join(repr(v) for v in self.q.ravel())
-            lines.append(f"Q = {flat}")
         return "\n".join(lines) + "\n"
 
 
@@ -821,7 +819,6 @@ def parse_spec_text(text, params=None):
     e_dim = None
     declared = {}
     f_exprs, g_exprs, u_exprs = {}, {}, {}
-    q_values = None
 
     for stmt in statements:
         if len(stmt) < 3 or stmt[0].kind != "ident" or not (
@@ -844,24 +841,9 @@ def parse_spec_text(text, params=None):
             continue
 
         if name == "Q":
-            q_values = []
-            toks = stmt[rest_start:]
-            j = 0
-            while j < len(toks):
-                tok = toks[j]
-                if tok.kind == "op" and tok.value == ",":
-                    j += 1
-                    continue
-                sign = 1.0
-                if tok.kind == "op" and tok.value == "-":
-                    sign = -1.0
-                    j += 1
-                    tok = toks[j] if j < len(toks) else None
-                if tok is None or tok.kind != "num":
-                    raise SpecTextError("Q must be a list of numbers", stmt[0].pos)
-                q_values.append(sign * tok.value)
-                j += 1
-            continue
+            raise SpecTextError("a system text cannot set Q; pass it with "
+                                "--Q (or the metric's q argument)",
+                                stmt[0].pos)
 
         for prefix, store in (("F", f_exprs), ("G", g_exprs), ("g", u_exprs)):
             k = _indexed_name(name, prefix)
@@ -923,15 +905,7 @@ def parse_spec_text(text, params=None):
             raise UnknownIdentifierError(
                 f"unknown identifier '{unknown[0]}' (no parameter value)")
 
-    q = None
-    if q_values is not None:
-        k = n_f
-        if len(q_values) != k * k:
-            raise DimensionMismatchError(
-                f"Q needs {k * k} entries (row-major {k}x{k}), got {len(q_values)}")
-        q = np.array(q_values).reshape(k, k)
-
-    return ParsedSystem(dim, e_dim, declared, f_trees, g_trees, input_trees, q)
+    return ParsedSystem(dim, e_dim, declared, f_trees, g_trees, input_trees)
 
 
 def parse_system(text, params=None):

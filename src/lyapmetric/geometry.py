@@ -25,15 +25,12 @@ import numpy as np
 
 from . import integrate
 from .dynamics import flow, write_csv
-from .errors import (
-    DerivativeUnreliableError,
-    GeodesicDomainError,
-    LyapmetricError,
-)
+from .errors import DerivativeUnreliableError, LyapmetricError
 
 _BVP_TOL = 1e-10
 _NEWTON_MAX_ITER = 25
 _MAX_PANELS = 8192
+_DINI_H_FLOOR = 1e-4  # smallest largest step of the Dini ladder
 
 
 def christoffel(metric, e, h_c=None):
@@ -218,52 +215,68 @@ def _shoot_endpoint(metric, start, velocity, tol):
     return sol.y[-1, :n], float(sol.y[-1, 2 * n])
 
 
-def _single_shooting(metric, start, target, tol):
-    n = start.size
-    u = (target - start).astype(float)
-    scale = 1.0 + float(np.linalg.norm(target))
-    best = None
+def _damped_newton(residual, z0, tol):
+    """Damped Newton iteration on residual(z) -> (r, value) from z0.
+
+    Each step solves against a forward-difference Jacobian (step
+    1e-6 (1 + |z|)) and takes the first of the fractions 1, 1/2, ..., 1/128
+    of itself that lowers |r|.  Returns (z, value, |r|, iterations) at the
+    first iterate with |r| <= tol, or at the last one evaluated when the
+    iterations run out; None when an evaluation outside the line search
+    fails, the Jacobian is singular or no fraction lowers |r|.
+    """
+    z = z0
     for iteration in range(_NEWTON_MAX_ITER):
         try:
-            endpoint, length = _shoot_endpoint(metric, start, u, tol)
-        except (GeodesicDomainError, LyapmetricError):
+            r, value = residual(z)
+        except LyapmetricError:
             return None
-        r = endpoint - target
         rnorm = float(np.linalg.norm(r))
-        best = (u, length, rnorm, iteration + 1)
-        if rnorm <= _BVP_TOL * scale:
-            return best
-        # finite-difference Jacobian of the shooting map
-        jac = np.empty((n, n))
-        du = 1e-6 * (1.0 + float(np.linalg.norm(u)))
-        for j in range(n):
-            up = u.copy()
-            up[j] += du
+        last = (z, value, rnorm, iteration + 1)
+        if rnorm <= tol:
+            return last
+        jac = np.empty((r.size, z.size))
+        dz = 1e-6 * (1.0 + float(np.linalg.norm(z)))
+        for j in range(z.size):
+            zp = z.copy()
+            zp[j] += dz
             try:
-                endpoint_j, _ = _shoot_endpoint(metric, start, up, tol)
-            except (GeodesicDomainError, LyapmetricError):
+                jac[:, j] = (residual(zp)[0] - r) / dz
+            except LyapmetricError:
                 return None
-            jac[:, j] = (endpoint_j - endpoint) / du
         try:
             step = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
             return None
-        # damped update
         alpha = 1.0
         for _ in range(8):
-            candidate = u + alpha * step
+            candidate = z + alpha * step
             try:
-                endpoint_c, _ = _shoot_endpoint(metric, start, candidate, tol)
-            except (GeodesicDomainError, LyapmetricError):
+                r_c = residual(candidate)[0]
+            except LyapmetricError:
                 alpha *= 0.5
                 continue
-            if float(np.linalg.norm(endpoint_c - target)) < rnorm:
-                u = candidate
+            if float(np.linalg.norm(r_c)) < rnorm:
+                z = candidate
                 break
             alpha *= 0.5
         else:
             return None
-    return best if best is not None and best[2] <= 1e-6 * scale else None
+    return last
+
+
+def _single_shooting(metric, start, target, tol):
+    """Newton on the initial velocity; an iterate within 1e-6 (1 + |target|)
+    of the target is still accepted once the iterations run out."""
+    scale = 1.0 + float(np.linalg.norm(target))
+
+    def residual(u):
+        endpoint, length = _shoot_endpoint(metric, start, u, tol)
+        return endpoint - target, length
+
+    hit = _damped_newton(residual, (target - start).astype(float),
+                         _BVP_TOL * scale)
+    return hit if hit is not None and hit[2] <= 1e-6 * scale else None
 
 
 def _multiple_shooting(metric, start, target, tol, segments=8):
@@ -296,45 +309,12 @@ def _multiple_shooting(metric, start, target, tol, segments=8):
                 res[2 * n * k: 2 * n * k + n] = g_end - target
         return res, total_len
 
-    scale = 1.0 + float(np.linalg.norm(target))
-    for iteration in range(_NEWTON_MAX_ITER):
-        try:
-            r, total_len = residual(z)
-        except (GeodesicDomainError, LyapmetricError):
-            return None
-        rnorm = float(np.linalg.norm(r))
-        if rnorm <= 10.0 * _BVP_TOL * scale:
-            return z[:n], total_len, rnorm, iteration + 1
-        jac = np.empty((r.size, z.size))
-        dz = 1e-6 * (1.0 + float(np.linalg.norm(z)))
-        for j in range(z.size):
-            zp = z.copy()
-            zp[j] += dz
-            try:
-                rj, _ = residual(zp)
-            except (GeodesicDomainError, LyapmetricError):
-                return None
-            jac[:, j] = (rj - r) / dz
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            return None
-        alpha = 1.0
-        improved = False
-        for _ in range(8):
-            try:
-                r_new, _ = residual(z + alpha * step)
-            except (GeodesicDomainError, LyapmetricError):
-                alpha *= 0.5
-                continue
-            if float(np.linalg.norm(r_new)) < rnorm:
-                z = z + alpha * step
-                improved = True
-                break
-            alpha *= 0.5
-        if not improved:
-            return None
-    return None
+    accept = 10.0 * _BVP_TOL * (1.0 + float(np.linalg.norm(target)))
+    hit = _damped_newton(residual, z, accept)
+    if hit is None or hit[2] > accept:
+        return None
+    z, total_len, rnorm, iterations = hit
+    return z[:n], total_len, rnorm, iterations
 
 
 def _distance_between(metric, start, target, tol=1e-10):
@@ -386,12 +366,14 @@ class DiniEstimate:
     extrapolants: tuple
     v_at_point: float
     flagged: bool
+    h: float
 
     def to_dict(self):
         return {"value": self.value,
                 "quotients": {str(h): q for h, q in self.quotients.items()},
                 "v": self.v_at_point,
-                "flagged": self.flagged}
+                "flagged": self.flagged,
+                "h": self.h}
 
 
 def dini_derivative_V(metric, model, e, h_seq=(1e-2, 5e-3, 2.5e-3),
@@ -400,8 +382,11 @@ def dini_derivative_V(metric, model, e, h_seq=(1e-2, 5e-3, 2.5e-3),
     quotients (V(E(e, h)) - V(e)) / h over a decreasing h ladder.
 
     Richardson-extrapolates consecutive quotient pairs and gates on their
-    agreement; a flagged result means some distance solve returned only an
-    upper bound, so the estimate must not enter a decrease certificate.
+    agreement.  While they disagree, the whole ladder is halved, until its
+    largest step would drop below 1e-4; the estimate records the largest
+    step that passed.  A flagged result means some distance solve returned
+    only an upper bound, so the estimate must not enter a decrease
+    certificate.
     """
     e = np.atleast_1d(np.asarray(e, dtype=float))
     h_seq = sorted(h_seq, reverse=True)
@@ -409,22 +394,26 @@ def dini_derivative_V(metric, model, e, h_seq=(1e-2, 5e-3, 2.5e-3),
         raise LyapmetricError("need at least three steps to extrapolate")
 
     v0 = distance_to_origin(metric, e, tol=bvp_tol)
-    flagged = v0.flagged
-    traj = flow(model, e, h_seq[0], tol=flow_tol, dense=True)
-    quotients = {}
-    for h in h_seq:
-        vh = distance_to_origin(metric, traj.state_at(h), tol=bvp_tol)
-        flagged = flagged or vh.flagged
-        quotients[h] = (vh.value - v0.value) / h
+    while True:
+        flagged = v0.flagged
+        traj = flow(model, e, h_seq[0], tol=flow_tol, dense=True)
+        quotients = {}
+        for h in h_seq:
+            vh = distance_to_origin(metric, traj.state_at(h), tol=bvp_tol)
+            flagged = flagged or vh.flagged
+            quotients[h] = (vh.value - v0.value) / h
 
-    r1 = 2.0 * quotients[h_seq[1]] - quotients[h_seq[0]]
-    r2 = 2.0 * quotients[h_seq[2]] - quotients[h_seq[1]]
-    if abs(r2 - r1) > gate_tol:
-        raise DerivativeUnreliableError(
-            f"Dini estimate unreliable at e = {e}: extrapolants differ "
-            f"by {abs(r2 - r1):.3g}")
+        r1 = 2.0 * quotients[h_seq[1]] - quotients[h_seq[0]]
+        r2 = 2.0 * quotients[h_seq[2]] - quotients[h_seq[1]]
+        if abs(r2 - r1) <= gate_tol:
+            break
+        if 0.5 * h_seq[0] < _DINI_H_FLOOR:
+            raise DerivativeUnreliableError(
+                f"Dini estimate unreliable at e = {e}: extrapolants differ "
+                f"by {abs(r2 - r1):.3g} at h = {h_seq[0]:.3g}")
+        h_seq = [0.5 * h for h in h_seq]
     return DiniEstimate(value=r2, quotients=quotients, extrapolants=(r1, r2),
-                        v_at_point=v0.value, flagged=flagged)
+                        v_at_point=v0.value, flagged=flagged, h=h_seq[0])
 
 
 def dini_decrease_bound(metric, v_value, e_norm, form="provable"):

@@ -12,7 +12,8 @@ Four constructions share one augmented-integration core,
                                         state-independent lower bound
 
 plus the residual machinery that checks the matrix inequality
-L_F P(e) <= -Q by flow-aligned differencing of P (:func:`flow_derivative`).
+L_F P(e) <= -Q by flow-aligned differencing of P (:func:`lie_derivative`,
+the one gated Lie derivative behind every such check in the package).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .errors import (
 
 _SYMMETRY_TOL = 1e-10
 _H_FLOOR = 1e-6   # smallest Richardson step before the gate gives up
+_FLOW_TOL = 1e-12  # rtol of the short flows that difference P
 
 
 def check_positive_definite(q):
@@ -62,14 +64,13 @@ class MetricField:
     state).
     """
 
-    def __init__(self, dim, q, variant, evaluator, point_dim=None, model=None,
+    def __init__(self, dim, q, variant, evaluator, point_dim=None,
                  decay=None, tail_tol=None, domain=None, horizon_rule=None,
                  interpolated=False, meta=None):
         self.dim = dim
         self.point_dim = dim if point_dim is None else point_dim
         self.q = np.asarray(q, dtype=float)
         self.variant = variant
-        self.model = model
         self.decay = decay
         self.tail_tol = tail_tol
         self.domain = domain
@@ -142,7 +143,7 @@ class MetricField:
 
         out = MetricField(
             dim=self.dim, q=self.q, variant=self.variant, evaluator=evaluator,
-            point_dim=1, model=self.model, decay=self.decay,
+            point_dim=1, decay=self.decay,
             tail_tol=self.tail_tol, domain=(np.array([lo]), np.array([hi])),
             interpolated=True,
             meta={**self.meta, "tabulated_points": int(n_points)})
@@ -216,7 +217,6 @@ def gramian_at_origin(model, q=None, ode_tol=1e-12):
             f"Gramian polish failed: algebraic residual {residual:.3g} > 1e-8")
     out = constant_metric(p, q)
     out.meta.update({"residual": residual, "quadrature_horizon": t0})
-    out.model = model
     return out
 
 
@@ -224,8 +224,8 @@ def gramian_at_origin(model, q=None, ode_tol=1e-12):
 # decay-truncated Gramians: along solutions and transverse
 # ---------------------------------------------------------------------------
 
-def _decay_truncated_field(model, variant, step, n_state, n_phi, q, decay,
-                           tail_tol, ode_tol, horizon_cap, blowup_norm):
+def _decay_truncated_field(variant, step, n_state, n_phi, q, decay, tail_tol,
+                           ode_tol, horizon_cap, blowup_norm):
     """Evaluator point -> integral over [0, T(point)] of Phi' Q Phi for the
     lifted system of `step`.
 
@@ -258,7 +258,7 @@ def _decay_truncated_field(model, variant, step, n_state, n_phi, q, decay,
         return lift.split(sol.y[-1])[2]
 
     return MetricField(dim=n_phi, q=q, variant=variant, evaluator=evaluator,
-                       point_dim=n_state, model=model, decay=decay,
+                       point_dim=n_state, decay=decay,
                        tail_tol=tail_tol, horizon_rule=horizon_rule,
                        meta={"ode_tol": ode_tol})
 
@@ -272,7 +272,7 @@ def solution_metric(model, q=None, decay=None, tail_tol=1e-7, ode_tol=1e-12,
     def step(e):
         return f(e), jac(e)
 
-    return _decay_truncated_field(model, "along-solutions", step, model.dim,
+    return _decay_truncated_field("along-solutions", step, model.dim,
                                   model.dim, q, decay, tail_tol, ode_tol,
                                   horizon_cap, blowup_norm=1e8)
 
@@ -293,8 +293,8 @@ def transverse_metric_field(model, q=None, decay=None, tail_tol=1e-7,
         on_manifold = np.concatenate([zeros_e, xd])
         return full_f(on_manifold)[n_e:], full_jac(on_manifold)[:n_e, :n_e]
 
-    return _decay_truncated_field(model, "transverse", step, model.n_x, n_e,
-                                  q, decay, tail_tol, ode_tol, horizon_cap,
+    return _decay_truncated_field("transverse", step, model.n_x, n_e, q,
+                                  decay, tail_tol, ode_tol, horizon_cap,
                                   blowup_norm=1e12)
 
 
@@ -360,8 +360,7 @@ def rescaled_metric_field(model, q=None, tail_tol=1e-7, ode_tol=1e-12,
         return t_done
 
     return MetricField(dim=n, q=q, variant="rescaled", evaluator=evaluator,
-                       model=model, tail_tol=tail_tol,
-                       horizon_rule=horizon_rule,
+                       tail_tol=tail_tol, horizon_rule=horizon_rule,
                        meta={"ode_tol": ode_tol, "chunk": chunk})
 
 
@@ -407,37 +406,18 @@ class ResidualReport:
                 "entries": [e.to_dict() for e in self.entries]}
 
 
-def flow_derivative(metric, model, e, h=1e-4, flow_tol=1e-12):
-    """Flow-aligned derivative d_F P(e) of a metric along `model`.
+def lie_derivative(metric, model, e, h=None, gate_tol=1e-4,
+                   congruence_jac=None):
+    """Lie derivative L_F P(e) = d_F P(e) + P J + J' P of a metric along
+    `model`: (L_F P, h, disagreement).
 
-    One-sided differences of P along the flow at steps h and h/2, combined
-    by Richardson extrapolation.  Every P is pinned to the horizon the
-    metric's rule assigns to e, so truncation does not leak into the
-    differences.  Returns (d_flow, disagreement, P(e)), where disagreement
-    is the 2-norm gap between the two extrapolation inputs.
-    """
-    e = np.atleast_1d(np.asarray(e, dtype=float))
-    horizon = metric.horizon_for(e)
-    traj = flow(model, e, h, tol=flow_tol, dense=True)
-    pinned = {} if horizon is None else {"horizon": horizon}
-    p0 = metric(e, **pinned)
-    p_h = metric(traj.states[-1], **pinned)
-    p_h2 = metric(traj.state_at(0.5 * h), **pinned)
-    d1 = (p_h - p0) / h
-    d2 = (p_h2 - p0) / (0.5 * h)
-    return 2.0 * d2 - d1, float(np.linalg.norm(d2 - d1, 2)), p0
-
-
-def lie_derivative_residual(metric, model, e, h=None, flow_tol=1e-12,
-                            gate_tol=1e-4, congruence_jac=None):
-    """One residual entry R(e) = d_F P(e) + P J + J' P + Q_eff.
-
-    d_F P comes from one-sided flow differences at steps h and h/2 with
-    Richardson extrapolation; the two extrapolation inputs gate reliability.
-    While they disagree, h is halved (not below 1e-6); the entry records
-    the h that passed.
-    For the rescaled variant Q_eff = Q (1 + |dF/de(e)|^3), matching the
-    inequality that construction satisfies; otherwise Q_eff = Q.
+    d_F P comes from one-sided differences of P along the flow at steps h
+    and h/2, combined by Richardson extrapolation; the 2-norm gap between
+    the two extrapolation inputs gates reliability.  While it exceeds
+    10 gate_tol, h is halved (not below 1e-6); the h that passed is
+    returned.  The default h is max(1e-4, sqrt(tail_tol)).  Every P is
+    pinned to the horizon the metric's rule assigns to e, so truncation
+    does not leak into the differences.
 
     `congruence_jac` overrides the matrix J entering the congruence terms;
     the transverse inequality flows P along the drift but congruences with
@@ -447,9 +427,16 @@ def lie_derivative_residual(metric, model, e, h=None, flow_tol=1e-12,
     if h is None:
         base = metric.tail_tol if metric.tail_tol else 1e-8
         h = max(1e-4, math.sqrt(base))
+    horizon = metric.horizon_for(e)
+    pinned = {} if horizon is None else {"horizon": horizon}
+    p0 = metric(e, **pinned)
     while True:
-        d_flow, disagreement, p0 = flow_derivative(metric, model, e, h,
-                                                   flow_tol)
+        traj = flow(model, e, h, tol=_FLOW_TOL, dense=True)
+        p_h = metric(traj.states[-1], **pinned)
+        p_h2 = metric(traj.state_at(0.5 * h), **pinned)
+        d1 = (p_h - p0) / h
+        d2 = (p_h2 - p0) / (0.5 * h)
+        disagreement = float(np.linalg.norm(d2 - d1, 2))
         if disagreement <= 10.0 * gate_tol:
             break
         if 0.5 * h < _H_FLOOR:
@@ -459,21 +446,33 @@ def lie_derivative_residual(metric, model, e, h=None, flow_tol=1e-12,
         h = 0.5 * h
 
     j = model.jac(e) if congruence_jac is None else congruence_jac(e)
+    return (2.0 * d2 - d1) + p0 @ j + j.T @ p0, h, disagreement
+
+
+def lie_derivative_residual(metric, model, e, h=None, gate_tol=1e-4,
+                            congruence_jac=None):
+    """One residual entry R(e) = L_F P(e) + Q_eff (:func:`lie_derivative`).
+
+    For the rescaled variant Q_eff = Q (1 + |dF/de(e)|^3), matching the
+    inequality that construction satisfies; otherwise Q_eff = Q.  The entry
+    records the Richardson step h that passed the gate.
+    """
+    e = np.atleast_1d(np.asarray(e, dtype=float))
+    lie, h, disagreement = lie_derivative(metric, model, e, h, gate_tol,
+                                          congruence_jac)
     q_eff = metric.q
     if metric.variant == "rescaled":
         q_eff = metric.q * (1.0 + float(np.linalg.norm(model.jac(e), 2)) ** 3)
-    residual = d_flow + p0 @ j + j.T @ p0 + q_eff
+    residual = lie + q_eff
     residual = 0.5 * (residual + residual.T)
     max_eig = float(np.max(np.linalg.eigvalsh(residual)))
     return ResidualEntry(point=e, residual=residual, max_eigenvalue=max_eig,
                          h=h, disagreement=disagreement)
 
 
-def residual_report(metric, model, points, tolerance=1e-4, h=None,
-                    flow_tol=1e-12, congruence_jac=None):
-    entries = [lie_derivative_residual(metric, model, p, h=h,
-                                       flow_tol=flow_tol,
-                                       gate_tol=tolerance,
+def residual_report(metric, model, points, tolerance=1e-4,
+                    congruence_jac=None):
+    entries = [lie_derivative_residual(metric, model, p, gate_tol=tolerance,
                                        congruence_jac=congruence_jac)
                for p in np.atleast_2d(np.asarray(points, dtype=float))]
     return ResidualReport(entries=entries, tolerance=tolerance,

@@ -21,19 +21,17 @@ import numpy as np
 from . import expressions
 from .errors import ClosednessError, FalsificationError, LyapmetricError
 from .geometry import _refined_simpson
-from .metric import flow_derivative
-from .systems import SystemModel
+from .metric import lie_derivative
+from .systems import ControlSystem, SystemModel
 
 _CLOSEDNESS_TOL = 1e-6
 
 
-def killing_residual(metric, g_model, w, h=1e-4, flow_tol=1e-12):
-    """L_g P(w) = d_g P + P dg/dw + (dg/dw)' P and its 2-norm."""
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    d_g = flow_derivative(metric, g_model, w, h, flow_tol)[0]
-    p = metric(w)
-    jg = g_model.jac(w)
-    residual = d_g + p @ jg + jg.T @ p
+def killing_residual(metric, g_model, w):
+    """L_g P(w) = d_g P + P dg/dw + (dg/dw)' P and its 2-norm, from the
+    gated :func:`metric.lie_derivative` (an unreliable derivative raises
+    :class:`DerivativeUnreliableError`)."""
+    residual = lie_derivative(metric, g_model, w)[0]
     residual = 0.5 * (residual + residual.T)
     return residual, float(np.linalg.norm(residual, 2))
 
@@ -174,9 +172,8 @@ def synthesize_controller(control_sys, metric, gain, q=None,
         sample_points = np.zeros((1, n))
     sample_points = np.atleast_2d(np.asarray(sample_points, dtype=float))
 
-    g_model = control_sys.input_field
     if scaling is not None:
-        base = g_model
+        base = control_sys.input_field
 
         def scaled_f(w, _b=base, _s=scaling):
             return _s(w) * _b.f(w)
@@ -191,9 +188,10 @@ def synthesize_controller(control_sys, metric, gain, q=None,
                 j[:, i] += dalpha * _b.f(w)
             return j
 
-        g_model = SystemModel(dim=n, f=scaled_f, jac=scaled_jac, hess=None,
-                              smoothness="C1", equilibrium_at_origin=False,
-                              name="scaled-input")
+        control_sys = ControlSystem(n, control_sys.drift, SystemModel(
+            dim=n, f=scaled_f, jac=scaled_jac, hess=None, smoothness="C1",
+            equilibrium_at_origin=False, name="scaled-input"))
+    g_model = control_sys.input_field
 
     # condition 2: the input field preserves the metric
     killing_sup = max(killing_residual(metric, g_model, w)[1]
@@ -214,11 +212,8 @@ def synthesize_controller(control_sys, metric, gain, q=None,
     # condition 1: the damped drift inequality
     decrease_sup = -math.inf
     for w in sample_points:
-        d_f = flow_derivative(metric, control_sys.drift, w)[0]
-        p = metric(w)
-        jf = control_sys.drift.jac(w)
-        pg = p @ g_model.f(w)
-        lhs = d_f + p @ jf + jf.T @ p \
+        pg = metric(w) @ g_model.f(w)
+        lhs = lie_derivative(metric, control_sys.drift, w)[0] \
             - gain * float(pg @ pg) * np.eye(n) + q
         decrease_sup = max(decrease_sup,
                            float(np.max(np.linalg.eigvalsh(
@@ -230,8 +225,7 @@ def synthesize_controller(control_sys, metric, gain, q=None,
 
     potential = PotentialU(metric, g_model)
     feedback = _Feedback(potential, gain)
-    closed_loop = control_sys.closed_loop(feedback) if scaling is None else \
-        _scaled_closed_loop(control_sys, g_model, feedback)
+    closed_loop = control_sys.closed_loop(feedback)
 
     # Replay the closed-loop inequality L_F P <= -Q on the samples.  Under
     # the Killing condition the loop satisfies
@@ -241,10 +235,7 @@ def synthesize_controller(control_sys, metric, gain, q=None,
     # to pass as well.
     closed_sup = -math.inf
     for w in sample_points:
-        d_fc = flow_derivative(metric, closed_loop, w)[0]
-        p = metric(w)
-        jc = closed_loop.jac(w)
-        lhs = d_fc + p @ jc + jc.T @ p + q
+        lhs = lie_derivative(metric, closed_loop, w)[0] + q
         closed_sup = max(closed_sup,
                          float(np.max(np.linalg.eigvalsh(
                              0.5 * (lhs + lhs.T)))))
@@ -259,21 +250,6 @@ def synthesize_controller(control_sys, metric, gain, q=None,
                            and closed_sup <= tolerance) else "fail",
         samples=sample_points.shape[0], tolerance=tolerance)
     return closed_loop, potential, cert
-
-
-def _scaled_closed_loop(control_sys, g_model, feedback):
-    def f(w):
-        return control_sys.drift.f(w) + g_model.f(w) * feedback(w)
-
-    def jac(w):
-        u = feedback(w)
-        du = feedback.gradient(w)
-        return control_sys.drift.jac(w) + u * g_model.jac(w) + \
-            np.outer(g_model.f(w), du)
-
-    return SystemModel(dim=control_sys.dim, f=f, jac=jac, hess=None,
-                       smoothness="C1", equilibrium_at_origin=False,
-                       name="closed-loop")
 
 
 def export_closed_loop(control_sys, metric, gain):
@@ -306,7 +282,7 @@ def export_closed_loop(control_sys, metric, gain):
             expressions.mul(u_tree, expressions.Num(float(b[k]))))
         new_trees.append(expressions.sub(f_tree, correction))
     parsed = expressions.ParsedSystem(
-        n, None, drift.source.params, new_trees, [], [], None)
+        n, None, drift.source.params, new_trees, [], [])
     return parsed.to_text()
 
 

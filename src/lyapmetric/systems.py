@@ -127,7 +127,7 @@ class TransverseModel:
         n_e = parsed.e_dim
         combined = expressions.ParsedSystem(
             parsed.dim, None, parsed.params,
-            parsed.f_trees + parsed.g_trees, [], [], parsed.q)
+            parsed.f_trees + parsed.g_trees, [], [])
         full = SystemModel.from_parsed(combined, name=name)
         full = _replace_equilibrium_flag(full, False)
         return TransverseModel(n_e=n_e, n_x=parsed.dim - n_e, full=full,
@@ -212,9 +212,9 @@ class ControlSystem:
         if parsed.e_dim is not None:
             raise DimensionMismatchError("controlled systems use a single block")
         drift_parsed = expressions.ParsedSystem(
-            parsed.dim, None, parsed.params, parsed.f_trees, [], [], parsed.q)
+            parsed.dim, None, parsed.params, parsed.f_trees, [], [])
         input_parsed = expressions.ParsedSystem(
-            parsed.dim, None, parsed.params, parsed.input_trees, [], [], None)
+            parsed.dim, None, parsed.params, parsed.input_trees, [], [])
         drift = SystemModel.from_parsed(drift_parsed, name=name)
         gfield = SystemModel.from_parsed(input_parsed, name=f"{name}:g")
         gfield = _replace_equilibrium_flag(gfield, False)

@@ -33,6 +33,27 @@ class TestRunConfig:
         cfg = RunConfig(command="x", system="s", grid="1,0;0,1")
         assert cfg.grid_points(2).shape == (2, 2)
 
+    @pytest.mark.parametrize("grid, radii, dim, message", [
+        ("a,b", "0.5,1,2", 1, "not a list of numbers"),
+        ("1,2;3", "0.5,1,2", 2, "differ in length"),
+        ("0.8,-0.5", "0.5,1,2", 2, "separate points with ';'"),
+        ("1,0;0,1", "0.5,1,2", 1, "points of size 1"),
+        ("0:1:x", "0.5,1,2", 1, "'lo:hi:n'"),
+        ("", "x", 1, "--radii"),
+    ])
+    def test_malformed_numbers_are_operational_errors(self, grid, radii, dim,
+                                                      message):
+        cfg = RunConfig(command="x", system="s", grid=grid, radii=radii)
+        with pytest.raises(LyapmetricError, match=message):
+            cfg.grid_points(dim)
+
+    @pytest.mark.parametrize("q, dim", [("1,x;0,1", 2), ("2,0;0,1", 1),
+                                        ("1,2,3", 2)])
+    def test_malformed_matrix_is_operational_error(self, q, dim):
+        cfg = RunConfig(command="x", system="s", q=q)
+        with pytest.raises(LyapmetricError, match="--Q"):
+            cfg.q_matrix(dim)
+
     def test_q_forms(self):
         cfg = RunConfig(command="x", system="s", q="I")
         assert np.array_equal(cfg.q_matrix(2), np.eye(2))
@@ -115,6 +136,20 @@ class TestMetricCommand:
             code = main([command, "--system", str(spec), "--samples", "2",
                          "--out", str(tmp_path / command)])
             assert code == 1
+
+    def test_point_size_mismatch_is_operational_error(self, tmp_path,
+                                                      capsys):
+        # a comma list is 1-D points: a 2-D system must reject it before
+        # any of its points reaches the integrator
+        spec = tmp_path / "planar.txt"
+        spec.write_text("dim=2; F1 = -x1 + x2^2; F2 = -2*x2 - x1*x2\n")
+        code = main(["metric", "--system", str(spec), "--variant",
+                     "rescaled", "--grid=0.8,-0.5", "--out",
+                     str(tmp_path / "r")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --grid '0.8,-0.5'")
+        assert not (tmp_path / "r" / "report.json").exists()
 
     def test_rescaled_variant(self, tmp_path):
         code = main(["metric", "--system", "scalar-example",
@@ -205,6 +240,22 @@ class TestStabilize:
 
         closed = parse_system(text)
         assert closed.f(np.array([1.0]))[0] == pytest.approx(-2.0, abs=1e-12)
+
+    def test_dini_ladder_halves_on_cubic_plant(self, tmp_path):
+        # the default Dini ladder fails its gate at (1, 0) (extrapolants
+        # differ by 2.76e-3); one halving passes
+        spec = tmp_path / "plant.txt"
+        spec.write_text("dim=2; F1 = x2 - x1^3; F2 = -x1 + 0.5*x2; "
+                        "g1 = 1; g2 = 1\n")
+        code = main(["stabilize", "--system", str(spec),
+                     "--lambda-gain", "3", "--grid=1,0;",
+                     "--out", str(tmp_path / "r")])
+        assert code == 0
+        report = _read_report(tmp_path / "r")
+        assert report["verdict"] == "pass"
+        [row] = report["closed_loop_certificate"]["points"]
+        assert row["dini"] == pytest.approx(-3.99976, abs=1e-4)
+        assert row["bound"] == pytest.approx(-0.5, abs=1e-9)
 
     def test_insufficient_gain_exits_two(self, tmp_path):
         spec = tmp_path / "plant.txt"

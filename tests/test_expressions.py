@@ -151,6 +151,12 @@ def test_syntax_error_carries_position():
     assert err.value.position is not None
 
 
+def test_q_statement_rejected():
+    # Q is set with --Q only; no metric reads a system text's Q
+    with pytest.raises(SpecTextError, match="--Q"):
+        parse_system("dim=1; F1=-x1; Q = 2")
+
+
 def test_unknown_identifier_rejected():
     with pytest.raises(UnknownIdentifierError):
         parse_system("dim=1; F1 = -alpha*x1")

@@ -352,16 +352,22 @@ class TestPairwise:
             tab(np.array([5.0]))
 
     def test_fast_nonlinear_growth_gates_dini(self):
-        # near a finite-time divergence the quotient ladder curves too much
-        # and the estimate refuses to extrapolate
+        # near a finite-time divergence (e = 2 escapes within t = 0.144)
+        # the default ladder curves too much: its extrapolants differ by
+        # 5.7e-3.  Two halvings pass the gate and recover the exact
+        # D+V = sqrt(p) F(2) on the constant metric p = 1/2; a gate that
+        # even the floor ladder cannot meet still refuses to extrapolate
         from lyapmetric.errors import DerivativeUnreliableError
         from lyapmetric.metric import gramian_at_origin
 
         model = parse_system("dim=1; F1 = -x1 + x1^3")
         field = gramian_at_origin(model)
         metric_bounds(field, [0.5, 1.0, 2.0], n_samples=2)
-        with pytest.raises(DerivativeUnreliableError):
-            geometry.dini_derivative_V(field, model, [2.0])
+        dini = geometry.dini_derivative_V(field, model, [2.0])
+        assert dini.h == 2.5e-3
+        assert dini.value == pytest.approx(math.sqrt(0.5) * 6.0, abs=2e-4)
+        with pytest.raises(DerivativeUnreliableError, match="at h = 0.000156"):
+            geometry.dini_derivative_V(field, model, [2.0], gate_tol=1e-7)
 
     def test_pair_distance_strictly_decreases_along_flows(self, scalar_setup):
         from lyapmetric.dynamics import flow

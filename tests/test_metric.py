@@ -214,12 +214,18 @@ class TestLieDerivativeResidual:
         assert report.verdict == "pass"
         assert report.max_eigenvalue <= 1e-4
 
-    def test_richardson_step_halves_until_gate_passes(self):
+    def test_richardson_step_halves_until_gate_passes(self, monkeypatch):
         # on the rescaled planar field the default h = sqrt(tail_tol) and
-        # h / 2 fail the gate at (0.8, -0.5); h / 4 passes
+        # h / 2 fail the gate at (0.8, -0.5); h / 4 passes.  The horizon
+        # rule (a chunked P~ solve) runs once per entry, not once per try
         model = parse_system("dim=2; F1 = -x1 + x2^2; F2 = -2*x2 - x1*x2")
         field = rescaled_metric_field(model)
+        rule_calls = []
+        horizon_for = field.horizon_for
+        monkeypatch.setattr(field, "horizon_for",
+                            lambda p: rule_calls.append(p) or horizon_for(p))
         entry = lie_derivative_residual(field, model, [0.8, -0.5])
+        assert len(rule_calls) == 1
         assert entry.h == pytest.approx(0.25 * math.sqrt(field.tail_tol))
         assert entry.disagreement <= 10.0 * 1e-4
         assert entry.max_eigenvalue <= 1e-4

@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 
 from lyapmetric import catalog, parse_system
-from lyapmetric.errors import ClosednessError, FalsificationError
-from lyapmetric.metric import constant_metric
+from lyapmetric.errors import (
+    ClosednessError,
+    DerivativeUnreliableError,
+    FalsificationError,
+)
+from lyapmetric.metric import constant_metric, from_callable
 from lyapmetric.stabilization import (
     closedness_residual,
     construct_U,
@@ -44,6 +48,18 @@ class TestKillingResidual:
         g = parse_system("dim=1; F1 = x1")
         _, norm = killing_residual(unit_metric, g, [0.5])
         assert norm == pytest.approx(2.0, abs=1e-9)
+
+    def test_unreliable_derivative_raises(self, scalar_plant):
+        # p(w) = 1 + sqrt(|w|) has no derivative at 0: the Richardson inputs
+        # drift apart as h shrinks, so the checks refuse instead of reading
+        # a step-sized residual (183 at h = 1e-4) as a failed condition
+        kink = from_callable(
+            lambda x: np.array([[1.0 + np.sqrt(abs(float(x[0])))]]), dim=1)
+        with pytest.raises(DerivativeUnreliableError):
+            killing_residual(kink, scalar_plant.input_field, [0.0])
+        with pytest.raises(DerivativeUnreliableError):
+            synthesize_controller(scalar_plant, kink, gain=3.0,
+                                  sample_points=[[0.0]])
 
 
 class TestConstructU:
