@@ -1,6 +1,6 @@
 """Build metric matrix functions and verify their matrix inequalities.
 
-Four constructions:
+Four constructions, plus the closed form every scalar field admits:
 
 * the constant Gramian at the origin (algebraic residual polished to 1e-8),
 * P(e) from transition-matrix quadrature along solutions, truncated at a
@@ -8,7 +8,9 @@ Four constructions:
 * the rescaled variant on the slowed field F/(1+|dF/de|^3), whose smallest
   eigenvalue never drops below mu_min(Q)/2,
 * eigenvalue envelopes and the flow-aligned inequality residual
-  L_F P(e) + Q <= 0.
+  L_F P(e) + Q <= 0,
+* in one dimension, P(e) = q int_0^e -F / F(e)^2 with no lifted solve: the
+  untruncated limit of the metric along solutions.
 """
 
 import math
@@ -22,6 +24,7 @@ from lyapmetric.metric import (
     metric_bounds,
     rescaled_metric_field,
     residual_report,
+    scalar_metric_field,
     solution_metric,
 )
 from lyapmetric.systems import SystemModel
@@ -46,6 +49,14 @@ for e in grid:
     oracle = catalog.scalar_example_metric_oracle(e)
     print(f"  P({e:+.1f}) = {value:.8f}  oracle {oracle:.8f}  "
           f"T = {field.horizon_for(np.array([e])):5.2f}")
+
+print("\n== scalar closed form: the same metric without a horizon ==")
+closed = scalar_metric_field(model, decay=decay)
+for e in grid:
+    point = np.array([e])
+    tail = closed(point)[0, 0] - field(point)[0, 0]
+    print(f"  P_inf({e:+.1f}) = {closed(point)[0, 0]:.8f}  "
+          f"P_inf - P_T = {tail:.2e} (<= tail_tol 1e-7)")
 
 print("\n== inequality residual L_F P + Q on the grid ==")
 report = residual_report(field, model, [[e] for e in grid])

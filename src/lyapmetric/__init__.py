@@ -43,6 +43,7 @@ from .metric import (
     metric_bounds,
     rescaled_metric_field,
     residual_report,
+    scalar_metric_field,
     solution_metric,
     transverse_metric_field,
 )
@@ -71,7 +72,8 @@ __all__ = [
     # metrics
     "MetricField", "ResidualReport", "constant_metric", "gramian_at_origin",
     "solution_metric", "transverse_metric_field", "rescaled_metric_field",
-    "lie_derivative_residual", "residual_report", "metric_bounds",
+    "scalar_metric_field", "lie_derivative_residual", "residual_report",
+    "metric_bounds",
     # geometry
     "GeodesicPath", "DistanceValue", "christoffel", "geodesic_ivp",
     "riemannian_length", "distance_to_origin", "dini_derivative_V",

@@ -7,6 +7,11 @@ Four subcommands chain the library end to end:
 * ``certify``    distance-to-origin Lyapunov certificate on a grid
 * ``stabilize``  controller synthesis, export, closed-loop certification
 
+Scalar systems take the closed-form metric (no lifted solves) for the
+``along-solutions`` and ``rescaled`` variants, and every 1-D certificate
+takes the exact flow derivative of its distance; the lifted metrics and
+the Dini ladder serve two or more dimensions.
+
 Exit status contract: 0 = pass, 2 = a claimed property was falsified or a
 certificate failed, 1 = operational error.  Commands let a
 :class:`FalsificationError` propagate; :func:`main` alone turns it into the
@@ -47,6 +52,7 @@ from .metric import (
     metric_bounds,
     rescaled_metric_field,
     residual_report,
+    scalar_metric_field,
     solution_metric,
     transverse_metric_field,
 )
@@ -233,6 +239,9 @@ def cmd_analyze(config):
 
 
 def _build_metric(config, model, ode_tol=1e-12):
+    """The configured metric field.  Scalar fields take the closed form
+    (:func:`scalar_metric_field`) for `along-solutions` and `rescaled`;
+    `ode_tol` applies to the lifted builders only."""
     variant = config.variant
     if isinstance(model, TransverseModel) and variant != "transverse":
         raise LyapmetricError(
@@ -250,24 +259,29 @@ def _build_metric(config, model, ode_tol=1e-12):
             model, (-radius * np.ones(model.n_x), radius * np.ones(model.n_x)),
             n_samples=config.samples, horizon=config.horizon,
             tol=config.tol, seed=config.seed)
-        return transverse_metric_field(model, q, decay, ode_tol=ode_tol), decay
+        return transverse_metric_field(model, q, decay, ode_tol=ode_tol)
     q = config.q_matrix(model.dim)
     if variant == "origin":
-        return gramian_at_origin(model, q), None
+        return gramian_at_origin(model, q)
     if variant == "rescaled":
-        return rescaled_metric_field(model, q, ode_tol=ode_tol), None
-    if variant == "along-solutions":
+        decay = None
+    elif variant == "along-solutions":
         decay = estimate_linearized_decay(
             model, config.radii_values(), n_samples=config.samples,
             horizon=config.horizon, tol=config.tol, seed=config.seed)
-        return solution_metric(model, q, decay, ode_tol=ode_tol), decay
-    raise LyapmetricError(f"unknown metric variant '{variant}'")
+    else:
+        raise LyapmetricError(f"unknown metric variant '{variant}'")
+    if model.dim == 1:
+        return scalar_metric_field(model, q, variant, decay)
+    if variant == "rescaled":
+        return rescaled_metric_field(model, q, ode_tol=ode_tol)
+    return solution_metric(model, q, decay, ode_tol=ode_tol)
 
 
 def _metric_inequality(config, model):
     """Build the configured metric, check L_F P + Q <= 0 on the grid and
     take its eigenvalue envelopes: (field, grid, payload, verdict)."""
-    field, _ = _build_metric(config, model)
+    field = _build_metric(config, model)
     if config.variant == "transverse":
         grid = config.grid_points(model.n_x)
         flow_model = model.drift_field()
@@ -291,38 +305,41 @@ def cmd_metric(config):
 
 
 def _certify_with_metric(config, model, field):
-    """Distance-based decrease certificate on the configured grid."""
+    """Distance-based decrease certificate on the configured grid.
+
+    In one dimension V(e) = |int_0^e sqrt(p)| is C1 away from 0, so its flow
+    derivative is exactly D+V(e) = sign(e) sqrt(p(e)) F(e); the Dini ladder
+    (:func:`geometry.dini_derivative_V`) serves two or more dimensions.
+    """
     radii = config.radii_values()
     grid = config.grid_points(field.point_dim)
     max_radius = max(float(np.max(np.linalg.norm(grid, axis=1))),
                      float(radii[-1]))
     bound_radii = np.unique(np.concatenate([radii, [max_radius]]))
-
-    geo_field = field
-    if field.point_dim == 1 and not field.interpolated \
-            and field.variant not in ("constant",):
-        span = max_radius + 0.5
-        geo_field = field.tabulate(-span, span,
-                                   n_points=max(161, int(40 * span)))
-    metric_bounds(geo_field, bound_radii, n_samples=config.samples,
+    metric_bounds(field, bound_radii, n_samples=config.samples,
                   seed=config.seed)
-    field.bounds = geo_field.bounds
 
     def evaluate(point):
-        v = geometry.distance_to_origin(geo_field, point)
-        if v.flagged:
-            return {"point": [float(x) for x in point], "V": v.value,
-                    "flagged": True, "ok": None}
+        row = {"point": [float(x) for x in point]}
         if float(np.linalg.norm(point)) == 0.0:
-            return {"point": [float(x) for x in point], "V": 0.0,
-                    "flagged": False, "dini": 0.0, "bound": 0.0, "ok": True}
-        dini = geometry.dini_derivative_V(geo_field, model, point)
+            return {**row, "V": 0.0, "flagged": False, "dini": 0.0,
+                    "bound": 0.0, "ok": True}
+        v = geometry.distance_to_origin(field, point)
+        if v.flagged:
+            return {**row, "V": v.value, "flagged": True, "ok": None}
+        if field.point_dim == 1:
+            value, flagged = v.value, False
+            dini = math.copysign(math.sqrt(field(point)[0, 0]), point[0]) \
+                * float(model.f(point)[0])
+        else:
+            ladder = geometry.dini_derivative_V(field, model, point)
+            value, flagged, dini = \
+                ladder.v_at_point, ladder.flagged, ladder.value
         bound = geometry.dini_decrease_bound(
-            geo_field, dini.v_at_point, float(np.linalg.norm(point)))
-        ok = bool(dini.value <= bound + 1e-3)
-        return {"point": [float(x) for x in point], "V": dini.v_at_point,
-                "flagged": dini.flagged, "dini": dini.value,
-                "bound": bound, "ok": ok if not dini.flagged else None}
+            field, value, float(np.linalg.norm(point)))
+        ok = bool(dini <= bound + 1e-3)
+        return {**row, "V": value, "flagged": flagged, "dini": dini,
+                "bound": bound, "ok": ok if not flagged else None}
 
     rows = [evaluate(point) for point in grid]
     flagged = sum(1 for r in rows if r["flagged"])
@@ -361,7 +378,7 @@ def cmd_certify(config):
         _, _, payload, verdict = _metric_inequality(config, model)
         return _write_report(config, payload, verdict)
 
-    field, _ = _build_metric(config, model, ode_tol=1e-10)
+    field = _build_metric(config, model, ode_tol=1e-10)
     payload, verdict = _certify_with_metric(config, model, field)
     return _write_report(config, payload, verdict)
 

@@ -1,6 +1,9 @@
 """Metric matrix functions built from transition-matrix quadrature.
 
-Four constructions share one augmented-integration core,
+For a scalar field the metric along solutions has a closed form
+(:func:`scalar_metric_field`): one quadrature of F, no lifted solve and no
+truncation horizon.  In any dimension four constructions share one
+augmented-integration core,
 :func:`dynamics.lifted_system`; each supplies only its `step(state) ->
 (state', A)` and Q, and reads the Gramian block of the final vector:
 
@@ -28,6 +31,7 @@ from . import integrate
 from .dynamics import flow, lifted_system, write_csv
 from .errors import (
     DerivativeUnreliableError,
+    FalsificationError,
     GeodesicDomainError,
     LyapmetricError,
     TailHorizonError,
@@ -36,6 +40,8 @@ from .errors import (
 _SYMMETRY_TOL = 1e-10
 _H_FLOOR = 1e-6   # smallest Richardson step before the gate gives up
 _FLOW_TOL = 1e-12  # rtol of the short flows that difference P
+_SCALAR_QUAD_TOL = 1e-12  # epsrel of the closed-form scalar quadrature
+_SCALAR_TAIL_TOL = 1e-7   # the lifted builders' default, for step and slack
 
 
 def check_positive_definite(q):
@@ -66,7 +72,7 @@ class MetricField:
 
     def __init__(self, dim, q, variant, evaluator, point_dim=None,
                  decay=None, tail_tol=None, domain=None, horizon_rule=None,
-                 interpolated=False, meta=None):
+                 horizon_is_lookup=False, meta=None):
         self.dim = dim
         self.point_dim = dim if point_dim is None else point_dim
         self.q = np.asarray(q, dtype=float)
@@ -74,11 +80,11 @@ class MetricField:
         self.decay = decay
         self.tail_tol = tail_tol
         self.domain = domain
-        self.interpolated = interpolated
         self.meta = dict(meta or {})
         self.bounds = None
         self._evaluator = evaluator
         self._horizon_rule = horizon_rule
+        self._horizon_is_lookup = horizon_is_lookup
         self._cache = {}
 
     # -- evaluation ----------------------------------------------------------
@@ -93,6 +99,11 @@ class MetricField:
             if np.any(point < lo) or np.any(point > hi):
                 raise GeodesicDomainError(
                     f"point {point} outside certified domain [{lo}, {hi}]")
+        if horizon is None and self._horizon_is_lookup:
+            # a table lookup costs nothing, so resolve it here and key the
+            # cache on the horizon the evaluator actually integrates to:
+            # P(e) and P(e, horizon=T(e)) are the same solve
+            horizon = self._horizon_rule(point)
         key = (point.tobytes(), horizon)
         hit = self._cache.get(key)
         if hit is not None:
@@ -127,8 +138,10 @@ class MetricField:
         """Sample the evaluator on a grid and wrap a smooth interpolant.
 
         Makes the many repeated evaluations inside geodesic work affordable
-        for quadrature-defined metrics.  One spatial dimension only; higher
-        dimensional work uses the exact evaluator.
+        for quadrature-defined metrics.  One spatial dimension only; the
+        command line needs no table there (:func:`scalar_metric_field` is
+        cheaper than the spline's samples), and higher dimensional work uses
+        the exact evaluator.
         """
         if self.point_dim != 1:
             raise LyapmetricError("tabulation is implemented for 1-D points")
@@ -145,7 +158,6 @@ class MetricField:
             dim=self.dim, q=self.q, variant=self.variant, evaluator=evaluator,
             point_dim=1, decay=self.decay,
             tail_tol=self.tail_tol, domain=(np.array([lo]), np.array([hi])),
-            interpolated=True,
             meta={**self.meta, "tabulated_points": int(n_points)})
         out.bounds = self.bounds
         return out
@@ -251,16 +263,18 @@ def _decay_truncated_field(variant, step, n_state, n_phi, q, decay, tail_tol,
 
     lift = lifted_system(step, n_state, n_phi, q)
 
-    def evaluator(point, horizon=None):
-        t_end = horizon_rule(point) if horizon is None else float(horizon)
-        sol = integrate.solve(lift.rhs, lift.y0(point), t_end, rtol=ode_tol,
-                              blowup_norm=blowup_norm, max_steps=500_000)
+    def evaluator(point, horizon):
+        sol = integrate.solve(lift.rhs, lift.y0(point), float(horizon),
+                              rtol=ode_tol, blowup_norm=blowup_norm,
+                              max_steps=500_000)
         return lift.split(sol.y[-1])[2]
 
+    # the field resolves T(point) before every evaluation, so the evaluator
+    # always receives a horizon
     return MetricField(dim=n_phi, q=q, variant=variant, evaluator=evaluator,
                        point_dim=n_state, decay=decay,
                        tail_tol=tail_tol, horizon_rule=horizon_rule,
-                       meta={"ode_tol": ode_tol})
+                       horizon_is_lookup=True, meta={"ode_tol": ode_tol})
 
 
 def solution_metric(model, q=None, decay=None, tail_tol=1e-7, ode_tol=1e-12,
@@ -362,6 +376,88 @@ def rescaled_metric_field(model, q=None, tail_tol=1e-7, ode_tol=1e-12,
     return MetricField(dim=n, q=q, variant="rescaled", evaluator=evaluator,
                        tail_tol=tail_tol, horizon_rule=horizon_rule,
                        meta={"ode_tol": ode_tol, "chunk": chunk})
+
+
+# ---------------------------------------------------------------------------
+# closed-form scalar metric
+# ---------------------------------------------------------------------------
+
+def scalar_metric_field(model, q=None, variant="along-solutions", decay=None):
+    """Evaluator e -> P(e) of a scalar field in closed form: one quadrature
+    of F, no lifted solve and no truncation horizon.
+
+    In one dimension the lifted transition is Phi(e, t) = F(E(e, t)) / F(e),
+    and along a solution dt = w(s) ds / F(s), so
+
+        P(e) = q int_0^e -F(s) w(s) ds / F(e)^2,  P(0) = -q w(0) / (2 F'(0)),
+
+    the untruncated limit of :func:`solution_metric` (w = 1) and of
+    :func:`rescaled_metric_field` (w = 1 + |F'|^3).  The rescaled lift slows
+    the state and the transition by the same w, so its Phi keeps the ratio
+    of the unslowed F; the slowed field F / w does not enter.  Both lifted
+    builders stay as the oracles of this one and share no code with it.
+
+    The integral runs as int_0^1 -F(e u) w(e u) / e du over (F(e) / e)^2,
+    so nothing underflows near 0.  Every evaluated point s (the point
+    itself, then each quadrature node) must satisfy s F(s) < 0: otherwise
+    F has a zero in (0, s], a second equilibrium, which falsifies global
+    decay (:class:`FalsificationError`, stage "scalar-metric", witness s).
+    `decay` is attached for the analytic envelope of :func:`metric_bounds`.
+    The field has no truncation; it carries the lifted builders' default
+    tail_tol, so its residual step and envelope slack match theirs.
+    """
+    from scipy.integrate import quad
+
+    if model.dim != 1:
+        raise LyapmetricError("the closed-form metric needs a scalar field")
+    if variant not in ("along-solutions", "rescaled"):
+        raise LyapmetricError(f"no closed form for metric variant '{variant}'")
+    q = np.eye(1) if q is None else check_positive_definite(q)
+    q_scalar = float(q[0, 0])
+    f, jac = model.f, model.jac
+
+    def weight(x):
+        if variant == "rescaled":
+            return 1.0 + abs(float(jac(x)[0, 0])) ** 3
+        return 1.0
+
+    origin = np.zeros(1)
+    slope = float(jac(origin)[0, 0])
+    if not slope < 0.0:
+        raise LyapmetricError(
+            f"origin not exponentially stable at first order (F'(0) = "
+            f"{slope:.3g})")
+    p_origin = -q_scalar * weight(origin) / (2.0 * slope)
+
+    def require_decay(s, fs):
+        # the sign of s F(s), without the product's underflow near 0
+        if not math.copysign(1.0, s) * fs < 0.0:
+            raise FalsificationError(
+                f"global decay falsified at s = {s:.17g}: F(s) = {fs:.3g} "
+                "does not point to the origin, so a second equilibrium "
+                "lies in (0, s]", witness=[s], stage="scalar-metric")
+
+    def integrand(u, e):
+        x = np.array([e * u])
+        fx = float(f(x)[0])
+        require_decay(float(x[0]), fx)
+        return -fx * weight(x) / e
+
+    def evaluator(point):
+        e = float(point[0])
+        if e == 0.0:
+            return np.array([[p_origin]])
+        f_e = float(f(point)[0])
+        require_decay(e, f_e)
+        out = quad(integrand, 0.0, 1.0, args=(e,), epsabs=0.0,
+                   epsrel=_SCALAR_QUAD_TOL, limit=200, full_output=1)
+        if len(out) > 3:
+            raise LyapmetricError(
+                f"closed-form metric quadrature did not converge at e = {e}")
+        return np.array([[q_scalar * out[0] / (f_e / e) ** 2]])
+
+    return MetricField(dim=1, q=q, variant=variant, evaluator=evaluator,
+                       decay=decay, tail_tol=_SCALAR_TAIL_TOL)
 
 
 # ---------------------------------------------------------------------------

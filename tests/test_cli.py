@@ -223,6 +223,58 @@ class TestCertify:
         assert report["residuals"]["verdict"] == "pass"
 
 
+class TestScalarCertify:
+    def test_second_equilibrium_is_falsified(self, tmp_path):
+        # -x + x^3 vanishes at +-1: the decay samples at radius 0.5 pass,
+        # the closed-form metric's precondition s F(s) < 0 does not
+        spec = tmp_path / "bistable.txt"
+        spec.write_text("dim=1; F1 = -x1 + x1^3\n")
+        code = main(["certify", "--system", str(spec), "--radii=0.5",
+                     "--grid=2", "--out", str(tmp_path / "r")])
+        assert code == 2
+        report = _read_report(tmp_path / "r")
+        assert report["verdict"] == "falsified"
+        assert report["stage"] == "scalar-metric"
+        [w] = report["witness"]
+        assert abs(w) > 1.0 and w * (-w + w ** 3) >= 0.0
+
+    def test_solves_only_for_the_decay_estimate(self, tmp_path,
+                                                 monkeypatch):
+        from lyapmetric import catalog, geometry, integrate
+        from lyapmetric.estimation import estimate_linearized_decay
+        from lyapmetric.metric import scalar_metric_field
+
+        solves = []
+        real = integrate.solve
+        monkeypatch.setattr(integrate, "solve",
+                            lambda *a, **k: solves.append(1) or real(*a, **k))
+        code = main(["certify", "--system", "scalar-example",
+                     "--grid=-2,-1,0.5,1,2", "--out", str(tmp_path)])
+        assert code == 0
+        certify_solves = len(solves)
+
+        config = RunConfig(command="certify", system="scalar-example")
+        model = catalog.get("scalar-example").build()
+        decay = estimate_linearized_decay(
+            model, config.radii_values(), n_samples=config.samples,
+            horizon=config.horizon, tol=config.tol, seed=config.seed)
+        assert certify_solves == len(solves) - certify_solves
+
+        # V against the quadrature oracle; the exact D+V against the Dini
+        # ladder, which shares no code with it, on the same metric
+        field = scalar_metric_field(model, decay=decay)
+        report = _read_report(tmp_path)
+        assert len(report["points"]) == 5
+        for row in report["points"]:
+            e = row["point"][0]
+            oracle = catalog.scalar_example_distance_oracle(
+                lambda x: catalog.scalar_example_metric_oracle(x[0]), e)
+            assert not row["flagged"]
+            assert abs(row["V"] - oracle) <= 1e-6
+            ladder = geometry.dini_derivative_V(field, model, [e])
+            assert abs(row["dini"] - ladder.value) <= 1e-5
+
+
 class TestStabilize:
     def test_scalar_plant(self, tmp_path):
         spec = tmp_path / "plant.txt"

@@ -5,7 +5,12 @@ import pytest
 
 from lyapmetric import catalog, parse_system
 from lyapmetric.dynamics import variational_flow
-from lyapmetric.errors import LyapmetricError, TailHorizonError
+from lyapmetric import integrate
+from lyapmetric.errors import (
+    FalsificationError,
+    LyapmetricError,
+    TailHorizonError,
+)
 from lyapmetric.estimation import (
     estimate_gain_function,
     estimate_les,
@@ -20,12 +25,14 @@ from lyapmetric.metric import (
     metric_bounds,
     rescaled_metric_field,
     residual_report,
+    scalar_metric_field,
     solution_metric,
     transverse_metric_field,
 )
 from lyapmetric.systems import SystemModel
 
 SCALAR_GRID = (-2.0, -1.0, 0.5, 1.0, 2.0)
+CLOSED_FORM_POINTS = (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0)
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +118,23 @@ class TestSolutionMetric:
         with pytest.raises(TailHorizonError):
             field(np.array([1.0]))
 
+    def test_pinned_and_default_horizon_share_one_solve(
+            self, scalar_model, scalar_decay, monkeypatch):
+        # the decay-truncated field resolves T(e) before its cache lookup,
+        # so P(e) and P(e, horizon=T(e)) are one entry
+        field = solution_metric(scalar_model, decay=scalar_decay)
+        solves = []
+        real = integrate.solve
+        monkeypatch.setattr(integrate, "solve",
+                            lambda *a, **k: solves.append(1) or real(*a, **k))
+        e = np.array([1.3])
+        default = field(e)
+        pinned = field(e, horizon=field.horizon_for(e))
+        assert len(solves) == 1
+        assert np.array_equal(default, pinned)
+        field(e, horizon=field.horizon_for(e) + 1.0)
+        assert len(solves) == 2
+
     def test_symmetry_2d(self):
         a = np.array([[0.0, 1.0], [-1.0, -1.0]])
         m = SystemModel.from_linear(a)
@@ -190,6 +214,76 @@ class TestRescaledMetric:
         adaptive = field(point)[0, 0]
         # one solve versus chunked restarts: identical up to rounding
         assert pinned == pytest.approx(adaptive, abs=1e-12)
+
+
+class TestScalarClosedForm:
+    def test_matches_metric_oracle(self, scalar_model, scalar_decay):
+        field = scalar_metric_field(scalar_model, decay=scalar_decay)
+        for e in CLOSED_FORM_POINTS:
+            value = field(np.array([e]))[0, 0]
+            assert abs(value - catalog.scalar_example_metric_oracle(e)) \
+                <= 1e-9
+
+    def test_dominates_truncated_field_by_its_tail(self, scalar_model,
+                                                   scalar_decay,
+                                                   scalar_field):
+        # P_inf - P_T is the tail the lifted field certified below tail_tol
+        field = scalar_metric_field(scalar_model, decay=scalar_decay)
+        for e in CLOSED_FORM_POINTS:
+            point = np.array([e])
+            tail = field(point)[0, 0] - scalar_field(point)[0, 0]
+            assert 0.0 <= tail <= scalar_field.tail_tol
+
+    def test_rescaled_matches_lifted_field(self, scalar_model):
+        lifted = rescaled_metric_field(scalar_model)
+        field = scalar_metric_field(scalar_model, variant="rescaled")
+        for e in CLOSED_FORM_POINTS:
+            point = np.array([e])
+            assert abs(field(point)[0, 0] - lifted(point)[0, 0]) \
+                <= lifted.tail_tol
+
+    def test_residual_vanishes(self, scalar_model):
+        # L_F P + Q = 0 exactly for the untruncated metric; what remains is
+        # the Richardson error of the flow difference
+        for variant in ("along-solutions", "rescaled"):
+            field = scalar_metric_field(scalar_model, variant=variant)
+            report = residual_report(field, scalar_model,
+                                     [[e] for e in SCALAR_GRID])
+            assert max(abs(e.max_eigenvalue) for e in report.entries) <= 1e-7
+
+    def test_q_scales_the_metric(self, scalar_model):
+        field = scalar_metric_field(scalar_model, q=np.array([[3.0]]))
+        assert field(np.array([1.0]))[0, 0] == pytest.approx(
+            3.0 * catalog.scalar_example_metric_oracle(1.0), abs=1e-9)
+
+    def test_second_equilibrium_at_point_is_witness(self):
+        m = parse_system("dim=1; F1 = -x1 + x1^3")
+        field = scalar_metric_field(m)
+        with pytest.raises(FalsificationError) as info:
+            field(np.array([2.0]))
+        assert info.value.witness == [2.0]
+        assert info.value.stage == "scalar-metric"
+
+    def test_second_equilibrium_inside_segment_is_witness(self):
+        # F(3) has the right sign; the zeros at 1 and 2 do not
+        m = parse_system("dim=1; F1 = -x1 * (x1 - 1) * (x1 - 2)")
+        field = scalar_metric_field(m)
+        with pytest.raises(FalsificationError) as info:
+            field(np.array([3.0]))
+        [w] = info.value.witness
+        assert 1.0 < w < 2.0
+        assert info.value.stage == "scalar-metric"
+
+    def test_needs_first_order_stability(self):
+        with pytest.raises(LyapmetricError):
+            scalar_metric_field(parse_system("dim=1; F1 = -x1^3"))
+
+    def test_rejects_planar_and_transverse(self):
+        with pytest.raises(LyapmetricError):
+            scalar_metric_field(SystemModel.from_linear(-np.eye(2)))
+        with pytest.raises(LyapmetricError):
+            scalar_metric_field(parse_system("dim=1; F1 = -x1"),
+                                variant="transverse")
 
 
 class TestLieDerivativeResidual:
