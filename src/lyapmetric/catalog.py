@@ -167,13 +167,6 @@ def counterexample_variation_oracle(e0, x0, de0, dx0, t, lam, mu_x):
     return phi_e * bracket
 
 
-def counterexample_oracle(e0, x0, t, lam, mu_x, de0=0.0, dx0=0.0):
-    """(E, X, dE) of the planar counterexample in one call."""
-    big_e, big_x = counterexample_state_oracle(e0, x0, t, lam, mu_x)
-    d_e = counterexample_variation_oracle(e0, x0, de0, dx0, t, lam, mu_x)
-    return big_e, big_x, d_e
-
-
 def counterexample_uniform_gain(mu_x):
     """Gain constant of the sampled-initial-condition envelope
     |E| <= gain * exp(-lam t) |e0| (valid for the x0 = 1 family)."""

@@ -8,9 +8,9 @@ Four subcommands chain the library end to end:
 * ``stabilize``  controller synthesis, export, closed-loop certification
 
 Scalar systems take the closed-form metric (no lifted solves) for the
-``along-solutions`` and ``rescaled`` variants, and every 1-D certificate
-takes the exact flow derivative of its distance; the lifted metrics and
-the Dini ladder serve two or more dimensions.
+``along-solutions`` and ``rescaled`` variants; the lifted metrics serve two
+or more dimensions.  Every certificate takes the flow derivative of its
+distance from the one distance solve per point (its first variation).
 
 Exit status contract: 0 = pass, 2 = a claimed property was falsified or a
 certificate failed, 1 = operational error.  Commands let a
@@ -83,10 +83,16 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("tol", "horizon", "lambda_gain"):
+            if not math.isfinite(getattr(self, name)):
+                raise LyapmetricError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if self.tol <= 0 or self.horizon <= 0:
             raise LyapmetricError("tolerances and horizons must be positive")
         if self.samples < 1:
             raise LyapmetricError("samples must be >= 1")
+        if self.seed < 0:
+            raise LyapmetricError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self):
         return asdict(self)
@@ -98,7 +104,12 @@ class RunConfig:
     # -- parsed views --------------------------------------------------------
 
     def radii_values(self):
-        return np.sort(_parse_rows(self.radii, "--radii").ravel())
+        radii = np.sort(_parse_rows(self.radii, "--radii").ravel())
+        if not np.all(np.isfinite(radii) & (radii > 0.0)):
+            raise LyapmetricError(
+                f"--radii: '{self.radii}' holds a radius that is not finite "
+                "and positive")
+        return radii
 
     def grid_points(self, dim):
         """Evaluation points of size `dim`: 'a,b;c,d' (points separated by
@@ -307,9 +318,9 @@ def cmd_metric(config):
 def _certify_with_metric(config, model, field):
     """Distance-based decrease certificate on the configured grid.
 
-    In one dimension V(e) = |int_0^e sqrt(p)| is C1 away from 0, so its flow
-    derivative is exactly D+V(e) = sign(e) sqrt(p(e)) F(e); the Dini ladder
-    (:func:`geometry.dini_derivative_V`) serves two or more dimensions.
+    D+V(e) <= g . F(e), with g the gradient that the distance solve returns
+    (:func:`geometry.distance_to_origin`); in one dimension it is exact,
+    sign(e) sqrt(p(e)) F(e).
     """
     radii = config.radii_values()
     grid = config.grid_points(field.point_dim)
@@ -327,19 +338,11 @@ def _certify_with_metric(config, model, field):
         v = geometry.distance_to_origin(field, point)
         if v.flagged:
             return {**row, "V": v.value, "flagged": True, "ok": None}
-        if field.point_dim == 1:
-            value, flagged = v.value, False
-            dini = math.copysign(math.sqrt(field(point)[0, 0]), point[0]) \
-                * float(model.f(point)[0])
-        else:
-            ladder = geometry.dini_derivative_V(field, model, point)
-            value, flagged, dini = \
-                ladder.v_at_point, ladder.flagged, ladder.value
+        dini = float(v.gradient @ model.f(point))
         bound = geometry.dini_decrease_bound(
-            field, value, float(np.linalg.norm(point)))
-        ok = bool(dini <= bound + 1e-3)
-        return {**row, "V": value, "flagged": flagged, "dini": dini,
-                "bound": bound, "ok": ok if not flagged else None}
+            field, v.value, float(np.linalg.norm(point)))
+        return {**row, "V": v.value, "flagged": False, "dini": dini,
+                "bound": bound, "ok": bool(dini <= bound + 1e-3)}
 
     rows = [evaluate(point) for point in grid]
     flagged = sum(1 for r in rows if r["flagged"])
@@ -481,11 +484,13 @@ def build_parser():
 
 
 def config_from_args(args):
-    return RunConfig(
+    config = RunConfig(
         command=args.command, system=args.system, q=args.q, tol=args.tol,
         horizon=args.horizon, radii=args.radii, samples=args.samples,
         grid=args.grid, variant=args.variant, lambda_gain=args.lambda_gain,
         metric_matrix=args.metric_matrix, out=args.out, seed=args.seed)
+    config.radii_values()  # malformed radii end here, before any solve
+    return config
 
 
 _COMMANDS = {

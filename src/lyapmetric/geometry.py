@@ -13,6 +13,13 @@ parameter [0, 1]: single shooting with a damped Newton iteration on the
 initial velocity, a multiple-shooting fallback, and as a last resort the
 straight-line length, which is only ever returned flagged as an upper bound.
 The shooting solvers also serve as the test oracle for the 1-D route.
+
+Every unflagged distance carries its gradient at both endpoints, by the
+first variation of length: P(b) gamma'(1) / L at the target b and
+-P(a) gamma'(0) / L at the start a (in 1-D, +-sqrt(p) with the sign of
+the segment).  A flow derivative of a distance is that gradient applied to
+the field, so the Lyapunov decrease and the pairwise contraction rate cost
+no solve beyond the distance itself; the Dini ladder is their test oracle.
 """
 
 from __future__ import annotations
@@ -30,20 +37,23 @@ from .errors import DerivativeUnreliableError, LyapmetricError
 _BVP_TOL = 1e-10
 _NEWTON_MAX_ITER = 25
 _MAX_PANELS = 8192
+_CHRISTOFFEL_STEP = 1e-4  # relative central-difference step of christoffel
+_SEGMENTS = 8  # multiple-shooting segments
+_DINI_H_SEQ = (1e-2, 5e-3, 2.5e-3)  # the Dini ladder before any halving
 _DINI_H_FLOOR = 1e-4  # smallest largest step of the Dini ladder
+_DINI_FLOW_TOL = 1e-12
 
 
-def christoffel(metric, e, h_c=None):
+def christoffel(metric, e):
     """Connection coefficients Gamma[l, i, j] at e by central differences.
 
     Gamma^l_ij = 1/2 sum_m (P^-1)_lm (d_i P_mj + d_j P_mi - d_m P_ij).
-    The default step 1e-4 (1 + |e|) balances truncation against the noise
-    floor of quadrature-defined metrics.
+    The step 1e-4 (1 + |e|) balances truncation against the noise floor of
+    quadrature-defined metrics.
     """
     e = np.atleast_1d(np.asarray(e, dtype=float))
     n = e.size
-    if h_c is None:
-        h_c = 1e-4 * (1.0 + float(np.linalg.norm(e)))
+    h_c = _CHRISTOFFEL_STEP * (1.0 + float(np.linalg.norm(e)))
     p0 = metric(e)
     dp = np.empty((n, p0.shape[0], p0.shape[1]))
     for i in range(n):
@@ -198,21 +208,15 @@ class DistanceValue:
     method: str
     initial_velocity: Optional[np.ndarray] = None
     panels: int = 0
-
-    def to_dict(self):
-        return {"value": self.value,
-                "endpoint": [float(v) for v in self.endpoint],
-                "residual": self.residual,
-                "iterations": self.iterations,
-                "panels": self.panels,
-                "flagged": self.flagged,
-                "method": self.method}
+    gradient: Optional[np.ndarray] = None        # d(distance)/d(target)
+    start_gradient: Optional[np.ndarray] = None  # d(distance)/d(start)
 
 
 def _shoot_endpoint(metric, start, velocity, tol):
+    """(endpoint, (length, arrival velocity)) of the geodesic on [0, 1]."""
     sol = _integrate_geodesic(metric, start, velocity, 1.0, tol)
     n = start.size
-    return sol.y[-1, :n], float(sol.y[-1, 2 * n])
+    return sol.y[-1, :n], (float(sol.y[-1, 2 * n]), sol.y[-1, n: 2 * n])
 
 
 def _damped_newton(residual, z0, tol):
@@ -267,54 +271,61 @@ def _damped_newton(residual, z0, tol):
 
 def _single_shooting(metric, start, target, tol):
     """Newton on the initial velocity; an iterate within 1e-6 (1 + |target|)
-    of the target is still accepted once the iterations run out."""
+    of the target is still accepted once the iterations run out.
+
+    Returns (initial velocity, length, |residual|, iterations, arrival
+    velocity) or None."""
     scale = 1.0 + float(np.linalg.norm(target))
 
     def residual(u):
-        endpoint, length = _shoot_endpoint(metric, start, u, tol)
-        return endpoint - target, length
+        endpoint, value = _shoot_endpoint(metric, start, u, tol)
+        return endpoint - target, value
 
     hit = _damped_newton(residual, (target - start).astype(float),
                          _BVP_TOL * scale)
-    return hit if hit is not None and hit[2] <= 1e-6 * scale else None
+    if hit is None or hit[2] > 1e-6 * scale:
+        return None
+    u, (length, arrival), rnorm, iterations = hit
+    return u, length, rnorm, iterations, arrival
 
 
-def _multiple_shooting(metric, start, target, tol, segments=8):
+def _multiple_shooting(metric, start, target, tol):
+    """Shooting over _SEGMENTS pieces; returns what _single_shooting does."""
     # unknowns: u_0, then (gamma_k, u_k) at the interior knots; residuals:
     # position/velocity continuity at interior knots plus the final position
     n = start.size
     straight = target - start
-    nodes = [start + (k / segments) * straight for k in range(segments)]
+    nodes = [start + (k / _SEGMENTS) * straight for k in range(_SEGMENTS)]
     z = np.concatenate([straight] + [
-        np.concatenate([nodes[k], straight]) for k in range(1, segments)])
+        np.concatenate([nodes[k], straight]) for k in range(1, _SEGMENTS)])
 
     def residual(zv):
         u0 = zv[:n]
         knots = [(start, u0)]
-        for k in range(1, segments):
+        for k in range(1, _SEGMENTS):
             base = n + (k - 1) * 2 * n
             knots.append((zv[base: base + n], zv[base + n: base + 2 * n]))
-        res = np.empty((2 * segments - 1) * n)
-        seg_len = 1.0 / segments
+        res = np.empty((2 * _SEGMENTS - 1) * n)
+        seg_len = 1.0 / _SEGMENTS
         total_len = 0.0
         for k, (gk, uk) in enumerate(knots):
             sol = _integrate_geodesic(metric, gk, uk, seg_len, tol)
             g_end = sol.y[-1, :n]
             u_end = sol.y[-1, n: 2 * n]
             total_len += float(sol.y[-1, 2 * n])
-            if k < segments - 1:
+            if k < _SEGMENTS - 1:
                 res[2 * n * k: 2 * n * k + n] = g_end - knots[k + 1][0]
                 res[2 * n * k + n: 2 * n * (k + 1)] = u_end - knots[k + 1][1]
             else:
                 res[2 * n * k: 2 * n * k + n] = g_end - target
-        return res, total_len
+        return res, (total_len, u_end)
 
     accept = 10.0 * _BVP_TOL * (1.0 + float(np.linalg.norm(target)))
     hit = _damped_newton(residual, z, accept)
     if hit is None or hit[2] > accept:
         return None
-    z, total_len, rnorm, iterations = hit
-    return z[:n], total_len, rnorm, iterations
+    z, (total_len, arrival), rnorm, iterations = hit
+    return z[:n], total_len, rnorm, iterations, arrival
 
 
 def _distance_between(metric, start, target, tol=1e-10):
@@ -325,23 +336,30 @@ def _distance_between(metric, start, target, tol=1e-10):
         return DistanceValue(0.0, target, 0.0, 0, False, "coincident")
 
     if start.size == 1:
-        # the segment is the only path joining two points of a line
+        # the segment is the only path joining two points of a line, and
+        # d/db |int_a^b sqrt(p)| = sign(b - a) sqrt(p(b))
         length, panels, converged = _segment_length(metric, start, target,
                                                     tol)
-        return DistanceValue(length, target, 0.0, 0, not converged,
-                             "quadrature", panels=panels)
+        if not converged:
+            return DistanceValue(length, target, 0.0, 0, True, "quadrature",
+                                 panels=panels)
+        sign = math.copysign(1.0, target[0] - start[0])
+        return DistanceValue(
+            length, target, 0.0, 0, False, "quadrature", panels=panels,
+            gradient=sign * np.sqrt(metric(target)[0]),
+            start_gradient=-sign * np.sqrt(metric(start)[0]))
 
-    hit = _single_shooting(metric, start, target, tol)
-    if hit is not None:
-        u, length, rnorm, iters = hit
-        return DistanceValue(length, target, rnorm, iters, False,
-                             "single-shooting", initial_velocity=u)
-
-    hit = _multiple_shooting(metric, start, target, tol)
-    if hit is not None:
-        u, length, rnorm, iters = hit
-        return DistanceValue(length, target, rnorm, iters, False,
-                             "multiple-shooting", initial_velocity=u)
+    for method, shoot in (("single-shooting", _single_shooting),
+                          ("multiple-shooting", _multiple_shooting)):
+        hit = shoot(metric, start, target, tol)
+        if hit is not None:
+            # first variation of length along the accepted geodesic
+            u, length, rnorm, iters, arrival = hit
+            return DistanceValue(
+                length, target, rnorm, iters, False, method,
+                initial_velocity=u,
+                gradient=metric(target) @ arrival / length,
+                start_gradient=-(metric(start) @ u) / length)
 
     length = riemannian_length(metric, np.vstack([start, target]))
     return DistanceValue(length, target, float("nan"), 0, True,
@@ -352,8 +370,12 @@ def distance_to_origin(metric, e, tol=1e-10):
     """Riemannian distance from e to the origin.
 
     Flagged results did not converge: an unconverged 1-D quadrature, or in
-    higher dimensions a straight-line upper bound.  They are excluded from
-    decrease certificates.
+    higher dimensions a straight-line upper bound.  They carry no gradient
+    and are excluded from decrease certificates.  Unflagged results carry
+    `gradient` g = P(e) gamma'(1) / V(e), and g . F(e) bounds D+V(e) from
+    above: bending the end of the minimizing geodesic to E(e, h) gives a
+    curve of length V(e) + h g . F(e) + O(h^2), which dominates V(E(e, h))
+    even where several minimizing geodesics meet.
     """
     e = np.atleast_1d(np.asarray(e, dtype=float))
     return _distance_between(metric, np.zeros(e.size), e, tol)
@@ -368,38 +390,29 @@ class DiniEstimate:
     flagged: bool
     h: float
 
-    def to_dict(self):
-        return {"value": self.value,
-                "quotients": {str(h): q for h, q in self.quotients.items()},
-                "v": self.v_at_point,
-                "flagged": self.flagged,
-                "h": self.h}
 
-
-def dini_derivative_V(metric, model, e, h_seq=(1e-2, 5e-3, 2.5e-3),
-                      flow_tol=1e-12, gate_tol=1e-3, bvp_tol=1e-10):
+def dini_derivative_V(metric, model, e, gate_tol=1e-3):
     """Upper flow derivative of V(e) = d(e, 0) by extrapolated forward
-    quotients (V(E(e, h)) - V(e)) / h over a decreasing h ladder.
+    quotients (V(E(e, h)) - V(e)) / h over the decreasing h ladder
+    (1e-2, 5e-3, 2.5e-3).
 
     Richardson-extrapolates consecutive quotient pairs and gates on their
     agreement.  While they disagree, the whole ladder is halved, until its
     largest step would drop below 1e-4; the estimate records the largest
     step that passed.  A flagged result means some distance solve returned
-    only an upper bound, so the estimate must not enter a decrease
-    certificate.
+    only an upper bound.  Certificates take D+V from the distance gradient
+    instead (four solves and a flow fewer); this ladder shares no code with
+    that route and is its test oracle.
     """
     e = np.atleast_1d(np.asarray(e, dtype=float))
-    h_seq = sorted(h_seq, reverse=True)
-    if len(h_seq) < 3:
-        raise LyapmetricError("need at least three steps to extrapolate")
-
-    v0 = distance_to_origin(metric, e, tol=bvp_tol)
+    h_seq = _DINI_H_SEQ
+    v0 = distance_to_origin(metric, e)
     while True:
         flagged = v0.flagged
-        traj = flow(model, e, h_seq[0], tol=flow_tol, dense=True)
+        traj = flow(model, e, h_seq[0], tol=_DINI_FLOW_TOL, dense=True)
         quotients = {}
         for h in h_seq:
-            vh = distance_to_origin(metric, traj.state_at(h), tol=bvp_tol)
+            vh = distance_to_origin(metric, traj.state_at(h))
             flagged = flagged or vh.flagged
             quotients[h] = (vh.value - v0.value) / h
 
@@ -443,25 +456,20 @@ class PairwiseReport:
     decrease_rate: Optional[float] = None
     decrease_bound: Optional[float] = None
 
-    def to_dict(self):
-        return {"distance": self.distance, "flagged": self.flagged,
-                "sandwich_ok": self.sandwich_ok,
-                "radius_argument": self.radius_argument,
-                "decrease_rate": self.decrease_rate,
-                "decrease_bound": self.decrease_bound}
 
-
-def pairwise_distance(metric, e1, e2, model=None, h=1e-2, flow_tol=1e-12,
-                      bvp_tol=1e-10):
+def pairwise_distance(metric, e1, e2, model=None):
     """Distance between two states, its envelope check, and (with a model)
-    the finite-step contraction rate of the pair under the flow.
+    the contraction rate d/dt d(E(e1, t), E(e2, t)) at t = 0.
 
-    The envelope radius argument is |e1 - e2| + |e2|, which dominates the
-    norm of every point on the connecting geodesic used in the bound.
+    The rate is the first variation of the one distance solve,
+    gradient . F(e2) + start_gradient . F(e1); like D+V it is an upper
+    bound wherever several minimizing geodesics join the pair.  The
+    envelope radius argument is |e1 - e2| + |e2|, which dominates the norm
+    of every point on the connecting geodesic used in the bound.
     """
     e1 = np.atleast_1d(np.asarray(e1, dtype=float))
     e2 = np.atleast_1d(np.asarray(e2, dtype=float))
-    d = _distance_between(metric, e1, e2, tol=bvp_tol)
+    d = _distance_between(metric, e1, e2)
     gap = float(np.linalg.norm(e1 - e2))
     radius = gap + float(np.linalg.norm(e2))
 
@@ -474,14 +482,7 @@ def pairwise_distance(metric, e1, e2, model=None, h=1e-2, flow_tol=1e-12,
 
     rate = bound = None
     if model is not None and gap > 0.0 and not d.flagged:
-        t1 = flow(model, e1, h, tol=flow_tol, dense=True)
-        t2 = flow(model, e2, h, tol=flow_tol, dense=True)
-        quots = []
-        for hh in (h, 0.5 * h):
-            d_h = _distance_between(metric, t1.state_at(hh), t2.state_at(hh),
-                                    tol=bvp_tol)
-            quots.append((d_h.value - d.value) / hh)
-        rate = 2.0 * quots[1] - quots[0]
+        rate = float(d.gradient @ model.f(e2) + d.start_gradient @ model.f(e1))
         if metric.bounds is not None:
             q_min = float(np.min(np.linalg.eigvalsh(metric.q)))
             bound = -q_min * d.value / (2.0 * metric.p_upper(radius))

@@ -47,6 +47,34 @@ class TestRunConfig:
         with pytest.raises(LyapmetricError, match=message):
             cfg.grid_points(dim)
 
+    @pytest.mark.parametrize("field, value", [
+        ("tol", float("nan")), ("tol", float("inf")),
+        ("horizon", float("inf")), ("lambda_gain", float("nan")),
+        ("lambda_gain", float("-inf")), ("seed", -1),
+    ])
+    def test_malformed_scalars_are_operational_errors(self, field, value):
+        with pytest.raises(LyapmetricError, match=field):
+            RunConfig(command="x", system="s", **{field: value})
+
+    @pytest.mark.parametrize("radii", ["1,inf", "-1,1", "0,1", "nan"])
+    def test_radii_must_be_finite_and_positive(self, radii):
+        cfg = RunConfig(command="x", system="s", radii=radii)
+        with pytest.raises(LyapmetricError, match="--radii"):
+            cfg.radii_values()
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--seed", "-1"],
+        ["analyze", "--horizon", "inf"],
+        ["certify", "--radii=-1,1"],
+    ])
+    def test_malformed_numbers_end_before_any_solve(self, argv, tmp_path,
+                                                    capsys):
+        code = main([*argv, "--system", "scalar-example",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("q, dim", [("1,x;0,1", 2), ("2,0;0,1", 1),
                                         ("1,2,3", 2)])
     def test_malformed_matrix_is_operational_error(self, q, dim):
@@ -181,6 +209,35 @@ class TestCertify:
             assert row["V"] == pytest.approx(
                 float(np.sqrt(e @ base.p @ e)), abs=1e-8)
 
+    def test_one_distance_solve_per_point(self, tmp_path, monkeypatch):
+        # D+V comes from the gradient of the one distance solve: no Dini
+        # ladder, and on a constant metric D+V = e' P A e / V exactly
+        from lyapmetric import geometry
+        from lyapmetric.catalog import linear_baseline
+
+        solves, ladders = [], []
+        real = geometry._distance_between
+        monkeypatch.setattr(
+            geometry, "_distance_between",
+            lambda *a, **k: solves.append(list(a[2])) or real(*a, **k))
+        monkeypatch.setattr(geometry, "dini_derivative_V",
+                            lambda *a, **k: ladders.append(a))
+        a = np.array([[0.0, 1.0], [-1.0, -1.0]])
+        payload = tmp_path / "stable.json"
+        payload.write_text(json.dumps({"A": a.tolist()}))
+        code = main(["certify", "--system", f"linear:{payload}",
+                     "--variant", "origin", "--out", str(tmp_path / "r"),
+                     "--samples", "2", "--grid", "1,0;0,1;0.7,0.7"])
+        assert code == 0
+        report = _read_report(tmp_path / "r")
+        assert solves == [row["point"] for row in report["points"]]
+        assert not ladders
+        p = linear_baseline(a).p
+        for row in report["points"]:
+            e = np.array(row["point"])
+            v = float(np.sqrt(e @ p @ e))
+            assert row["dini"] == pytest.approx(e @ p @ a @ e / v, abs=1e-9)
+
     def test_decrease_violation_fails_certificate(self, tmp_path):
         # stable at the origin, divergent beyond |e| ~ 1: the constant
         # origin metric is tight for the linearization, so it certifies
@@ -293,9 +350,9 @@ class TestStabilize:
         closed = parse_system(text)
         assert closed.f(np.array([1.0]))[0] == pytest.approx(-2.0, abs=1e-12)
 
-    def test_dini_ladder_halves_on_cubic_plant(self, tmp_path):
-        # the default Dini ladder fails its gate at (1, 0) (extrapolants
-        # differ by 2.76e-3); one halving passes
+    def test_first_variation_dini_is_exact_on_cubic_plant(self, tmp_path):
+        # the closed loop has F(1, 0) = (-4, -4); with P = I, V = |e| and
+        # D+V = e . F / |e| = -4 exactly (the Dini ladder gave -3.99976)
         spec = tmp_path / "plant.txt"
         spec.write_text("dim=2; F1 = x2 - x1^3; F2 = -x1 + 0.5*x2; "
                         "g1 = 1; g2 = 1\n")
@@ -306,7 +363,7 @@ class TestStabilize:
         report = _read_report(tmp_path / "r")
         assert report["verdict"] == "pass"
         [row] = report["closed_loop_certificate"]["points"]
-        assert row["dini"] == pytest.approx(-3.99976, abs=1e-4)
+        assert row["dini"] == pytest.approx(-4.0, abs=1e-9)
         assert row["bound"] == pytest.approx(-0.5, abs=1e-9)
 
     def test_insufficient_gain_exits_two(self, tmp_path):

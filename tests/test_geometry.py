@@ -25,6 +25,15 @@ def scalar_setup():
     return model, tab
 
 
+def _u(a):
+    # arc length of the x1-axis under diag(1 + x1^2, 1): the map
+    # (x1, x2) -> (u(x1), x2) is an isometry onto the Euclidean plane
+    return 0.5 * (a * math.sqrt(1.0 + a * a) + math.asinh(a))
+
+
+PLANAR = "dim=2; F1 = -x1 + x2^2; F2 = -2*x2 - x1*x2"
+
+
 class TestChristoffel:
     def test_constant_metric_vanishes(self):
         field = constant_metric(np.array([[2.0, 0.4], [0.4, 1.0]]))
@@ -272,6 +281,60 @@ class TestOneDimensionalQuadrature:
         assert dini.flagged
 
 
+class TestFirstVariation:
+    """D+V = gradient . F from the distance solve, against closed forms."""
+
+    @pytest.mark.parametrize("e", [(1.5, 0.0), (0.8, -0.5), (-1.0, 0.3),
+                                   (0.5, 0.5)])
+    def test_gradient_gives_dini_on_product_metric(self, e):
+        # V = sqrt(u(x1)^2 + x2^2), so grad V = (u u'(x1), x2) / V
+        field = TestShootingFallbacks._product_metric()
+        model = parse_system(PLANAR)
+        e = np.array(e)
+        v = math.hypot(_u(e[0]), e[1])
+        grad = np.array([_u(e[0]) * math.sqrt(1.0 + e[0] ** 2), e[1]]) / v
+        exact = float(grad @ model.f(e))
+        d = geometry.distance_to_origin(field, e)
+        assert not d.flagged
+        assert float(d.gradient @ model.f(e)) == pytest.approx(exact,
+                                                               abs=1e-8)
+        ladder = geometry.dini_derivative_V(field, model, e)
+        assert ladder.value == pytest.approx(exact, abs=1e-4)
+
+    def test_quadrature_gradient_is_signed_sqrt_p(self, quadratic_1d_metric):
+        d = geometry._distance_between(quadratic_1d_metric, np.array([0.5]),
+                                       np.array([-1.0]))
+        assert d.gradient[0] == -math.sqrt(2.0)
+        assert d.start_gradient[0] == math.sqrt(1.25)
+
+    def test_flagged_and_coincident_carry_no_gradient(self,
+                                                      quadratic_1d_metric,
+                                                      monkeypatch):
+        assert geometry.distance_to_origin(quadratic_1d_metric,
+                                           [0.0]).gradient is None
+        monkeypatch.setattr(geometry, "_single_shooting",
+                            lambda *args, **kwargs: None)
+        monkeypatch.setattr(geometry, "_multiple_shooting",
+                            lambda *args, **kwargs: None)
+        d = geometry.distance_to_origin(
+            TestShootingFallbacks._product_metric(), [1.5, 0.0])
+        assert d.flagged and d.gradient is None and d.start_gradient is None
+
+    def test_ladder_halves_once_on_cubic_closed_loop(self):
+        # the cubic plant closed with gain 3 under P = I has F(1, 0) =
+        # (-4, -4) and V = |e|, so D+V = -4; the default ladder fails its
+        # gate there (extrapolants 2.76e-3 apart) and one halving passes
+        from lyapmetric.stabilization import export_closed_loop
+
+        plant = parse_system("dim=2; F1 = x2 - x1^3; F2 = -x1 + 0.5*x2; "
+                             "g1 = 1; g2 = 1")
+        field = constant_metric(np.eye(2))
+        closed = parse_system(export_closed_loop(plant, field, 3.0))
+        dini = geometry.dini_derivative_V(field, closed, [1.0, 0.0])
+        assert dini.h == 5e-3
+        assert dini.value == pytest.approx(-4.0, abs=3e-4)
+
+
 class TestDini:
     def test_linear_half_metric(self):
         # e' = -e with P = 1/2: V = |e|/sqrt(2), D+V = -V exactly
@@ -343,6 +406,32 @@ class TestPairwise:
         assert rep.sandwich_ok
         assert rep.decrease_rate < 0.0
         assert rep.decrease_rate <= rep.decrease_bound + 1e-3
+
+    def test_rate_is_first_variation_on_a_line(self, scalar_setup):
+        # d(e1, e2) = int_e2^e1 sqrt(p) for e2 < e1
+        model, tab = scalar_setup
+        rep = geometry.pairwise_distance(tab, [1.0], [0.5], model=model)
+
+        def flux(e):
+            return math.sqrt(tab(np.array([e]))[0, 0]) * model.f(
+                np.array([e]))[0]
+
+        assert rep.decrease_rate == pytest.approx(flux(1.0) - flux(0.5),
+                                                  abs=1e-9)
+
+    def test_rate_on_product_metric(self):
+        # d = sqrt((u(a2) - u(a1))^2 + (b2 - b1)^2) in closed form
+        field = TestShootingFallbacks._product_metric()
+        model = parse_system(PLANAR)
+        e1, e2 = np.array([0.8, -0.5]), np.array([-0.4, 0.6])
+        du, db = _u(e2[0]) - _u(e1[0]), e2[1] - e1[1]
+        d = math.hypot(du, db)
+        grad2 = np.array([du * math.sqrt(1.0 + e2[0] ** 2), db]) / d
+        grad1 = -np.array([du * math.sqrt(1.0 + e1[0] ** 2), db]) / d
+        exact = float(grad2 @ model.f(e2) + grad1 @ model.f(e1))
+        rep = geometry.pairwise_distance(field, e1, e2, model=model)
+        assert rep.distance == pytest.approx(d, abs=1e-8)
+        assert rep.decrease_rate == pytest.approx(exact, abs=1e-8)
 
     def test_tabulated_metric_domain_enforced(self, scalar_setup):
         from lyapmetric.errors import GeodesicDomainError
