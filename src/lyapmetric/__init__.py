@@ -22,7 +22,7 @@ from .estimation import (
     estimate_transverse_decay,
     jacobian_norm_majorant,
 )
-from .expressions import eval_jet2, parse_expression, parse_spec_text, parse_system
+from .expressions import parse_expression, parse_spec_text, parse_system
 from .geometry import (
     DistanceValue,
     GeodesicPath,
@@ -59,7 +59,7 @@ from .systems import ControlSystem, SystemModel, TransverseModel
 __all__ = [
     "__version__",
     # parsing and models
-    "parse_expression", "parse_spec_text", "parse_system", "eval_jet2",
+    "parse_expression", "parse_spec_text", "parse_system",
     "SystemModel", "TransverseModel", "ControlSystem",
     # flows
     "flow", "variational_flow", "transverse_flow",

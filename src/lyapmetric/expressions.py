@@ -20,12 +20,13 @@ abs2``, the reserved constants ``pi`` and ``e``, state variables ``x<k>`` and
 declared parameters.  ``#`` starts a comment running to end of line.
 
 Parsed expressions are immutable trees.  They can be evaluated, symbolically
-differentiated, compiled to fast closures, and evaluated with second-order
-forward-mode jets (value, gradient, Hessian in one pass).
+differentiated and compiled to fast closures; Jacobians and Hessians are the
+compiled closures of their symbolic derivatives.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,72 +44,6 @@ _CONSTANTS = {"pi": math.pi, "e": math.e}
 
 
 # ---------------------------------------------------------------------------
-# second-order jets
-# ---------------------------------------------------------------------------
-
-class Jet2:
-    """Value, gradient and Hessian of a scalar quantity at a point.
-
-    Arithmetic on jets propagates first and second derivatives exactly
-    (forward mode), so a single tree walk yields F, its Jacobian row and its
-    Hessian with no differencing error.
-    """
-
-    __slots__ = ("value", "grad", "hess")
-
-    def __init__(self, value, grad, hess):
-        self.value = float(value)
-        self.grad = grad
-        self.hess = hess
-
-    @staticmethod
-    def constant(value, n):
-        return Jet2(value, np.zeros(n), np.zeros((n, n)))
-
-    @staticmethod
-    def variable(value, index, n):
-        g = np.zeros(n)
-        g[index] = 1.0
-        return Jet2(value, g, np.zeros((n, n)))
-
-    def __add__(self, other):
-        return Jet2(self.value + other.value, self.grad + other.grad,
-                    self.hess + other.hess)
-
-    def __sub__(self, other):
-        return Jet2(self.value - other.value, self.grad - other.grad,
-                    self.hess - other.hess)
-
-    def __mul__(self, other):
-        cross = np.outer(self.grad, other.grad)
-        return Jet2(
-            self.value * other.value,
-            self.value * other.grad + other.value * self.grad,
-            self.value * other.hess + other.value * self.hess
-            + cross + cross.T,
-        )
-
-    def __truediv__(self, other):
-        return self * other._reciprocal()
-
-    def _reciprocal(self):
-        w = self.value
-        if w == 0.0:
-            raise ZeroDivisionError("division by zero")
-        outer = np.outer(self.grad, self.grad)
-        return Jet2(1.0 / w, -self.grad / w**2,
-                    -self.hess / w**2 + 2.0 * outer / w**3)
-
-    def __neg__(self):
-        return Jet2(-self.value, -self.grad, -self.hess)
-
-    def chain(self, f, df, d2f):
-        """Apply a scalar function with known first/second derivatives."""
-        outer = np.outer(self.grad, self.grad)
-        return Jet2(f, df * self.grad, df * self.hess + d2f * outer)
-
-
-# ---------------------------------------------------------------------------
 # expression nodes
 # ---------------------------------------------------------------------------
 
@@ -120,15 +55,12 @@ class Node:
     def eval(self, x, params):
         raise NotImplementedError
 
-    def jet2(self, jets, params):
-        raise NotImplementedError
-
     def diff(self, index):
         """Symbolic partial derivative with respect to variable `index`."""
         raise NotImplementedError
 
-    def emit(self):
-        """Python source for the compiled fast path (params already bound)."""
+    def emit(self, params):
+        """Python source for the compiled fast path, with `params` inlined."""
         raise NotImplementedError
 
     def text(self):
@@ -154,14 +86,10 @@ class Num(Node):
     def eval(self, x, params):
         return self.v
 
-    def jet2(self, jets, params):
-        n = len(jets)
-        return Jet2.constant(self.v, n)
-
     def diff(self, index):
         return Num(0.0)
 
-    def emit(self):
+    def emit(self, params):
         return repr(self.v)
 
     def text(self):
@@ -177,13 +105,10 @@ class Var(Node):
     def eval(self, x, params):
         return float(x[self.index])
 
-    def jet2(self, jets, params):
-        return jets[self.index]
-
     def diff(self, index):
         return Num(1.0 if index == self.index else 0.0)
 
-    def emit(self):
+    def emit(self, params):
         return f"_x{self.index}"
 
     def text(self):
@@ -194,25 +119,21 @@ class Var(Node):
 
 
 class Param(Node):
-    __slots__ = ("name", "_bound")
+    __slots__ = ("name",)
 
-    def __init__(self, name, bound=None):
+    def __init__(self, name):
         self.name = name
-        self._bound = bound
 
     def eval(self, x, params):
         return float(params[self.name])
 
-    def jet2(self, jets, params):
-        return Jet2.constant(params[self.name], len(jets))
-
     def diff(self, index):
         return Num(0.0)
 
-    def emit(self):
-        if self._bound is None:
-            raise UnknownIdentifierError(f"parameter '{self.name}' has no value")
-        return repr(float(self._bound))
+    def emit(self, params):
+        if self.name not in params:
+            raise UnknownIdentifierError(f"unknown identifier '{self.name}'")
+        return repr(float(params[self.name]))
 
     def text(self):
         return self.name
@@ -251,20 +172,6 @@ class Bin(Node):
         except ZeroDivisionError:
             raise DomainEvaluationError("division by zero", self.text()) from None
 
-    def jet2(self, jets, params):
-        a = self.a.jet2(jets, params)
-        b = self.b.jet2(jets, params)
-        try:
-            if self.op == "+":
-                return a + b
-            if self.op == "-":
-                return a - b
-            if self.op == "*":
-                return a * b
-            return a / b
-        except ZeroDivisionError:
-            raise DomainEvaluationError("division by zero", self.text()) from None
-
     def diff(self, index):
         da, db = self.a.diff(index), self.b.diff(index)
         if self.op == "+":
@@ -277,8 +184,8 @@ class Bin(Node):
         num = sub(mul(da, self.b), mul(self.a, db))
         return Bin("/", num, Pow(self.b, 2.0)) if not _is_zero(num) else Num(0.0)
 
-    def emit(self):
-        return f"({self.a.emit()} {self.op} {self.b.emit()})"
+    def emit(self, params):
+        return f"({self.a.emit(params)} {self.op} {self.b.emit(params)})"
 
     def text(self):
         return f"({self.a.text()} {self.op} {self.b.text()})"
@@ -331,15 +238,12 @@ class Neg(Node):
     def eval(self, x, params):
         return -self.a.eval(x, params)
 
-    def jet2(self, jets, params):
-        return -self.a.jet2(jets, params)
-
     def diff(self, index):
         d = self.a.diff(index)
         return Num(0.0) if _is_zero(d) else Neg(d)
 
-    def emit(self):
-        return f"(-{self.a.emit()})"
+    def emit(self, params):
+        return f"(-{self.a.emit(params)})"
 
     def text(self):
         return f"(-{self.a.text()})"
@@ -371,21 +275,6 @@ class Pow(Node):
                 "fractional power of a negative base", self.text())
         return result
 
-    def jet2(self, jets, params):
-        u = self.a.jet2(jets, params)
-        p = self.p
-        try:
-            f = u.value ** p
-            df = p * u.value ** (p - 1.0) if p != 0.0 else 0.0
-            d2f = p * (p - 1.0) * u.value ** (p - 2.0) if p not in (0.0, 1.0) else 0.0
-        except (ZeroDivisionError, ValueError, OverflowError) as exc:
-            raise DomainEvaluationError(str(exc), self.text()) from None
-        if isinstance(f, complex) or isinstance(df, complex) \
-                or isinstance(d2f, complex):
-            raise DomainEvaluationError(
-                "fractional power of a negative base", self.text())
-        return u.chain(f, df, d2f)
-
     def diff(self, index):
         da = self.a.diff(index)
         if _is_zero(da) or self.p == 0.0:
@@ -394,8 +283,8 @@ class Pow(Node):
             return da
         return mul(mul(Num(self.p), Pow(self.a, self.p - 1.0)), da)
 
-    def emit(self):
-        return f"({self.a.emit()} ** {repr(self.p)})"
+    def emit(self, params):
+        return f"({self.a.emit(params)} ** {repr(self.p)})"
 
     def text(self):
         p = self.p
@@ -433,26 +322,6 @@ class Call(Node):
         except (ValueError, OverflowError) as exc:
             raise DomainEvaluationError(str(exc), self.text()) from None
 
-    def jet2(self, jets, params):
-        u = self.a.jet2(jets, params)
-        v = u.value
-        try:
-            if self.fn == "sin":
-                return u.chain(math.sin(v), math.cos(v), -math.sin(v))
-            if self.fn == "cos":
-                return u.chain(math.cos(v), -math.sin(v), -math.cos(v))
-            if self.fn == "exp":
-                ev = math.exp(v)
-                return u.chain(ev, ev, ev)
-            if self.fn in ("ln", "log"):
-                return u.chain(math.log(v), 1.0 / v, -1.0 / v**2)
-            if self.fn == "sqrt":
-                s = math.sqrt(v)
-                return u.chain(s, 0.5 / s, -0.25 / (s * v))
-            return u.chain(v * v, 2.0 * v, 2.0)  # abs2
-        except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            raise DomainEvaluationError(str(exc), self.text()) from None
-
     def diff(self, index):
         da = self.a.diff(index)
         if _is_zero(da):
@@ -471,12 +340,12 @@ class Call(Node):
             outer = mul(Num(2.0), self.a)
         return mul(outer, da)
 
-    def emit(self):
+    def emit(self, params):
         if self.fn == "abs2":
-            inner = self.a.emit()
+            inner = self.a.emit(params)
             return f"({inner} * {inner})"
         fn = "log" if self.fn == "ln" else self.fn
-        return f"{fn}({self.a.emit()})"
+        return f"{fn}({self.a.emit(params)})"
 
     def text(self):
         return f"{self.fn}({self.a.text()})"
@@ -627,6 +496,10 @@ class _ExprParser:
             if name in _CONSTANTS:
                 return Num(_CONSTANTS[name])
             if len(name) > 1 and name[0] == "x" and name[1:].isdigit():
+                if int(name[1:]) == 0:
+                    raise DimensionMismatchError(
+                        f"variable '{name}': variables are numbered from x1",
+                        tok.pos)
                 return Var(int(name[1:]) - 1)
             return Param(name)
         raise SpecTextError("expected an expression", tok.pos)
@@ -661,23 +534,6 @@ _COMPILE_GLOBALS = {
 }
 
 
-def bind_params(tree, params):
-    """Return an equivalent tree with parameter values attached (for emit)."""
-    if isinstance(tree, Param):
-        if tree.name not in params:
-            raise UnknownIdentifierError(f"unknown identifier '{tree.name}'")
-        return Param(tree.name, params[tree.name])
-    if isinstance(tree, Bin):
-        return Bin(tree.op, bind_params(tree.a, params), bind_params(tree.b, params))
-    if isinstance(tree, Neg):
-        return Neg(bind_params(tree.a, params))
-    if isinstance(tree, Pow):
-        return Pow(bind_params(tree.a, params), tree.p)
-    if isinstance(tree, Call):
-        return Call(tree.fn, bind_params(tree.a, params))
-    return tree
-
-
 def _unpack_preamble(trees):
     used = sorted(set().union(*(t.variables() for t in trees)) or set())
     return "".join(f"    _x{i} = float(_x[{i}])\n" for i in used)
@@ -696,9 +552,8 @@ def _has_fractional_power(tree):
 
 def compile_vector(trees, params):
     """Compile a list of expressions into one tuple-returning closure."""
-    bound = [bind_params(t, params) for t in trees]
-    body = ", ".join(b.emit() for b in bound)
-    if len(bound) == 1:
+    body = ", ".join(t.emit(params) for t in trees)
+    if len(trees) == 1:
         body += ","
     src = f"def _fn(_x):\n{_unpack_preamble(trees)}    return ({body})\n"
     namespace = dict(_COMPILE_GLOBALS)
@@ -734,15 +589,7 @@ class ParsedSystem:
         self.g_trees = list(g_trees)
         self.input_trees = list(input_trees)
 
-    # -- evaluation helpers -------------------------------------------------
-
-    def eval_block(self, trees, x):
-        return np.array([t.eval(x, self.params) for t in trees])
-
-    def jet2_block(self, trees, x):
-        n = self.dim
-        jets = [Jet2.variable(float(x[i]), i, n) for i in range(n)]
-        return [t.jet2(jets, self.params) for t in trees]
+    # -- compiled closures --------------------------------------------------
 
     def compiled_field(self, trees):
         fn = compile_vector(trees, self.params)
@@ -763,11 +610,31 @@ class ParsedSystem:
 
         return jacobian
 
-    def hessian_evaluator(self, trees):
-        def hessians(x):
-            return np.array([j.hess for j in self.jet2_block(trees, x)])
+    def compiled_hessian(self, trees):
+        """Component Hessians, shape (len(trees), dim, dim).
 
-        return hessians
+        Compiles ``trees[k].diff(i).diff(j)`` for i <= j on the first call
+        and mirrors the upper triangle, so every Hessian is exactly symmetric.
+        """
+        n, m = self.dim, len(trees)
+
+        @functools.cache
+        def compiled():
+            rows, cols = np.triu_indices(n)
+            # slot[i, j]: position of entry (i, j) among the i <= j values
+            slot = np.empty((n, n), dtype=int)
+            slot[rows, cols] = slot[cols, rows] = np.arange(len(rows))
+            firsts = [[t.diff(i) for i in range(n)] for t in trees]
+            fn = compile_vector([d[i].diff(j) for d in firsts
+                                 for i, j in zip(rows.tolist(), cols.tolist())],
+                                self.params)
+            return fn, slot
+
+        def hessian(x, _m=m):
+            fn, slot = compiled()
+            return np.array(fn(x)).reshape(_m, -1)[:, slot]
+
+        return hessian
 
     # -- round trip ---------------------------------------------------------
 
@@ -925,7 +792,3 @@ def parse_system(text, params=None):
         return systems.TransverseModel.from_parsed(parsed)
     return systems.SystemModel.from_parsed(parsed)
 
-
-def eval_jet2(model, point):
-    """Value, gradient and Hessian of every field component at `point`."""
-    return model.jet2(point)

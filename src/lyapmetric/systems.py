@@ -2,15 +2,15 @@
 systems, and controlled systems.
 
 All models are immutable after construction and hold plain callables, so they
-are safe to evaluate concurrently.  Models built from specification text keep
-their expression trees; those expose exact jets (value/gradient/Hessian) and
-round-trip back to text.
+are safe to evaluate concurrently.  Models built from specification text
+compile their field, Jacobian and component Hessians from the symbolic
+derivatives of their expression trees, and round-trip back to text.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -18,6 +18,15 @@ from . import expressions
 from .errors import DimensionMismatchError, LyapmetricError
 
 _EQUILIBRIUM_TOL = 1e-12
+
+
+class Jet(NamedTuple):
+    """Field value (dim,), Jacobian (dim, dim) and component Hessians
+    (dim, dim, dim) at one point."""
+
+    value: np.ndarray
+    grad: np.ndarray
+    hess: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -49,13 +58,14 @@ class SystemModel:
     @staticmethod
     def from_parsed(parsed, name=""):
         trees = parsed.f_trees
+        f = parsed.compiled_field(trees)
         return SystemModel(
             dim=parsed.dim,
-            f=parsed.compiled_field(trees),
+            f=f,
             jac=parsed.compiled_jacobian(trees),
-            hess=parsed.hessian_evaluator(trees),
+            hess=parsed.compiled_hessian(trees),
             smoothness="C4",
-            equilibrium_at_origin=_looks_like_equilibrium(parsed),
+            equilibrium_at_origin=_looks_like_equilibrium(f, parsed.dim),
             name=name,
             source=parsed,
         )
@@ -79,10 +89,12 @@ class SystemModel:
         )
 
     def jet2(self, point):
-        """Exact value/gradient/Hessian of every component at `point`."""
-        if self.source is None:
-            raise LyapmetricError("jets need an expression-backed model")
-        return self.source.jet2_block(self.source.f_trees, np.asarray(point, float))
+        """Value, Jacobian and component Hessians at `point`."""
+        if self.hess is None:
+            raise LyapmetricError(
+                f"second derivatives unavailable ({self.smoothness} model)")
+        x = np.asarray(point, float)
+        return Jet(self.f(x), self.jac(x), self.hess(x))
 
     def to_spec_text(self):
         if self.source is None:
@@ -90,10 +102,9 @@ class SystemModel:
         return self.source.to_text()
 
 
-def _looks_like_equilibrium(parsed):
-    x0 = np.zeros(parsed.dim)
+def _looks_like_equilibrium(f, dim):
     try:
-        value = parsed.eval_block(parsed.f_trees, x0)
+        value = f(np.zeros(dim))
     except LyapmetricError:
         return False
     return bool(np.max(np.abs(value)) <= _EQUILIBRIUM_TOL)
@@ -153,9 +164,6 @@ class TransverseModel:
 
     def df_de(self, e, x):
         return self.full.jac(self._join(e, x))[: self.n_e, : self.n_e]
-
-    def df_dx(self, e, x):
-        return self.full.jac(self._join(e, x))[: self.n_e, self.n_e:]
 
     def dg_de(self, e, x):
         return self.full.jac(self._join(e, x))[self.n_e:, : self.n_e]

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from lyapmetric import parse_expression, parse_system
+import lyapmetric
+from lyapmetric import SystemModel, parse_expression, parse_system
 from lyapmetric.errors import (
     DimensionMismatchError,
     DomainEvaluationError,
+    LyapmetricError,
     SpecTextError,
     UnknownIdentifierError,
 )
@@ -49,28 +51,28 @@ def test_parse_is_deterministic():
 
 def test_jet_odd_function_at_origin():
     m = parse_system(SCALAR)
-    (jet,) = m.jet2([0.0])
-    assert jet.value == 0.0
-    assert jet.grad[0] == pytest.approx(-1.0, abs=1e-15)
-    assert jet.hess[0, 0] == pytest.approx(0.0, abs=1e-15)
+    jet = m.jet2([0.0])
+    assert jet.value[0] == 0.0
+    assert jet.grad[0, 0] == pytest.approx(-1.0, abs=1e-15)
+    assert jet.hess[0, 0, 0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_jet_linear_field():
     m = parse_system(LINEAR)
-    (jet,) = m.jet2([3.0])
-    assert jet.value == -3.0
-    assert jet.grad[0] == -1.0
-    assert jet.hess[0, 0] == 0.0
+    jet = m.jet2([3.0])
+    assert jet.value[0] == -3.0
+    assert jet.grad[0, 0] == -1.0
+    assert jet.hess[0, 0, 0] == 0.0
 
 
 def test_jet_scalar_example_at_one():
     # hand differentiation: F'(e) = (e^2-1)/(1+e^2)^2 so F'(1) = 0,
     # F''(e) = 2e(3-e^2)/(1+e^2)^3 so F''(1) = 1/2
     m = parse_system(SCALAR)
-    (jet,) = m.jet2([1.0])
-    assert jet.value == pytest.approx(-0.5, abs=1e-15)
-    assert jet.grad[0] == pytest.approx(0.0, abs=1e-15)
-    assert jet.hess[0, 0] == pytest.approx(0.5, abs=1e-14)
+    jet = m.jet2([1.0])
+    assert jet.value[0] == pytest.approx(-0.5, abs=1e-15)
+    assert jet.grad[0, 0] == pytest.approx(0.0, abs=1e-15)
+    assert jet.hess[0, 0, 0] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_gradient_matches_central_differences():
@@ -81,16 +83,16 @@ def test_gradient_matches_central_differences():
         n = full.dim
         for _ in range(20):
             x = rng.uniform(-2.0, 2.0, n)
-            jets = full.jet2(x)
+            grad = full.jet2(x).grad
             h = 1e-6
-            for k, jet in enumerate(jets):
+            for k in range(n):
                 for j in range(n):
                     xp, xm = x.copy(), x.copy()
                     xp[j] += h
                     xm[j] -= h
                     fd = (full.f(xp)[k] - full.f(xm)[k]) / (2 * h)
-                    scale = max(1.0, abs(jet.grad[j]))
-                    assert abs(jet.grad[j] - fd) <= 1e-6 * scale
+                    scale = max(1.0, abs(grad[k, j]))
+                    assert abs(grad[k, j] - fd) <= 1e-6 * scale
 
 
 def test_hessian_exactly_symmetric():
@@ -98,19 +100,72 @@ def test_hessian_exactly_symmetric():
     rng = np.random.default_rng(11)
     for _ in range(20):
         x = rng.uniform(-3.0, 3.0, 2)
-        for jet in model.jet2(x):
-            assert np.array_equal(jet.hess, jet.hess.T)
+        for hess in model.jet2(x).hess:
+            assert np.array_equal(hess, hess.T)
 
 
-def test_jacobian_closure_matches_jets():
-    model = parse_system(PLANAR).as_full_system()
+def test_hessian_matches_jacobian_differences():
     rng = np.random.default_rng(3)
-    for _ in range(20):
-        x = rng.uniform(-3.0, 3.0, 2)
-        jac = model.jac(x)
-        jets = model.jet2(x)
-        grads = np.array([j.grad for j in jets])
-        assert np.allclose(jac, grads, rtol=0, atol=1e-13)
+    h = 1e-5
+    for text in (PLANAR, SCALAR):
+        model = parse_system(text)
+        model = model.as_full_system() if hasattr(model, "as_full_system") else model
+        n = model.dim
+        for _ in range(20):
+            x = rng.uniform(-3.0, 3.0, n)
+            hess = model.hess(x)
+            for j in range(n):
+                step = np.zeros(n)
+                step[j] = h
+                fd = (model.jac(x + step) - model.jac(x - step)) / (2 * h)
+                assert np.allclose(hess[:, :, j], fd, rtol=1e-6, atol=1e-6)
+
+
+def _chain_hessian(d1, d2):
+    """Hessian of f(u) at u = x1*x2, (x1, x2) = (0.7, 0.4), from f'(u), f''(u)."""
+    grad_u = np.array([0.4, 0.7])
+    return d2 * np.outer(grad_u, grad_u) + d1 * np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+_U = 0.7 * 0.4
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("sin(x1*x2)", _chain_hessian(math.cos(_U), -math.sin(_U))),
+    ("cos(x1*x2)", _chain_hessian(-math.sin(_U), -math.cos(_U))),
+    ("exp(x1*x2)", _chain_hessian(math.exp(_U), math.exp(_U))),
+    ("ln(x1*x2)", _chain_hessian(1.0 / _U, -1.0 / _U**2)),
+    ("sqrt(x1*x2)", _chain_hessian(0.5 / math.sqrt(_U), -0.25 * _U**-1.5)),
+    ("abs2(x1*x2)", _chain_hessian(2.0 * _U, 2.0)),
+    ("(x1*x2)^1.5", _chain_hessian(1.5 * _U**0.5, 0.75 * _U**-0.5)),
+    ("x1/x2", np.array([[0.0, -1.0 / 0.4**2],
+                        [-1.0 / 0.4**2, 2.0 * 0.7 / 0.4**3]])),
+])
+def test_hessian_closed_form(text, expected):
+    model = parse_system(f"dim=2; F1 = {text}; F2 = 0")
+    hess = model.hess(np.array([0.7, 0.4]))
+    assert np.allclose(hess[0], expected, rtol=1e-14, atol=1e-14)
+    assert np.array_equal(hess[1], np.zeros((2, 2)))
+
+
+def test_every_exported_name_resolves():
+    for name in lyapmetric.__all__:
+        assert hasattr(lyapmetric, name), name
+
+
+def test_linear_model_jet_has_zero_hessians():
+    a = np.array([[0.0, 1.0], [-2.0, -3.0]])
+    x = np.array([0.5, -1.0])
+    jet = SystemModel.from_linear(a).jet2(x)
+    assert np.array_equal(jet.value, a @ x)
+    assert np.array_equal(jet.grad, a)
+    assert np.array_equal(jet.hess, np.zeros((2, 2, 2)))
+
+
+def test_c1_model_jet_is_rejected():
+    drift = parse_system(PLANAR).drift_field()
+    with pytest.raises(LyapmetricError, match="C1"):
+        drift.jet2([0.5])
 
 
 def test_pretty_print_round_trip():
@@ -163,8 +218,9 @@ def test_unknown_identifier_rejected():
 
 
 def test_variable_out_of_range_rejected():
-    with pytest.raises(DimensionMismatchError):
-        parse_system("dim=1; F1 = -x2")
+    for text in ("dim=1; F1 = -x2", "dim=1; F1 = -x0"):
+        with pytest.raises(DimensionMismatchError):
+            parse_system(text)
 
 
 def test_missing_component_rejected():
