@@ -21,6 +21,8 @@ config and seed (no timestamps, sorted keys).
 
 Every flag can be defaulted through an environment variable with the
 ``LYAPMETRIC_`` prefix (``--lambda-gain`` -> ``LYAPMETRIC_LAMBDA_GAIN``).
+A malformed flag or variable is a usage error, reported like any other
+operational error (exit 1).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +66,7 @@ from .stabilization import (
 from .systems import ControlSystem, SystemModel, TransverseModel
 
 _ENV_PREFIX = "LYAPMETRIC_"
+_VARIANTS = ("origin", "along-solutions", "transverse", "rescaled")
 
 
 @dataclass
@@ -93,6 +96,8 @@ class RunConfig:
             raise LyapmetricError("samples must be >= 1")
         if self.seed < 0:
             raise LyapmetricError(f"seed must be >= 0, got {self.seed}")
+        if self.variant not in _VARIANTS:
+            raise LyapmetricError(f"unknown metric variant '{self.variant}'")
 
     def to_dict(self):
         return asdict(self)
@@ -276,12 +281,10 @@ def _build_metric(config, model, ode_tol=1e-12):
         return gramian_at_origin(model, q)
     if variant == "rescaled":
         decay = None
-    elif variant == "along-solutions":
+    else:
         decay = estimate_linearized_decay(
             model, config.radii_values(), n_samples=config.samples,
             horizon=config.horizon, tol=config.tol, seed=config.seed)
-    else:
-        raise LyapmetricError(f"unknown metric variant '{variant}'")
     if model.dim == 1:
         return scalar_metric_field(model, q, variant, decay)
     if variant == "rescaled":
@@ -429,49 +432,48 @@ def cmd_stabilize(config):
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _env_default(flag, fallback, cast):
-    raw = os.environ.get(_ENV_PREFIX + flag.upper().replace("-", "_"))
-    if raw is None:
-        return fallback
-    return cast(raw)
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise instead of exiting with status 2, which the exit
+    status contract reserves for falsified properties."""
+
+    def error(self, message):
+        raise LyapmetricError(message)
+
+
+def _option(parser, flag, dest, **kwargs):
+    """`flag` defaulting to the RunConfig field `dest`, or to the variable
+    LYAPMETRIC_<FLAG> when set.  argparse converts a string default with
+    `type`, so a malformed variable is a usage error like a malformed flag."""
+    env = _ENV_PREFIX + flag.lstrip("-").upper().replace("-", "_")
+    default = os.environ.get(env, _DEFAULTS[dest])
+    parser.add_argument(flag, dest=dest, default=default, **kwargs)
 
 
 def _add_common(parser):
     parser.add_argument("--system", required=True,
                         help="catalog name, linear:<file.json>, or a system "
                              "text file")
-    parser.add_argument("--Q", dest="q",
-                        default=_env_default("q", "I", str),
-                        help="scalar, 'I', or 'a,b;c,d' matrix rows")
-    parser.add_argument("--tol", type=float,
-                        default=_env_default("tol", 1e-9, float))
-    parser.add_argument("--horizon", type=float,
-                        default=_env_default("horizon", 10.0, float))
-    parser.add_argument("--radii",
-                        default=_env_default("radii", "0.5,1,2", str))
-    parser.add_argument("--samples", type=int,
-                        default=_env_default("samples", 4, int))
-    parser.add_argument("--grid",
-                        default=_env_default("grid", "", str),
-                        help="comma list of 1-D points, 'lo:hi:n', or "
-                             "points separated by ';' ('1,0;0,1')")
-    parser.add_argument("--variant",
-                        default=_env_default("variant", "along-solutions", str),
-                        choices=["origin", "along-solutions", "transverse",
-                                 "rescaled"])
-    parser.add_argument("--lambda-gain", dest="lambda_gain", type=float,
-                        default=_env_default("lambda_gain", 1.0, float))
-    parser.add_argument("--metric", dest="metric_matrix",
-                        default=_env_default("metric", "I", str),
-                        help="constant metric for 'stabilize'")
-    parser.add_argument("--out",
-                        default=_env_default("out", ".", str))
-    parser.add_argument("--seed", type=int,
-                        default=_env_default("seed", 0, int))
+    _option(parser, "--Q", "q", help="scalar, 'I', or 'a,b;c,d' matrix rows")
+    _option(parser, "--tol", "tol", type=float)
+    _option(parser, "--horizon", "horizon", type=float)
+    _option(parser, "--radii", "radii")
+    _option(parser, "--samples", "samples", type=int)
+    _option(parser, "--grid", "grid",
+            help="comma list of 1-D points, 'lo:hi:n', or points separated "
+                 "by ';' ('1,0;0,1')")
+    _option(parser, "--variant", "variant", choices=_VARIANTS)
+    _option(parser, "--lambda-gain", "lambda_gain", type=float)
+    _option(parser, "--metric", "metric_matrix",
+            help="constant metric for 'stabilize'")
+    _option(parser, "--out", "out")
+    _option(parser, "--seed", "seed", type=int)
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lyapmetric",
         description="metric-based Lyapunov certificates for ODE systems")
     parser.add_argument("--version", action="version",
@@ -484,11 +486,8 @@ def build_parser():
 
 
 def config_from_args(args):
-    config = RunConfig(
-        command=args.command, system=args.system, q=args.q, tol=args.tol,
-        horizon=args.horizon, radii=args.radii, samples=args.samples,
-        grid=args.grid, variant=args.variant, lambda_gain=args.lambda_gain,
-        metric_matrix=args.metric_matrix, out=args.out, seed=args.seed)
+    config = RunConfig(**{f.name: getattr(args, f.name)
+                          for f in fields(RunConfig)})
     config.radii_values()  # malformed radii end here, before any solve
     return config
 
@@ -502,8 +501,8 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = config_from_args(args)
         try:
             return _COMMANDS[args.command](config)

@@ -278,8 +278,7 @@ def _tensor_block_norm(hessians, rows, cols):
     return max(float(np.linalg.norm(h[rows][:, cols], 2)) for h in hessians)
 
 
-def estimate_bound_constants(model, e_radius, x_box, n_samples=256, seed=0,
-                             refine_check=True):
+def estimate_bound_constants(model, e_radius, x_box, n_samples=256, seed=0):
     """Suprema of the derivative norms entering the transverse estimates:
 
     mu  = sup_x |dF/de(0, x)|
@@ -287,14 +286,13 @@ def estimate_bound_constants(model, e_radius, x_box, n_samples=256, seed=0,
     c   = sup over the (e, x) sample of the second-derivative e-blocks,
           the mixed e/x blocks of F, and |dG/de|.
 
-    Deterministic low-discrepancy sample; argmax points are recorded.  With
-    `refine_check`, suprema are recomputed on nested half/quarter samples
-    and a >= 10x growth across the two doublings raises an error ("bound
-    likely unbounded on domain").
+    Deterministic low-discrepancy sample; argmax points are recorded.  The
+    suprema are recomputed on nested half/quarter samples, and a >= 10x
+    growth across the two doublings raises an error ("bound likely
+    unbounded on domain").
     """
     lo, hi = x_box
-    counts = [max(8, n_samples // 4), max(8, n_samples // 2), n_samples] \
-        if refine_check else [n_samples]
+    counts = [max(8, n_samples // 4), max(8, n_samples // 2), n_samples]
     history = []
     result = None
     for count in counts:
@@ -332,13 +330,12 @@ def estimate_bound_constants(model, e_radius, x_box, n_samples=256, seed=0,
             domain=f"|e| <= {e_radius}, x in [{lo}, {hi}], "
                    f"{count} low-discrepancy samples (seed {seed})")
 
-    if refine_check and len(history) == 3:
-        for idx, label in ((0, "mu"), (1, "rho"), (2, "c")):
-            a, b, c3 = (h[idx] for h in history)
-            if b >= 10.0 * max(a, 1e-300) and c3 >= 10.0 * max(b, 1e-300):
-                raise LyapmetricError(
-                    f"bound '{label}' likely unbounded on domain "
-                    f"(grew {a:.3g} -> {b:.3g} -> {c3:.3g} under refinement)")
+    for idx, label in ((0, "mu"), (1, "rho"), (2, "c")):
+        a, b, c3 = (h[idx] for h in history)
+        if b >= 10.0 * max(a, 1e-300) and c3 >= 10.0 * max(b, 1e-300):
+            raise LyapmetricError(
+                f"bound '{label}' likely unbounded on domain "
+                f"(grew {a:.3g} -> {b:.3g} -> {c3:.3g} under refinement)")
     return result
 
 

@@ -42,6 +42,9 @@ _H_FLOOR = 1e-6   # smallest Richardson step before the gate gives up
 _FLOW_TOL = 1e-12  # rtol of the short flows that difference P
 _SCALAR_QUAD_TOL = 1e-12  # epsrel of the closed-form scalar quadrature
 _SCALAR_TAIL_TOL = 1e-7   # the lifted builders' default, for step and slack
+_GRAMIAN_TOL = 1e-12      # rtol of the Gramian quadrature before the polish
+_CHUNK = 6.0              # rescaled horizon growth per solve
+_MAX_CHUNKS = 40          # rescaled horizon cap, in chunks
 
 
 def check_positive_definite(q):
@@ -63,7 +66,15 @@ def _symmetrize(raw):
 
 class MetricField:
     """Evaluator point -> symmetric positive definite matrix, with the decay
-    data, truncation rule and eigenvalue envelopes attached.
+    data and eigenvalue envelopes attached.
+
+    `evaluator(point, horizon) -> (P, horizon_used)`.  A lifted evaluator
+    integrates to a pinned `horizon`, or else chooses the truncation horizon
+    T(point) itself; fields without truncation (constant, callable, closed
+    form, tabulated) return None.  The field records the horizon each point
+    chose for itself (:meth:`horizon_for`) and keys its cache on
+    (point, horizon_used), so P(e) and P(e, horizon=T(e)) are one
+    evaluation.
 
     `dim` is the matrix size; `point_dim` the dimension of evaluation points
     (these differ for the transverse variant, where P lives over the drift
@@ -71,21 +82,17 @@ class MetricField:
     """
 
     def __init__(self, dim, q, variant, evaluator, point_dim=None,
-                 decay=None, tail_tol=None, domain=None, horizon_rule=None,
-                 horizon_is_lookup=False, meta=None):
+                 decay=None, tail_tol=None):
         self.dim = dim
         self.point_dim = dim if point_dim is None else point_dim
         self.q = np.asarray(q, dtype=float)
         self.variant = variant
         self.decay = decay
         self.tail_tol = tail_tol
-        self.domain = domain
-        self.meta = dict(meta or {})
         self.bounds = None
         self._evaluator = evaluator
-        self._horizon_rule = horizon_rule
-        self._horizon_is_lookup = horizon_is_lookup
         self._cache = {}
+        self._horizons = {}
 
     # -- evaluation ----------------------------------------------------------
 
@@ -94,31 +101,28 @@ class MetricField:
         if point.size != self.point_dim:
             raise LyapmetricError(
                 f"point has size {point.size}, expected {self.point_dim}")
-        if self.domain is not None:
-            lo, hi = self.domain
-            if np.any(point < lo) or np.any(point > hi):
-                raise GeodesicDomainError(
-                    f"point {point} outside certified domain [{lo}, {hi}]")
-        if horizon is None and self._horizon_is_lookup:
-            # a table lookup costs nothing, so resolve it here and key the
-            # cache on the horizon the evaluator actually integrates to:
-            # P(e) and P(e, horizon=T(e)) are the same solve
-            horizon = self._horizon_rule(point)
-        key = (point.tobytes(), horizon)
-        hit = self._cache.get(key)
+        key = point.tobytes()
+        if horizon is None:
+            horizon = self._horizons.get(key)
+        hit = self._cache.get((key, horizon))
         if hit is not None:
             return hit.copy()
-        raw = self._evaluator(point) if horizon is None else \
-            self._evaluator(point, horizon=horizon)
+        raw, used = self._evaluator(point, horizon)
         value = _symmetrize(np.asarray(raw, dtype=float))
+        if horizon is None and used is not None:
+            self._horizons[key] = used
         if len(self._cache) < 4096:
-            self._cache[key] = value.copy()
+            self._cache[(key, used)] = value.copy()
         return value
 
     def horizon_for(self, point):
-        if self._horizon_rule is None:
-            return None
-        return self._horizon_rule(np.atleast_1d(np.asarray(point, dtype=float)))
+        """The truncation horizon P(point) chose for itself, or None for a
+        field without truncation; evaluates P(point) once if unrecorded."""
+        point = np.atleast_1d(np.asarray(point, dtype=float))
+        key = point.tobytes()
+        if key not in self._horizons:
+            self(point)
+        return self._horizons.get(key)
 
     # -- envelopes -----------------------------------------------------------
 
@@ -147,18 +151,21 @@ class MetricField:
             raise LyapmetricError("tabulation is implemented for 1-D points")
         from scipy.interpolate import CubicSpline
 
-        grid = np.linspace(float(lo), float(hi), int(n_points))
+        lo, hi = float(lo), float(hi)
+        grid = np.linspace(lo, hi, int(n_points))
         values = np.array([self(np.array([g]))[0, 0] for g in grid])
         spline = CubicSpline(grid, values)
 
-        def evaluator(point, _spline=spline):
-            return np.array([[float(_spline(float(point[0])))]])
+        def evaluator(point, horizon):
+            x = float(point[0])
+            if x < lo or x > hi:
+                raise GeodesicDomainError(
+                    f"point {point} outside certified domain [{lo}, {hi}]")
+            return np.array([[float(spline(x))]]), None
 
         out = MetricField(
             dim=self.dim, q=self.q, variant=self.variant, evaluator=evaluator,
-            point_dim=1, decay=self.decay,
-            tail_tol=self.tail_tol, domain=(np.array([lo]), np.array([hi])),
-            meta={**self.meta, "tabulated_points": int(n_points)})
+            point_dim=1, decay=self.decay, tail_tol=self.tail_tol)
         out.bounds = self.bounds
         return out
 
@@ -178,13 +185,14 @@ def constant_metric(p, q=None):
     p = check_positive_definite(p)
     q = np.eye(p.shape[0]) if q is None else check_positive_definite(q)
     return MetricField(dim=p.shape[0], q=q, variant="constant",
-                       evaluator=lambda point, _p=p: _p.copy())
+                       evaluator=lambda point, horizon: (p.copy(), None))
 
 
 def from_callable(fn, dim, q=None, variant="custom", point_dim=None):
     q = np.eye(dim) if q is None else check_positive_definite(q)
     return MetricField(dim=dim, q=q, variant=variant,
-                       evaluator=lambda point, _fn=fn: np.atleast_2d(_fn(point)),
+                       evaluator=lambda point, horizon:
+                       (np.atleast_2d(fn(point)), None),
                        point_dim=point_dim)
 
 
@@ -192,7 +200,7 @@ def from_callable(fn, dim, q=None, variant="custom", point_dim=None):
 # constant Gramian at the origin
 # ---------------------------------------------------------------------------
 
-def gramian_at_origin(model, q=None, ode_tol=1e-12):
+def gramian_at_origin(model, q=None):
     """Constant metric solving A'P + PA = -Q for A the Jacobian at zero.
 
     Quadrature over a horizon set by the spectral abscissa, then polished by
@@ -212,7 +220,7 @@ def gramian_at_origin(model, q=None, ode_tol=1e-12):
     t0 = 2.0 / abs(abscissa)
     no_state = np.empty(0)
     lift = lifted_system(lambda state: (no_state, a), 0, n, q)
-    sol = integrate.solve(lift.rhs, lift.y0(no_state), t0, rtol=ode_tol)
+    sol = integrate.solve(lift.rhs, lift.y0(no_state), t0, rtol=_GRAMIAN_TOL)
     _, z, m = lift.split(sol.y[-1])
 
     for _ in range(64):
@@ -227,9 +235,7 @@ def gramian_at_origin(model, q=None, ode_tol=1e-12):
     if residual > 1e-8:
         raise LyapmetricError(
             f"Gramian polish failed: algebraic residual {residual:.3g} > 1e-8")
-    out = constant_metric(p, q)
-    out.meta.update({"residual": residual, "quadrature_horizon": t0})
-    return out
+    return constant_metric(p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +247,7 @@ def _decay_truncated_field(variant, step, n_state, n_phi, q, decay, tail_tol,
     """Evaluator point -> integral over [0, T(point)] of Phi' Q Phi for the
     lifted system of `step`.
 
-    T(point) comes from the analytic tail bound
+    Unless a horizon is pinned, T(point) comes from the analytic tail bound
     gain(|point|)^2 mu_max(Q) exp(-2 rate T) / (2 rate) <= tail_tol,
     so the truncation error is certified by the decay estimate.
     """
@@ -250,7 +256,7 @@ def _decay_truncated_field(variant, step, n_state, n_phi, q, decay, tail_tol,
     q = np.eye(n_phi) if q is None else check_positive_definite(q)
     q_max = float(np.max(np.linalg.eigvalsh(q)))
 
-    def horizon_rule(point):
+    def tail_horizon(point):
         gain = decay.gain(float(np.linalg.norm(point)))
         target = gain * gain * q_max / (2.0 * decay.rate * tail_tol)
         horizon = math.log(max(target, 1.0)) / (2.0 * decay.rate)
@@ -264,17 +270,15 @@ def _decay_truncated_field(variant, step, n_state, n_phi, q, decay, tail_tol,
     lift = lifted_system(step, n_state, n_phi, q)
 
     def evaluator(point, horizon):
+        if horizon is None:
+            horizon = tail_horizon(point)
         sol = integrate.solve(lift.rhs, lift.y0(point), float(horizon),
                               rtol=ode_tol, blowup_norm=blowup_norm,
                               max_steps=500_000)
-        return lift.split(sol.y[-1])[2]
+        return lift.split(sol.y[-1])[2], horizon
 
-    # the field resolves T(point) before every evaluation, so the evaluator
-    # always receives a horizon
     return MetricField(dim=n_phi, q=q, variant=variant, evaluator=evaluator,
-                       point_dim=n_state, decay=decay,
-                       tail_tol=tail_tol, horizon_rule=horizon_rule,
-                       horizon_is_lookup=True, meta={"ode_tol": ode_tol})
+                       point_dim=n_state, decay=decay, tail_tol=tail_tol)
 
 
 def solution_metric(model, q=None, decay=None, tail_tol=1e-7, ode_tol=1e-12,
@@ -316,16 +320,16 @@ def transverse_metric_field(model, q=None, decay=None, tail_tol=1e-7,
 # rescaled metric (state-independent lower bound)
 # ---------------------------------------------------------------------------
 
-def rescaled_metric_field(model, q=None, tail_tol=1e-7, ode_tol=1e-12,
-                          chunk=6.0, max_chunks=40):
+def rescaled_metric_field(model, q=None, tail_tol=1e-7, ode_tol=1e-12):
     """Evaluator e -> P~(e) built on the slowed field F / (1 + |dF/de|^3).
 
     The slowed transition obeys |d/dt log Phi~| <= 1, which forces
     min eig P~ >= mu_min(Q) / 2 independently of e.  The horizon grows in
-    chunks until the fitted tail of |Phi~| certifies the truncation; the
-    horizon rule replays that adaptive choice so that residual stencils can
-    pin one common truncation (the chunk quantization would otherwise leak
-    tail-sized jumps into flow differences).
+    solves of _CHUNK time units until the fitted tail of |Phi~| certifies
+    the truncation.  A pinned horizon runs the same chunks and stops there,
+    so P~(e, horizon=T(e)) repeats the adaptive P~(e) bit for bit and
+    residual stencils share one truncation (the chunk quantization would
+    otherwise leak tail-sized jumps into flow differences).
     """
     n = model.dim
     q = np.eye(n) if q is None else check_positive_definite(q)
@@ -339,43 +343,34 @@ def rescaled_metric_field(model, q=None, tail_tol=1e-7, ode_tol=1e-12,
 
     lift = lifted_system(step, n, n, q)
 
-    def run(point, horizon):
-        y0 = lift.y0(point)
+    def evaluator(point, horizon):
+        y = lift.y0(point)
         t_done = 0.0
         prev_norm = None
-        for _ in range(max_chunks):
-            t_target = float(horizon) if horizon is not None \
-                else t_done + chunk
-            sol = integrate.solve(lift.rhs, y0, t_target - t_done,
-                                  rtol=ode_tol, max_steps=500_000)
-            y0 = sol.y[-1]
-            t_done = t_target
+        for _ in range(_MAX_CHUNKS):
+            t_next = t_done + _CHUNK
             if horizon is not None:
-                break
-            phi_norm = float(np.linalg.norm(lift.split(y0)[1], 2))
+                t_next = min(t_next, float(horizon))
+            y = integrate.solve(lift.rhs, y, t_next - t_done, rtol=ode_tol,
+                                max_steps=500_000).y[-1]
+            t_done = t_next
+            if horizon is not None:
+                if t_done >= horizon:
+                    return lift.split(y)[2], horizon
+                continue
+            phi_norm = float(np.linalg.norm(lift.split(y)[1], 2))
             if prev_norm is not None and 0.0 < phi_norm < prev_norm:
-                rate = math.log(prev_norm / phi_norm) / chunk
+                rate = math.log(prev_norm / phi_norm) / _CHUNK
                 tail = phi_norm ** 2 * q_max / (2.0 * rate)
                 if tail <= tail_tol:
-                    break
+                    return lift.split(y)[2], t_done
             prev_norm = phi_norm
-        else:
-            raise TailHorizonError(
-                "decay data insufficient: slowed transition tail did not "
-                f"certify within {max_chunks} chunks")
-        return y0, t_done
-
-    def evaluator(point, horizon=None):
-        y_final, _ = run(point, horizon)
-        return lift.split(y_final)[2]
-
-    def horizon_rule(point):
-        _, t_done = run(point, None)
-        return t_done
+        raise TailHorizonError(
+            "decay data insufficient: slowed transition tail did not "
+            f"certify within {_MAX_CHUNKS} chunks")
 
     return MetricField(dim=n, q=q, variant="rescaled", evaluator=evaluator,
-                       tail_tol=tail_tol, horizon_rule=horizon_rule,
-                       meta={"ode_tol": ode_tol, "chunk": chunk})
+                       tail_tol=tail_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +438,10 @@ def scalar_metric_field(model, q=None, variant="along-solutions", decay=None):
         require_decay(float(x[0]), fx)
         return -fx * weight(x) / e
 
-    def evaluator(point):
+    def evaluator(point, horizon):
         e = float(point[0])
         if e == 0.0:
-            return np.array([[p_origin]])
+            return np.array([[p_origin]]), None
         f_e = float(f(point)[0])
         require_decay(e, f_e)
         out = quad(integrand, 0.0, 1.0, args=(e,), epsabs=0.0,
@@ -454,7 +449,7 @@ def scalar_metric_field(model, q=None, variant="along-solutions", decay=None):
         if len(out) > 3:
             raise LyapmetricError(
                 f"closed-form metric quadrature did not converge at e = {e}")
-        return np.array([[q_scalar * out[0] / (f_e / e) ** 2]])
+        return np.array([[q_scalar * out[0] / (f_e / e) ** 2]]), None
 
     return MetricField(dim=1, q=q, variant=variant, evaluator=evaluator,
                        decay=decay, tail_tol=_SCALAR_TAIL_TOL)
@@ -512,8 +507,9 @@ def lie_derivative(metric, model, e, h=None, gate_tol=1e-4,
     the two extrapolation inputs gates reliability.  While it exceeds
     10 gate_tol, h is halved (not below 1e-6); the h that passed is
     returned.  The default h is max(1e-4, sqrt(tail_tol)).  Every P is
-    pinned to the horizon the metric's rule assigns to e, so truncation
-    does not leak into the differences.
+    pinned to the horizon P(e) chose for itself
+    (:meth:`MetricField.horizon_for`), so truncation does not leak into the
+    differences.
 
     `congruence_jac` overrides the matrix J entering the congruence terms;
     the transverse inequality flows P along the drift but congruences with
@@ -524,12 +520,11 @@ def lie_derivative(metric, model, e, h=None, gate_tol=1e-4,
         base = metric.tail_tol if metric.tail_tol else 1e-8
         h = max(1e-4, math.sqrt(base))
     horizon = metric.horizon_for(e)
-    pinned = {} if horizon is None else {"horizon": horizon}
-    p0 = metric(e, **pinned)
+    p0 = metric(e, horizon)
     while True:
         traj = flow(model, e, h, tol=_FLOW_TOL, dense=True)
-        p_h = metric(traj.states[-1], **pinned)
-        p_h2 = metric(traj.state_at(0.5 * h), **pinned)
+        p_h = metric(traj.states[-1], horizon)
+        p_h2 = metric(traj.state_at(0.5 * h), horizon)
         d1 = (p_h - p0) / h
         d2 = (p_h2 - p0) / (0.5 * h)
         disagreement = float(np.linalg.norm(d2 - d1, 2))

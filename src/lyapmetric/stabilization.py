@@ -22,9 +22,12 @@ from . import expressions
 from .errors import ClosednessError, FalsificationError, LyapmetricError
 from .geometry import _refined_simpson
 from .metric import lie_derivative
-from .systems import ControlSystem, SystemModel
 
 _CLOSEDNESS_TOL = 1e-6
+_FD_STEP = 1e-5          # relative step of the closedness differences
+_QUAD_TOL = 1e-10        # relative tolerance of the potential quadrature
+_DECREASE_TOL = 1e-6     # conditions 1 and the closed-loop replay
+_KILLING_TOL = 1e-8      # condition 2
 
 
 def killing_residual(metric, g_model, w):
@@ -36,7 +39,7 @@ def killing_residual(metric, g_model, w):
     return residual, float(np.linalg.norm(residual, 2))
 
 
-def closedness_residual(metric, g_model, points, fd_step=1e-5):
+def closedness_residual(metric, g_model, points):
     """Max antisymmetrized spatial derivative of the one-form P(w) g(w).
 
     Zero (up to differencing error) exactly when a potential U exists on the
@@ -55,7 +58,7 @@ def closedness_residual(metric, g_model, points, fd_step=1e-5):
         grad = np.empty((n, n))
         for i in range(n):
             step = np.zeros(n)
-            step[i] = fd_step * (1.0 + abs(float(w[i])))
+            step[i] = _FD_STEP * (1.0 + abs(float(w[i])))
             grad[i] = (omega(w + step) - omega(w - step)) / (2.0 * step[i])
         anti = grad - grad.T
         value = float(np.max(np.abs(anti)))
@@ -71,13 +74,12 @@ class PotentialU:
     the base point; the gradient is exact by construction.
     """
 
-    def __init__(self, metric, g_model, base_point=None, quad_tol=1e-10):
+    def __init__(self, metric, g_model, base_point=None):
         self.metric = metric
         self.g_model = g_model
         dim = g_model.dim
         self.base_point = np.zeros(dim) if base_point is None \
             else np.atleast_1d(np.asarray(base_point, dtype=float))
-        self.quad_tol = quad_tol
 
     def gradient(self, w):
         w = np.atleast_1d(np.asarray(w, dtype=float))
@@ -94,16 +96,15 @@ class PotentialU:
             return float(self.gradient(x) @ d)
 
         value, panels, converged = _refined_simpson(
-            integrand, self.quad_tol, scale_floor=1.0)
+            integrand, _QUAD_TOL, scale_floor=1.0)
         if not converged:
             raise LyapmetricError(
                 f"potential U(w) at w = {w} did not converge to relative "
-                f"tolerance {self.quad_tol:.3g} within {panels} panels")
+                f"tolerance {_QUAD_TOL:.3g} within {panels} panels")
         return value
 
 
-def construct_U(metric, g_model, w, base_point=None, sample_points=None,
-                quad_tol=1e-10):
+def construct_U(metric, g_model, w, base_point=None, sample_points=None):
     """U(w) with dU/dw = (P g)' and U(base) = 0.
 
     When `sample_points` are given, the closedness of the one-form is
@@ -116,7 +117,7 @@ def construct_U(metric, g_model, w, base_point=None, sample_points=None,
             raise ClosednessError(
                 f"the one-form P(w) g(w) is not closed (residual {sup:.3g}); "
                 "no potential exists on this domain", witness=witness)
-    return PotentialU(metric, g_model, base_point, quad_tol)(w)
+    return PotentialU(metric, g_model, base_point)(w)
 
 
 @dataclass
@@ -156,14 +157,11 @@ class _Feedback:
 
 
 def synthesize_controller(control_sys, metric, gain, q=None,
-                          sample_points=None, tolerance=1e-6,
-                          killing_tolerance=1e-8, scaling=None):
+                          sample_points=None):
     """Check the three hypotheses on `sample_points`, then return the
     closed-loop model and its certificate.
 
-    `scaling`, when given, multiplies the input field pointwise before all
-    checks (a user-supplied relaxation; no automatic search).  Raises
-    :class:`FalsificationError` naming the failed condition when any
+    Raises :class:`FalsificationError` naming the failed condition when any
     residual exceeds its tolerance; no controller is emitted in that case.
     """
     n = control_sys.dim
@@ -172,34 +170,15 @@ def synthesize_controller(control_sys, metric, gain, q=None,
         sample_points = np.zeros((1, n))
     sample_points = np.atleast_2d(np.asarray(sample_points, dtype=float))
 
-    if scaling is not None:
-        base = control_sys.input_field
-
-        def scaled_f(w, _b=base, _s=scaling):
-            return _s(w) * _b.f(w)
-
-        def scaled_jac(w, _b=base, _s=scaling, _n=n):
-            # dg/dw for alpha(w) g(w) needs d alpha; central differences
-            j = _s(w) * _b.jac(w)
-            for i in range(_n):
-                step = np.zeros(_n)
-                step[i] = 1e-6 * (1.0 + abs(float(w[i])))
-                dalpha = (_s(w + step) - _s(w - step)) / (2.0 * step[i])
-                j[:, i] += dalpha * _b.f(w)
-            return j
-
-        control_sys = ControlSystem(n, control_sys.drift, SystemModel(
-            dim=n, f=scaled_f, jac=scaled_jac, hess=None, smoothness="C1",
-            equilibrium_at_origin=False, name="scaled-input"))
     g_model = control_sys.input_field
 
     # condition 2: the input field preserves the metric
     killing_sup = max(killing_residual(metric, g_model, w)[1]
                       for w in sample_points)
-    if killing_sup > killing_tolerance:
+    if killing_sup > _KILLING_TOL:
         raise FalsificationError(
             f"condition 2 failed: Killing residual {killing_sup:.3g} "
-            f"> {killing_tolerance:.3g}")
+            f"> {_KILLING_TOL:.3g}")
 
     # condition 3: the one-form has a potential
     integrability_sup, witness = closedness_residual(metric, g_model,
@@ -218,10 +197,10 @@ def synthesize_controller(control_sys, metric, gain, q=None,
         decrease_sup = max(decrease_sup,
                            float(np.max(np.linalg.eigvalsh(
                                0.5 * (lhs + lhs.T)))))
-    if decrease_sup > tolerance:
+    if decrease_sup > _DECREASE_TOL:
         raise FalsificationError(
             f"condition 1 failed: decrease residual {decrease_sup:.3g} "
-            f"> {tolerance:.3g}")
+            f"> {_DECREASE_TOL:.3g}")
 
     potential = PotentialU(metric, g_model)
     feedback = _Feedback(potential, gain)
@@ -244,11 +223,11 @@ def synthesize_controller(control_sys, metric, gain, q=None,
         gain=gain, killing_sup=killing_sup,
         integrability_sup=integrability_sup, decrease_sup=decrease_sup,
         closed_loop_sup=closed_sup,
-        verdict="pass" if (killing_sup <= killing_tolerance
+        verdict="pass" if (killing_sup <= _KILLING_TOL
                            and integrability_sup <= _CLOSEDNESS_TOL
-                           and decrease_sup <= tolerance
-                           and closed_sup <= tolerance) else "fail",
-        samples=sample_points.shape[0], tolerance=tolerance)
+                           and decrease_sup <= _DECREASE_TOL
+                           and closed_sup <= _DECREASE_TOL) else "fail",
+        samples=sample_points.shape[0], tolerance=_DECREASE_TOL)
     return closed_loop, potential, cert
 
 

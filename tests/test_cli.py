@@ -75,6 +75,30 @@ class TestRunConfig:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("argv, env", [
+        (["--system", "scalar-example", "--tol", "abc"], {}),
+        (["--system", "scalar-example", "--samples", "2.5"], {}),
+        (["--system", "scalar-example", "--variant", "bogus"], {}),
+        ([], {}),
+        (["--system", "scalar-example"], {"LYAPMETRIC_SAMPLES": "abc"}),
+        (["--system", "scalar-example"], {"LYAPMETRIC_VARIANT": "bogus"}),
+    ])
+    def test_usage_errors_are_operational_errors(self, argv, env, tmp_path,
+                                                 capsys, monkeypatch):
+        # exit 2 is reserved for falsified properties
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        code = main(["analyze", *argv, "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_zero(self, flag, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([flag])
+        assert info.value.code == 0
+
     @pytest.mark.parametrize("q, dim", [("1,x;0,1", 2), ("2,0;0,1", 1),
                                         ("1,2,3", 2)])
     def test_malformed_matrix_is_operational_error(self, q, dim):

@@ -60,8 +60,9 @@ class TestGramianAtOrigin:
         a = np.array([[0.0, 1.0], [-1.0, -1.0]])
         field = gramian_at_origin(SystemModel.from_linear(a))
         base = catalog.linear_baseline(a)
-        assert np.max(np.abs(field(np.zeros(2)) - base.p)) <= 1e-10
-        assert field.meta["residual"] <= 1e-8
+        p = field(np.zeros(2))
+        assert np.max(np.abs(p - base.p)) <= 1e-10
+        assert np.linalg.norm(a.T @ p + p @ a + np.eye(2), 2) <= 1e-8
 
     def test_random_hurwitz_lower_bound(self):
         # min eig P >= mu_min(Q) / (2 |A|) for Q = I
@@ -205,15 +206,17 @@ class TestRescaledMetric:
             value = field(np.array([e]))[0, 0]
             assert value >= 0.5 - 1e-6
 
-    def test_horizon_rule_replays_adaptive_choice(self, scalar_model):
-        field = rescaled_metric_field(scalar_model)
+    def test_pinned_horizon_runs_the_same_chunks(self, scalar_model):
+        # a fresh field pinned at T(e) repeats the adaptive chunks bit for
+        # bit; a horizon between chunk ends moves P~ by less than the tail
         point = np.array([1.0])
-        horizon = field.horizon_for(point)
-        assert horizon > 0.0
-        pinned = field(point, horizon=horizon)[0, 0]
-        adaptive = field(point)[0, 0]
-        # one solve versus chunked restarts: identical up to rounding
-        assert pinned == pytest.approx(adaptive, abs=1e-12)
+        adaptive = rescaled_metric_field(scalar_model)
+        horizon = adaptive.horizon_for(point)
+        assert horizon > 0.0 and horizon % 6.0 == 0.0
+        pinned = rescaled_metric_field(scalar_model)(point, horizon=horizon)
+        assert np.array_equal(pinned, adaptive(point))
+        longer = adaptive(point, horizon=horizon + 1.0)
+        assert abs(longer[0, 0] - pinned[0, 0]) <= adaptive.tail_tol
 
 
 class TestScalarClosedForm:
@@ -311,7 +314,7 @@ class TestLieDerivativeResidual:
     def test_richardson_step_halves_until_gate_passes(self, monkeypatch):
         # on the rescaled planar field the default h = sqrt(tail_tol) and
         # h / 2 fail the gate at (0.8, -0.5); h / 4 passes.  The horizon
-        # rule (a chunked P~ solve) runs once per entry, not once per try
+        # is read once per entry, not once per try
         model = parse_system("dim=2; F1 = -x1 + x2^2; F2 = -2*x2 - x1*x2")
         field = rescaled_metric_field(model)
         rule_calls = []
@@ -329,6 +332,55 @@ class TestLieDerivativeResidual:
         data = report.to_dict()
         assert data["verdict"] == "pass"
         assert data["entries"][0]["h"] > 0
+
+
+class TestHorizonProtocol:
+    """Every lifted field records the horizon each point chose for itself:
+    P(e) then P(e, horizon=T(e)) is one evaluation, and a dump of points
+    already evaluated solves nothing."""
+
+    PLANAR = "dim=2; F1 = -x1 + x2^2; F2 = -2*x2 - x1*x2"
+
+    @staticmethod
+    def _along_solutions():
+        model = parse_system(TestHorizonProtocol.PLANAR)
+        decay = estimate_linearized_decay(model, [0.5, 1.0, 2.0],
+                                          n_samples=2, horizon=10.0)
+        return solution_metric(model, decay=decay), [[0.8, -0.5], [0.5, 0.5]]
+
+    @staticmethod
+    def _transverse():
+        model = catalog.get("transverse-counterexample").build(
+            {"lam": 2.0, "mu_x": 1.0})
+        decay = estimate_transverse_decay(model, ([-1.0], [1.0]),
+                                          n_samples=2, horizon=6.0)
+        return transverse_metric_field(model, decay=decay), [[0.5], [-0.3]]
+
+    @staticmethod
+    def _rescaled():
+        model = parse_system(TestHorizonProtocol.PLANAR)
+        return rescaled_metric_field(model), [[0.8, -0.5], [0.5, 0.5]]
+
+    @pytest.mark.parametrize("build", ["_along_solutions", "_transverse",
+                                       "_rescaled"])
+    def test_one_evaluation_per_point(self, build, monkeypatch, tmp_path):
+        field, points = getattr(self, build)()
+        evaluations = []
+        evaluator = field._evaluator
+        monkeypatch.setattr(field, "_evaluator", lambda *a: (
+            evaluations.append(1), evaluator(*a))[1])
+        for p in points:
+            e = np.array(p)
+            default = field(e)
+            pinned = field(e, horizon=field.horizon_for(e))
+            assert np.array_equal(default, pinned)
+        assert len(evaluations) == len(points)
+        solves = []
+        real = integrate.solve
+        monkeypatch.setattr(integrate, "solve",
+                            lambda *a, **k: solves.append(1) or real(*a, **k))
+        field.to_csv(points, tmp_path / "metric.csv")
+        assert solves == []
 
 
 class TestHorizonPinnedIdentity:

@@ -218,18 +218,6 @@ class TestSynthesize:
         for w in (-1.0, 0.3, 2.0):
             assert loop_a.f(np.array([w]))[0] == loop_b.f(np.array([w]))[0]
 
-    def test_scaling_factor_applied(self, unit_metric):
-        # alpha(w) = 2 doubles the effective input field; condition 1 then
-        # passes at half the gain
-        cs = parse_system(SCALAR_PLANT)
-        pts = np.linspace(-1, 1, 5).reshape(-1, 1)
-        closed, _, cert = synthesize_controller(
-            cs, unit_metric, gain=0.75, q=np.array([[1.0]]),
-            sample_points=pts, scaling=lambda w: 2.0)
-        assert cert.verdict == "pass"
-        # closed loop: w + 2 * (-0.75 * U(w)) with U = 2w -> w - 3w = -2w
-        assert closed.f(np.array([1.0]))[0] == pytest.approx(-2.0, abs=1e-8)
-
 
 class TestExport:
     def test_expression_route(self, scalar_plant, unit_metric):
