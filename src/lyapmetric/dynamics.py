@@ -1,15 +1,22 @@
 """Flows, lifted (variational) flows and transverse flows.
 
-Every first-order approximation carried along solutions is built by one
-core, :func:`lifted_system`: the state is integrated jointly with its
+Every first-order approximation carried along solutions is built on one
+layout, :func:`lifted_system`: the state is integrated jointly with its
 transition matrix Phi, Phi' = A(state) Phi, Phi(0) = I, and optionally with
 the running Gramian integral of Phi' Q Phi, as a single augmented system
 with the layout [state | Phi row-major | int Phi' Q Phi].  A caller supplies
 only `step(state) -> (state', A)`; one integration keeps the cocycle
-identity Phi(E(e,t), r) Phi(e,t) = Phi(e, t+r) tight.  The lifted and
-transverse flows here and every metric construction in :mod:`metric` use
-this core.  The module also holds the CSV writer behind every `to_csv` and
-the command-line outputs.
+identity Phi(E(e,t), r) Phi(e,t) = Phi(e, t+r) tight.
+
+A model's own lift, A = dF/de along e' = F(e), has one selector,
+:func:`model_lift`: a model parsed from text evaluates it with one fused
+compiled closure (:meth:`expressions.ParsedSystem.compiled_lift`), any
+other model with the generic `lifted_system` rhs, which also serves as the
+fused closure's domain fallback and test oracle.  :func:`variational_flow`
+and :func:`metric.solution_metric` lift through it; the transverse, drift,
+closed-loop and rescaled lifts use `lifted_system` directly.  The module
+also holds the CSV writer behind every `to_csv` and the command-line
+outputs.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ def write_csv(path, header, rows):
 class LiftedSystem(NamedTuple):
     """Augmented right-hand side plus the layout of its vector."""
 
-    rhs: Callable      # (t, y) -> y'
+    rhs: Callable      # (t, y) -> y', an array or a tuple of floats
     y0: Callable       # state0 -> y(0): Phi(0) = I, Gramian(0) = 0
     split: Callable    # y or rows of y -> (state, Phi, Gramian or None)
 
@@ -77,6 +84,34 @@ def lifted_system(step, n_state, n_phi, q=None):
         return y[..., state], y[..., trans].reshape(shape), gramian
 
     return LiftedSystem(rhs, y0, split)
+
+
+def model_lift(model, q=None):
+    """The lift of `model` along its own solutions: state and Phi of size
+    dim, A = model.jac, and with `q` the Gramian block.
+
+    With an expression source the rhs is the fused compiled closure of the
+    source's field trees, which returns a tuple; where that closure leaves
+    the real domain, and for models without a source, it is the generic
+    :func:`lifted_system` rhs of (model.f, model.jac).  Both agree to
+    rounding (the fused products can differ in the last bit).
+    """
+    f, jac = model.f, model.jac
+
+    def step(e):
+        return f(e), jac(e)
+
+    generic = lifted_system(step, model.dim, model.dim, q)
+    if model.source is None:
+        return generic
+    fused = model.source.compiled_lift(model.source.f_trees, q)
+    generic_rhs = generic.rhs
+
+    def rhs(t, y):
+        values = fused(y)
+        return generic_rhs(t, y) if values is None else values
+
+    return generic._replace(rhs=rhs)
 
 
 def _check_tol(tol):
@@ -158,18 +193,14 @@ def flow(model, e0, horizon, tol=1e-9, dense=False, blowup_norm=1e8):
 
 def variational_flow(model, e0, horizon, tol=1e-9, dense=False,
                      blowup_norm=1e8):
-    """Jointly integrate the state and its transition matrix."""
+    """Jointly integrate the state and its transition matrix, through
+    :func:`model_lift`."""
     _check_tol(tol)
     n = model.dim
     e0 = np.atleast_1d(np.asarray(e0, dtype=float))
     if e0.size != n:
         raise LyapmetricError(f"initial state has size {e0.size}, expected {n}")
-    f, jac = model.f, model.jac
-
-    def step(e):
-        return f(e), jac(e)
-
-    lift = lifted_system(step, n, n)
+    lift = model_lift(model)
     sol = integrate.solve(lift.rhs, lift.y0(e0), horizon, rtol=tol,
                           dense=dense, blowup_norm=blowup_norm)
     states, phi, _ = lift.split(sol.y)

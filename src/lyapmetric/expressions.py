@@ -550,28 +550,96 @@ def _has_fractional_power(tree):
     return any(_has_fractional_power(c) for c in children)
 
 
-def compile_vector(trees, params):
-    """Compile a list of expressions into one tuple-returning closure."""
-    body = ", ".join(t.emit(params) for t in trees)
-    if len(trees) == 1:
-        body += ","
-    src = f"def _fn(_x):\n{_unpack_preamble(trees)}    return ({body})\n"
+def _compile(src):
     namespace = dict(_COMPILE_GLOBALS)
     exec(src, namespace)
-    fast = namespace["_fn"]
+    return namespace["_fn"]
+
+
+def _domain_guard(fast, trees, fallback):
+    """`fast` where its float arithmetic stays real; `fallback` on the same
+    argument where it raises a domain error or, with a fractional power
+    among `trees`, returns a complex value."""
     check_complex = any(_has_fractional_power(t) for t in trees)
 
-    def wrapped(x, _fast=fast, _trees=trees, _params=params,
-                _check=check_complex):
+    def guarded(x, _fast=fast, _fallback=fallback, _check=check_complex):
         try:
             values = _fast(x)
         except (ZeroDivisionError, ValueError, OverflowError):
-            return tuple(t.eval(x, _params) for t in _trees)
+            return _fallback(x)
         if _check and any(isinstance(v, complex) for v in values):
-            return tuple(t.eval(x, _params) for t in _trees)
+            return _fallback(x)
         return values
 
-    return wrapped
+    return guarded
+
+
+def compile_vector(trees, params):
+    """Compile a list of expressions into one tuple-returning closure.
+
+    Off the real domain of the compiled arithmetic the closure evaluates
+    the trees, which raise :class:`DomainEvaluationError` or return the
+    exact values."""
+    body = ", ".join(t.emit(params) for t in trees)
+    if len(trees) == 1:
+        body += ","
+    fast = _compile(f"def _fn(_x):\n{_unpack_preamble(trees)}"
+                    f"    return ({body})\n")
+    return _domain_guard(
+        fast, trees, lambda x: tuple(t.eval(x, params) for t in trees))
+
+
+def _linear_sum(terms):
+    """Source of sum(coefficient * name) over `terms`, a list of
+    (coefficient, name) pairs; a coefficient is a float (0.0 drops the
+    term, 1.0 the factor) or the source of a local."""
+    parts = []
+    for coef, name in terms:
+        if isinstance(coef, float):
+            if coef == 0.0:
+                continue
+            if coef == 1.0:
+                parts.append(name)
+                continue
+            coef = repr(coef)
+        parts.append(f"{coef} * {name}")
+    return " + ".join(parts) if parts else "0.0"
+
+
+def _lift_source(f_trees, jac_trees, params, q):
+    """Source of `_fn(_y)` for the lifted layout [x | Phi | G] of
+    :func:`ParsedSystem.compiled_lift`."""
+    n = len(f_trees)
+    lines = [f"    ({', '.join(f'_x{i}' for i in range(n))},"
+             f" {', '.join(f'_p{i}_{j}' for i in range(n) for j in range(n))},"
+             f" *_) = _y.tolist()\n"]
+    # Jacobian entries: constants inline, everything else one local each
+    jac = {}
+    for (i, j), tree in jac_trees.items():
+        if not tree.variables():
+            jac[i, j] = float(tree.eval((), params))
+        else:
+            lines.append(f"    _j{i}_{j} = {tree.emit(params)}\n")
+            jac[i, j] = f"_j{i}_{j}"
+    out = [t.emit(params) for t in f_trees]
+    out += [_linear_sum([(jac[i, j], f"_p{j}_{k}") for j in range(n)])
+            for i in range(n) for k in range(n)]
+    if q is not None:
+        # G' = Phi' (Q Phi); each entry of Q Phi is a local, or Phi's own
+        # name where Q's row is a unit vector
+        qphi = {}
+        for j in range(n):
+            for k in range(n):
+                terms = [(float(q[j, l]), f"_p{l}_{k}") for l in range(n)
+                         if q[j, l] != 0.0]
+                if len(terms) == 1 and terms[0][0] == 1.0:
+                    qphi[j, k] = terms[0][1]
+                else:
+                    lines.append(f"    _m{j}_{k} = {_linear_sum(terms)}\n")
+                    qphi[j, k] = f"_m{j}_{k}"
+        out += [_linear_sum([(f"_p{j}_{i}", qphi[j, k]) for j in range(n)])
+                for i in range(n) for k in range(n)]
+    return f"def _fn(_y):\n{''.join(lines)}    return ({', '.join(out)},)\n"
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +656,7 @@ class ParsedSystem:
         self.f_trees = list(f_trees)
         self.g_trees = list(g_trees)
         self.input_trees = list(input_trees)
+        self._lifts = {}   # (trees, Q entries) -> compiled_lift closure
 
     # -- compiled closures --------------------------------------------------
 
@@ -635,6 +704,41 @@ class ParsedSystem:
             return np.array(fn(x)).reshape(_m, -1)[:, slot]
 
         return hessian
+
+    def compiled_lift(self, trees, q=None):
+        """The lifted field of `trees` (one per variable) as one closure.
+
+        For y = [x | Phi | G] with Phi (dim x dim) row-major, the closure
+        returns the tuple [F(x) | J(x) Phi | Phi' Q Phi], the right-hand
+        side of :func:`dynamics.lifted_system` for this field; without `q`
+        it ends after J Phi, and G need not be present in y.  `y` is a
+        float array.  The code is scalar arithmetic: each non-constant
+        Jacobian entry is one local, constant entries and `q` are inlined
+        like parameters, and zero and unit factors are dropped, so its
+        values can differ from the matrix products of the generic lift in
+        the last bit.  Where the compiled arithmetic leaves the real
+        domain (see :func:`compile_vector`) the closure returns None, and
+        the caller evaluates the generic lift, which raises the typed
+        error.
+
+        Compiled on the first call for each (trees, q) and cached on the
+        system.
+        """
+        n = self.dim
+        if len(trees) != n:
+            raise DimensionMismatchError(
+                f"a lift needs {n} field expressions, got {len(trees)}")
+        q = None if q is None else np.asarray(q, dtype=float)
+        key = (tuple(trees), None if q is None else tuple(q.ravel().tolist()))
+        lift = self._lifts.get(key)
+        if lift is None:
+            jac_trees = {(i, j): t.diff(j) for i, t in enumerate(trees)
+                         for j in range(n)}
+            fast = _compile(_lift_source(trees, jac_trees, self.params, q))
+            lift = _domain_guard(fast, list(trees) + list(jac_trees.values()),
+                                 lambda y: None)
+            self._lifts[key] = lift
+        return lift
 
     # -- round trip ---------------------------------------------------------
 

@@ -4,10 +4,19 @@ One embedded pair, fifth-order propagation with a fourth-order error
 estimate, FSAL, and the classic quartic continuous extension.  Everything is
 deterministic given (rhs, y0, t_end, tolerances), which the certificate
 machinery relies on.
+
+The step loop spends its numpy calls on whole stage vectors only: the
+tableau rows are prebuilt, the stage times are Python floats, the error
+norm is one dot product, and one reduction checks finiteness and the
+blow-up bound of an accepted step.  An attempt whose error estimate is not
+finite (a NaN or infinity in any stage) is rejected at the smallest step
+factor; if the step then underflows, the solve ends as a blow-up, not as
+stiffness.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,6 +34,8 @@ _A[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
 _A[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]
 _A[6, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
 _B = _A[6].copy()                      # fifth-order weights (FSAL row)
+_ROWS = tuple(_A[i, :i].copy() for i in range(7))   # stage i weights
+_NODES = tuple(float(c) for c in _C)                # stage i times / h
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
                -17253 / 339200, 22 / 525, -1 / 40])   # b - b_hat
 # continuous-extension weights for the deviation polynomial
@@ -85,8 +96,11 @@ def solve(rhs, y0, t_end, rtol=1e-9, atol=None, dense=False,
     """Integrate y' = rhs(t, y) from t0 to t_end.
 
     Raises :class:`BlowUpError` when the max-norm of the state exceeds
-    `blowup_norm` and :class:`StepSizeUnderflowError` when the controller
-    drives the step below the floating floor.
+    `blowup_norm`, when y0 or rhs(t0, y0) is not finite, or when the step
+    underflows right after an attempt with a non-finite error estimate;
+    :class:`StepSizeUnderflowError` when the controller drives the step
+    below the floating floor otherwise, or after `max_steps` attempts
+    (accepted plus rejected).  `n_fev` counts the rhs calls made.
     """
     y0 = np.asarray(y0, dtype=float).copy()
     m = y0.size
@@ -100,47 +114,61 @@ def solve(rhs, y0, t_end, rtol=1e-9, atol=None, dense=False,
     coeffs = [] if dense else None
 
     if t_end == t0:
-        return OdeSolution(np.array(ts), np.array(ys), None, 0, 0, 1, 0.0)
+        return OdeSolution(np.array(ts), np.array(ys), None, 0, 0, 0, 0.0)
 
     k = np.empty((7, m))
+    heads = [k[:i] for i in range(7)]   # stage i reads k[:i]
     f0 = np.asarray(rhs(t0, y0), dtype=float)
     n_fev = 2  # includes the probe inside _initial_step
     h = _initial_step(rhs, t0, y0, f0, t_end, rtol, atol)
+    if not math.isfinite(h):
+        # a non-finite y0 or f0 makes it NaN, and a NaN step would never
+        # meet the underflow floor: it would spin through max_steps
+        raise BlowUpError(t0, float("inf"), blowup_norm)
     h = max(h, 1e-12)
+    root_m = math.sqrt(m)
 
     t, y, f = t0, y0, f0
     n_steps = n_rejected = 0
     max_err = 0.0
+    non_finite = False   # the last attempt's error estimate was not finite
 
     while t < t_end:
         remaining = t_end - t
         if remaining <= 1e-14 * max(1.0, abs(t_end)):
             break
-        if n_steps + n_rejected > max_steps:
+        if n_steps + n_rejected >= max_steps:
             raise StepSizeUnderflowError(
                 f"step budget exhausted after {max_steps} attempts")
         h = min(h, remaining)
         if h < 1e-14 * max(1.0, abs(t)):
+            if non_finite:
+                raise BlowUpError(t, float("inf"), blowup_norm)
             raise StepSizeUnderflowError(
                 f"step size underflow at t = {t:.6g} (stiffness)")
 
         k[0] = f
         for i in range(1, 7):
-            yi = y + h * (_A[i, :i] @ k[:i])
-            k[i] = rhs(t + _C[i] * h, yi)
+            yi = y + h * (_ROWS[i] @ heads[i])
+            k[i] = rhs(t + _NODES[i] * h, yi)
         n_fev += 6
         y_new = yi                      # stage 7 evaluation point is the solution
         err_vec = h * (_E @ k)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.linalg.norm(err_vec / scale) / np.sqrt(m))
+        r = err_vec / scale
+        err = math.sqrt(float(r @ r)) / root_m
+        non_finite = not math.isfinite(err)
 
-        if err <= 1.0:
+        if non_finite:
+            n_rejected += 1
+            h *= _MIN_FACTOR
+        elif err <= 1.0:
             t_new = t + h
             if abs(t_new - t_end) <= 1e-14 * max(1.0, abs(t_end)):
                 t_new = t_end
-            if not np.all(np.isfinite(y_new)):
+            norm_inf = float(np.abs(y_new).max())
+            if not math.isfinite(norm_inf):
                 raise BlowUpError(t_new, float("inf"), blowup_norm)
-            norm_inf = float(np.max(np.abs(y_new)))
             if norm_inf > blowup_norm:
                 raise BlowUpError(t_new, norm_inf, blowup_norm)
             if dense:
@@ -149,7 +177,7 @@ def solve(rhs, y0, t_end, rtol=1e-9, atol=None, dense=False,
                 coeffs.append((t, h, y.copy(), ydiff, bspl,
                                ydiff - h * k[6] - bspl, h * (_D @ k)))
             ts.append(t_new)
-            ys.append(y_new.copy())
+            ys.append(y_new)            # a fresh array: stage 6 built it
             max_err = max(max_err, err)
             t, y, f = t_new, y_new, k[6].copy()   # FSAL
             n_steps += 1

@@ -3,9 +3,11 @@
 For a scalar field the metric along solutions has a closed form
 (:func:`scalar_metric_field`): one quadrature of F, no lifted solve and no
 truncation horizon.  In any dimension four constructions share one
-augmented-integration core,
+augmented-integration layout,
 :func:`dynamics.lifted_system`; each supplies only its `step(state) ->
-(state', A)` and Q, and reads the Gramian block of the final vector:
+(state', A)` and Q, and reads the Gramian block of the final vector.  The
+metric along solutions lifts through :func:`dynamics.model_lift`, the fused
+compiled rhs for a model parsed from text:
 
 * constant Gramian at the origin        integral of exp(A's) Q exp(As)
 * metric along solutions  P(e)          integral of Phi(e,s)' Q Phi(e,s)
@@ -28,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import integrate
-from .dynamics import flow, lifted_system, write_csv
+from .dynamics import flow, lifted_system, model_lift, write_csv
 from .errors import (
     DerivativeUnreliableError,
     FalsificationError,
@@ -242,10 +244,10 @@ def gramian_at_origin(model, q=None):
 # decay-truncated Gramians: along solutions and transverse
 # ---------------------------------------------------------------------------
 
-def _decay_truncated_field(variant, step, n_state, n_phi, q, decay, tail_tol,
-                           ode_tol, horizon_cap, blowup_norm):
+def _decay_truncated_field(variant, make_lift, n_state, n_phi, q, decay,
+                           tail_tol, ode_tol, horizon_cap, blowup_norm):
     """Evaluator point -> integral over [0, T(point)] of Phi' Q Phi for the
-    lifted system of `step`.
+    lifted system `make_lift(q)`.
 
     Unless a horizon is pinned, T(point) comes from the analytic tail bound
     gain(|point|)^2 mu_max(Q) exp(-2 rate T) / (2 rate) <= tail_tol,
@@ -267,7 +269,7 @@ def _decay_truncated_field(variant, step, n_state, n_phi, q, decay, tail_tol,
                 f"{horizon:.1f} > cap {horizon_cap:.1f}")
         return horizon
 
-    lift = lifted_system(step, n_state, n_phi, q)
+    lift = make_lift(q)
 
     def evaluator(point, horizon):
         if horizon is None:
@@ -284,13 +286,10 @@ def _decay_truncated_field(variant, step, n_state, n_phi, q, decay, tail_tol,
 def solution_metric(model, q=None, decay=None, tail_tol=1e-7, ode_tol=1e-12,
                     horizon_cap=200.0):
     """Evaluator e -> P(e) = integral over [0, T(e)] of Phi' Q Phi, with
-    T(e) certified by the linearized `decay` estimate."""
-    f, jac = model.f, model.jac
-
-    def step(e):
-        return f(e), jac(e)
-
-    return _decay_truncated_field("along-solutions", step, model.dim,
+    T(e) certified by the linearized `decay` estimate.  The lift is
+    :func:`dynamics.model_lift`'s."""
+    return _decay_truncated_field("along-solutions",
+                                  lambda q: model_lift(model, q), model.dim,
                                   model.dim, q, decay, tail_tol, ode_tol,
                                   horizon_cap, blowup_norm=1e8)
 
@@ -311,9 +310,11 @@ def transverse_metric_field(model, q=None, decay=None, tail_tol=1e-7,
         on_manifold = np.concatenate([zeros_e, xd])
         return full_f(on_manifold)[n_e:], full_jac(on_manifold)[:n_e, :n_e]
 
-    return _decay_truncated_field("transverse", step, model.n_x, n_e, q,
-                                  decay, tail_tol, ode_tol, horizon_cap,
-                                  blowup_norm=1e12)
+    return _decay_truncated_field("transverse",
+                                  lambda q: lifted_system(step, model.n_x,
+                                                          n_e, q),
+                                  model.n_x, n_e, q, decay, tail_tol, ode_tol,
+                                  horizon_cap, blowup_norm=1e12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +101,19 @@ class TestRunConfig:
         with pytest.raises(SystemExit) as info:
             main([flag])
         assert info.value.code == 0
+
+    def test_module_entry_point_version(self):
+        import lyapmetric
+
+        src = str(Path(lyapmetric.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-m", "lyapmetric", "--version"],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == f"lyapmetric {lyapmetric.__version__}"
 
     @pytest.mark.parametrize("q, dim", [("1,x;0,1", 2), ("2,0;0,1", 1),
                                         ("1,2,3", 2)])

@@ -3,9 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from lyapmetric import catalog, parse_system
-from lyapmetric.dynamics import flow, transverse_flow, variational_flow
-from lyapmetric.errors import BlowUpError, LyapmetricError
+from lyapmetric import catalog, expressions, parse_system
+from lyapmetric.dynamics import (
+    flow,
+    lifted_system,
+    model_lift,
+    transverse_flow,
+    variational_flow,
+)
+from lyapmetric.errors import (
+    BlowUpError,
+    DomainEvaluationError,
+    LyapmetricError,
+)
 from lyapmetric.systems import SystemModel
 
 
@@ -189,3 +199,92 @@ def test_trajectory_csv_matrix_columns(tmp_path):
         header = fh.readline().strip().split(",")
     assert header == ["t", "e_1", "e_2",
                       "phi_11", "phi_12", "phi_21", "phi_22"]
+
+
+# -- the fused lift of a parsed model against the generic lifted_system ------
+
+EVERY_FUNCTION_TEXT = (
+    "dim = 3; a = 0.7\n"
+    "F1 = sin(x1) * exp(-x2) + a * x3^3 / (2 + cos(x2))\n"
+    "F2 = ln(2 + abs2(x1)) - log(3 + x3 ** 2) + pi * sqrt(1 + x2^2) - e\n"
+    "F3 = -x3 + x1 * x2 - (x1 - x2)^2 / 4\n"
+)
+
+
+def _generic_lift(model, q=None):
+    f, jac = model.f, model.jac
+    return lifted_system(lambda e: (f(e), jac(e)), model.dim, model.dim, q)
+
+
+def _random_spd(rng, n):
+    b = rng.normal(size=(n, n))
+    return b @ b.T + n * np.eye(n)
+
+
+@pytest.mark.parametrize("model", [
+    parse_system("dim=2; F1 = -x1 + x2^2; F2 = -2*x2 - x1*x2"),
+    catalog.get("transverse-counterexample").build().as_full_system(),
+    catalog.get("scalar-example").build(),
+    parse_system(EVERY_FUNCTION_TEXT),
+], ids=["planar", "transverse-full", "scalar-example", "every-function"])
+@pytest.mark.parametrize("with_q", [False, True], ids=["no-Q", "Q"])
+def test_fused_lift_matches_generic(model, with_q):
+    rng = np.random.default_rng(7)
+    n = model.dim
+    q = _random_spd(rng, n) if with_q else None
+    fused, generic = model_lift(model, q), _generic_lift(model, q)
+    assert model.source is not None
+    for _ in range(200):
+        y = np.concatenate([rng.uniform(-2.0, 2.0, n), rng.normal(size=n * n),
+                            rng.normal(size=n * n if with_q else 0)])
+        want = generic.rhs(0.0, y)
+        got = np.asarray(fused.rhs(0.0, y))
+        assert got.shape == want.shape
+        scale = float(np.max(np.abs(want)))
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * scale)
+
+
+@pytest.mark.parametrize("text, point", [
+    ("dim=2; F1 = -x1 + x2 / x1; F2 = -x2", [0.0, 1.0]),
+    ("dim=2; F1 = -x1 + x2 / x1; F2 = -x2", [0.5, 1.0]),
+    ("dim=2; F1 = -x1^1.5; F2 = -x2 + x1", [-0.5, 0.2]),
+    ("dim=2; F1 = -x1^1.5; F2 = -x2 + x1", [0.5, 0.2]),
+    ("dim=1; F1 = -sqrt(x1)", [0.0]),
+])
+def test_fused_lift_domain_fallback(text, point):
+    model = parse_system(text)
+    q = np.eye(model.dim)
+    fused, generic = model_lift(model, q), _generic_lift(model, q)
+    y = fused.y0(point)
+    try:
+        want = generic.rhs(0.0, y)
+    except DomainEvaluationError as exc:
+        with pytest.raises(DomainEvaluationError) as err:
+            fused.rhs(0.0, y)
+        assert str(err.value) == str(exc)
+    else:
+        np.testing.assert_array_equal(np.asarray(fused.rhs(0.0, y)), want)
+
+
+def test_fused_lift_compiles_once_per_model(monkeypatch):
+    model = parse_system("dim=2; F1 = -x1 + x2^2; F2 = -2*x2 - x1*x2")
+    compiled = []
+    real = expressions._compile
+
+    def counting(src):
+        compiled.append(src)
+        return real(src)
+
+    monkeypatch.setattr(expressions, "_compile", counting)
+    first = variational_flow(model, [0.5, 0.5], 1.0)
+    second = variational_flow(model, [0.5, 0.5], 1.0)
+    assert len(compiled) == 1
+    np.testing.assert_array_equal(first.phi, second.phi)
+
+
+def test_model_without_source_lifts_generically():
+    model = SystemModel.from_linear([[-1.0, 2.0], [0.0, -3.0]])
+    lift = model_lift(model)
+    y = lift.y0([0.3, -0.2])
+    np.testing.assert_array_equal(lift.rhs(0.0, y),
+                                  _generic_lift(model).rhs(0.0, y))
