@@ -1,8 +1,9 @@
 """Built-in example systems with independent oracles.
 
-Each entry pairs a system text with closed-form or quadrature evaluators that
-never touch the Runge-Kutta code path, so integrator/metric/geometry results
-can be checked against a genuinely separate route:
+Each registry entry is a system text with its default parameters; next to
+it the module holds closed-form or quadrature evaluators that never touch
+the Runge-Kutta code path, so integrator/metric/geometry results can be
+checked against a genuinely separate route:
 
 * ``scalar-example``              e' = -e / (1 + e^2); solutions satisfy the
                                   implicit relation y e^y = const * exp(-2t)
@@ -17,8 +18,8 @@ can be checked against a genuinely separate route:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict
+from dataclasses import dataclass
+from typing import Dict
 
 import numpy as np
 import scipy.integrate
@@ -217,10 +218,7 @@ def linear_baseline(a, q=None):
 class CatalogEntry:
     name: str
     spec_text: str
-    oracle_kind: str
     defaults: Dict[str, float]
-    tolerance: float
-    oracles: Dict[str, Callable] = field(default_factory=dict)
 
     def build(self, params=None):
         merged = dict(self.defaults)
@@ -233,27 +231,12 @@ _ENTRIES = {
     "scalar-example": CatalogEntry(
         name="scalar-example",
         spec_text=SCALAR_EXAMPLE_TEXT,
-        oracle_kind="implicit closed form",
         defaults={},
-        tolerance=1e-6,
-        oracles={
-            "state": scalar_example_oracle,
-            "transition": scalar_example_transition_oracle,
-            "metric": scalar_example_metric_oracle,
-            "jacobian": scalar_example_jacobian,
-        },
     ),
     "transverse-counterexample": CatalogEntry(
         name="transverse-counterexample",
         spec_text=COUNTEREXAMPLE_TEXT,
-        oracle_kind="nested quadrature",
         defaults={"lam": 0.5, "mu_x": 1.0},
-        tolerance=1e-6,
-        oracles={
-            "state": counterexample_state_oracle,
-            "transverse_phi": counterexample_transverse_phi_oracle,
-            "variation": counterexample_variation_oracle,
-        },
     ),
 }
 

@@ -39,7 +39,11 @@ import numpy as np
 
 from . import __version__, catalog, geometry
 from .dynamics import write_csv
-from .errors import FalsificationError, LyapmetricError
+from .errors import (
+    DimensionMismatchError,
+    FalsificationError,
+    LyapmetricError,
+)
 from .estimation import (
     estimate_gain_function,
     estimate_les,
@@ -184,17 +188,34 @@ def _parse_matrix(text, dim, flag):
     return check_positive_definite(values)
 
 
+def _read_text(path):
+    """The UTF-8 text of the file `path`; a file that cannot be read as
+    such is an operational error naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise LyapmetricError(f"'{path}' is not UTF-8 text") from None
+    except OSError as exc:
+        raise LyapmetricError(
+            f"cannot read '{path}': {exc.strerror or exc}") from None
+
+
 def _resolve_system(spec):
     """Catalog name, 'linear:<file.json>', or a path to a system text."""
     if spec in catalog.entries():
         return catalog.get(spec).build()
     if spec.startswith("linear:"):
-        payload = json.loads(Path(spec[len("linear:"):]).read_text())
-        model = SystemModel.from_linear(np.array(payload["A"], dtype=float))
-        return model
-    path = Path(spec)
-    if path.exists():
-        return parse_system(path.read_text())
+        path = spec[len("linear:"):]
+        text = _read_text(path)
+        try:
+            return SystemModel.from_linear(json.loads(text)["A"])
+        except (ValueError, KeyError, TypeError,
+                DimensionMismatchError) as exc:
+            raise LyapmetricError(
+                f"'{path}' does not hold a JSON object with a square numeric "
+                f"matrix \"A\" ({type(exc).__name__}: {exc})") from None
+    if Path(spec).exists():
+        return parse_system(_read_text(spec))
     raise LyapmetricError(
         f"unknown system '{spec}': not a catalog name, linear:<file>, or "
         "readable file")
@@ -202,7 +223,12 @@ def _resolve_system(spec):
 
 def _out_path(config, name):
     out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise LyapmetricError(
+            f"cannot use '{config.out}' as the output directory: "
+            f"{exc.strerror or exc}") from None
     return out_dir / name
 
 

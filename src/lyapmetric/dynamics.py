@@ -14,9 +14,12 @@ compiled closure (:meth:`expressions.ParsedSystem.compiled_lift`), any
 other model with the generic `lifted_system` rhs, which also serves as the
 fused closure's domain fallback and test oracle.  :func:`variational_flow`
 and :func:`metric.solution_metric` lift through it; the transverse, drift,
-closed-loop and rescaled lifts use `lifted_system` directly.  The module
-also holds the CSV writer behind every `to_csv` and the command-line
-outputs.
+closed-loop and rescaled lifts use `lifted_system` directly.  The
+transversally linear step x -> (G(0, x), dF/de(0, x)) has one builder,
+:meth:`systems.TransverseModel.manifold_step`: :func:`transverse_flow`
+lifts it next to the nonlinear pair, and
+:func:`metric.transverse_metric_field` lifts it alone.  The module also
+holds the CSV writer behind every `to_csv` and the command-line outputs.
 """
 
 from __future__ import annotations
@@ -129,8 +132,6 @@ class Trajectory:
     phi: Optional[np.ndarray] = None   # (m, n_e, n_e)
     dense: Optional[integrate.DenseOutput] = None
     n_state: int = 0
-    error_estimate: float = 0.0
-    tol: float = 0.0
 
     def state_at(self, t):
         if self.dense is None:
@@ -170,7 +171,6 @@ class TransverseTrajectory:
     x: np.ndarray          # (m, n_x)
     x_drift: np.ndarray    # (m, n_x)
     phi: np.ndarray        # (m, n_e, n_e)
-    error_estimate: float = 0.0
 
 
 def flow(model, e0, horizon, tol=1e-9, dense=False, blowup_norm=1e8):
@@ -187,8 +187,7 @@ def flow(model, e0, horizon, tol=1e-9, dense=False, blowup_norm=1e8):
     sol = integrate.solve(rhs, e0, horizon, rtol=tol, dense=dense,
                           blowup_norm=blowup_norm)
     return Trajectory(t=sol.t, states=sol.y, dense=sol.dense,
-                      n_state=model.dim, error_estimate=sol.max_error_estimate,
-                      tol=tol)
+                      n_state=model.dim)
 
 
 def variational_flow(model, e0, horizon, tol=1e-9, dense=False,
@@ -205,7 +204,7 @@ def variational_flow(model, e0, horizon, tol=1e-9, dense=False,
                           dense=dense, blowup_norm=blowup_norm)
     states, phi, _ = lift.split(sol.y)
     return Trajectory(t=sol.t, states=states, phi=phi, dense=sol.dense,
-                      n_state=n, error_estimate=sol.max_error_estimate, tol=tol)
+                      n_state=n)
 
 
 def transverse_flow(model, e0, x0, horizon, tol=1e-9, blowup_norm=1e8):
@@ -213,7 +212,9 @@ def transverse_flow(model, e0, x0, horizon, tol=1e-9, blowup_norm=1e8):
 
     The augmented system carries (e, x, x_drift, phi): the nonlinear pair
     from (e0, x0), the drift solution of x' = G(0, x) from x0, and the
-    transition phi' = dF/de(0, x_drift) phi with phi(0) = I.
+    transition phi' = dF/de(0, x_drift) phi with phi(0) = I; the drift
+    rate and the generator of phi come from
+    :meth:`systems.TransverseModel.manifold_step`.
     """
     _check_tol(tol)
     n_e, n_x = model.n_e, model.n_x
@@ -223,15 +224,12 @@ def transverse_flow(model, e0, x0, horizon, tol=1e-9, blowup_norm=1e8):
         raise LyapmetricError("initial condition dimensions disagree with model")
 
     full_f = model.full.f
-    full_jac = model.full.jac
-    zeros_e = np.zeros(n_e)
+    manifold_step = model.manifold_step()
     n_ex = n_e + n_x
 
     def step(state):
-        on_manifold = np.concatenate([zeros_e, state[n_ex:]])
-        rate = np.concatenate([full_f(state[:n_ex]),
-                               full_f(on_manifold)[n_e:]])
-        return rate, full_jac(on_manifold)[:n_e, :n_e]
+        drift, a = manifold_step(state[n_ex:])
+        return np.concatenate([full_f(state[:n_ex]), drift]), a
 
     lift = lifted_system(step, n_ex + n_x, n_e)
     sol = integrate.solve(lift.rhs, lift.y0(np.concatenate([e0, x0, x0])),
@@ -239,6 +237,4 @@ def transverse_flow(model, e0, x0, horizon, tol=1e-9, blowup_norm=1e8):
     states, phi, _ = lift.split(sol.y)
     return TransverseTrajectory(
         t=sol.t, e=states[:, :n_e], x=states[:, n_e:n_ex],
-        x_drift=states[:, n_ex:], phi=phi,
-        error_estimate=sol.max_error_estimate,
-    )
+        x_drift=states[:, n_ex:], phi=phi)

@@ -20,6 +20,7 @@ from .errors import BlowUpError, FalsificationError, LyapmetricError
 # the proofs need a rate strictly below the fitted one; this keeps the
 # envelope gains finite on increasing horizons
 _RATE_SHRINK = 0.9
+_GROWTH_CAP = 10.0  # running-sup growth per window doubling that falsifies
 
 
 @dataclass
@@ -108,14 +109,15 @@ def _fit_tail_rate(t, values, horizon):
     return -float(slope)
 
 
-def _check_window_growth(t, values, horizon, cap=10.0):
-    """True when the running sup keeps growing across two window doublings."""
+def _check_window_growth(t, values, horizon):
+    """True when the running sup grows by _GROWTH_CAP across each of two
+    window doublings."""
     sups = []
     for frac in (0.25, 0.5, 1.0):
         mask = t <= frac * horizon
         sups.append(float(np.max(values[mask])) if np.any(mask) else 0.0)
-    return sups[1] >= cap * max(sups[0], 1e-300) and \
-        sups[2] >= cap * max(sups[1], 1e-300)
+    return sups[1] >= _GROWTH_CAP * max(sups[0], 1e-300) and \
+        sups[2] >= _GROWTH_CAP * max(sups[1], 1e-300)
 
 
 def _sampled_decay(points, run, norms, horizon, claim, series, at="e0",

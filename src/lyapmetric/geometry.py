@@ -9,10 +9,11 @@ In one dimension the segment between two points is the only curve joining
 them, so their distance is the quadrature |int_a^b sqrt(p(s)) ds|; a
 quadrature that does not reach its tolerance is returned flagged.  In two
 or more dimensions distances are solved as two-point problems on the affine
-parameter [0, 1]: single shooting with a damped Newton iteration on the
-initial velocity, a multiple-shooting fallback, and as a last resort the
-straight-line length, which is only ever returned flagged as an upper bound.
-The shooting solvers also serve as the test oracle for the 1-D route.
+parameter [0, 1] by one damped-Newton shooting solver (:func:`_shoot`),
+tried with one segment (single shooting) and then with _SEGMENTS segments
+(multiple shooting); as a last resort the straight-line length is returned,
+only ever flagged as an upper bound.  Shooting also serves as the test
+oracle for the 1-D route.
 
 Every unflagged distance carries its gradient at both endpoints, by the
 first variation of length: P(b) gamma'(1) / L at the target b and
@@ -39,6 +40,11 @@ _NEWTON_MAX_ITER = 25
 _MAX_PANELS = 8192
 _CHRISTOFFEL_STEP = 1e-4  # relative central-difference step of christoffel
 _SEGMENTS = 8  # multiple-shooting segments
+# the shooting settings tried in order, before the flagged straight line:
+# (method, segments, Newton tolerance, accepted |residual|), both
+# tolerances relative to 1 + |target|
+_SHOTS = (("single-shooting", 1, _BVP_TOL, 1e-6),
+          ("multiple-shooting", _SEGMENTS, 10.0 * _BVP_TOL, 10.0 * _BVP_TOL))
 _DINI_H_SEQ = (1e-2, 5e-3, 2.5e-3)  # the Dini ladder before any halving
 _DINI_H_FLOOR = 1e-4  # smallest largest step of the Dini ladder
 _DINI_FLOW_TOL = 1e-12
@@ -106,21 +112,20 @@ def _geodesic_rhs(metric, n):
     return rhs
 
 
-def _integrate_geodesic(metric, start, velocity, s_span, tol):
-    n = start.size
+def _integrate_geodesic(metric, start, velocity, s_span):
     y0 = np.concatenate([start, velocity, [0.0]])
-    sol = integrate.solve(_geodesic_rhs(metric, n), y0, s_span, rtol=tol)
-    return sol
+    return integrate.solve(_geodesic_rhs(metric, start.size), y0, s_span,
+                           rtol=_BVP_TOL)
 
 
-def geodesic_ivp(metric, e, v, s_max, tol=1e-10):
+def geodesic_ivp(metric, e, v, s_max):
     """Integrate the geodesic starting at (e, v) up to parameter s_max."""
     e = np.atleast_1d(np.asarray(e, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if float(np.linalg.norm(v)) == 0.0:
         raise LyapmetricError("geodesic needs a nonzero initial velocity")
     n = e.size
-    sol = _integrate_geodesic(metric, e, v, float(s_max), tol)
+    sol = _integrate_geodesic(metric, e, v, float(s_max))
     points = sol.y[:, :n]
     velocities = sol.y[:, n: 2 * n]
     speeds = np.array([math.sqrt(max(float(w @ metric(g) @ w), 0.0))
@@ -201,7 +206,6 @@ def _simpson(vals):
 @dataclass
 class DistanceValue:
     value: float
-    endpoint: np.ndarray
     residual: float
     iterations: int
     flagged: bool
@@ -210,13 +214,6 @@ class DistanceValue:
     panels: int = 0
     gradient: Optional[np.ndarray] = None        # d(distance)/d(target)
     start_gradient: Optional[np.ndarray] = None  # d(distance)/d(start)
-
-
-def _shoot_endpoint(metric, start, velocity, tol):
-    """(endpoint, (length, arrival velocity)) of the geodesic on [0, 1]."""
-    sol = _integrate_geodesic(metric, start, velocity, 1.0, tol)
-    n = start.size
-    return sol.y[-1, :n], (float(sol.y[-1, 2 * n]), sol.y[-1, n: 2 * n])
 
 
 def _damped_newton(residual, z0, tol):
@@ -269,104 +266,91 @@ def _damped_newton(residual, z0, tol):
     return last
 
 
-def _single_shooting(metric, start, target, tol):
-    """Newton on the initial velocity; an iterate within 1e-6 (1 + |target|)
-    of the target is still accepted once the iterations run out.
+def _shoot(metric, start, target, segments, newton_tol, accept):
+    """Shooting over `segments` equal pieces of [0, 1]: damped Newton to
+    `newton_tol`, accepting a final |residual| <= `accept`.
 
+    The unknowns are the initial velocity u_0, then (gamma_k, u_k) at the
+    interior knots, all started on the straight line; the residuals are the
+    position and velocity jumps at the interior knots plus the final
+    position gap gamma(1) - target.  One segment is single shooting.
     Returns (initial velocity, length, |residual|, iterations, arrival
-    velocity) or None."""
-    scale = 1.0 + float(np.linalg.norm(target))
-
-    def residual(u):
-        endpoint, value = _shoot_endpoint(metric, start, u, tol)
-        return endpoint - target, value
-
-    hit = _damped_newton(residual, (target - start).astype(float),
-                         _BVP_TOL * scale)
-    if hit is None or hit[2] > 1e-6 * scale:
-        return None
-    u, (length, arrival), rnorm, iterations = hit
-    return u, length, rnorm, iterations, arrival
-
-
-def _multiple_shooting(metric, start, target, tol):
-    """Shooting over _SEGMENTS pieces; returns what _single_shooting does."""
-    # unknowns: u_0, then (gamma_k, u_k) at the interior knots; residuals:
-    # position/velocity continuity at interior knots plus the final position
+    velocity) or None.
+    """
     n = start.size
     straight = target - start
-    nodes = [start + (k / _SEGMENTS) * straight for k in range(_SEGMENTS)]
     z = np.concatenate([straight] + [
-        np.concatenate([nodes[k], straight]) for k in range(1, _SEGMENTS)])
+        np.concatenate([start + (k / segments) * straight, straight])
+        for k in range(1, segments)])
+    seg_len = 1.0 / segments
 
     def residual(zv):
         u0 = zv[:n]
         knots = [(start, u0)]
-        for k in range(1, _SEGMENTS):
+        for k in range(1, segments):
             base = n + (k - 1) * 2 * n
             knots.append((zv[base: base + n], zv[base + n: base + 2 * n]))
-        res = np.empty((2 * _SEGMENTS - 1) * n)
-        seg_len = 1.0 / _SEGMENTS
+        res = np.empty((2 * segments - 1) * n)
         total_len = 0.0
         for k, (gk, uk) in enumerate(knots):
-            sol = _integrate_geodesic(metric, gk, uk, seg_len, tol)
+            sol = _integrate_geodesic(metric, gk, uk, seg_len)
             g_end = sol.y[-1, :n]
             u_end = sol.y[-1, n: 2 * n]
             total_len += float(sol.y[-1, 2 * n])
-            if k < _SEGMENTS - 1:
+            if k < segments - 1:
                 res[2 * n * k: 2 * n * k + n] = g_end - knots[k + 1][0]
                 res[2 * n * k + n: 2 * n * (k + 1)] = u_end - knots[k + 1][1]
             else:
                 res[2 * n * k: 2 * n * k + n] = g_end - target
         return res, (total_len, u_end)
 
-    accept = 10.0 * _BVP_TOL * (1.0 + float(np.linalg.norm(target)))
-    hit = _damped_newton(residual, z, accept)
+    hit = _damped_newton(residual, z, newton_tol)
     if hit is None or hit[2] > accept:
         return None
     z, (total_len, arrival), rnorm, iterations = hit
     return z[:n], total_len, rnorm, iterations, arrival
 
 
-def _distance_between(metric, start, target, tol=1e-10):
+def _distance_between(metric, start, target):
     start = np.atleast_1d(np.asarray(start, dtype=float))
     target = np.atleast_1d(np.asarray(target, dtype=float))
     gap = float(np.linalg.norm(target - start))
     if gap == 0.0:
-        return DistanceValue(0.0, target, 0.0, 0, False, "coincident")
+        return DistanceValue(0.0, 0.0, 0, False, "coincident")
 
     if start.size == 1:
         # the segment is the only path joining two points of a line, and
         # d/db |int_a^b sqrt(p)| = sign(b - a) sqrt(p(b))
         length, panels, converged = _segment_length(metric, start, target,
-                                                    tol)
+                                                    _BVP_TOL)
         if not converged:
-            return DistanceValue(length, target, 0.0, 0, True, "quadrature",
+            return DistanceValue(length, 0.0, 0, True, "quadrature",
                                  panels=panels)
         sign = math.copysign(1.0, target[0] - start[0])
         return DistanceValue(
-            length, target, 0.0, 0, False, "quadrature", panels=panels,
+            length, 0.0, 0, False, "quadrature", panels=panels,
             gradient=sign * np.sqrt(metric(target)[0]),
             start_gradient=-sign * np.sqrt(metric(start)[0]))
 
-    for method, shoot in (("single-shooting", _single_shooting),
-                          ("multiple-shooting", _multiple_shooting)):
-        hit = shoot(metric, start, target, tol)
+    scale = 1.0 + float(np.linalg.norm(target))
+    for method, segments, newton_tol, accept in _SHOTS:
+        hit = _shoot(metric, start, target, segments, newton_tol * scale,
+                     accept * scale)
         if hit is not None:
             # first variation of length along the accepted geodesic
             u, length, rnorm, iters, arrival = hit
             return DistanceValue(
-                length, target, rnorm, iters, False, method,
+                length, rnorm, iters, False, method,
                 initial_velocity=u,
                 gradient=metric(target) @ arrival / length,
                 start_gradient=-(metric(start) @ u) / length)
 
     length = riemannian_length(metric, np.vstack([start, target]))
-    return DistanceValue(length, target, float("nan"), 0, True,
+    return DistanceValue(length, float("nan"), 0, True,
                          "straight-line-upper-bound")
 
 
-def distance_to_origin(metric, e, tol=1e-10):
+def distance_to_origin(metric, e):
     """Riemannian distance from e to the origin.
 
     Flagged results did not converge: an unconverged 1-D quadrature, or in
@@ -378,7 +362,7 @@ def distance_to_origin(metric, e, tol=1e-10):
     even where several minimizing geodesics meet.
     """
     e = np.atleast_1d(np.asarray(e, dtype=float))
-    return _distance_between(metric, np.zeros(e.size), e, tol)
+    return _distance_between(metric, np.zeros(e.size), e)
 
 
 @dataclass

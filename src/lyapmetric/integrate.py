@@ -46,6 +46,7 @@ _D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
+_ATOL_PER_RTOL = 1e-3
 
 
 class DenseOutput:
@@ -72,31 +73,32 @@ class OdeSolution:
     n_steps: int
     n_rejected: int
     n_fev: int
-    max_error_estimate: float
 
 
-def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol):
+def _initial_step(rhs, y0, f0, t_end, rtol, atol):
+    """First step size from t = 0 (t_end > 0)."""
     scale = atol + rtol * np.abs(y0)
     d0 = float(np.linalg.norm(y0 / scale) / np.sqrt(y0.size))
     d1 = float(np.linalg.norm(f0 / scale) / np.sqrt(y0.size))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, t_end - t0) if t_end > t0 else h0
+    h0 = min(h0, t_end)
     y1 = y0 + h0 * f0
-    f1 = rhs(t0 + h0, y1)
+    f1 = rhs(h0, y1)
     d2 = float(np.linalg.norm((f1 - f0) / scale) / np.sqrt(y0.size)) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, t_end - t0 if t_end > t0 else h1)
+    return min(100 * h0, h1, t_end)
 
 
-def solve(rhs, y0, t_end, rtol=1e-9, atol=None, dense=False,
-          blowup_norm=1e8, max_steps=5_000_000, t0=0.0):
-    """Integrate y' = rhs(t, y) from t0 to t_end.
+def solve(rhs, y0, t_end, rtol=1e-9, dense=False, blowup_norm=1e8,
+          max_steps=5_000_000):
+    """Integrate y' = rhs(t, y) from 0 to t_end, with the absolute
+    tolerance _ATOL_PER_RTOL * rtol.
 
     Raises :class:`BlowUpError` when the max-norm of the state exceeds
-    `blowup_norm`, when y0 or rhs(t0, y0) is not finite, or when the step
+    `blowup_norm`, when y0 or rhs(0, y0) is not finite, or when the step
     underflows right after an attempt with a non-finite error estimate;
     :class:`StepSizeUnderflowError` when the controller drives the step
     below the floating floor otherwise, or after `max_steps` attempts
@@ -104,33 +106,31 @@ def solve(rhs, y0, t_end, rtol=1e-9, atol=None, dense=False,
     """
     y0 = np.asarray(y0, dtype=float).copy()
     m = y0.size
-    if atol is None:
-        atol = 1e-3 * rtol
-    if t_end < t0:
-        raise ValueError("t_end must be >= t0 (forward integration only)")
+    atol = _ATOL_PER_RTOL * rtol
+    if t_end < 0.0:
+        raise ValueError("t_end must be >= 0 (forward integration only)")
 
-    ts = [t0]
+    ts = [0.0]
     ys = [y0.copy()]
     coeffs = [] if dense else None
 
-    if t_end == t0:
-        return OdeSolution(np.array(ts), np.array(ys), None, 0, 0, 0, 0.0)
+    if t_end == 0.0:
+        return OdeSolution(np.array(ts), np.array(ys), None, 0, 0, 0)
 
     k = np.empty((7, m))
     heads = [k[:i] for i in range(7)]   # stage i reads k[:i]
-    f0 = np.asarray(rhs(t0, y0), dtype=float)
+    f0 = np.asarray(rhs(0.0, y0), dtype=float)
     n_fev = 2  # includes the probe inside _initial_step
-    h = _initial_step(rhs, t0, y0, f0, t_end, rtol, atol)
+    h = _initial_step(rhs, y0, f0, t_end, rtol, atol)
     if not math.isfinite(h):
         # a non-finite y0 or f0 makes it NaN, and a NaN step would never
         # meet the underflow floor: it would spin through max_steps
-        raise BlowUpError(t0, float("inf"), blowup_norm)
+        raise BlowUpError(0.0, float("inf"), blowup_norm)
     h = max(h, 1e-12)
     root_m = math.sqrt(m)
 
-    t, y, f = t0, y0, f0
+    t, y, f = 0.0, y0, f0
     n_steps = n_rejected = 0
-    max_err = 0.0
     non_finite = False   # the last attempt's error estimate was not finite
 
     while t < t_end:
@@ -178,7 +178,6 @@ def solve(rhs, y0, t_end, rtol=1e-9, atol=None, dense=False,
                                ydiff - h * k[6] - bspl, h * (_D @ k)))
             ts.append(t_new)
             ys.append(y_new)            # a fresh array: stage 6 built it
-            max_err = max(max_err, err)
             t, y, f = t_new, y_new, k[6].copy()   # FSAL
             n_steps += 1
             factor = _MAX_FACTOR if err == 0.0 else min(
@@ -191,4 +190,4 @@ def solve(rhs, y0, t_end, rtol=1e-9, atol=None, dense=False,
     t_arr = np.array(ts)
     y_arr = np.array(ys)
     interp = DenseOutput(t_arr, coeffs) if dense else None
-    return OdeSolution(t_arr, y_arr, interp, n_steps, n_rejected, n_fev, max_err)
+    return OdeSolution(t_arr, y_arr, interp, n_steps, n_rejected, n_fev)

@@ -41,6 +41,7 @@ from .errors import (
 
 _SYMMETRY_TOL = 1e-10
 _H_FLOOR = 1e-6   # smallest Richardson step before the gate gives up
+_RESIDUAL_TOL = 1e-4  # residual verdict tolerance and Richardson gate
 _FLOW_TOL = 1e-12  # rtol of the short flows that difference P
 _SCALAR_QUAD_TOL = 1e-12  # epsrel of the closed-form scalar quadrature
 _SCALAR_TAIL_TOL = 1e-7   # the lifted builders' default, for step and slack
@@ -190,12 +191,12 @@ def constant_metric(p, q=None):
                        evaluator=lambda point, horizon: (p.copy(), None))
 
 
-def from_callable(fn, dim, q=None, variant="custom", point_dim=None):
-    q = np.eye(dim) if q is None else check_positive_definite(q)
-    return MetricField(dim=dim, q=q, variant=variant,
+def from_callable(fn, dim):
+    """Wrap `fn(point) -> P` as a MetricField on points of size `dim`, with
+    Q = I."""
+    return MetricField(dim=dim, q=np.eye(dim), variant="custom",
                        evaluator=lambda point, horizon:
-                       (np.atleast_2d(fn(point)), None),
-                       point_dim=point_dim)
+                       (np.atleast_2d(fn(point)), None))
 
 
 # ---------------------------------------------------------------------------
@@ -299,17 +300,10 @@ def transverse_metric_field(model, q=None, decay=None, tail_tol=1e-7,
     """Evaluator x -> P(x) for the transversally linear dynamics.
 
     The transition solves Phi' = dF/de(0, Xd) Phi along the drift
-    Xd' = G(0, Xd); `decay` must be a uniform (constant-gain) envelope for
-    that transition.
+    Xd' = G(0, Xd), the lift of :meth:`systems.TransverseModel.manifold_step`;
+    `decay` must be a uniform (constant-gain) envelope for that transition.
     """
-    n_e = model.n_e
-    full_f, full_jac = model.full.f, model.full.jac
-    zeros_e = np.zeros(n_e)
-
-    def step(xd):
-        on_manifold = np.concatenate([zeros_e, xd])
-        return full_f(on_manifold)[n_e:], full_jac(on_manifold)[:n_e, :n_e]
-
+    step, n_e = model.manifold_step(), model.n_e
     return _decay_truncated_field("transverse",
                                   lambda q: lifted_system(step, model.n_x,
                                                           n_e, q),
@@ -498,15 +492,14 @@ class ResidualReport:
                 "entries": [e.to_dict() for e in self.entries]}
 
 
-def lie_derivative(metric, model, e, h=None, gate_tol=1e-4,
-                   congruence_jac=None):
+def lie_derivative(metric, model, e, h=None, congruence_jac=None):
     """Lie derivative L_F P(e) = d_F P(e) + P J + J' P of a metric along
     `model`: (L_F P, h, disagreement).
 
     d_F P comes from one-sided differences of P along the flow at steps h
     and h/2, combined by Richardson extrapolation; the 2-norm gap between
     the two extrapolation inputs gates reliability.  While it exceeds
-    10 gate_tol, h is halved (not below 1e-6); the h that passed is
+    10 _RESIDUAL_TOL, h is halved (not below 1e-6); the h that passed is
     returned.  The default h is max(1e-4, sqrt(tail_tol)).  Every P is
     pinned to the horizon P(e) chose for itself
     (:meth:`MetricField.horizon_for`), so truncation does not leak into the
@@ -529,7 +522,7 @@ def lie_derivative(metric, model, e, h=None, gate_tol=1e-4,
         d1 = (p_h - p0) / h
         d2 = (p_h2 - p0) / (0.5 * h)
         disagreement = float(np.linalg.norm(d2 - d1, 2))
-        if disagreement <= 10.0 * gate_tol:
+        if disagreement <= 10.0 * _RESIDUAL_TOL:
             break
         if 0.5 * h < _H_FLOOR:
             raise DerivativeUnreliableError(
@@ -541,8 +534,7 @@ def lie_derivative(metric, model, e, h=None, gate_tol=1e-4,
     return (2.0 * d2 - d1) + p0 @ j + j.T @ p0, h, disagreement
 
 
-def lie_derivative_residual(metric, model, e, h=None, gate_tol=1e-4,
-                            congruence_jac=None):
+def lie_derivative_residual(metric, model, e, h=None, congruence_jac=None):
     """One residual entry R(e) = L_F P(e) + Q_eff (:func:`lie_derivative`).
 
     For the rescaled variant Q_eff = Q (1 + |dF/de(e)|^3), matching the
@@ -550,7 +542,7 @@ def lie_derivative_residual(metric, model, e, h=None, gate_tol=1e-4,
     records the Richardson step h that passed the gate.
     """
     e = np.atleast_1d(np.asarray(e, dtype=float))
-    lie, h, disagreement = lie_derivative(metric, model, e, h, gate_tol,
+    lie, h, disagreement = lie_derivative(metric, model, e, h,
                                           congruence_jac)
     q_eff = metric.q
     if metric.variant == "rescaled":
@@ -562,12 +554,13 @@ def lie_derivative_residual(metric, model, e, h=None, gate_tol=1e-4,
                          h=h, disagreement=disagreement)
 
 
-def residual_report(metric, model, points, tolerance=1e-4,
-                    congruence_jac=None):
-    entries = [lie_derivative_residual(metric, model, p, gate_tol=tolerance,
+def residual_report(metric, model, points, congruence_jac=None):
+    """Residual entries on `points`, passing when every max eigenvalue is at
+    most _RESIDUAL_TOL."""
+    entries = [lie_derivative_residual(metric, model, p,
                                        congruence_jac=congruence_jac)
                for p in np.atleast_2d(np.asarray(points, dtype=float))]
-    return ResidualReport(entries=entries, tolerance=tolerance,
+    return ResidualReport(entries=entries, tolerance=_RESIDUAL_TOL,
                           variant=metric.variant)
 
 

@@ -104,8 +104,8 @@ class PotentialU:
         return value
 
 
-def construct_U(metric, g_model, w, base_point=None, sample_points=None):
-    """U(w) with dU/dw = (P g)' and U(base) = 0.
+def construct_U(metric, g_model, w, sample_points=None):
+    """U(w) with dU/dw = (P g)' and U(0) = 0.
 
     When `sample_points` are given, the closedness of the one-form is
     checked there first; a violation means no potential exists on that
@@ -117,7 +117,7 @@ def construct_U(metric, g_model, w, base_point=None, sample_points=None):
             raise ClosednessError(
                 f"the one-form P(w) g(w) is not closed (residual {sup:.3g}); "
                 "no potential exists on this domain", witness=witness)
-    return PotentialU(metric, g_model, base_point)(w)
+    return PotentialU(metric, g_model)(w)
 
 
 @dataclass

@@ -71,12 +71,12 @@ class SystemModel:
         )
 
     @staticmethod
-    def from_linear(a, name="linear"):
-        """Exact linear model e' = A e."""
+    def from_linear(a):
+        """Exact linear model e' = A e, named "linear"."""
         a = np.array(a, dtype=float)
-        n = a.shape[0]
-        if a.shape != (n, n):
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatchError("A must be square")
+        n = a.shape[0]
         zeros = np.zeros((n, n, n))
         return SystemModel(
             dim=n,
@@ -85,7 +85,7 @@ class SystemModel:
             hess=lambda x, _z=zeros: _z.copy(),
             smoothness="C4",
             equilibrium_at_origin=True,
-            name=name,
+            name="linear",
         )
 
     def jet2(self, point):
@@ -170,6 +170,20 @@ class TransverseModel:
 
     def dg_dx(self, e, x):
         return self.full.jac(self._join(e, x))[self.n_e:, self.n_e:]
+
+    def manifold_step(self):
+        """x -> (G(0, x), dF/de(0, x)): the drift on the invariant set and
+        the transverse Jacobian there, one :func:`dynamics.lifted_system`
+        step of the transversally linear dynamics."""
+        n_e = self.n_e
+        full_f, full_jac = self.full.f, self.full.jac
+        zeros_e = np.zeros(n_e)
+
+        def step(x):
+            on_manifold = np.concatenate([zeros_e, x])
+            return full_f(on_manifold)[n_e:], full_jac(on_manifold)[:n_e, :n_e]
+
+        return step
 
     def hess_blocks(self, e, x):
         """Component Hessians of the combined field at (e, x)."""

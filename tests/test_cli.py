@@ -168,6 +168,35 @@ class TestAnalyze:
                      "--out", str(tmp_path)])
         assert code == 1
 
+    @pytest.mark.parametrize("case", [
+        "missing", "malformed-json", "no-A", "non-numeric-A", "scalar-A",
+        "directory", "not-utf8", "out-is-file"])
+    def test_file_errors_are_operational_errors(self, case, tmp_path,
+                                                capsys):
+        # an unreadable or malformed file ends as "error: ...", naming it
+        path = tmp_path / "input"
+        system, out = f"linear:{path}", tmp_path / "out"
+        if case == "directory":
+            path.mkdir()
+            system = str(path)
+        elif case == "not-utf8":
+            path.write_bytes(b"dim = 1\nF1 = -x1 \xff\n")
+            system = str(path)
+        elif case == "out-is-file":
+            path.write_bytes(b"")
+            system, out = "scalar-example", path
+        elif case != "missing":
+            path.write_bytes({"malformed-json": b"{",
+                              "no-A": b'{"B": [[-1.0]]}',
+                              "non-numeric-A": b'{"A": "x"}',
+                              "scalar-A": b'{"A": 5}'}[case])
+        code = main(["metric", "--system", system, "--variant", "origin",
+                     "--grid", "0.5", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(path) in err
+
 
 class TestMetricCommand:
     def test_origin_variant_writes_dump(self, tmp_path):

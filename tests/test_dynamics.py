@@ -114,6 +114,18 @@ def test_transverse_phi_against_quadrature_oracle():
         assert traj.phi[i, 0, 0] == pytest.approx(ref, abs=1e-6)
 
 
+def test_manifold_step_is_drift_and_transverse_jacobian():
+    # the one step that the transverse flow and metric both lift
+    model = catalog.get("transverse-counterexample").build(
+        {"lam": 2.0, "mu_x": 1.0})
+    step = model.manifold_step()
+    for x in (0.5, -1.3):
+        drift, a = step(np.array([x]))
+        assert np.array_equal(drift, model.g_block(np.zeros(1), [x]))
+        assert np.array_equal(a, model.df_de(np.zeros(1), [x]))
+        assert a[0, 0] == pytest.approx(-(2.0 + x * math.sin(x)), rel=1e-15)
+
+
 def test_transverse_decoupled_case_matches_single_system():
     # F independent of x: the transverse transition equals the plain one
     model = parse_system("dim=2; e_dim=1; F1 = -x1; G1 = x2")

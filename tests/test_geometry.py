@@ -25,6 +25,25 @@ def scalar_setup():
     return model, tab
 
 
+def _shoot(field, start, target, segments):
+    """geometry._shoot with the dispatcher's tolerances for `segments`."""
+    scale = 1.0 + float(np.linalg.norm(target))
+    [(newton_tol, accept)] = [(tol, acc) for _, k, tol, acc in geometry._SHOTS
+                              if k == segments]
+    return geometry._shoot(field, start, target, segments, newton_tol * scale,
+                           accept * scale)
+
+
+def _fail_shots(monkeypatch, *failing):
+    """Make every shooting attempt with a segment count in `failing` fail."""
+    shoot = geometry._shoot
+    monkeypatch.setattr(
+        geometry, "_shoot",
+        lambda metric, start, target, segments, *tols:
+        None if segments in failing
+        else shoot(metric, start, target, segments, *tols))
+
+
 def _u(a):
     # arc length of the x1-axis under diag(1 + x1^2, 1): the map
     # (x1, x2) -> (u(x1), x2) is an isometry onto the Euclidean plane
@@ -171,25 +190,38 @@ class TestDistanceToOrigin:
 
 class TestShootingFallbacks:
     def test_multiple_shooting_matches_closed_form(self, quadratic_1d_metric):
-        hit = geometry._multiple_shooting(quadratic_1d_metric, np.zeros(1),
-                                          np.array([1.5]), 1e-10)
+        hit = _shoot(quadratic_1d_metric, np.zeros(1), np.array([1.5]),
+                     geometry._SEGMENTS)
         assert hit is not None
         ref = 0.5 * (1.5 * math.sqrt(1 + 2.25) + math.asinh(1.5))
         assert hit[1] == pytest.approx(ref, abs=1e-9)
 
-    def test_multiple_matches_single_on_curved_2d(self):
+    @staticmethod
+    def _curved_metric():
         def p(x):
             a, b = float(x[0]), float(x[1])
             return np.array([[1.0 + 0.5 * a * a, 0.1 * a * b],
                              [0.1 * a * b, 1.0 + 0.5 * b * b]])
 
-        field = from_callable(p, dim=2)
+        return from_callable(p, dim=2)
+
+    def test_multiple_matches_single_on_curved_2d(self):
+        field = self._curved_metric()
         target = np.array([0.9, 0.7])
-        single = geometry._single_shooting(field, np.zeros(2), target, 1e-10)
-        multiple = geometry._multiple_shooting(field, np.zeros(2), target,
-                                               1e-10)
+        single = _shoot(field, np.zeros(2), target, 1)
+        multiple = _shoot(field, np.zeros(2), target, geometry._SEGMENTS)
         assert single is not None and multiple is not None
         assert multiple[1] == pytest.approx(single[1], abs=1e-9)
+
+    @pytest.mark.parametrize("target, value", [
+        ((0.9, 0.7), 1.2131272676547578), ((-1.2, 0.4), 1.3970206223234773)])
+    def test_single_shooting_golden_values(self, target, value):
+        # pinned bit for bit: single shooting is the one-segment shot, and
+        # its values and Newton counts must not drift
+        d = geometry.distance_to_origin(self._curved_metric(), target)
+        assert d.method == "single-shooting"
+        assert d.value == value
+        assert d.iterations == 4
 
     # diag(1 + x1^2, 1): the x1-axis is a geodesic (x2 -> -x2 symmetry), so
     # the distance to (1.5, 0) has the closed form of the 1-D quadratic metric
@@ -199,8 +231,7 @@ class TestShootingFallbacks:
             lambda x: np.diag([1.0 + float(x[0]) ** 2, 1.0]), dim=2)
 
     def test_dispatcher_falls_back_to_multiple(self, monkeypatch):
-        monkeypatch.setattr(geometry, "_single_shooting",
-                            lambda *args, **kwargs: None)
+        _fail_shots(monkeypatch, 1)
         d = geometry.distance_to_origin(self._product_metric(), [1.5, 0.0])
         assert not d.flagged
         assert d.method == "multiple-shooting"
@@ -208,10 +239,7 @@ class TestShootingFallbacks:
         assert d.value == pytest.approx(ref, abs=1e-8)
 
     def test_dispatcher_flags_straight_line_upper_bound(self, monkeypatch):
-        monkeypatch.setattr(geometry, "_single_shooting",
-                            lambda *args, **kwargs: None)
-        monkeypatch.setattr(geometry, "_multiple_shooting",
-                            lambda *args, **kwargs: None)
+        _fail_shots(monkeypatch, 1, geometry._SEGMENTS)
         d = geometry.distance_to_origin(self._product_metric(), [1.5, 0.0])
         assert d.flagged
         assert d.method == "straight-line-upper-bound"
@@ -246,7 +274,7 @@ class TestOneDimensionalQuadrature:
         for start, target in ((0.0, 0.5), (0.0, 1.5), (0.0, -2.0),
                               (0.3, 1.1)):
             start, target = np.array([start]), np.array([target])
-            hit = geometry._single_shooting(field, start, target, 1e-10)
+            hit = _shoot(field, start, target, 1)
             assert hit is not None
             d = geometry._distance_between(field, start, target)
             assert d.method == "quadrature"
@@ -312,10 +340,7 @@ class TestFirstVariation:
                                                       monkeypatch):
         assert geometry.distance_to_origin(quadratic_1d_metric,
                                            [0.0]).gradient is None
-        monkeypatch.setattr(geometry, "_single_shooting",
-                            lambda *args, **kwargs: None)
-        monkeypatch.setattr(geometry, "_multiple_shooting",
-                            lambda *args, **kwargs: None)
+        _fail_shots(monkeypatch, 1, geometry._SEGMENTS)
         d = geometry.distance_to_origin(
             TestShootingFallbacks._product_metric(), [1.5, 0.0])
         assert d.flagged and d.gradient is None and d.start_gradient is None
