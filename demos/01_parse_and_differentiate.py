@@ -34,7 +34,7 @@ print("  dF/de(0, x=2)    =", tm.df_de(np.zeros(1), x))
 print("  dG/dx(0, x=2)    =", tm.dg_dx(np.zeros(1), x))
 
 print("\n== jets agree with central differences ==")
-full = tm.as_full_system()
+full = tm.full
 rng = np.random.default_rng(0)
 worst = 0.0
 for _ in range(50):

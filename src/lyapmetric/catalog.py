@@ -1,6 +1,6 @@
 """Built-in example systems with independent oracles.
 
-Each registry entry is a system text with its default parameters; next to
+Each registry entry is a system text that declares its parameters; next to
 it the module holds closed-form or quadrature evaluators that never touch
 the Runge-Kutta code path, so integrator/metric/geometry results can be
 checked against a genuinely separate route:
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict
 
 import numpy as np
 import scipy.integrate
@@ -218,25 +217,21 @@ def linear_baseline(a, q=None):
 class CatalogEntry:
     name: str
     spec_text: str
-    defaults: Dict[str, float]
 
     def build(self, params=None):
-        merged = dict(self.defaults)
-        if params:
-            merged.update(params)
-        return parse_system(self.spec_text, params=merged)
+        """Parse the entry's text; `params` override the values it
+        declares."""
+        return parse_system(self.spec_text, params=params)
 
 
 _ENTRIES = {
     "scalar-example": CatalogEntry(
         name="scalar-example",
         spec_text=SCALAR_EXAMPLE_TEXT,
-        defaults={},
     ),
     "transverse-counterexample": CatalogEntry(
         name="transverse-counterexample",
         spec_text=COUNTEREXAMPLE_TEXT,
-        defaults={"lam": 0.5, "mu_x": 1.0},
     ),
 }
 

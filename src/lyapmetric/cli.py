@@ -106,10 +106,6 @@ class RunConfig:
     def to_dict(self):
         return asdict(self)
 
-    @staticmethod
-    def from_dict(data):
-        return RunConfig(**data)
-
     # -- parsed views --------------------------------------------------------
 
     def radii_values(self):
@@ -322,15 +318,10 @@ def _metric_inequality(config, model):
     """Build the configured metric, check L_F P + Q <= 0 on the grid and
     take its eigenvalue envelopes: (field, grid, payload, verdict)."""
     field = _build_metric(config, model)
-    if config.variant == "transverse":
-        grid = config.grid_points(model.n_x)
-        flow_model = model.drift_field()
-        congruence = lambda x: model.df_de(np.zeros(model.n_e), x)  # noqa: E731
-        report = residual_report(field, flow_model, grid,
-                                 congruence_jac=congruence)
-    else:
-        grid = config.grid_points(model.dim)
-        report = residual_report(field, model, grid)
+    transverse = config.variant == "transverse"
+    grid = config.grid_points(field.point_dim)
+    report = residual_report(
+        field, model.manifold_step() if transverse else model, grid)
     bounds = metric_bounds(field, config.radii_values(),
                            n_samples=config.samples, seed=config.seed)
     payload = {"residuals": report.to_dict(), "bounds": bounds.to_dict()}
@@ -401,7 +392,7 @@ def cmd_certify(config):
         # the lifted full system must contract in its e-rows first
         try:
             estimate_linearized_decay(
-                model.as_full_system(), config.radii_values(),
+                model.full, config.radii_values(),
                 n_samples=config.samples, horizon=config.horizon,
                 tol=config.tol, seed=config.seed, row_block=model.n_e)
         except FalsificationError as exc:

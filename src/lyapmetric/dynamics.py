@@ -13,13 +13,14 @@ A model's own lift, A = dF/de along e' = F(e), has one selector,
 compiled closure (:meth:`expressions.ParsedSystem.compiled_lift`), any
 other model with the generic `lifted_system` rhs, which also serves as the
 fused closure's domain fallback and test oracle.  :func:`variational_flow`
-and :func:`metric.solution_metric` lift through it; the transverse, drift,
-closed-loop and rescaled lifts use `lifted_system` directly.  The
-transversally linear step x -> (G(0, x), dF/de(0, x)) has one builder,
-:meth:`systems.TransverseModel.manifold_step`: :func:`transverse_flow`
-lifts it next to the nonlinear pair, and
-:func:`metric.transverse_metric_field` lifts it alone.  The module also
-holds the CSV writer behind every `to_csv` and the command-line outputs.
+and :func:`metric.solution_metric` lift through it; the transverse and
+rescaled lifts use `lifted_system` directly.  The transversally linear
+system x' = G(0, x), Phi' = dF/de(0, x) Phi is one object,
+:class:`systems.ManifoldStep`: :func:`transverse_flow` lifts it next to
+the nonlinear pair, :func:`metric.transverse_metric_field` lifts it alone,
+and :func:`flow` reads it as a model whose field is the drift.  The module
+also holds the CSV writer behind every `to_csv` and the command-line
+outputs.
 """
 
 from __future__ import annotations
@@ -174,7 +175,8 @@ class TransverseTrajectory:
 
 
 def flow(model, e0, horizon, tol=1e-9, dense=False, blowup_norm=1e8):
-    """Integrate e' = F(e) from e0 over [0, horizon]."""
+    """Integrate e' = F(e) from e0 over [0, horizon]; reads `model.dim` and
+    `model.f` only."""
     _check_tol(tol)
     e0 = np.atleast_1d(np.asarray(e0, dtype=float))
     if e0.size != model.dim:

@@ -357,6 +357,4 @@ def jacobian_norm_majorant(model, radii, n_samples=64, seed=0):
     def majorant(s, _radii=radii, _values=values):
         return float(np.interp(abs(float(s)), _radii, _values))
 
-    majorant.radii = radii
-    majorant.values = values
     return majorant

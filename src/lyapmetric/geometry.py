@@ -413,22 +413,16 @@ def dini_derivative_V(metric, model, e, gate_tol=1e-3):
                         v_at_point=v0.value, flagged=flagged, h=h_seq[0])
 
 
-def dini_decrease_bound(metric, v_value, e_norm, form="provable"):
+def dini_decrease_bound(metric, v_value, e_norm):
     """Certified decrease rate for V at a point with |e| = e_norm.
 
-    The default comes out of the Cauchy-Schwarz chain
+    It comes out of the Cauchy-Schwarz chain
     D+V <= -mu_min(Q) |e|^2 / (2 V) <= -mu_min(Q) V / (2 p_upper(|e|))
     and is tight for linear systems (equality along the top eigendirection
-    of a constant metric).  `form="sqrt"` gives the stronger variant with
-    sqrt(p_upper); it holds whenever p_upper <= 1 and on the scalar catalog
-    entry at its reference points, but fails on constant metrics with
-    p_upper > 1, so it never gates a certificate.
+    of a constant metric).
     """
     q_min = float(np.min(np.linalg.eigvalsh(metric.q)))
-    p_up = metric.p_upper(e_norm)
-    if form == "sqrt":
-        return -q_min * v_value / (2.0 * math.sqrt(p_up))
-    return -q_min * v_value / (2.0 * p_up)
+    return -q_min * v_value / (2.0 * metric.p_upper(e_norm))
 
 
 @dataclass

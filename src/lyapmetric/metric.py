@@ -18,7 +18,10 @@ compiled rhs for a model parsed from text:
 
 plus the residual machinery that checks the matrix inequality
 L_F P(e) <= -Q by flow-aligned differencing of P (:func:`lie_derivative`,
-the one gated Lie derivative behind every such check in the package).
+the one gated Lie derivative behind every such check in the package).  The
+transverse inequality is checked along the transversally linear system
+itself (:class:`systems.ManifoldStep`), whose field is the drift and whose
+`jac` is the generator dF/de(0, x) of its transition.
 """
 
 from __future__ import annotations
@@ -300,8 +303,10 @@ def transverse_metric_field(model, q=None, decay=None, tail_tol=1e-7,
     """Evaluator x -> P(x) for the transversally linear dynamics.
 
     The transition solves Phi' = dF/de(0, Xd) Phi along the drift
-    Xd' = G(0, Xd), the lift of :meth:`systems.TransverseModel.manifold_step`;
-    `decay` must be a uniform (constant-gain) envelope for that transition.
+    Xd' = G(0, Xd), the lift of the transversally linear system
+    :meth:`systems.TransverseModel.manifold_step`; its residual is checked
+    along the same object.  `decay` must be a uniform (constant-gain)
+    envelope for that transition.
     """
     step, n_e = model.manifold_step(), model.n_e
     return _decay_truncated_field("transverse",
@@ -492,9 +497,16 @@ class ResidualReport:
                 "entries": [e.to_dict() for e in self.entries]}
 
 
-def lie_derivative(metric, model, e, h=None, congruence_jac=None):
+def lie_derivative(metric, model, e, h=None):
     """Lie derivative L_F P(e) = d_F P(e) + P J + J' P of a metric along
     `model`: (L_F P, h, disagreement).
+
+    `model` supplies `dim` and `f`, the flow along which P is differenced,
+    and `jac`, the generator J of the transition Phi' = J Phi that enters
+    the congruence P J + J' P.  For a :class:`systems.SystemModel` J is its
+    Jacobian; for the transversally linear system
+    (:class:`systems.ManifoldStep`) the flow is the drift G(0, x) and J is
+    dF/de(0, x).
 
     d_F P comes from one-sided differences of P along the flow at steps h
     and h/2, combined by Richardson extrapolation; the 2-norm gap between
@@ -504,10 +516,6 @@ def lie_derivative(metric, model, e, h=None, congruence_jac=None):
     pinned to the horizon P(e) chose for itself
     (:meth:`MetricField.horizon_for`), so truncation does not leak into the
     differences.
-
-    `congruence_jac` overrides the matrix J entering the congruence terms;
-    the transverse inequality flows P along the drift but congruences with
-    dF/de(0, x).
     """
     e = np.atleast_1d(np.asarray(e, dtype=float))
     if h is None:
@@ -530,11 +538,11 @@ def lie_derivative(metric, model, e, h=None, congruence_jac=None):
                 f"differ by {disagreement:.3g} at h = {h:.3g}")
         h = 0.5 * h
 
-    j = model.jac(e) if congruence_jac is None else congruence_jac(e)
+    j = model.jac(e)
     return (2.0 * d2 - d1) + p0 @ j + j.T @ p0, h, disagreement
 
 
-def lie_derivative_residual(metric, model, e, h=None, congruence_jac=None):
+def lie_derivative_residual(metric, model, e, h=None):
     """One residual entry R(e) = L_F P(e) + Q_eff (:func:`lie_derivative`).
 
     For the rescaled variant Q_eff = Q (1 + |dF/de(e)|^3), matching the
@@ -542,8 +550,7 @@ def lie_derivative_residual(metric, model, e, h=None, congruence_jac=None):
     records the Richardson step h that passed the gate.
     """
     e = np.atleast_1d(np.asarray(e, dtype=float))
-    lie, h, disagreement = lie_derivative(metric, model, e, h,
-                                          congruence_jac)
+    lie, h, disagreement = lie_derivative(metric, model, e, h)
     q_eff = metric.q
     if metric.variant == "rescaled":
         q_eff = metric.q * (1.0 + float(np.linalg.norm(model.jac(e), 2)) ** 3)
@@ -554,11 +561,10 @@ def lie_derivative_residual(metric, model, e, h=None, congruence_jac=None):
                          h=h, disagreement=disagreement)
 
 
-def residual_report(metric, model, points, congruence_jac=None):
+def residual_report(metric, model, points):
     """Residual entries on `points`, passing when every max eigenvalue is at
     most _RESIDUAL_TOL."""
-    entries = [lie_derivative_residual(metric, model, p,
-                                       congruence_jac=congruence_jac)
+    entries = [lie_derivative_residual(metric, model, p)
                for p in np.atleast_2d(np.asarray(points, dtype=float))]
     return ResidualReport(entries=entries, tolerance=_RESIDUAL_TOL,
                           variant=metric.variant)

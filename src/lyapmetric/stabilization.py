@@ -28,6 +28,7 @@ _FD_STEP = 1e-5          # relative step of the closedness differences
 _QUAD_TOL = 1e-10        # relative tolerance of the potential quadrature
 _DECREASE_TOL = 1e-6     # conditions 1 and the closed-loop replay
 _KILLING_TOL = 1e-8      # condition 2
+_EXPORT_POINTS = 101     # grid size of a tabulated potential export
 
 
 def killing_residual(metric, g_model, w):
@@ -265,8 +266,9 @@ def export_closed_loop(control_sys, metric, gain):
     return parsed.to_text()
 
 
-def tabulate_potential(potential, lo, hi, n_points=101):
-    """Grid samples of U for export when no expression form exists.
+def tabulate_potential(potential, lo, hi):
+    """Grid samples of U at _EXPORT_POINTS points, for export when no
+    expression form exists.
 
     Returns (grid, values, metadata); the metadata names the interpolation
     contract for consumers.
@@ -275,9 +277,9 @@ def tabulate_potential(potential, lo, hi, n_points=101):
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     if lo.size != 1:
         raise LyapmetricError("tabulated export is one-dimensional")
-    grid = np.linspace(float(lo[0]), float(hi[0]), int(n_points))
+    grid = np.linspace(float(lo[0]), float(hi[0]), _EXPORT_POINTS)
     values = np.array([potential(np.array([g])) for g in grid])
     meta = {"interpolation": "cubic-spline", "columns": ["w", "U"],
             "base_point": [float(v) for v in potential.base_point],
-            "points": int(n_points)}
+            "points": _EXPORT_POINTS}
     return grid, values, meta

@@ -5,11 +5,17 @@ All models are immutable after construction and hold plain callables, so they
 are safe to evaluate concurrently.  Models built from specification text
 compile their field, Jacobian and component Hessians from the symbolic
 derivatives of their expression trees, and round-trip back to text.
+
+A two-block model has one first-order object on its invariant set, the
+transversally linear system x' = G(0, x), Phi' = dF/de(0, x) Phi
+(:class:`ManifoldStep`, from :meth:`TransverseModel.manifold_step`): the
+transverse lifts call it as a step, and the flow and residual checks read
+it as a model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -43,9 +49,7 @@ class SystemModel:
     f: Callable[[np.ndarray], np.ndarray]
     jac: Callable[[np.ndarray], np.ndarray]
     hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    smoothness: str = "C2"
     equilibrium_at_origin: bool = True
-    name: str = ""
     source: Optional[expressions.ParsedSystem] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -56,7 +60,7 @@ class SystemModel:
                     f"model declared equilibrium-at-origin but |F(0)| = {residual:.3g}")
 
     @staticmethod
-    def from_parsed(parsed, name=""):
+    def from_parsed(parsed):
         trees = parsed.f_trees
         f = parsed.compiled_field(trees)
         return SystemModel(
@@ -64,15 +68,13 @@ class SystemModel:
             f=f,
             jac=parsed.compiled_jacobian(trees),
             hess=parsed.compiled_hessian(trees),
-            smoothness="C4",
             equilibrium_at_origin=_looks_like_equilibrium(f, parsed.dim),
-            name=name,
             source=parsed,
         )
 
     @staticmethod
     def from_linear(a):
-        """Exact linear model e' = A e, named "linear"."""
+        """Exact linear model e' = A e."""
         a = np.array(a, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatchError("A must be square")
@@ -83,16 +85,13 @@ class SystemModel:
             f=lambda x, _a=a: _a @ np.asarray(x, dtype=float),
             jac=lambda x, _a=a: _a.copy(),
             hess=lambda x, _z=zeros: _z.copy(),
-            smoothness="C4",
             equilibrium_at_origin=True,
-            name="linear",
         )
 
     def jet2(self, point):
         """Value, Jacobian and component Hessians at `point`."""
         if self.hess is None:
-            raise LyapmetricError(
-                f"second derivatives unavailable ({self.smoothness} model)")
+            raise LyapmetricError("second derivatives unavailable (C1 model)")
         x = np.asarray(point, float)
         return Jet(self.f(x), self.jac(x), self.hess(x))
 
@@ -115,8 +114,9 @@ class TransverseModel:
     """Coupled pair e' = F(e, x), x' = G(e, x) with F(0, x) = 0.
 
     The set {e = 0} is then invariant.  Implemented as a view onto the
-    combined field on (e, x); block slices give the partials used by the
-    bound-constant estimates and the transverse transition flow.
+    combined field `full` on (e, x); block slices give the partials used by
+    the bound-constant estimates, and :meth:`manifold_step` the
+    transversally linear system on {e = 0}.
     """
 
     n_e: int
@@ -134,13 +134,13 @@ class TransverseModel:
                     "F(0, x) must vanish: {e = 0} is not invariant")
 
     @staticmethod
-    def from_parsed(parsed, name=""):
+    def from_parsed(parsed):
         n_e = parsed.e_dim
         combined = expressions.ParsedSystem(
             parsed.dim, None, parsed.params,
             parsed.f_trees + parsed.g_trees, [], [])
-        full = SystemModel.from_parsed(combined, name=name)
-        full = _replace_equilibrium_flag(full, False)
+        full = replace(SystemModel.from_parsed(combined),
+                       equilibrium_at_origin=False)
         return TransverseModel(n_e=n_e, n_x=parsed.dim - n_e, full=full,
                                source=parsed)
 
@@ -172,18 +172,8 @@ class TransverseModel:
         return self.full.jac(self._join(e, x))[self.n_e:, self.n_e:]
 
     def manifold_step(self):
-        """x -> (G(0, x), dF/de(0, x)): the drift on the invariant set and
-        the transverse Jacobian there, one :func:`dynamics.lifted_system`
-        step of the transversally linear dynamics."""
-        n_e = self.n_e
-        full_f, full_jac = self.full.f, self.full.jac
-        zeros_e = np.zeros(n_e)
-
-        def step(x):
-            on_manifold = np.concatenate([zeros_e, x])
-            return full_f(on_manifold)[n_e:], full_jac(on_manifold)[:n_e, :n_e]
-
-        return step
+        """The transversally linear system on {e = 0}."""
+        return ManifoldStep(self.n_e, self.n_x, self.full)
 
     def hess_blocks(self, e, x):
         """Component Hessians of the combined field at (e, x)."""
@@ -191,30 +181,40 @@ class TransverseModel:
             raise LyapmetricError("second derivatives unavailable (C1 model)")
         return self.full.hess(self._join(e, x))
 
-    def as_full_system(self):
-        """The combined field on (e, x) as a plain model."""
-        return self.full
 
-    def drift_field(self):
-        """x' = G(0, x), the dynamics on the invariant set."""
-        n_e, n_x = self.n_e, self.n_x
-        full = self.full
+class ManifoldStep:
+    """The transversally linear system of a two-block model on its
+    invariant set: x' = G(0, x) with Phi' = dF/de(0, x) Phi.
 
-        def f(x):
-            return full.f(np.concatenate([np.zeros(n_e), np.asarray(x, float)]))[n_e:]
+    `s(x)` returns (G(0, x), dF/de(0, x)), one :func:`dynamics.lifted_system`
+    step; the transverse flow and metric lift it.  `dim` (= n_x), `f` and
+    `jac` are what :func:`dynamics.flow` and :func:`metric.lie_derivative`
+    read from a model: the flow is the drift, and `jac` is the generator of
+    Phi that enters the congruence P A + A' P, not the drift's own
+    Jacobian dG/dx.  Each call evaluates the combined field at one
+    on-manifold point (0, x).
+    """
 
-        def jac(x):
-            return full.jac(np.concatenate([np.zeros(n_e), np.asarray(x, float)]))[n_e:, n_e:]
+    __slots__ = ("dim", "_n_e", "_zeros_e", "_full_f", "_full_jac")
 
-        return SystemModel(dim=n_x, f=f, jac=jac, hess=None, smoothness="C1",
-                           equilibrium_at_origin=False, name="drift")
+    def __init__(self, n_e, n_x, full):
+        self.dim = n_x
+        self._n_e = n_e
+        self._zeros_e = np.zeros(n_e)
+        self._full_f, self._full_jac = full.f, full.jac
 
+    def __call__(self, x):
+        n_e = self._n_e
+        on_manifold = np.concatenate([self._zeros_e, x])
+        return (self._full_f(on_manifold)[n_e:],
+                self._full_jac(on_manifold)[:n_e, :n_e])
 
-def _replace_equilibrium_flag(model, flag):
-    return SystemModel(
-        dim=model.dim, f=model.f, jac=model.jac, hess=model.hess,
-        smoothness=model.smoothness, equilibrium_at_origin=flag,
-        name=model.name, source=model.source)
+    def f(self, x):
+        return self._full_f(np.concatenate([self._zeros_e, x]))[self._n_e:]
+
+    def jac(self, x):
+        n_e = self._n_e
+        return self._full_jac(np.concatenate([self._zeros_e, x]))[:n_e, :n_e]
 
 
 @dataclass(frozen=True)
@@ -230,16 +230,16 @@ class ControlSystem:
             raise DimensionMismatchError("drift/input dimensions disagree")
 
     @staticmethod
-    def from_parsed(parsed, name=""):
+    def from_parsed(parsed):
         if parsed.e_dim is not None:
             raise DimensionMismatchError("controlled systems use a single block")
         drift_parsed = expressions.ParsedSystem(
             parsed.dim, None, parsed.params, parsed.f_trees, [], [])
         input_parsed = expressions.ParsedSystem(
             parsed.dim, None, parsed.params, parsed.input_trees, [], [])
-        drift = SystemModel.from_parsed(drift_parsed, name=name)
-        gfield = SystemModel.from_parsed(input_parsed, name=f"{name}:g")
-        gfield = _replace_equilibrium_flag(gfield, False)
+        drift = SystemModel.from_parsed(drift_parsed)
+        gfield = replace(SystemModel.from_parsed(input_parsed),
+                         equilibrium_at_origin=False)
         return ControlSystem(dim=parsed.dim, drift=drift, input_field=gfield)
 
     def closed_loop(self, control):
@@ -258,6 +258,5 @@ class ControlSystem:
             du = control.gradient(w)
             return f.jac(w) + u * g.jac(w) + np.outer(g.f(w), du)
 
-        return SystemModel(dim=self.dim, f=field, jac=jacobian, hess=None,
-                           smoothness="C1", equilibrium_at_origin=False,
-                           name="closed-loop")
+        return SystemModel(dim=self.dim, f=field, jac=jacobian,
+                           equilibrium_at_origin=False)

@@ -138,8 +138,10 @@ def test_criterion_5_riemannian_lyapunov(scalar_model, scalar_geometry):
 
             dini = geometry.dini_derivative_V(scalar_geometry, scalar_model, [e])
             assert not dini.flagged
-            bound = geometry.dini_decrease_bound(
-                scalar_geometry, dini.v_at_point, e, form="sqrt")
+            # the sqrt(p_upper) envelope also holds on this system
+            q_min = float(np.min(np.linalg.eigvalsh(scalar_geometry.q)))
+            bound = -q_min * dini.v_at_point / (
+                2.0 * math.sqrt(scalar_geometry.p_upper(e)))
             assert dini.value <= bound + 1e-3
 
 
@@ -149,7 +151,7 @@ def test_criterion_6_transverse_counterexample():
 
         # slow transverse regime: the lifted response never settles
         slow = catalog.get("transverse-counterexample").build(
-            {"lam": 0.5, "mu_x": 1.0}).as_full_system()
+            {"lam": 0.5, "mu_x": 1.0}).full
         traj = variational_flow(slow, [1.0, 1.0], 10.0, tol=1e-4,
                                 blowup_norm=1e9)
         # integrated states carry an absolute noise floor of ~10 x atol
@@ -161,7 +163,7 @@ def test_criterion_6_transverse_counterexample():
 
         # fast transverse regime: the response decays below 1e-2 by t = 10
         fast = catalog.get("transverse-counterexample").build(
-            {"lam": 2.0, "mu_x": 1.0}).as_full_system()
+            {"lam": 2.0, "mu_x": 1.0}).full
         traj_f = variational_flow(fast, [1.0, 1.0], 10.0, tol=1e-4,
                                   blowup_norm=1e9)
         assert abs(traj_f.phi[-1, 0, 1]) < 1e-2
@@ -238,7 +240,7 @@ def test_criterion_8_property_suites(scalar_model, tmp_path):
 
         # jet gradients vs central differences at 1e-6 relative
         planar = catalog.get("transverse-counterexample").build(
-            {"lam": 1.0, "mu_x": 1.0}).as_full_system()
+            {"lam": 1.0, "mu_x": 1.0}).full
         for model in (scalar_model, planar):
             n = model.dim
             for _ in range(10):

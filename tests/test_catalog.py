@@ -69,7 +69,7 @@ class TestCounterexampleOracle:
         for lam in (0.5, 2.0):
             model = catalog.get("transverse-counterexample").build(
                 {"lam": lam, "mu_x": 1.0})
-            traj = flow(model.as_full_system(), [1.0, 1.0], 3.0, tol=1e-10)
+            traj = flow(model.full, [1.0, 1.0], 3.0, tol=1e-10)
             for tq in (0.5, 1.5, 3.0):
                 i = int(np.argmin(np.abs(traj.t - tq)))
                 e_num, x_num = traj.states[i]
@@ -82,7 +82,7 @@ class TestCounterexampleOracle:
         for lam in (0.5, 2.0):
             model = catalog.get("transverse-counterexample").build(
                 {"lam": lam, "mu_x": 1.0})
-            traj = variational_flow(model.as_full_system(), [1.0, 1.0], 3.0, tol=1e-10)
+            traj = variational_flow(model.full, [1.0, 1.0], 3.0, tol=1e-10)
             delta0 = np.array([0.25, 1.0])
             for tq in (1.0, 2.0, 3.0):
                 i = int(np.argmin(np.abs(traj.t - tq)))

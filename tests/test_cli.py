@@ -19,7 +19,7 @@ class TestRunConfig:
     def test_round_trip(self):
         cfg = RunConfig(command="analyze", system="scalar-example",
                         radii="0.5,1", samples=3, out="/tmp/x", seed=5)
-        again = RunConfig.from_dict(cfg.to_dict())
+        again = RunConfig(**cfg.to_dict())
         assert again == cfg
 
     def test_rejects_bad_values(self):

@@ -41,7 +41,7 @@ def test_counterexample_envelope():
     # |E| <= exp((cos 1 + 1)/mu_x) exp(-lam t) |e0| for the x0 = 1 family
     lam, mu_x = 1.0, 1.0
     model = catalog.get("transverse-counterexample").build(
-        {"lam": lam, "mu_x": mu_x}).as_full_system()
+        {"lam": lam, "mu_x": mu_x}).full
     gain = catalog.counterexample_uniform_gain(mu_x)
     traj = flow(model, [1.0, 1.0], 3.0, tol=1e-9, blowup_norm=1e9)
     bound = gain * np.exp(-lam * traj.t)
@@ -115,14 +115,19 @@ def test_transverse_phi_against_quadrature_oracle():
 
 
 def test_manifold_step_is_drift_and_transverse_jacobian():
-    # the one step that the transverse flow and metric both lift
+    # the one object that the transverse flow and metric both lift, and
+    # that the residual check reads as a model: s(x) = (s.f(x), s.jac(x))
     model = catalog.get("transverse-counterexample").build(
         {"lam": 2.0, "mu_x": 1.0})
     step = model.manifold_step()
-    for x in (0.5, -1.3):
-        drift, a = step(np.array([x]))
+    assert step.dim == model.n_x
+    for x in (0.5, -1.3, 0.0, 2.7):
+        point = np.array([x])
+        drift, a = step(point)
         assert np.array_equal(drift, model.g_block(np.zeros(1), [x]))
         assert np.array_equal(a, model.df_de(np.zeros(1), [x]))
+        assert np.array_equal(drift, step.f(point))
+        assert np.array_equal(a, step.jac(point))
         assert a[0, 0] == pytest.approx(-(2.0 + x * math.sin(x)), rel=1e-15)
 
 
@@ -141,7 +146,7 @@ def test_transverse_decoupled_case_matches_single_system():
 def test_variation_no_decay_demo():
     # slow transverse regime: the lifted response to dx0 never settles
     model = catalog.get("transverse-counterexample").build(
-        {"lam": 0.5, "mu_x": 1.0}).as_full_system()
+        {"lam": 0.5, "mu_x": 1.0}).full
     traj = variational_flow(model, [1.0, 1.0], 10.0, tol=2e-3, blowup_norm=1e9)
     de = np.abs(traj.phi[:, 0, 1])
     i01 = int(np.argmin(np.abs(traj.t - 0.1)))
@@ -235,7 +240,7 @@ def _random_spd(rng, n):
 
 @pytest.mark.parametrize("model", [
     parse_system("dim=2; F1 = -x1 + x2^2; F2 = -2*x2 - x1*x2"),
-    catalog.get("transverse-counterexample").build().as_full_system(),
+    catalog.get("transverse-counterexample").build().full,
     catalog.get("scalar-example").build(),
     parse_system(EVERY_FUNCTION_TEXT),
 ], ids=["planar", "transverse-full", "scalar-example", "every-function"])

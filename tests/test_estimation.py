@@ -135,7 +135,7 @@ class TestLinearizedDecay:
         model = catalog.get("transverse-counterexample").build(
             {"lam": 0.5, "mu_x": 1.0})
         with pytest.raises(FalsificationError) as err:
-            estimate_linearized_decay(model.as_full_system(), [1.0],
+            estimate_linearized_decay(model.full, [1.0],
                                       n_samples=2, horizon=6.0, tol=1e-6,
                                       row_block=1)
         assert err.value.witness is not None
@@ -143,7 +143,7 @@ class TestLinearizedDecay:
     def test_counterexample_fast_regime_passes(self):
         model = catalog.get("transverse-counterexample").build(
             {"lam": 2.0, "mu_x": 1.0})
-        est = estimate_linearized_decay(model.as_full_system(), [1.0],
+        est = estimate_linearized_decay(model.full, [1.0],
                                         n_samples=2, horizon=6.0, tol=1e-6,
                                         row_block=1)
         assert est.rate > 0.0

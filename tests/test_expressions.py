@@ -79,7 +79,7 @@ def test_gradient_matches_central_differences():
     rng = np.random.default_rng(7)
     for text in (SCALAR, LINEAR, PLANAR):
         model = parse_system(text)
-        full = model.as_full_system() if hasattr(model, "as_full_system") else model
+        full = getattr(model, "full", model)
         n = full.dim
         for _ in range(20):
             x = rng.uniform(-2.0, 2.0, n)
@@ -96,7 +96,7 @@ def test_gradient_matches_central_differences():
 
 
 def test_hessian_exactly_symmetric():
-    model = parse_system(PLANAR).as_full_system()
+    model = parse_system(PLANAR).full
     rng = np.random.default_rng(11)
     for _ in range(20):
         x = rng.uniform(-3.0, 3.0, 2)
@@ -109,7 +109,7 @@ def test_hessian_matches_jacobian_differences():
     h = 1e-5
     for text in (PLANAR, SCALAR):
         model = parse_system(text)
-        model = model.as_full_system() if hasattr(model, "as_full_system") else model
+        model = getattr(model, "full", model)
         n = model.dim
         for _ in range(20):
             x = rng.uniform(-3.0, 3.0, n)
@@ -163,9 +163,10 @@ def test_linear_model_jet_has_zero_hessians():
 
 
 def test_c1_model_jet_is_rejected():
-    drift = parse_system(PLANAR).drift_field()
+    # a model built without Hessians is C1, whoever built it
+    model = SystemModel(dim=1, f=lambda x: -x, jac=lambda x: -np.eye(1))
     with pytest.raises(LyapmetricError, match="C1"):
-        drift.jet2([0.5])
+        model.jet2([0.5])
 
 
 def test_pretty_print_round_trip():

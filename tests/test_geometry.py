@@ -383,8 +383,9 @@ class TestDini:
             bound = geometry.dini_decrease_bound(tab, dini.v_at_point, e)
             assert dini.value <= bound + 1e-3
             # the sharper sqrt-envelope variant also holds on this system
-            sqrt_bound = geometry.dini_decrease_bound(
-                tab, dini.v_at_point, e, form="sqrt")
+            q_min = float(np.min(np.linalg.eigvalsh(tab.q)))
+            sqrt_bound = -q_min * dini.v_at_point / (
+                2.0 * math.sqrt(tab.p_upper(e)))
             assert dini.value <= sqrt_bound + 1e-3
 
     def test_dini_vanishes_at_origin(self, scalar_setup):

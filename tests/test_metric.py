@@ -327,6 +327,23 @@ class TestLieDerivativeResidual:
         assert entry.disagreement <= 10.0 * 1e-4
         assert entry.max_eigenvalue <= 1e-4
 
+    def test_transverse_entries_are_pinned(self):
+        # the residual along the transversally linear system: P is
+        # differenced along the drift and congruenced with dF/de(0, x).
+        # Values recorded on the lam = 2 counterexample (demo 06's setup)
+        model = catalog.get("transverse-counterexample").build(
+            {"lam": 2.0, "mu_x": 1.0})
+        decay = estimate_transverse_decay(model, ([-1.0], [1.0]),
+                                          n_samples=2, horizon=6.0)
+        field = transverse_metric_field(model, decay=decay, tail_tol=1e-6)
+        report = residual_report(field, model.manifold_step(),
+                                 [[0.5], [1.0]])
+        assert [(e.max_eigenvalue, e.h, e.disagreement)
+                for e in report.entries] == [
+            (1.9700464819472074e-06, 0.001, 1.3337644599875631e-05),
+            (1.6492747847429712e-06, 0.001, 1.16323266574625e-05)]
+        assert report.verdict == "pass"
+
     def test_report_serializes(self, scalar_model, scalar_field):
         report = residual_report(scalar_field, scalar_model, [[1.0]])
         data = report.to_dict()

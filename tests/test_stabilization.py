@@ -235,8 +235,8 @@ class TestExport:
         from lyapmetric.stabilization import PotentialU
 
         pot = PotentialU(unit_metric, cs.input_field)
-        grid, values, meta = tabulate_potential(pot, [-1.0], [1.0], 21)
-        assert len(grid) == len(values) == 21
+        grid, values, meta = tabulate_potential(pot, [-1.0], [1.0])
+        assert len(grid) == len(values) == meta["points"] == 101
         assert meta["interpolation"] == "cubic-spline"
         # U(w) = sin(w) here
         mid = np.argmin(np.abs(grid - 0.5))
