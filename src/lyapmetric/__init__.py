@@ -4,7 +4,7 @@ certificates for nonlinear ODE systems."""
 __version__ = "0.1.0"
 
 from . import catalog, dynamics, estimation, geometry, metric, stabilization
-from .dynamics import Trajectory, TransverseTrajectory, flow, transverse_flow, variational_flow
+from .dynamics import Trajectory, flow, transverse_flow, variational_flow
 from .errors import (
     BlowUpError,
     ClosednessError,
@@ -62,8 +62,7 @@ __all__ = [
     "parse_expression", "parse_spec_text", "parse_system",
     "SystemModel", "TransverseModel", "ControlSystem",
     # flows
-    "flow", "variational_flow", "transverse_flow",
-    "Trajectory", "TransverseTrajectory",
+    "flow", "variational_flow", "transverse_flow", "Trajectory",
     # estimation
     "DecayEstimate", "BoundConstants",
     "estimate_les", "estimate_gain_function", "estimate_linearized_decay",

@@ -175,8 +175,8 @@ def _parse_matrix(text, dim, flag):
         return np.eye(dim)
     values = _parse_rows(text, flag)
     if ";" not in text and values.size == 1:
-        return values[0, 0] * np.eye(dim)
-    if ";" not in text and values.size == dim * dim:
+        values = values[0, 0] * np.eye(dim)
+    elif ";" not in text and values.size == dim * dim:
         values = values.reshape(dim, dim)
     if values.shape != (dim, dim):
         raise LyapmetricError(

@@ -16,9 +16,12 @@ fused closure's domain fallback and test oracle.  :func:`variational_flow`
 and :func:`metric.solution_metric` lift through it; the transverse and
 rescaled lifts use `lifted_system` directly.  The transversally linear
 system x' = G(0, x), Phi' = dF/de(0, x) Phi is one object,
-:class:`systems.ManifoldStep`: :func:`transverse_flow` lifts it next to
-the nonlinear pair, :func:`metric.transverse_metric_field` lifts it alone,
-and :func:`flow` reads it as a model whose field is the drift.  The module
+:class:`systems.ManifoldStep`, with one lift: :func:`transverse_flow`
+solves it, :func:`metric.transverse_metric_field` solves it with its
+Gramian block, and :func:`flow` reads the object as a model whose field is
+the drift.  Both :func:`variational_flow` and :func:`transverse_flow` go
+through one helper that solves a lift into a :class:`Trajectory`.  The
+nonlinear pair (e, x) is a plain :func:`flow` of `model.full`.  The module
 also holds the CSV writer behind every `to_csv` and the command-line
 outputs.
 """
@@ -108,7 +111,7 @@ def model_lift(model, q=None):
     generic = lifted_system(step, model.dim, model.dim, q)
     if model.source is None:
         return generic
-    fused = model.source.compiled_lift(model.source.f_trees, q)
+    fused = model.source.compiled_lift(q)
     generic_rhs = generic.rhs
 
     def rhs(t, y):
@@ -158,29 +161,18 @@ class Trajectory:
         write_csv(path, header, np.hstack(blocks))
 
 
-@dataclass
-class TransverseTrajectory:
-    """Nonlinear pair (E, X) plus the drift solution and transverse Phi.
-
-    x_drift solves x' = G(0, x) from the same x0; phi solves
-    phi' = dF/de(0, x_drift) phi, the transition of the transversally
-    linear dynamics.
-    """
-
-    t: np.ndarray
-    e: np.ndarray          # (m, n_e)
-    x: np.ndarray          # (m, n_x)
-    x_drift: np.ndarray    # (m, n_x)
-    phi: np.ndarray        # (m, n_e, n_e)
+def _initial_state(state0, n, tol):
+    _check_tol(tol)
+    state0 = np.atleast_1d(np.asarray(state0, dtype=float))
+    if state0.size != n:
+        raise LyapmetricError(f"initial state has size {state0.size}, expected {n}")
+    return state0
 
 
 def flow(model, e0, horizon, tol=1e-9, dense=False, blowup_norm=1e8):
     """Integrate e' = F(e) from e0 over [0, horizon]; reads `model.dim` and
     `model.f` only."""
-    _check_tol(tol)
-    e0 = np.atleast_1d(np.asarray(e0, dtype=float))
-    if e0.size != model.dim:
-        raise LyapmetricError(f"initial state has size {e0.size}, expected {model.dim}")
+    e0 = _initial_state(e0, model.dim, tol)
     f = model.f
 
     def rhs(t, y):
@@ -192,51 +184,30 @@ def flow(model, e0, horizon, tol=1e-9, dense=False, blowup_norm=1e8):
                       n_state=model.dim)
 
 
+def _lifted_flow(lift, state0, n_state, horizon, tol, dense, blowup_norm):
+    """Solve a lift from `state0` into a Trajectory with its Phi."""
+    state0 = _initial_state(state0, n_state, tol)
+    sol = integrate.solve(lift.rhs, lift.y0(state0), horizon, rtol=tol,
+                          dense=dense, blowup_norm=blowup_norm)
+    states, phi, _ = lift.split(sol.y)
+    return Trajectory(t=sol.t, states=states, phi=phi, dense=sol.dense,
+                      n_state=n_state)
+
+
 def variational_flow(model, e0, horizon, tol=1e-9, dense=False,
                      blowup_norm=1e8):
     """Jointly integrate the state and its transition matrix, through
     :func:`model_lift`."""
-    _check_tol(tol)
-    n = model.dim
-    e0 = np.atleast_1d(np.asarray(e0, dtype=float))
-    if e0.size != n:
-        raise LyapmetricError(f"initial state has size {e0.size}, expected {n}")
-    lift = model_lift(model)
-    sol = integrate.solve(lift.rhs, lift.y0(e0), horizon, rtol=tol,
-                          dense=dense, blowup_norm=blowup_norm)
-    states, phi, _ = lift.split(sol.y)
-    return Trajectory(t=sol.t, states=states, phi=phi, dense=sol.dense,
-                      n_state=n)
+    return _lifted_flow(model_lift(model), e0, model.dim, horizon, tol,
+                        dense, blowup_norm)
 
 
-def transverse_flow(model, e0, x0, horizon, tol=1e-9, blowup_norm=1e8):
-    """Nonlinear (E, X) flow plus the transverse transition matrix.
-
-    The augmented system carries (e, x, x_drift, phi): the nonlinear pair
-    from (e0, x0), the drift solution of x' = G(0, x) from x0, and the
-    transition phi' = dF/de(0, x_drift) phi with phi(0) = I; the drift
-    rate and the generator of phi come from
-    :meth:`systems.TransverseModel.manifold_step`.
-    """
-    _check_tol(tol)
-    n_e, n_x = model.n_e, model.n_x
-    e0 = np.atleast_1d(np.asarray(e0, dtype=float))
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if e0.size != n_e or x0.size != n_x:
-        raise LyapmetricError("initial condition dimensions disagree with model")
-
-    full_f = model.full.f
-    manifold_step = model.manifold_step()
-    n_ex = n_e + n_x
-
-    def step(state):
-        drift, a = manifold_step(state[n_ex:])
-        return np.concatenate([full_f(state[:n_ex]), drift]), a
-
-    lift = lifted_system(step, n_ex + n_x, n_e)
-    sol = integrate.solve(lift.rhs, lift.y0(np.concatenate([e0, x0, x0])),
-                          horizon, rtol=tol, blowup_norm=blowup_norm)
-    states, phi, _ = lift.split(sol.y)
-    return TransverseTrajectory(
-        t=sol.t, e=states[:, :n_e], x=states[:, n_e:n_ex],
-        x_drift=states[:, n_ex:], phi=phi)
+def transverse_flow(model, x0, horizon, tol=1e-9, blowup_norm=1e8):
+    """The drift x' = G(0, x) from x0 and the transverse transition
+    Phi' = dF/de(0, x) Phi, Phi(0) = I: the lift of the transversally
+    linear system :meth:`systems.TransverseModel.manifold_step`, the one
+    that :func:`metric.transverse_metric_field` integrates.  `states` is
+    the drift and `phi` the transition."""
+    lift = lifted_system(model.manifold_step(), model.n_x, model.n_e)
+    return _lifted_flow(lift, x0, model.n_x, horizon, tol, False,
+                        blowup_norm)

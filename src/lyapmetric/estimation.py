@@ -259,13 +259,18 @@ def estimate_linearized_decay(model, radii, n_samples=8, horizon=10.0,
 def estimate_transverse_decay(model, x_box, n_samples=8, horizon=8.0,
                               tol=1e-9, seed=0):
     """Uniform envelope for the transverse transition over drift initial
-    conditions sampled from `x_box` = (lo, hi)."""
+    conditions sampled from `x_box` = (lo, hi).
+
+    Each sample solves :func:`dynamics.transverse_flow`, the lift of
+    :meth:`systems.TransverseModel.manifold_step` that
+    :func:`metric.transverse_metric_field` integrates, so the envelope
+    certifying the metric's truncation comes from the same system.
+    """
     lo, hi = x_box
     points = sampling.box_points(lo, hi, n_samples, seed)
-    zero_e = np.zeros(model.n_e)
     rate, sups = _sampled_decay(
         points,
-        lambda x0: transverse_flow(model, zero_e, x0, horizon, tol=tol,
+        lambda x0: transverse_flow(model, x0, horizon, tol=tol,
                                    blowup_norm=1e12),
         _phi_norms, horizon, claim="transverse linearized decay",
         series="|Phi|", at="x0")

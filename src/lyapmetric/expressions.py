@@ -656,20 +656,20 @@ class ParsedSystem:
         self.f_trees = list(f_trees)
         self.g_trees = list(g_trees)
         self.input_trees = list(input_trees)
-        self._lifts = {}   # (trees, Q entries) -> compiled_lift closure
+        self._lifts = {}   # Q entries -> compiled_lift closure
 
     # -- compiled closures --------------------------------------------------
 
-    def compiled_field(self, trees):
-        fn = compile_vector(trees, self.params)
+    def compiled_field(self):
+        fn = compile_vector(self.f_trees, self.params)
 
         def field(x, _fn=fn):
             return np.array(_fn(x))
 
         return field
 
-    def compiled_jacobian(self, trees):
-        n = self.dim
+    def compiled_jacobian(self):
+        n, trees = self.dim, self.f_trees
         rows = [[t.diff(j) for j in range(n)] for t in trees]
         fn = compile_vector([d for row in rows for d in row], self.params)
         m = len(trees)
@@ -679,13 +679,14 @@ class ParsedSystem:
 
         return jacobian
 
-    def compiled_hessian(self, trees):
-        """Component Hessians, shape (len(trees), dim, dim).
+    def compiled_hessian(self):
+        """Component Hessians of the field, shape (len(f_trees), dim, dim).
 
-        Compiles ``trees[k].diff(i).diff(j)`` for i <= j on the first call
+        Compiles ``f_trees[k].diff(i).diff(j)`` for i <= j on the first call
         and mirrors the upper triangle, so every Hessian is exactly symmetric.
         """
-        n, m = self.dim, len(trees)
+        n, trees = self.dim, self.f_trees
+        m = len(trees)
 
         @functools.cache
         def compiled():
@@ -705,8 +706,8 @@ class ParsedSystem:
 
         return hessian
 
-    def compiled_lift(self, trees, q=None):
-        """The lifted field of `trees` (one per variable) as one closure.
+    def compiled_lift(self, q=None):
+        """The lifted field of `f_trees` (one per variable) as one closure.
 
         For y = [x | Phi | G] with Phi (dim x dim) row-major, the closure
         returns the tuple [F(x) | J(x) Phi | Phi' Q Phi], the right-hand
@@ -721,15 +722,11 @@ class ParsedSystem:
         the caller evaluates the generic lift, which raises the typed
         error.
 
-        Compiled on the first call for each (trees, q) and cached on the
-        system.
+        Compiled on the first call for each q and cached on the system.
         """
-        n = self.dim
-        if len(trees) != n:
-            raise DimensionMismatchError(
-                f"a lift needs {n} field expressions, got {len(trees)}")
+        n, trees = self.dim, self.f_trees
         q = None if q is None else np.asarray(q, dtype=float)
-        key = (tuple(trees), None if q is None else tuple(q.ravel().tolist()))
+        key = None if q is None else tuple(q.ravel().tolist())
         lift = self._lifts.get(key)
         if lift is None:
             jac_trees = {(i, j): t.diff(j) for i, t in enumerate(trees)

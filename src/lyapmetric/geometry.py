@@ -206,11 +206,9 @@ def _simpson(vals):
 @dataclass
 class DistanceValue:
     value: float
-    residual: float
     iterations: int
     flagged: bool
     method: str
-    initial_velocity: Optional[np.ndarray] = None
     panels: int = 0
     gradient: Optional[np.ndarray] = None        # d(distance)/d(target)
     start_gradient: Optional[np.ndarray] = None  # d(distance)/d(start)
@@ -274,8 +272,8 @@ def _shoot(metric, start, target, segments, newton_tol, accept):
     interior knots, all started on the straight line; the residuals are the
     position and velocity jumps at the interior knots plus the final
     position gap gamma(1) - target.  One segment is single shooting.
-    Returns (initial velocity, length, |residual|, iterations, arrival
-    velocity) or None.
+    Returns (initial velocity, length, iterations, arrival velocity) or
+    None.
     """
     n = start.size
     straight = target - start
@@ -307,8 +305,8 @@ def _shoot(metric, start, target, segments, newton_tol, accept):
     hit = _damped_newton(residual, z, newton_tol)
     if hit is None or hit[2] > accept:
         return None
-    z, (total_len, arrival), rnorm, iterations = hit
-    return z[:n], total_len, rnorm, iterations, arrival
+    z, (total_len, arrival), _, iterations = hit
+    return z[:n], total_len, iterations, arrival
 
 
 def _distance_between(metric, start, target):
@@ -316,7 +314,7 @@ def _distance_between(metric, start, target):
     target = np.atleast_1d(np.asarray(target, dtype=float))
     gap = float(np.linalg.norm(target - start))
     if gap == 0.0:
-        return DistanceValue(0.0, 0.0, 0, False, "coincident")
+        return DistanceValue(0.0, 0, False, "coincident")
 
     if start.size == 1:
         # the segment is the only path joining two points of a line, and
@@ -324,11 +322,11 @@ def _distance_between(metric, start, target):
         length, panels, converged = _segment_length(metric, start, target,
                                                     _BVP_TOL)
         if not converged:
-            return DistanceValue(length, 0.0, 0, True, "quadrature",
+            return DistanceValue(length, 0, True, "quadrature",
                                  panels=panels)
         sign = math.copysign(1.0, target[0] - start[0])
         return DistanceValue(
-            length, 0.0, 0, False, "quadrature", panels=panels,
+            length, 0, False, "quadrature", panels=panels,
             gradient=sign * np.sqrt(metric(target)[0]),
             start_gradient=-sign * np.sqrt(metric(start)[0]))
 
@@ -338,16 +336,14 @@ def _distance_between(metric, start, target):
                      accept * scale)
         if hit is not None:
             # first variation of length along the accepted geodesic
-            u, length, rnorm, iters, arrival = hit
+            u, length, iters, arrival = hit
             return DistanceValue(
-                length, rnorm, iters, False, method,
-                initial_velocity=u,
+                length, iters, False, method,
                 gradient=metric(target) @ arrival / length,
                 start_gradient=-(metric(start) @ u) / length)
 
     length = riemannian_length(metric, np.vstack([start, target]))
-    return DistanceValue(length, float("nan"), 0, True,
-                         "straight-line-upper-bound")
+    return DistanceValue(length, 0, True, "straight-line-upper-bound")
 
 
 def distance_to_origin(metric, e):
@@ -368,8 +364,6 @@ def distance_to_origin(metric, e):
 @dataclass
 class DiniEstimate:
     value: float
-    quotients: dict
-    extrapolants: tuple
     v_at_point: float
     flagged: bool
     h: float
@@ -409,8 +403,8 @@ def dini_derivative_V(metric, model, e, gate_tol=1e-3):
                 f"Dini estimate unreliable at e = {e}: extrapolants differ "
                 f"by {abs(r2 - r1):.3g} at h = {h_seq[0]:.3g}")
         h_seq = [0.5 * h for h in h_seq]
-    return DiniEstimate(value=r2, quotients=quotients, extrapolants=(r1, r2),
-                        v_at_point=v0.value, flagged=flagged, h=h_seq[0])
+    return DiniEstimate(value=r2, v_at_point=v0.value, flagged=flagged,
+                        h=h_seq[0])
 
 
 def dini_decrease_bound(metric, v_value, e_norm):

@@ -54,12 +54,17 @@ _MAX_CHUNKS = 40          # rescaled horizon cap, in chunks
 
 
 def check_positive_definite(q):
+    """The symmetric part of `q`, which must be finite and positive
+    definite (Cholesky reads one triangle only, so it factors that part)."""
     q = np.asarray(q, dtype=float)
+    if not np.all(np.isfinite(q)):
+        raise LyapmetricError("Q must have finite entries")
+    sym = 0.5 * (q + q.T)
     try:
-        np.linalg.cholesky(q)
+        np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
         raise LyapmetricError("Q must be symmetric positive definite") from None
-    return 0.5 * (q + q.T)
+    return sym
 
 
 def _symmetrize(raw):

@@ -61,13 +61,12 @@ class SystemModel:
 
     @staticmethod
     def from_parsed(parsed):
-        trees = parsed.f_trees
-        f = parsed.compiled_field(trees)
+        f = parsed.compiled_field()
         return SystemModel(
             dim=parsed.dim,
             f=f,
-            jac=parsed.compiled_jacobian(trees),
-            hess=parsed.compiled_hessian(trees),
+            jac=parsed.compiled_jacobian(),
+            hess=parsed.compiled_hessian(),
             equilibrium_at_origin=_looks_like_equilibrium(f, parsed.dim),
             source=parsed,
         )

@@ -130,6 +130,15 @@ class TestRunConfig:
         cfg = RunConfig(command="x", system="s", q="2,0;0,1")
         assert np.array_equal(cfg.q_matrix(2), np.diag([2.0, 1.0]))
 
+    def test_non_finite_q_is_operational_error(self, tmp_path, capsys):
+        # Cholesky does not raise on NaN, so a NaN Q once passed certify
+        code = main(["certify", "--system", "scalar-example", "--grid=1",
+                     "--samples", "2", "--radii", "1", "--Q", "nan",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Q ")
+
 
 class TestAnalyze:
     def test_scalar_example_passes(self, tmp_path):

@@ -107,7 +107,7 @@ def test_cocycle_property_nonlinear(scalar_model):
 def test_transverse_phi_against_quadrature_oracle():
     model = catalog.get("transverse-counterexample").build(
         {"lam": 0.5, "mu_x": 1.0})
-    traj = transverse_flow(model, [1.0], [1.0], 2.5, tol=1e-10)
+    traj = transverse_flow(model, [1.0], 2.5, tol=1e-10)
     for tq in (0.8, 1.6, 2.5):
         i = int(np.argmin(np.abs(traj.t - tq)))
         ref = catalog.counterexample_transverse_phi_oracle(1.0, traj.t[i], 0.5, 1.0)
@@ -134,7 +134,7 @@ def test_manifold_step_is_drift_and_transverse_jacobian():
 def test_transverse_decoupled_case_matches_single_system():
     # F independent of x: the transverse transition equals the plain one
     model = parse_system("dim=2; e_dim=1; F1 = -x1; G1 = x2")
-    traj = transverse_flow(model, [1.0], [0.5], 1.5, tol=1e-10)
+    traj = transverse_flow(model, [0.5], 1.5, tol=1e-10)
     single = parse_system("dim=1; F1 = -x1")
     ref = variational_flow(single, [1.0], 1.5, tol=1e-10, dense=True)
     for tq in (0.5, 1.0, 1.5):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lyapmetric import catalog, parse_system, sampling
-from lyapmetric.dynamics import flow
+from lyapmetric.dynamics import flow, transverse_flow
 from lyapmetric.errors import FalsificationError
 from lyapmetric.estimation import (
     estimate_bound_constants,
@@ -166,6 +166,22 @@ class TestTransverseDecay:
         est = estimate_transverse_decay(model, ([0.9], [1.1]), n_samples=4,
                                         horizon=6.0)
         assert est.gain(1.0) <= math.exp(math.cos(1.0) + 1.0) * 1.01
+
+    @pytest.mark.parametrize("lam", [2.0, 1.0])
+    def test_gain_matches_closed_form_transition(self, lam):
+        # the envelope reads the lone transverse lift: on each sample's own
+        # time grid, the closed-form transition gives the same sup
+        model = catalog.get("transverse-counterexample").build(
+            {"lam": lam, "mu_x": 1.0})
+        box = ([-1.0], [1.0])
+        est = estimate_transverse_decay(model, box, n_samples=4, horizon=6.0)
+        sups = []
+        for x0 in sampling.box_points(*box, 4, 0):
+            t = transverse_flow(model, x0, 6.0).t
+            sups.append(max(
+                catalog.counterexample_transverse_phi_oracle(
+                    x0[0], s, lam, 1.0) * math.exp(est.rate * s) for s in t))
+        assert est.gain(1.0) == pytest.approx(max([1.0] + sups), rel=1e-8)
 
 
 SPHERE_POINTS = [[-1.0], [1.0]]

@@ -263,15 +263,13 @@ def test_param_override():
 
 def test_compiled_lift_is_cached_and_flags_domain_exits():
     parsed = parse_spec_text("dim=1; F1 = -x1^0.5")
-    lift = parsed.compiled_lift(parsed.f_trees)
-    assert parsed.compiled_lift(parsed.f_trees) is lift
-    with_q = parsed.compiled_lift(parsed.f_trees, np.eye(1))
+    lift = parsed.compiled_lift()
+    assert parsed.compiled_lift() is lift
+    with_q = parsed.compiled_lift(np.eye(1))
     assert with_q is not lift
-    assert parsed.compiled_lift(parsed.f_trees, [[1.0]]) is with_q
+    assert parsed.compiled_lift([[1.0]]) is with_q
     # [F | J Phi] at x = 4, Phi = 1; with Q, Phi' Q Phi follows
     assert lift(np.array([4.0, 1.0])) == (-2.0, -0.25)
     assert with_q(np.array([4.0, 3.0, 0.0])) == (-2.0, -0.75, 9.0)
     # a complex value off the real domain: the caller takes its fallback
     assert lift(np.array([-4.0, 1.0])) is None
-    with pytest.raises(DimensionMismatchError):
-        parsed.compiled_lift(parsed.f_trees * 2)

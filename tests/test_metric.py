@@ -19,6 +19,7 @@ from lyapmetric.estimation import (
     jacobian_norm_majorant,
 )
 from lyapmetric.metric import (
+    check_positive_definite,
     constant_metric,
     gramian_at_origin,
     lie_derivative_residual,
@@ -49,6 +50,16 @@ def scalar_decay(scalar_model):
 @pytest.fixture(scope="module")
 def scalar_field(scalar_model, scalar_decay):
     return solution_metric(scalar_model, decay=scalar_decay, tail_tol=1e-7)
+
+
+@pytest.mark.parametrize("q", [
+    [[1.0, 5.0], [0.0, 1.0]],     # lower triangle definite, eigenvalue -1.5
+    [[np.nan]],
+    [[np.inf, 0.0], [0.0, 1.0]],
+])
+def test_check_positive_definite_rejects_indefinite_and_non_finite(q):
+    with pytest.raises(LyapmetricError, match="^Q must"):
+        check_positive_definite(q)
 
 
 class TestGramianAtOrigin:
@@ -340,8 +351,8 @@ class TestLieDerivativeResidual:
                                  [[0.5], [1.0]])
         assert [(e.max_eigenvalue, e.h, e.disagreement)
                 for e in report.entries] == [
-            (1.9700464819472074e-06, 0.001, 1.3337644599875631e-05),
-            (1.6492747847429712e-06, 0.001, 1.16323266574625e-05)]
+            (2.008786007756669e-06, 0.001, 1.333757920773948e-05),
+            (1.745586661661136e-06, 0.001, 1.1631657220734226e-05)]
         assert report.verdict == "pass"
 
     def test_report_serializes(self, scalar_model, scalar_field):
