@@ -19,9 +19,9 @@ falsified report (reason, witness, stage when known).  Reports embed the
 resolved configuration and are byte-identical across runs with the same
 config and seed (no timestamps, sorted keys).
 
-Every flag can be defaulted through an environment variable with the
-``LYAPMETRIC_`` prefix (``--lambda-gain`` -> ``LYAPMETRIC_LAMBDA_GAIN``).
-A malformed flag or variable is a usage error, reported like any other
+Each command accepts only the flags it reads (see ``_COMMANDS``); the other
+:class:`RunConfig` fields keep their defaults.  A flag the command does not
+read, or a malformed one, is a usage error, reported like any other
 operational error (exit 1).
 """
 
@@ -30,9 +30,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +68,6 @@ from .stabilization import (
 )
 from .systems import ControlSystem, SystemModel, TransverseModel
 
-_ENV_PREFIX = "LYAPMETRIC_"
 _VARIANTS = ("origin", "along-solutions", "transverse", "rescaled")
 
 
@@ -181,7 +179,7 @@ def _parse_matrix(text, dim, flag):
     if values.shape != (dim, dim):
         raise LyapmetricError(
             f"{flag}: cannot parse a {dim}x{dim} matrix from '{text}'")
-    return check_positive_definite(values)
+    return check_positive_definite(values, flag)
 
 
 def _read_text(path):
@@ -413,9 +411,9 @@ def cmd_stabilize(config):
                               "field (g1..gn)")
     n = model.dim
     p_const = config.p_matrix(n)
-    field = constant_metric(p_const, q=config.q_matrix(n))
-    grid = config.grid_points(n)
     q = config.q_matrix(n)
+    field = constant_metric(p_const, q=q)
+    grid = config.grid_points(n)
 
     closed_loop, potential, certificate = synthesize_controller(
         model, field, gain=config.lambda_gain, q=q, sample_points=grid)
@@ -449,9 +447,6 @@ def cmd_stabilize(config):
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise instead of exiting with status 2, which the exit
     status contract reserves for falsified properties."""
@@ -460,33 +455,35 @@ class _Parser(argparse.ArgumentParser):
         raise LyapmetricError(message)
 
 
-def _option(parser, flag, dest, **kwargs):
-    """`flag` defaulting to the RunConfig field `dest`, or to the variable
-    LYAPMETRIC_<FLAG> when set.  argparse converts a string default with
-    `type`, so a malformed variable is a usage error like a malformed flag."""
-    env = _ENV_PREFIX + flag.lstrip("-").upper().replace("-", "_")
-    default = os.environ.get(env, _DEFAULTS[dest])
-    parser.add_argument(flag, dest=dest, default=default, **kwargs)
+# flag -> (RunConfig field, add_argument keywords)
+_FLAGS = {
+    "--Q": ("q", {"help": "scalar, 'I', or 'a,b;c,d' matrix rows"}),
+    "--tol": ("tol", {"type": float}),
+    "--horizon": ("horizon", {"type": float}),
+    "--radii": ("radii", {}),
+    "--samples": ("samples", {"type": int}),
+    "--grid": ("grid", {"help": "comma list of 1-D points, 'lo:hi:n', or "
+                                "points separated by ';' ('1,0;0,1')"}),
+    "--variant": ("variant", {"choices": _VARIANTS}),
+    "--lambda-gain": ("lambda_gain", {"type": float}),
+    "--metric": ("metric_matrix", {"help": "constant metric"}),
+    "--out": ("out", {}),
+    "--seed": ("seed", {"type": int}),
+}
 
+_ESTIMATE_FLAGS = ("--tol", "--horizon", "--radii", "--samples", "--seed",
+                   "--out")
+_METRIC_FLAGS = _ESTIMATE_FLAGS + ("--Q", "--grid", "--variant")
 
-def _add_common(parser):
-    parser.add_argument("--system", required=True,
-                        help="catalog name, linear:<file.json>, or a system "
-                             "text file")
-    _option(parser, "--Q", "q", help="scalar, 'I', or 'a,b;c,d' matrix rows")
-    _option(parser, "--tol", "tol", type=float)
-    _option(parser, "--horizon", "horizon", type=float)
-    _option(parser, "--radii", "radii")
-    _option(parser, "--samples", "samples", type=int)
-    _option(parser, "--grid", "grid",
-            help="comma list of 1-D points, 'lo:hi:n', or points separated "
-                 "by ';' ('1,0;0,1')")
-    _option(parser, "--variant", "variant", choices=_VARIANTS)
-    _option(parser, "--lambda-gain", "lambda_gain", type=float)
-    _option(parser, "--metric", "metric_matrix",
-            help="constant metric for 'stabilize'")
-    _option(parser, "--out", "out")
-    _option(parser, "--seed", "seed", type=int)
+# command -> (function, the flags it reads)
+_COMMANDS = {
+    "analyze": (cmd_analyze, _ESTIMATE_FLAGS),
+    "metric": (cmd_metric, _METRIC_FLAGS),
+    "certify": (cmd_certify, _METRIC_FLAGS),
+    "stabilize": (cmd_stabilize, ("--Q", "--radii", "--samples", "--grid",
+                                  "--lambda-gain", "--metric", "--seed",
+                                  "--out")),
+}
 
 
 def build_parser():
@@ -496,25 +493,22 @@ def build_parser():
     parser.add_argument("--version", action="version",
                         version=f"lyapmetric {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, _fn in _COMMANDS.items():
-        p = sub.add_parser(name)
-        _add_common(p)
+    for name, (_fn, flags) in _COMMANDS.items():
+        # a flag left out keeps no attribute, so RunConfig supplies its default
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        p.add_argument("--system", required=True,
+                       help="catalog name, linear:<file.json>, or a system "
+                            "text file")
+        for flag in flags:
+            dest, kwargs = _FLAGS[flag]
+            p.add_argument(flag, dest=dest, **kwargs)
     return parser
 
 
 def config_from_args(args):
-    config = RunConfig(**{f.name: getattr(args, f.name)
-                          for f in fields(RunConfig)})
+    config = RunConfig(**vars(args))
     config.radii_values()  # malformed radii end here, before any solve
     return config
-
-
-_COMMANDS = {
-    "analyze": cmd_analyze,
-    "metric": cmd_metric,
-    "certify": cmd_certify,
-    "stabilize": cmd_stabilize,
-}
 
 
 def main(argv=None):
@@ -522,7 +516,7 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         config = config_from_args(args)
         try:
-            return _COMMANDS[args.command](config)
+            return _COMMANDS[args.command][0](config)
         except FalsificationError as exc:
             payload = {"witness": exc.witness, "reason": str(exc)}
             if exc.stage is not None:

@@ -8,7 +8,7 @@ to replay it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -54,7 +54,6 @@ class DecayEstimate:
     gain_radii: Optional[np.ndarray] = None
     gain_values: Optional[np.ndarray] = None
     rate_fit: Optional[float] = None
-    witnesses: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.rate_fit is None:
@@ -69,8 +68,7 @@ class DecayEstimate:
     def to_report(self):
         out = {"lambda": self.rate, "lambda_fit": self.rate_fit,
                "radius": self.radius,
-               "samples": self.samples.to_dict(),
-               "witnesses": list(self.witnesses)}
+               "samples": self.samples.to_dict()}
         if self.gain_radii is None:
             out["gain"] = self.gain_const
         else:

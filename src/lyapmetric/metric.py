@@ -53,17 +53,19 @@ _CHUNK = 6.0              # rescaled horizon growth per solve
 _MAX_CHUNKS = 40          # rescaled horizon cap, in chunks
 
 
-def check_positive_definite(q):
+def check_positive_definite(q, name="Q"):
     """The symmetric part of `q`, which must be finite and positive
-    definite (Cholesky reads one triangle only, so it factors that part)."""
+    definite (Cholesky reads one triangle only, so it factors that part).
+    Errors call the matrix `name`."""
     q = np.asarray(q, dtype=float)
     if not np.all(np.isfinite(q)):
-        raise LyapmetricError("Q must have finite entries")
+        raise LyapmetricError(f"{name} must have finite entries")
     sym = 0.5 * (q + q.T)
     try:
         np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
-        raise LyapmetricError("Q must be symmetric positive definite") from None
+        raise LyapmetricError(
+            f"{name} must be symmetric positive definite") from None
     return sym
 
 
@@ -193,7 +195,7 @@ class MetricField:
 def constant_metric(p, q=None):
     """Wrap a fixed symmetric positive definite matrix as a MetricField."""
     p = np.atleast_2d(np.asarray(p, dtype=float))
-    p = check_positive_definite(p)
+    p = check_positive_definite(p, "P")
     q = np.eye(p.shape[0]) if q is None else check_positive_definite(q)
     return MetricField(dim=p.shape[0], q=q, variant="constant",
                        evaluator=lambda point, horizon: (p.copy(), None))

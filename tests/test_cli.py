@@ -1,13 +1,22 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lyapmetric.cli import RunConfig, main
+from lyapmetric.cli import (
+    _COMMANDS,
+    _FLAGS,
+    RunConfig,
+    build_parser,
+    config_from_args,
+    main,
+)
 from lyapmetric.errors import LyapmetricError
 
 
@@ -69,6 +78,7 @@ class TestRunConfig:
         ["analyze", "--seed", "-1"],
         ["analyze", "--horizon", "inf"],
         ["certify", "--radii=-1,1"],
+        ["certify", "--variant", "bogus"],
     ])
     def test_malformed_numbers_end_before_any_solve(self, argv, tmp_path,
                                                     capsys):
@@ -83,8 +93,6 @@ class TestRunConfig:
         (["--system", "scalar-example", "--samples", "2.5"], {}),
         (["--system", "scalar-example", "--variant", "bogus"], {}),
         ([], {}),
-        (["--system", "scalar-example"], {"LYAPMETRIC_SAMPLES": "abc"}),
-        (["--system", "scalar-example"], {"LYAPMETRIC_VARIANT": "bogus"}),
     ])
     def test_usage_errors_are_operational_errors(self, argv, env, tmp_path,
                                                  capsys, monkeypatch):
@@ -137,7 +145,56 @@ class TestRunConfig:
                      "--out", str(tmp_path)])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: Q ")
+        assert err.startswith("error: --Q ")
+
+    @pytest.mark.parametrize("command, flag", [
+        *[("analyze", flag) for flag in ("--Q", "--grid", "--variant",
+                                         "--lambda-gain", "--metric")],
+        *[(command, flag) for command in ("metric", "certify")
+          for flag in ("--lambda-gain", "--metric")],
+        *[("stabilize", flag) for flag in ("--tol", "--horizon",
+                                           "--variant")],
+    ])
+    def test_flag_a_command_does_not_read_is_usage_error(
+            self, command, flag, tmp_path, capsys):
+        value = "origin" if flag == "--variant" else "1"
+        code = main([command, "--system", "scalar-example", flag, value,
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: unrecognized arguments: {flag} ")
+        assert not (tmp_path / "report.json").exists()
+
+    def test_commands_register_exactly_the_flags_they_read(self):
+        estimate = {"--tol", "--horizon", "--radii", "--samples", "--seed",
+                    "--out"}
+        metric = estimate | {"--Q", "--grid", "--variant"}
+        expected = {
+            "analyze": estimate, "metric": metric, "certify": metric,
+            "stabilize": {"--Q", "--radii", "--samples", "--grid",
+                          "--lambda-gain", "--metric", "--seed", "--out"},
+        }
+        [sub] = [a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+        for command, flags in expected.items():
+            registered = {option
+                          for action in sub.choices[command]._actions
+                          for option in action.option_strings}
+            assert registered == flags | {"--system", "-h", "--help"}
+
+    def test_every_config_field_is_read_by_some_command(self):
+        read = {_FLAGS[flag][0] for _fn, flags in _COMMANDS.values()
+                for flag in flags}
+        assert read == {f.name for f in fields(RunConfig)} - {"command",
+                                                              "system"}
+
+    def test_environment_sets_no_default(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("LYAPMETRIC_SAMPLES", "3")
+        monkeypatch.setenv("LYAPMETRIC_VARIANT", "bogus")
+        args = build_parser().parse_args(
+            ["certify", "--system", "scalar-example", "--out", str(tmp_path)])
+        config = config_from_args(args)
+        assert (config.samples, config.variant) == (4, "along-solutions")
 
 
 class TestAnalyze:
@@ -444,6 +501,18 @@ class TestStabilize:
         assert row["dini"] == pytest.approx(-4.0, abs=1e-9)
         assert row["bound"] == pytest.approx(-0.5, abs=1e-9)
 
+    def test_non_finite_metric_names_its_flag(self, tmp_path, capsys):
+        spec = tmp_path / "plant.txt"
+        spec.write_text("dim = 1\nF1 = x1\ng1 = 1\n")
+        code = main(["stabilize", "--system", str(spec), "--lambda-gain", "3",
+                     "--grid=1", "--metric", "nan",
+                     "--out", str(tmp_path / "r")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --metric ")
+        assert "Q" not in err
+        assert not (tmp_path / "r" / "report.json").exists()
+
     def test_insufficient_gain_exits_two(self, tmp_path):
         spec = tmp_path / "plant.txt"
         spec.write_text("dim = 1\nF1 = x1\ng1 = 1\n")
@@ -466,11 +535,3 @@ class TestDeterminism:
         assert main(args) == 0
         second = (tmp_path / "report.json").read_bytes()
         assert first == second
-
-    def test_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LYAPMETRIC_SAMPLES", "3")
-        from lyapmetric.cli import build_parser, config_from_args
-
-        args = build_parser().parse_args(
-            ["analyze", "--system", "scalar-example", "--out", str(tmp_path)])
-        assert config_from_args(args).samples == 3
