@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, catalog, geometry
+from . import __version__, catalog, geometry, sampling, systems
 from .dynamics import write_csv
 from .errors import (
     DimensionMismatchError,
@@ -61,11 +61,7 @@ from .metric import (
     solution_metric,
     transverse_metric_field,
 )
-from .stabilization import (
-    export_closed_loop,
-    synthesize_controller,
-    tabulate_potential,
-)
+from .stabilization import synthesize_controller, tabulate_potential
 from .systems import ControlSystem, SystemModel, TransverseModel
 
 _VARIANTS = ("origin", "along-solutions", "transverse", "rescaled")
@@ -115,34 +111,46 @@ class RunConfig:
         return radii
 
     def grid_points(self, dim):
-        """Evaluation points of size `dim`: 'a,b;c,d' (points separated by
-        ';'), 'lo:hi:n' or a comma list of 1-D points; by default sphere
-        samples (dim >= 2) or +-radii (dim 1)."""
-        text = self.grid.strip()
-        if not text:
+        """Evaluation points of size `dim`: the --grid points, by default
+        sphere samples (dim >= 2) or +-radii (dim 1)."""
+        pts = self.grid_rows()
+        if pts is None:
             radii = self.radii_values()
             if dim == 1:
                 pts = sorted(set([-r for r in radii] + list(radii)))
                 return np.array(pts).reshape(-1, 1)
-            from . import sampling
             return np.vstack([
                 sampling.sphere_points(dim, r, 4, self.seed) for r in radii])
+        if pts.shape[0] == 0 or pts.shape[1] != dim:
+            raise LyapmetricError(
+                f"--grid '{self.grid.strip()}' does not give points of size "
+                f"{dim}; separate points with ';', as in '1,0;0,1'")
+        return pts
+
+    def grid_rows(self):
+        """The --grid points, one per row, or None when --grid is empty:
+        'a,b;c,d' (points separated by ';'), 'lo:hi:n' or a comma list of
+        1-D points.  Every coordinate must be finite."""
+        text = self.grid.strip()
+        if not text:
+            return None
         if ";" in text:
             pts = _parse_rows(text, "--grid")
         elif ":" in text:
             try:
                 lo, hi, count = text.split(":")
-                pts = np.linspace(float(lo), float(hi),
-                                  int(count)).reshape(-1, 1)
+                ends = [float(lo), float(hi)]
+                # a non-finite end goes to the check below unexpanded
+                pts = np.linspace(*ends, int(count)).reshape(-1, 1) \
+                    if np.all(np.isfinite(ends)) else np.array(ends)
             except ValueError:
                 raise LyapmetricError(
                     f"--grid range must be 'lo:hi:n', got '{text}'") from None
         else:
             pts = _parse_rows(text, "--grid").reshape(-1, 1)
-        if pts.shape[0] == 0 or pts.shape[1] != dim:
+        if not np.all(np.isfinite(pts)):
             raise LyapmetricError(
-                f"--grid '{text}' does not give points of size {dim}; "
-                "separate points with ';', as in '1,0;0,1'")
+                f"--grid: '{text}' holds a coordinate that is not finite")
         return pts
 
     def q_matrix(self, dim):
@@ -340,6 +348,7 @@ def _certify_with_metric(config, model, field):
     (:func:`geometry.distance_to_origin`); in one dimension it is exact,
     sign(e) sqrt(p(e)) F(e).
     """
+    systems.require_equilibrium(model)
     radii = config.radii_values()
     grid = config.grid_points(field.point_dim)
     max_radius = max(float(np.max(np.linalg.norm(grid, axis=1))),
@@ -410,21 +419,18 @@ def cmd_stabilize(config):
         raise LyapmetricError("stabilize needs a system text with an input "
                               "field (g1..gn)")
     n = model.dim
-    p_const = config.p_matrix(n)
-    q = config.q_matrix(n)
-    field = constant_metric(p_const, q=q)
+    field = constant_metric(config.p_matrix(n), q=config.q_matrix(n))
     grid = config.grid_points(n)
 
     closed_loop, potential, certificate = synthesize_controller(
-        model, field, gain=config.lambda_gain, q=q, sample_points=grid)
+        model, field, gain=config.lambda_gain, sample_points=grid)
+    certify_payload, certify_verdict = _certify_with_metric(
+        config, closed_loop, field)
 
-    text = export_closed_loop(model, field, config.lambda_gain)
-    export = {}
-    if text is not None:
-        _out_path(config, "closed_loop.txt").write_text(text,
-                                                        encoding="utf-8")
+    if closed_loop.source is not None:
+        _out_path(config, "closed_loop.txt").write_text(
+            closed_loop.to_spec_text(), encoding="utf-8")
         export = {"closed_loop_spec": "closed_loop.txt"}
-        closed_loop = parse_system(text)
     else:
         radius = float(np.max(np.abs(grid)))
         grid_u, values, meta = tabulate_potential(
@@ -433,9 +439,6 @@ def cmd_stabilize(config):
                   zip(grid_u, values))
         export = {"potential_table": "potential.csv",
                   "potential_meta": meta}
-
-    certify_payload, certify_verdict = _certify_with_metric(
-        config, closed_loop, field)
     verdict = "pass" if certificate.verdict == "pass" \
         and certify_verdict == "pass" else "fail"
     payload = {"controller": certificate.to_dict(),
@@ -507,7 +510,9 @@ def build_parser():
 
 def config_from_args(args):
     config = RunConfig(**vars(args))
-    config.radii_values()  # malformed radii end here, before any solve
+    # malformed radii and grids end here, before any solve
+    config.radii_values()
+    config.grid_rows()
     return config
 
 

@@ -16,6 +16,7 @@ import numpy as np
 from . import sampling
 from .dynamics import flow, transverse_flow, variational_flow
 from .errors import BlowUpError, FalsificationError, LyapmetricError
+from .systems import require_equilibrium
 
 # the proofs need a rate strictly below the fitted one; this keeps the
 # envelope gains finite on increasing horizons
@@ -158,13 +159,12 @@ def estimate_les(model, radius, n_samples=8, horizon=10.0, tol=1e-9, seed=0):
     """Fit (gain, rate) with |E(e,t)| <= gain * exp(-rate t) |e| on samples
     from the sphere |e| = radius.
 
-    Raises :class:`FalsificationError` with a witness when a sampled
-    trajectory fails to decay.
+    Raises :class:`FalsificationError` with a witness when the origin is
+    not an equilibrium or a sampled trajectory fails to decay.
     """
     if radius <= 0:
         raise LyapmetricError("radius must be positive")
-    if not model.equilibrium_at_origin:
-        raise LyapmetricError("estimate needs an equilibrium at the origin")
+    require_equilibrium(model)
     points = sampling.sphere_points(model.dim, radius, n_samples, seed)
     points = np.unique(points, axis=0)
     rate, sups = _sampled_decay(

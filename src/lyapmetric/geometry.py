@@ -456,8 +456,7 @@ def pairwise_distance(metric, e1, e2, model=None):
     if model is not None and gap > 0.0 and not d.flagged:
         rate = float(d.gradient @ model.f(e2) + d.start_gradient @ model.f(e1))
         if metric.bounds is not None:
-            q_min = float(np.min(np.linalg.eigvalsh(metric.q)))
-            bound = -q_min * d.value / (2.0 * metric.p_upper(radius))
+            bound = dini_decrease_bound(metric, d.value, radius)
     return PairwiseReport(distance=d.value, flagged=d.flagged,
                           sandwich_ok=sandwich_ok, radius_argument=radius,
                           decrease_rate=rate, decrease_bound=bound)

@@ -327,6 +327,13 @@ def transverse_metric_field(model, q=None, decay=None, tail_tol=1e-7,
 # rescaled metric (state-independent lower bound)
 # ---------------------------------------------------------------------------
 
+def _slowing_weight(j):
+    """1 + |J|_2^3, the rescaled variant's slowing weight at Jacobian J; a
+    1x1 J skips the SVD, whose 2-norm is |J| bit for bit."""
+    norm = abs(float(j[0, 0])) if j.shape == (1, 1) else np.linalg.norm(j, 2)
+    return 1.0 + float(norm) ** 3
+
+
 def rescaled_metric_field(model, q=None, tail_tol=1e-7, ode_tol=1e-12):
     """Evaluator e -> P~(e) built on the slowed field F / (1 + |dF/de|^3).
 
@@ -345,7 +352,7 @@ def rescaled_metric_field(model, q=None, tail_tol=1e-7, ode_tol=1e-12):
 
     def step(e):
         j = jac(e)
-        scale = 1.0 + float(np.linalg.norm(j, 2)) ** 3
+        scale = _slowing_weight(j)
         return f(e) / scale, j / scale
 
     lift = lifted_system(step, n, n, q)
@@ -420,7 +427,7 @@ def scalar_metric_field(model, q=None, variant="along-solutions", decay=None):
 
     def weight(x):
         if variant == "rescaled":
-            return 1.0 + abs(float(jac(x)[0, 0])) ** 3
+            return _slowing_weight(jac(x))
         return 1.0
 
     origin = np.zeros(1)
@@ -560,7 +567,7 @@ def lie_derivative_residual(metric, model, e, h=None):
     lie, h, disagreement = lie_derivative(metric, model, e, h)
     q_eff = metric.q
     if metric.variant == "rescaled":
-        q_eff = metric.q * (1.0 + float(np.linalg.norm(model.jac(e), 2)) ** 3)
+        q_eff = metric.q * _slowing_weight(model.jac(e))
     residual = lie + q_eff
     residual = 0.5 * (residual + residual.T)
     max_eig = float(np.max(np.linalg.eigvalsh(residual)))

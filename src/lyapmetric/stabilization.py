@@ -6,9 +6,9 @@ For w' = f(w) + g(w) u with a metric P such that
 2. L_g P(w)  = 0                        (g preserves the metric),
 3. the one-form P(w) g(w) is closed, so it has a potential U,
 
-the feedback u = -lam U(w) makes the closed loop satisfy L_F P <= -Q, and
-the distance-to-origin machinery certifies the loop.  Condition numbers in
-error messages refer to this list.
+the feedback u = -lam U(w) makes the closed loop satisfy L_F P <= -Q (Q is
+the metric's `q`); that one loop is replayed, exported and certified by the
+distance-to-origin machinery.  Condition numbers refer to this list.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from . import expressions
 from .errors import ClosednessError, FalsificationError, LyapmetricError
 from .geometry import _refined_simpson
 from .metric import lie_derivative
+from .systems import SystemModel
 
 _CLOSEDNESS_TOL = 1e-6
 _FD_STEP = 1e-5          # relative step of the closedness differences
@@ -157,18 +158,16 @@ class _Feedback:
         return -self.gain * self.potential.gradient(w)
 
 
-def synthesize_controller(control_sys, metric, gain, q=None,
-                          sample_points=None):
-    """Check the three hypotheses on `sample_points`, then return the
-    closed-loop model and its certificate.
+def synthesize_controller(control_sys, metric, gain, sample_points):
+    """Check the three hypotheses on `sample_points` (Q = metric.q), replay
+    L_F P <= -Q on the closed loop (:func:`export_closed_loop`, else through
+    the quadrature potential) and return it, the potential and the
+    certificate.
 
     Raises :class:`FalsificationError` naming the failed condition when any
     residual exceeds its tolerance; no controller is emitted in that case.
     """
     n = control_sys.dim
-    q = np.eye(n) if q is None else np.asarray(q, dtype=float)
-    if sample_points is None:
-        sample_points = np.zeros((1, n))
     sample_points = np.atleast_2d(np.asarray(sample_points, dtype=float))
 
     g_model = control_sys.input_field
@@ -194,7 +193,7 @@ def synthesize_controller(control_sys, metric, gain, q=None,
     for w in sample_points:
         pg = metric(w) @ g_model.f(w)
         lhs = lie_derivative(metric, control_sys.drift, w)[0] \
-            - gain * float(pg @ pg) * np.eye(n) + q
+            - gain * float(pg @ pg) * np.eye(n) + metric.q
         decrease_sup = max(decrease_sup,
                            float(np.max(np.linalg.eigvalsh(
                                0.5 * (lhs + lhs.T)))))
@@ -204,8 +203,9 @@ def synthesize_controller(control_sys, metric, gain, q=None,
             f"> {_DECREASE_TOL:.3g}")
 
     potential = PotentialU(metric, g_model)
-    feedback = _Feedback(potential, gain)
-    closed_loop = control_sys.closed_loop(feedback)
+    closed_loop = export_closed_loop(control_sys, metric, gain)
+    if closed_loop is None:
+        closed_loop = control_sys.closed_loop(_Feedback(potential, gain))
 
     # Replay the closed-loop inequality L_F P <= -Q on the samples.  Under
     # the Killing condition the loop satisfies
@@ -215,7 +215,7 @@ def synthesize_controller(control_sys, metric, gain, q=None,
     # to pass as well.
     closed_sup = -math.inf
     for w in sample_points:
-        lhs = lie_derivative(metric, closed_loop, w)[0] + q
+        lhs = lie_derivative(metric, closed_loop, w)[0] + metric.q
         closed_sup = max(closed_sup,
                          float(np.max(np.linalg.eigvalsh(
                              0.5 * (lhs + lhs.T)))))
@@ -233,10 +233,10 @@ def synthesize_controller(control_sys, metric, gain, q=None,
 
 
 def export_closed_loop(control_sys, metric, gain):
-    """Re-emit the closed loop in the system-text grammar when the potential
-    has an exact expression (constant metric with a constant input field:
-    U is the linear form (P b)' w).  Returns the text, or None when the
-    expression route does not apply; callers fall back to a tabulated U.
+    """The closed loop as a model that prints in the system-text grammar,
+    when the potential has an exact expression (constant metric with a
+    constant input field: U is the linear form (P b)' w).  Returns None when
+    the expression route does not apply; callers fall back to a tabulated U.
     """
     drift = control_sys.drift
     g_model = control_sys.input_field
@@ -261,9 +261,8 @@ def export_closed_loop(control_sys, metric, gain):
             expressions.Num(float(gain)),
             expressions.mul(u_tree, expressions.Num(float(b[k]))))
         new_trees.append(expressions.sub(f_tree, correction))
-    parsed = expressions.ParsedSystem(
-        n, None, drift.source.params, new_trees, [], [])
-    return parsed.to_text()
+    return SystemModel.from_parsed(expressions.ParsedSystem(
+        n, None, drift.source.params, new_trees, [], []))
 
 
 def tabulate_potential(potential, lo, hi):

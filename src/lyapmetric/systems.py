@@ -2,9 +2,10 @@
 systems, and controlled systems.
 
 All models are immutable after construction and hold plain callables, so they
-are safe to evaluate concurrently.  Models built from specification text
-compile their field, Jacobian and component Hessians from the symbolic
-derivatives of their expression trees, and round-trip back to text.
+are safe to evaluate concurrently; none records whether F(0) = 0, which each
+claim that needs it checks (:func:`require_equilibrium`).  Models built from
+specification text compile their field, Jacobian and component Hessians from
+the symbolic derivatives of their expression trees, and round-trip to text.
 
 A two-block model has one first-order object on its invariant set, the
 transversally linear system x' = G(0, x), Phi' = dF/de(0, x) Phi
@@ -15,13 +16,13 @@ it as a model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import expressions
-from .errors import DimensionMismatchError, LyapmetricError
+from .errors import DimensionMismatchError, FalsificationError, LyapmetricError
 
 _EQUILIBRIUM_TOL = 1e-12
 
@@ -49,25 +50,15 @@ class SystemModel:
     f: Callable[[np.ndarray], np.ndarray]
     jac: Callable[[np.ndarray], np.ndarray]
     hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    equilibrium_at_origin: bool = True
     source: Optional[expressions.ParsedSystem] = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.equilibrium_at_origin:
-            residual = float(np.max(np.abs(self.f(np.zeros(self.dim)))))
-            if residual > _EQUILIBRIUM_TOL:
-                raise LyapmetricError(
-                    f"model declared equilibrium-at-origin but |F(0)| = {residual:.3g}")
 
     @staticmethod
     def from_parsed(parsed):
-        f = parsed.compiled_field()
         return SystemModel(
             dim=parsed.dim,
-            f=f,
+            f=parsed.compiled_field(),
             jac=parsed.compiled_jacobian(),
             hess=parsed.compiled_hessian(),
-            equilibrium_at_origin=_looks_like_equilibrium(f, parsed.dim),
             source=parsed,
         )
 
@@ -84,7 +75,6 @@ class SystemModel:
             f=lambda x, _a=a: _a @ np.asarray(x, dtype=float),
             jac=lambda x, _a=a: _a.copy(),
             hess=lambda x, _z=zeros: _z.copy(),
-            equilibrium_at_origin=True,
         )
 
     def jet2(self, point):
@@ -100,12 +90,16 @@ class SystemModel:
         return self.source.to_text()
 
 
-def _looks_like_equilibrium(f, dim):
-    try:
-        value = f(np.zeros(dim))
-    except LyapmetricError:
-        return False
-    return bool(np.max(np.abs(value)) <= _EQUILIBRIUM_TOL)
+def require_equilibrium(model):
+    """Raise :class:`FalsificationError` (stage "equilibrium", the origin
+    as witness) unless max |F(0)| <= _EQUILIBRIUM_TOL: the premise of a
+    decay estimate and of V(e) = d(e, 0) as a Lyapunov function."""
+    origin = np.zeros(model.dim)
+    residual = float(np.max(np.abs(model.f(origin))))
+    if not residual <= _EQUILIBRIUM_TOL:
+        raise FalsificationError(
+            f"the origin is not an equilibrium: max |F(0)| = {residual:.3g}",
+            witness=origin.tolist(), stage="equilibrium")
 
 
 @dataclass(frozen=True)
@@ -138,9 +132,8 @@ class TransverseModel:
         combined = expressions.ParsedSystem(
             parsed.dim, None, parsed.params,
             parsed.f_trees + parsed.g_trees, [], [])
-        full = replace(SystemModel.from_parsed(combined),
-                       equilibrium_at_origin=False)
-        return TransverseModel(n_e=n_e, n_x=parsed.dim - n_e, full=full,
+        return TransverseModel(n_e=n_e, n_x=parsed.dim - n_e,
+                               full=SystemModel.from_parsed(combined),
                                source=parsed)
 
     def to_spec_text(self):
@@ -232,13 +225,9 @@ class ControlSystem:
     def from_parsed(parsed):
         if parsed.e_dim is not None:
             raise DimensionMismatchError("controlled systems use a single block")
-        drift_parsed = expressions.ParsedSystem(
-            parsed.dim, None, parsed.params, parsed.f_trees, [], [])
-        input_parsed = expressions.ParsedSystem(
-            parsed.dim, None, parsed.params, parsed.input_trees, [], [])
-        drift = SystemModel.from_parsed(drift_parsed)
-        gfield = replace(SystemModel.from_parsed(input_parsed),
-                         equilibrium_at_origin=False)
+        drift, gfield = (SystemModel.from_parsed(expressions.ParsedSystem(
+            parsed.dim, None, parsed.params, trees, [], []))
+            for trees in (parsed.f_trees, parsed.input_trees))
         return ControlSystem(dim=parsed.dim, drift=drift, input_field=gfield)
 
     def closed_loop(self, control):
@@ -257,5 +246,4 @@ class ControlSystem:
             du = control.gradient(w)
             return f.jac(w) + u * g.jac(w) + np.outer(g.f(w), du)
 
-        return SystemModel(dim=self.dim, f=field, jac=jacobian,
-                           equilibrium_at_origin=False)
+        return SystemModel(dim=self.dim, f=field, jac=jacobian)

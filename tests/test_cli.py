@@ -52,6 +52,11 @@ class TestRunConfig:
         ("1,0;0,1", "0.5,1,2", 1, "points of size 1"),
         ("0:1:x", "0.5,1,2", 1, "'lo:hi:n'"),
         ("", "x", 1, "--radii"),
+        ("inf,0;", "0.5,1,2", 2, "--grid: .* not finite"),
+        ("nan", "0.5,1,2", 1, "--grid: .* not finite"),
+        ("nan,0;", "0.5,1,2", 2, "--grid: .* not finite"),
+        ("0:inf:3", "0.5,1,2", 1, "--grid: .* not finite"),
+        ("nan:1:1", "0.5,1,2", 1, "--grid: .* not finite"),
     ])
     def test_malformed_numbers_are_operational_errors(self, grid, radii, dim,
                                                       message):
@@ -79,9 +84,20 @@ class TestRunConfig:
         ["analyze", "--horizon", "inf"],
         ["certify", "--radii=-1,1"],
         ["certify", "--variant", "bogus"],
+        ["certify", "--grid=nan"],
+        ["certify", "--variant", "origin", "--grid=inf,0;"],
+        ["certify", "--grid=0:inf:3"],
+        ["metric", "--grid=nan,0;"],
+        ["stabilize", "--grid=nan"],
     ])
     def test_malformed_numbers_end_before_any_solve(self, argv, tmp_path,
-                                                    capsys):
+                                                    capsys, monkeypatch):
+        from lyapmetric import integrate
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran before the usage error")
+
+        monkeypatch.setattr(integrate, "solve", no_solve)
         code = main([*argv, "--system", "scalar-example",
                      "--out", str(tmp_path)])
         assert code == 1
@@ -218,6 +234,18 @@ class TestAnalyze:
         report = _read_report(tmp_path / "r")
         assert report["verdict"] == "falsified"
         assert report["witness"] is not None
+
+    def test_offset_origin_is_falsified(self, tmp_path):
+        # F(0) = (0.1, 0): no decay estimate runs about a non-equilibrium
+        spec = tmp_path / "offset.txt"
+        spec.write_text("dim=2; F1 = -2*x1 + 0.1; F2 = -x2\n")
+        code = main(["analyze", "--system", str(spec), "--samples", "2",
+                     "--radii", "1", "--out", str(tmp_path / "r")])
+        assert code == 2
+        report = _read_report(tmp_path / "r")
+        assert report["verdict"] == "falsified"
+        assert report["stage"] == "equilibrium"
+        assert report["witness"] == [0.0, 0.0]
 
     def test_stable_linear_rate_near_abscissa(self, tmp_path):
         payload = tmp_path / "stable.json"
@@ -373,6 +401,30 @@ class TestCertify:
             v = float(np.sqrt(e @ p @ e))
             assert row["dini"] == pytest.approx(e @ p @ a @ e / v, abs=1e-9)
 
+    @pytest.mark.parametrize("text, variant, grid, origin", [
+        ("dim=2; F1 = -2*x1 + 0.1; F2 = -x2", "along-solutions",
+         "1,0;0,1;-1,0;0.7,0.7", [0.0, 0.0]),
+        ("dim=2; F1 = -2*x1 + 0.1; F2 = -x2", "origin",
+         "1,0;0,1;-1,0;0.7,0.7", [0.0, 0.0]),
+        ("dim=2; F1 = -2*x1 + 0.1; F2 = -x2", "rescaled",
+         "1,0;0,1;-1,0;0.7,0.7", [0.0, 0.0]),
+        ("dim=1; F1 = -x1 + 0.1", "along-solutions", "-1,1", [0.0]),
+    ])
+    def test_offset_origin_is_falsified(self, text, variant, grid, origin,
+                                        tmp_path):
+        # F(0) != 0: V = d(e, 0) certifies nothing about a point that is
+        # not an equilibrium, whatever the metric variant
+        spec = tmp_path / "offset.txt"
+        spec.write_text(text + "\n")
+        code = main(["certify", "--system", str(spec), "--variant", variant,
+                     f"--grid={grid}", "--samples", "2", "--radii", "1",
+                     "--out", str(tmp_path / "r")])
+        assert code == 2
+        report = _read_report(tmp_path / "r")
+        assert report["verdict"] == "falsified"
+        assert report["stage"] == "equilibrium"
+        assert report["witness"] == origin
+
     def test_decrease_violation_fails_certificate(self, tmp_path):
         # stable at the origin, divergent beyond |e| ~ 1: the constant
         # origin metric is tight for the linearization, so it certifies
@@ -511,6 +563,31 @@ class TestStabilize:
         err = capsys.readouterr().err
         assert err.startswith("error: --metric ")
         assert "Q" not in err
+        assert not (tmp_path / "r" / "report.json").exists()
+
+    def test_offset_closed_loop_is_falsified(self, tmp_path):
+        # the three conditions hold, but the loop x1 + 0.1 - 3 x1 rests at
+        # 0.05: the certificate about the origin must not pass, and the
+        # loop is not exported
+        spec = tmp_path / "plant.txt"
+        spec.write_text("dim = 1\nF1 = x1 + 0.1\ng1 = 1\n")
+        code = main(["stabilize", "--system", str(spec),
+                     "--lambda-gain", "3", "--grid=-2,-1,1,2",
+                     "--out", str(tmp_path / "r")])
+        assert code == 2
+        report = _read_report(tmp_path / "r")
+        assert report["verdict"] == "falsified"
+        assert report["stage"] == "equilibrium"
+        assert report["witness"] == [0.0]
+        assert not (tmp_path / "r" / "closed_loop.txt").exists()
+
+    def test_non_finite_grid_is_usage_error(self, tmp_path, capsys):
+        spec = tmp_path / "plant.txt"
+        spec.write_text("dim = 1\nF1 = x1\ng1 = 1\n")
+        code = main(["stabilize", "--system", str(spec), "--lambda-gain", "3",
+                     "--grid=nan", "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --grid: ")
         assert not (tmp_path / "r" / "report.json").exists()
 
     def test_insufficient_gain_exits_two(self, tmp_path):

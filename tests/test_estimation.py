@@ -46,6 +46,15 @@ class TestLocalEstimate:
             estimate_les(m, 1.0, n_samples=2, horizon=10.0)
         assert err.value.witness is not None
 
+    def test_offset_origin_is_not_an_equilibrium(self):
+        # F(0) = (0.1, 0): the decay claim is about an equilibrium at the
+        # origin, so it is falsified there before any trajectory is drawn
+        m = parse_system("dim=2; F1 = -2*x1 + 0.1; F2 = -x2")
+        with pytest.raises(FalsificationError) as err:
+            estimate_les(m, 1.0, n_samples=2, horizon=10.0)
+        assert err.value.stage == "equilibrium"
+        assert err.value.witness == [0.0, 0.0]
+
     def test_hurwitz_rate_matches_spectral_abscissa(self):
         # slowest eigenvalue -0.5; horizon 20/lambda = 40
         a = np.array([[-0.5, 0.3], [0.0, -2.0]])

@@ -354,7 +354,7 @@ class TestFirstVariation:
         plant = parse_system("dim=2; F1 = x2 - x1^3; F2 = -x1 + 0.5*x2; "
                              "g1 = 1; g2 = 1")
         field = constant_metric(np.eye(2))
-        closed = parse_system(export_closed_loop(plant, field, 3.0))
+        closed = export_closed_loop(plant, field, 3.0)
         dini = geometry.dini_derivative_V(field, closed, [1.0, 0.0])
         assert dini.h == 5e-3
         assert dini.value == pytest.approx(-4.0, abs=3e-4)

@@ -140,11 +140,11 @@ class TestConstructU:
 
 
 class TestSynthesize:
-    def test_scalar_plant_end_to_end(self, scalar_plant, unit_metric):
+    def test_scalar_plant_end_to_end(self, scalar_plant):
         pts = np.linspace(-2, 2, 9).reshape(-1, 1)
+        field = constant_metric(np.array([[1.0]]), q=np.array([[1.0]]))
         closed, potential, cert = synthesize_controller(
-            scalar_plant, unit_metric, gain=3.0, q=np.array([[1.0]]),
-            sample_points=pts)
+            scalar_plant, field, gain=3.0, sample_points=pts)
         assert cert.verdict == "pass"
         assert cert.killing_sup <= 1e-8
         assert cert.integrability_sup <= 1e-8
@@ -155,11 +155,12 @@ class TestSynthesize:
         assert cert.closed_loop_sup == pytest.approx(-3.0, abs=1e-7)
         assert potential(np.array([1.0])) == pytest.approx(1.0, rel=1e-10)
 
-    def test_zero_gain_returns_drift(self, unit_metric):
+    def test_zero_gain_returns_drift(self):
         cs = parse_system("dim=1; F1 = -x1; g1 = 1")
         pts = np.linspace(-1, 1, 5).reshape(-1, 1)
+        field = constant_metric(np.array([[1.0]]), q=np.array([[0.5]]))
         closed, _, cert = synthesize_controller(
-            cs, unit_metric, gain=0.0, q=np.array([[0.5]]), sample_points=pts)
+            cs, field, gain=0.0, sample_points=pts)
         for w in (-1.3, 0.2, 2.0):
             assert closed.f(np.array([w]))[0] == cs.drift.f(np.array([w]))[0]
         assert cert.verdict == "pass"
@@ -168,38 +169,58 @@ class TestSynthesize:
         a = np.array([[0.0, 1.0], [-1.0, -2.0]])
         base = catalog.linear_baseline(a)
         cs = parse_system("dim=2; F1 = x2; F2 = -x1 - 2*x2; g1 = 0; g2 = 1")
-        field = constant_metric(base.p)
+        field = constant_metric(base.p, q=0.9 * np.eye(2))
         pts = np.array([[0.3, -0.4], [1.0, 1.0], [-0.5, 0.2], [0.0, 0.0]])
         closed, _, cert = synthesize_controller(
-            cs, field, gain=1.0, q=0.9 * np.eye(2), sample_points=pts)
+            cs, field, gain=1.0, sample_points=pts)
         assert cert.verdict == "pass"
         assert cert.closed_loop_sup <= 1e-6
 
-    def test_condition_one_failure_reported(self, scalar_plant, unit_metric):
+    def test_condition_one_failure_reported(self, scalar_plant):
         # gain too small: 2 - lam >= -1 fails for lam < 3
         pts = np.linspace(-1, 1, 5).reshape(-1, 1)
+        field = constant_metric(np.array([[1.0]]), q=np.array([[1.0]]))
         with pytest.raises(FalsificationError) as err:
-            synthesize_controller(scalar_plant, unit_metric, gain=1.0,
-                                  q=np.array([[1.0]]), sample_points=pts)
+            synthesize_controller(scalar_plant, field, gain=1.0,
+                                  sample_points=pts)
         assert "condition 1" in str(err.value)
 
-    def test_condition_two_failure_reported(self, unit_metric):
+    def test_condition_two_failure_reported(self):
         cs = parse_system("dim=1; F1 = -x1; g1 = x1")  # g = w breaks Killing
         pts = np.linspace(0.5, 1.5, 3).reshape(-1, 1)
+        field = constant_metric(np.array([[1.0]]), q=np.array([[0.1]]))
         with pytest.raises(FalsificationError) as err:
-            synthesize_controller(cs, unit_metric, gain=1.0,
-                                  q=np.array([[0.1]]), sample_points=pts)
+            synthesize_controller(cs, field, gain=1.0, sample_points=pts)
         assert "condition 2" in str(err.value)
 
-    def test_proof_identity_replay(self, scalar_plant, unit_metric):
+    def test_proof_identity_replay(self, scalar_plant):
         # with L_g P = 0 exactly the closed loop satisfies
         # L_F P = L_f P - 2 lam (Pg)(Pg)', so in one dimension
         # closed_loop_sup = decrease_sup - lam |Pg|^2 to rounding
         pts = np.linspace(-2, 2, 9).reshape(-1, 1)
+        field = constant_metric(np.array([[1.0]]), q=np.array([[1.0]]))
         _, _, cert = synthesize_controller(
-            scalar_plant, unit_metric, gain=3.0, q=np.array([[1.0]]),
-            sample_points=pts)
+            scalar_plant, field, gain=3.0, sample_points=pts)
         assert abs((cert.decrease_sup - 3.0) - cert.closed_loop_sup) <= 1e-7
+
+    def test_replayed_loop_is_the_exported_one(self, scalar_plant,
+                                               unit_metric):
+        # the loop the closed-loop inequality is replayed on prints as the
+        # exported text; no second loop is built for certification
+        pts = np.linspace(-2, 2, 9).reshape(-1, 1)
+        closed, _, _ = synthesize_controller(
+            scalar_plant, unit_metric, gain=3.0, sample_points=pts)
+        assert closed.source is not None
+        assert closed.to_spec_text() == "dim = 1\nF1 = (x1 - (3.0 * x1))\n"
+
+    def test_quadrature_loop_without_expression_form(self, unit_metric):
+        # a state-dependent input field has no exported expression: the
+        # replayed loop goes through the quadrature potential
+        cs = parse_system("dim=1; F1 = -x1; g1 = cos(x1)")
+        closed, _, cert = synthesize_controller(
+            cs, unit_metric, gain=0.5, sample_points=[[0.0]])
+        assert closed.source is None
+        assert cert.verdict == "pass"
 
     def test_base_point_shift_leaves_field_unchanged(self, unit_metric):
         # relocating the anchor shifts U by a constant; with the same anchor
@@ -221,10 +242,12 @@ class TestSynthesize:
 
 class TestExport:
     def test_expression_route(self, scalar_plant, unit_metric):
-        text = export_closed_loop(scalar_plant, unit_metric, 3.0)
-        assert text is not None
-        closed = parse_system(text)
+        closed = export_closed_loop(scalar_plant, unit_metric, 3.0)
+        assert closed is not None
         assert closed.f(np.array([2.0]))[0] == pytest.approx(-4.0, abs=1e-12)
+        reparsed = parse_system(closed.to_spec_text())
+        assert reparsed.f(np.array([2.0]))[0] == \
+            pytest.approx(-4.0, abs=1e-12)
 
     def test_expression_route_declined_for_state_dependent_g(self, unit_metric):
         cs = parse_system("dim=1; F1 = -x1; g1 = cos(x1)")
