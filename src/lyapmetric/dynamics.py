@@ -51,7 +51,7 @@ def write_csv(path, header, rows):
 class LiftedSystem(NamedTuple):
     """Augmented right-hand side plus the layout of its vector."""
 
-    rhs: Callable      # (t, y) -> y', an array or a tuple of floats
+    rhs: Callable      # (t, y) -> y' as floats; see integrate.solve
     y0: Callable       # state0 -> y(0): Phi(0) = I, Gramian(0) = 0
     split: Callable    # y or rows of y -> (state, Phi, Gramian or None)
 
@@ -71,13 +71,14 @@ def lifted_system(step, n_state, n_phi, q=None):
     square = (n_phi, n_phi)
 
     def rhs(t, y):
+        y = np.asarray(y)
         phi = y[trans].reshape(square)
         out = np.empty(size)
         out[state], a = step(y[state])
         out[trans] = (a @ phi).ravel()
         if q is not None:
             out[gram] = (phi.T @ q @ phi).ravel()
-        return out
+        return out.tolist()
 
     def y0(state0):
         blocks = [np.asarray(state0, dtype=float), np.eye(n_phi).ravel()]
@@ -176,7 +177,7 @@ def flow(model, e0, horizon, tol=1e-9, dense=False, blowup_norm=1e8):
     f = model.f
 
     def rhs(t, y):
-        return f(y)
+        return f(np.asarray(y)).tolist()
 
     sol = integrate.solve(rhs, e0, horizon, rtol=tol, dense=dense,
                           blowup_norm=blowup_norm)

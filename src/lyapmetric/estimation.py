@@ -8,7 +8,7 @@ to replay it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -45,7 +45,9 @@ class DecayEstimate:
     used instead when the estimate carries a single constant.  `rate` is the
     rate the gains were computed against; `rate_fit` records the raw
     tail-regression value (they differ only for the gain-function estimate,
-    which works strictly below the certified local rate).
+    which works strictly below the certified local rate).  `flows` maps
+    (point, horizon, tol) to the sampled trajectory, for the estimates that
+    keep them (:func:`estimate_les`).
     """
 
     rate: float
@@ -55,6 +57,7 @@ class DecayEstimate:
     gain_radii: Optional[np.ndarray] = None
     gain_values: Optional[np.ndarray] = None
     rate_fit: Optional[float] = None
+    flows: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rate_fit is None:
@@ -155,6 +158,10 @@ def _sampled_decay(points, run, norms, horizon, claim, series, at="e0",
     return rate, [float(np.max(v * np.exp(rate * t))) for t, v in runs]
 
 
+def _flow_key(point, horizon, tol):
+    return tuple(point.tolist()), float(horizon), float(tol)
+
+
 def estimate_les(model, radius, n_samples=8, horizon=10.0, tol=1e-9, seed=0):
     """Fit (gain, rate) with |E(e,t)| <= gain * exp(-rate t) |e| on samples
     from the sphere |e| = radius.
@@ -167,14 +174,21 @@ def estimate_les(model, radius, n_samples=8, horizon=10.0, tol=1e-9, seed=0):
     require_equilibrium(model)
     points = sampling.sphere_points(model.dim, radius, n_samples, seed)
     points = np.unique(points, axis=0)
+    flows = {}
+
+    def run(e0):
+        traj = flow(model, e0, horizon, tol=tol)
+        flows[_flow_key(e0, horizon, tol)] = traj
+        return traj
+
     rate, sups = _sampled_decay(
-        points, lambda e0: flow(model, e0, horizon, tol=tol),
-        lambda e0, traj: np.linalg.norm(traj.states, axis=1),
+        points, run, lambda e0, traj: np.linalg.norm(traj.states, axis=1),
         horizon, claim="LES", series="|E|")
     gain = max([1.0] + [float(s / np.linalg.norm(e0))
                         for s, e0 in zip(sups, points)])
     info = SampleInfo(len(points), seed, horizon, tol, "sphere")
-    return DecayEstimate(rate=rate, radius=radius, samples=info, gain_const=gain)
+    return DecayEstimate(rate=rate, radius=radius, samples=info,
+                         gain_const=gain, flows=flows)
 
 
 def estimate_gain_function(model, radii, n_samples=8, horizon=10.0,
@@ -183,13 +197,19 @@ def estimate_gain_function(model, radii, n_samples=8, horizon=10.0,
 
     Implements the sup construction: c(e, t) = |E(e,t)| / (|e| exp(-rate t))
     per sample, per-radius suprema, cumulative max across radii, floored by
-    the local-estimate gain.
+    the local-estimate gain.  A given `les` must be :func:`estimate_les` of
+    `model`: the flows it kept are reused where a sample point, the horizon
+    and tol recur (its radius-0 samples at the same seed).
     """
     radii = np.sort(np.asarray(radii, dtype=float))
     if les is None:
         les = estimate_les(model, radii[0], n_samples=n_samples,
                            horizon=horizon, tol=tol, seed=seed)
     rate = _RATE_SHRINK * les.rate  # the sup construction needs rate < les.rate
+
+    def run(e0):
+        traj = les.flows.get(_flow_key(e0, horizon, tol))
+        return flow(model, e0, horizon, tol=tol) if traj is None else traj
 
     def decay_ratio(e0, traj):
         return (np.linalg.norm(traj.states, axis=1)
@@ -200,9 +220,8 @@ def estimate_gain_function(model, radii, n_samples=8, horizon=10.0,
         points = sampling.sphere_points(model.dim, s, n_samples, seed + j)
         points = np.unique(points, axis=0)
         _, sups = _sampled_decay(
-            points, lambda e0: flow(model, e0, horizon, tol=tol), decay_ratio,
-            horizon, claim="global attractivity", series="the decay ratio",
-            fit=False)
+            points, run, decay_ratio, horizon, claim="global attractivity",
+            series="the decay ratio", fit=False)
         sup_per_radius.append(max(sups))
 
     values = np.maximum.accumulate(np.maximum(np.asarray(sup_per_radius),

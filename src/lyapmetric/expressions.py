@@ -612,7 +612,7 @@ def _lift_source(f_trees, jac_trees, params, q):
     n = len(f_trees)
     lines = [f"    ({', '.join(f'_x{i}' for i in range(n))},"
              f" {', '.join(f'_p{i}_{j}' for i in range(n) for j in range(n))},"
-             f" *_) = _y.tolist()\n"]
+             f" *_) = _y\n"]
     # Jacobian entries: constants inline, everything else one local each
     jac = {}
     for (i, j), tree in jac_trees.items():
@@ -713,11 +713,13 @@ class ParsedSystem:
         returns the tuple [F(x) | J(x) Phi | Phi' Q Phi], the right-hand
         side of :func:`dynamics.lifted_system` for this field; without `q`
         it ends after J Phi, and G need not be present in y.  `y` is a
-        float array.  The code is scalar arithmetic: each non-constant
-        Jacobian entry is one local, constant entries and `q` are inlined
-        like parameters, and zero and unit factors are dropped, so its
-        values can differ from the matrix products of the generic lift in
-        the last bit.  Where the compiled arithmetic leaves the real
+        sequence of Python floats, as :func:`integrate.solve` passes it;
+        numpy scalars would turn a domain error into inf or nan with a
+        warning, past the guard.  The code is scalar arithmetic: each
+        non-constant Jacobian entry is one local, constant entries and `q`
+        are inlined like parameters, and zero and unit factors are dropped,
+        so its values can differ from the matrix products of the generic
+        lift in the last bit.  Where the compiled arithmetic leaves the real
         domain (see :func:`compile_vector`) the closure returns None, and
         the caller evaluates the generic lift, which raises the typed
         error.

@@ -97,6 +97,7 @@ class GeodesicPath:
 
 def _geodesic_rhs(metric, n):
     def rhs(t, y):
+        y = np.asarray(y)
         gamma = y[:n]
         w = y[n: 2 * n]
         gam = christoffel(metric, gamma)
@@ -107,7 +108,7 @@ def _geodesic_rhs(metric, n):
         out[:n] = w
         out[n: 2 * n] = acc
         out[2 * n] = speed
-        return out
+        return out.tolist()
 
     return rhs
 

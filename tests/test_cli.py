@@ -247,6 +247,48 @@ class TestAnalyze:
         assert report["stage"] == "equilibrium"
         assert report["witness"] == [0.0, 0.0]
 
+    def _planar_analyze(self, out_dir, monkeypatch, keep_flows=True):
+        """`analyze` of the planar field at CLI defaults; returns the
+        flows it integrated and its two output files."""
+        from lyapmetric import estimation
+
+        spec = out_dir.parent / "planar.txt"
+        spec.write_text("dim=2; F1 = -x1 + x2^2; F2 = -2*x2 - x1*x2\n")
+        flows = []
+        real_flow = estimation.flow
+
+        def counting(*args, **kwargs):
+            flows.append(args[1].tolist())
+            return real_flow(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, "flow", counting)
+        if not keep_flows:
+            real_les = estimation.estimate_les
+
+            def forgetful(*args, **kwargs):
+                les = real_les(*args, **kwargs)
+                les.flows.clear()
+                return les
+
+            monkeypatch.setattr("lyapmetric.cli.estimate_les", forgetful)
+        assert main(["analyze", "--system", str(spec),
+                     "--out", str(out_dir)]) == 0
+        monkeypatch.undo()
+        return flows, [(out_dir / name).read_bytes()
+                       for name in ("report.json", "envelopes.csv")]
+
+    def test_gain_function_reuses_local_flows(self, tmp_path, monkeypatch):
+        # the gain function's radius-0 samples are the local estimate's
+        # points at the same seed, horizon and tol: 16 -> 12 flows
+        out = tmp_path / "r"
+        flows, outputs = self._planar_analyze(out, monkeypatch)
+        assert len(flows) == 12
+        assert len({tuple(p) for p in flows}) == 12
+        again, forgot = self._planar_analyze(out, monkeypatch,
+                                             keep_flows=False)
+        assert len(again) == 16
+        assert forgot == outputs
+
     def test_stable_linear_rate_near_abscissa(self, tmp_path):
         payload = tmp_path / "stable.json"
         payload.write_text(json.dumps({"A": [[0.0, 1.0], [-1.0, -1.0]]}))

@@ -254,7 +254,8 @@ def test_fused_lift_matches_generic(model, with_q):
     for _ in range(200):
         y = np.concatenate([rng.uniform(-2.0, 2.0, n), rng.normal(size=n * n),
                             rng.normal(size=n * n if with_q else 0)])
-        want = generic.rhs(0.0, y)
+        y = tuple(y.tolist())   # the state as the solver passes it
+        want = np.asarray(generic.rhs(0.0, y))
         got = np.asarray(fused.rhs(0.0, y))
         assert got.shape == want.shape
         scale = float(np.max(np.abs(want)))
@@ -272,7 +273,7 @@ def test_fused_lift_domain_fallback(text, point):
     model = parse_system(text)
     q = np.eye(model.dim)
     fused, generic = model_lift(model, q), _generic_lift(model, q)
-    y = fused.y0(point)
+    y = tuple(fused.y0(point).tolist())   # the state as the solver passes it
     try:
         want = generic.rhs(0.0, y)
     except DomainEvaluationError as exc:

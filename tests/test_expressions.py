@@ -268,8 +268,9 @@ def test_compiled_lift_is_cached_and_flags_domain_exits():
     with_q = parsed.compiled_lift(np.eye(1))
     assert with_q is not lift
     assert parsed.compiled_lift([[1.0]]) is with_q
-    # [F | J Phi] at x = 4, Phi = 1; with Q, Phi' Q Phi follows
-    assert lift(np.array([4.0, 1.0])) == (-2.0, -0.25)
-    assert with_q(np.array([4.0, 3.0, 0.0])) == (-2.0, -0.75, 9.0)
+    # [F | J Phi] at x = 4, Phi = 1, a tuple of floats as the solver
+    # passes it; with Q, Phi' Q Phi follows
+    assert lift((4.0, 1.0)) == (-2.0, -0.25)
+    assert with_q((4.0, 3.0, 0.0)) == (-2.0, -0.75, 9.0)
     # a complex value off the real domain: the caller takes its fallback
-    assert lift(np.array([-4.0, 1.0])) is None
+    assert lift((-4.0, 1.0)) is None

@@ -351,8 +351,8 @@ class TestLieDerivativeResidual:
                                  [[0.5], [1.0]])
         assert [(e.max_eigenvalue, e.h, e.disagreement)
                 for e in report.entries] == [
-            (2.008786007756669e-06, 0.001, 1.333757920773948e-05),
-            (1.745586661661136e-06, 0.001, 1.1631657220734226e-05)]
+            (2.0087836092308464e-06, 0.001, 1.3337578347316636e-05),
+            (1.7455835770174843e-06, 0.001, 1.1631658025645919e-05)]
         assert report.verdict == "pass"
 
     def test_report_serializes(self, scalar_model, scalar_field):
