@@ -9,14 +9,14 @@ only `step(state) -> (state', A)`; one integration keeps the cocycle
 identity Phi(E(e,t), r) Phi(e,t) = Phi(e, t+r) tight.
 
 A model's own lift, A = dF/de along e' = F(e), has one selector,
-:func:`model_lift`: a model parsed from text evaluates it with one fused
-compiled closure (:meth:`expressions.ParsedSystem.compiled_lift`), any
-other model with the generic `lifted_system` rhs, which also serves as the
-fused closure's domain fallback and test oracle.  :func:`variational_flow`
-and :func:`metric.solution_metric` lift through it; the transverse and
-rescaled lifts use `lifted_system` directly.  The transversally linear
-system x' = G(0, x), Phi' = dF/de(0, x) Phi is one object,
-:class:`systems.ManifoldStep`, with one lift: :func:`transverse_flow`
+:func:`model_lift`: for a model parsed from text the rhs is the compiled
+closure :meth:`expressions.ParsedSystem.compiled_lift` itself, as the
+source's compiled field is for :func:`flow`; any other model uses the
+generic `lifted_system` rhs, the compiled lift's test oracle.
+:func:`variational_flow` and :func:`metric.solution_metric` lift through
+it; the transverse and rescaled lifts use `lifted_system` directly.  The
+transversally linear system x' = G(0, x), Phi' = dF/de(0, x) Phi is one
+object, :class:`systems.ManifoldStep`, with one lift: :func:`transverse_flow`
 solves it, :func:`metric.transverse_metric_field` solves it with its
 Gramian block, and :func:`flow` reads the object as a model whose field is
 the drift.  Both :func:`variational_flow` and :func:`transverse_flow` go
@@ -98,11 +98,10 @@ def model_lift(model, q=None):
     """The lift of `model` along its own solutions: state and Phi of size
     dim, A = model.jac, and with `q` the Gramian block.
 
-    With an expression source the rhs is the fused compiled closure of the
-    source's field trees, which returns a tuple; where that closure leaves
-    the real domain, and for models without a source, it is the generic
-    :func:`lifted_system` rhs of (model.f, model.jac).  Both agree to
-    rounding (the fused products can differ in the last bit).
+    With an expression source the rhs is the source's compiled lift, one
+    Python call per evaluation; otherwise the generic :func:`lifted_system`
+    rhs of (model.f, model.jac).  Both agree to rounding (the fused
+    products can differ in the last bit) and raise the same typed errors.
     """
     f, jac = model.f, model.jac
 
@@ -112,14 +111,7 @@ def model_lift(model, q=None):
     generic = lifted_system(step, model.dim, model.dim, q)
     if model.source is None:
         return generic
-    fused = model.source.compiled_lift(q)
-    generic_rhs = generic.rhs
-
-    def rhs(t, y):
-        values = fused(y)
-        return generic_rhs(t, y) if values is None else values
-
-    return generic._replace(rhs=rhs)
+    return generic._replace(rhs=model.source.compiled_lift(q))
 
 
 def _check_tol(tol):
@@ -171,15 +163,17 @@ def _initial_state(state0, n, tol):
 
 
 def flow(model, e0, horizon, tol=1e-9, dense=False, blowup_norm=1e8):
-    """Integrate e' = F(e) from e0 over [0, horizon]; reads `model.dim` and
-    `model.f` only."""
+    """Integrate e' = F(e) from e0 over [0, horizon]; the rhs is the
+    compiled field of `model.source` where the model has one, else
+    `model.f`."""
     e0 = _initial_state(e0, model.dim, tol)
-    f = model.f
+    f, source = model.f, getattr(model, "source", None)
 
-    def rhs(t, y):
+    def numpy_rhs(t, y):
         return f(np.asarray(y)).tolist()
 
-    sol = integrate.solve(rhs, e0, horizon, rtol=tol, dense=dense,
+    sol = integrate.solve(numpy_rhs if source is None else source.field_rhs,
+                          e0, horizon, rtol=tol, dense=dense,
                           blowup_norm=blowup_norm)
     return Trajectory(t=sol.t, states=sol.y, dense=sol.dense,
                       n_state=model.dim)

@@ -21,7 +21,10 @@ declared parameters.  ``#`` starts a comment running to end of line.
 
 Parsed expressions are immutable trees.  They can be evaluated, symbolically
 differentiated and compiled to fast closures; Jacobians and Hessians are the
-compiled closures of their symbolic derivatives.
+compiled closures of their symbolic derivatives.  One source builder emits
+them all, with the solver's rhs signature over Python floats; where the
+emitted arithmetic raises, it evaluates the trees, which raise
+:class:`DomainEvaluationError` naming the subexpression.
 """
 
 from __future__ import annotations
@@ -284,7 +287,11 @@ class Pow(Node):
         return mul(mul(Num(self.p), Pow(self.a, self.p - 1.0)), da)
 
     def emit(self, params):
-        return f"({self.a.emit(params)} ** {repr(self.p)})"
+        # math.pow raises ValueError on a negative base where ** returns a
+        # complex; on a positive base both are libm's pow
+        if self.p.is_integer():
+            return f"({self.a.emit(params)} ** {repr(self.p)})"
+        return f"math.pow({self.a.emit(params)}, {repr(self.p)})"
 
     def text(self):
         p = self.p
@@ -398,6 +405,8 @@ def _tokenize(text):
                 value = float(text[i:j])
             except ValueError:
                 raise SpecTextError(f"bad number '{text[i:j]}'", i) from None
+            if not math.isfinite(value):
+                raise SpecTextError(f"number '{text[i:j]}' is not finite", i)
             tokens.append(_Token("num", value, i))
             i = j
             continue
@@ -510,7 +519,10 @@ class _ExprParser:
             raise SpecTextError("power exponent must be constant", pos)
         if exponent.parameters():
             raise SpecTextError("power exponent must be a plain constant", pos)
-        return Pow(base, exponent.eval((), {}))
+        p = exponent.eval((), {})
+        if not math.isfinite(p):
+            raise SpecTextError("power exponent must be finite", pos)
+        return Pow(base, p)
 
 
 def parse_expression(text):
@@ -527,66 +539,46 @@ def parse_expression(text):
 # compiled closures
 # ---------------------------------------------------------------------------
 
+# the names generated code sees; inf and nan because a folded derivative
+# constant can overflow (x1*1e300*1e300 has dF/dx1 = inf)
 _COMPILE_GLOBALS = {
-    "sin": math.sin, "cos": math.cos, "exp": math.exp,
-    "log": math.log, "sqrt": math.sqrt, "float": float,
+    "sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
+    "sqrt": math.sqrt, "math": math, "inf": math.inf, "nan": math.nan,
+    "_exits": (ZeroDivisionError, ValueError, OverflowError),
     "__builtins__": {},
 }
 
 
-def _unpack_preamble(trees):
-    used = sorted(set().union(*(t.variables() for t in trees)) or set())
-    return "".join(f"    _x{i} = float(_x[{i}])\n" for i in used)
-
-
-def _has_fractional_power(tree):
-    if isinstance(tree, Pow) and tree.p != int(tree.p):
-        return True
-    children = []
-    if isinstance(tree, (Neg, Pow, Call)):
-        children = [tree.a]
-    elif isinstance(tree, Bin):
-        children = [tree.a, tree.b]
-    return any(_has_fractional_power(c) for c in children)
-
-
-def _compile(src):
-    namespace = dict(_COMPILE_GLOBALS)
+def _compile(inputs, lines, outputs, trees, params):
+    """The one source builder: `_fn(_t, _y)` unpacks `_y` into the names
+    `inputs` (all of it; a star target doubles the cost of a small
+    closure), runs the assignments `lines` and returns the tuple `outputs`.
+    Where that raises a domain exit it evaluates `trees` on `_y` in order,
+    which raises :class:`DomainEvaluationError` naming the first failing
+    subexpression."""
+    src = (f"def _fn(_t, _y):\n    ({', '.join(inputs)},) = _y\n    try:\n"
+           + "".join(f"        {line}\n" for line in lines)
+           + f"        return ({', '.join(outputs)},)\n"
+           "    except _exits:\n"
+           "        _evaluate(_y)\n"
+           "        raise\n")
+    namespace = dict(_COMPILE_GLOBALS,
+                     _evaluate=lambda y: [t.eval(y, params) for t in trees])
     exec(src, namespace)
     return namespace["_fn"]
 
 
-def _domain_guard(fast, trees, fallback):
-    """`fast` where its float arithmetic stays real; `fallback` on the same
-    argument where it raises a domain error or, with a fractional power
-    among `trees`, returns a complex value."""
-    check_complex = any(_has_fractional_power(t) for t in trees)
-
-    def guarded(x, _fast=fast, _fallback=fallback, _check=check_complex):
-        try:
-            values = _fast(x)
-        except (ZeroDivisionError, ValueError, OverflowError):
-            return _fallback(x)
-        if _check and any(isinstance(v, complex) for v in values):
-            return _fallback(x)
-        return values
-
-    return guarded
+def compile_vector(trees, params, dim):
+    """One closure `fn(t, x)` -> the tuple of `trees` at x, a sequence of
+    `dim` Python floats (numpy scalars would turn a domain exit into inf or
+    nan with a warning)."""
+    return _compile([f"_x{i}" for i in range(dim)], [],
+                    [t.emit(params) for t in trees], trees, params)
 
 
-def compile_vector(trees, params):
-    """Compile a list of expressions into one tuple-returning closure.
-
-    Off the real domain of the compiled arithmetic the closure evaluates
-    the trees, which raise :class:`DomainEvaluationError` or return the
-    exact values."""
-    body = ", ".join(t.emit(params) for t in trees)
-    if len(trees) == 1:
-        body += ","
-    fast = _compile(f"def _fn(_x):\n{_unpack_preamble(trees)}"
-                    f"    return ({body})\n")
-    return _domain_guard(
-        fast, trees, lambda x: tuple(t.eval(x, params) for t in trees))
+def _floats(x, _dtype=np.dtype(float)):
+    """`x` as the list of Python floats a compiled closure takes."""
+    return np.asarray(x, _dtype).tolist()
 
 
 def _linear_sum(terms):
@@ -606,27 +598,30 @@ def _linear_sum(terms):
     return " + ".join(parts) if parts else "0.0"
 
 
-def _lift_source(f_trees, jac_trees, params, q):
-    """Source of `_fn(_y)` for the lifted layout [x | Phi | G] of
-    :func:`ParsedSystem.compiled_lift`."""
+def _compile_lift(f_trees, jac_rows, params, q):
+    """Compile the lifted layout [x | Phi | G] of
+    :meth:`ParsedSystem.compiled_lift`; `jac_rows` are the Jacobian trees
+    of `f_trees`, row by row."""
     n = len(f_trees)
-    lines = [f"    ({', '.join(f'_x{i}' for i in range(n))},"
-             f" {', '.join(f'_p{i}_{j}' for i in range(n) for j in range(n))},"
-             f" *_) = _y\n"]
+    inputs = [f"_x{i}" for i in range(n)]
+    inputs += [f"_p{i}_{j}" for i in range(n) for j in range(n)]
+    lines = []
     # Jacobian entries: constants inline, everything else one local each
     jac = {}
-    for (i, j), tree in jac_trees.items():
-        if not tree.variables():
-            jac[i, j] = float(tree.eval((), params))
-        else:
-            lines.append(f"    _j{i}_{j} = {tree.emit(params)}\n")
-            jac[i, j] = f"_j{i}_{j}"
+    for i, row in enumerate(jac_rows):
+        for j, tree in enumerate(row):
+            if not tree.variables():
+                jac[i, j] = float(tree.eval((), params))
+            else:
+                lines.append(f"_j{i}_{j} = {tree.emit(params)}")
+                jac[i, j] = f"_j{i}_{j}"
     out = [t.emit(params) for t in f_trees]
     out += [_linear_sum([(jac[i, j], f"_p{j}_{k}") for j in range(n)])
             for i in range(n) for k in range(n)]
     if q is not None:
         # G' = Phi' (Q Phi); each entry of Q Phi is a local, or Phi's own
-        # name where Q's row is a unit vector
+        # name where Q's row is a unit vector; G itself is not read
+        inputs += ["_"] * (n * n)
         qphi = {}
         for j in range(n):
             for k in range(n):
@@ -635,11 +630,13 @@ def _lift_source(f_trees, jac_trees, params, q):
                 if len(terms) == 1 and terms[0][0] == 1.0:
                     qphi[j, k] = terms[0][1]
                 else:
-                    lines.append(f"    _m{j}_{k} = {_linear_sum(terms)}\n")
+                    lines.append(f"_m{j}_{k} = {_linear_sum(terms)}")
                     qphi[j, k] = f"_m{j}_{k}"
         out += [_linear_sum([(f"_p{j}_{i}", qphi[j, k]) for j in range(n)])
                 for i in range(n) for k in range(n)]
-    return f"def _fn(_y):\n{''.join(lines)}    return ({', '.join(out)},)\n"
+    # the domain exit evaluates F, then J row-major, as the generic lift
+    return _compile(inputs, lines, out,
+                    f_trees + [d for row in jac_rows for d in row], params)
 
 
 # ---------------------------------------------------------------------------
@@ -660,22 +657,31 @@ class ParsedSystem:
 
     # -- compiled closures --------------------------------------------------
 
-    def compiled_field(self):
-        fn = compile_vector(self.f_trees, self.params)
+    @functools.cached_property
+    def _jacobian_rows(self):
+        return [[t.diff(j) for j in range(self.dim)] for t in self.f_trees]
 
-        def field(x, _fn=fn):
-            return np.array(_fn(x))
+    @functools.cached_property
+    def field_rhs(self):
+        """The field as the solver's rhs: `fn(t, x)` returns the tuple F(x)
+        for `x` a sequence of Python floats (see :func:`compile_vector`).
+        Compiled on first use, once per system; :meth:`compiled_field`
+        wraps it for arrays and :func:`dynamics.flow` solves with it."""
+        return compile_vector(self.f_trees, self.params, self.dim)
+
+    def compiled_field(self):
+        def field(x, _fn=self.field_rhs):
+            return np.array(_fn(None, _floats(x)))
 
         return field
 
     def compiled_jacobian(self):
-        n, trees = self.dim, self.f_trees
-        rows = [[t.diff(j) for j in range(n)] for t in trees]
-        fn = compile_vector([d for row in rows for d in row], self.params)
-        m = len(trees)
+        fn = compile_vector([d for row in self._jacobian_rows for d in row],
+                            self.params, self.dim)
+        shape = (len(self.f_trees), self.dim)
 
-        def jacobian(x, _fn=fn, _m=m, _n=n):
-            return np.array(_fn(x)).reshape(_m, _n)
+        def jacobian(x, _fn=fn, _shape=shape):
+            return np.array(_fn(None, _floats(x))).reshape(_shape)
 
         return jacobian
 
@@ -685,8 +691,7 @@ class ParsedSystem:
         Compiles ``f_trees[k].diff(i).diff(j)`` for i <= j on the first call
         and mirrors the upper triangle, so every Hessian is exactly symmetric.
         """
-        n, trees = self.dim, self.f_trees
-        m = len(trees)
+        n, m = self.dim, len(self.f_trees)
 
         @functools.cache
         def compiled():
@@ -694,50 +699,40 @@ class ParsedSystem:
             # slot[i, j]: position of entry (i, j) among the i <= j values
             slot = np.empty((n, n), dtype=int)
             slot[rows, cols] = slot[cols, rows] = np.arange(len(rows))
-            firsts = [[t.diff(i) for i in range(n)] for t in trees]
-            fn = compile_vector([d[i].diff(j) for d in firsts
+            fn = compile_vector([d[i].diff(j) for d in self._jacobian_rows
                                  for i, j in zip(rows.tolist(), cols.tolist())],
-                                self.params)
+                                self.params, n)
             return fn, slot
 
         def hessian(x, _m=m):
             fn, slot = compiled()
-            return np.array(fn(x)).reshape(_m, -1)[:, slot]
+            return np.array(fn(None, _floats(x))).reshape(_m, -1)[:, slot]
 
         return hessian
 
     def compiled_lift(self, q=None):
-        """The lifted field of `f_trees` (one per variable) as one closure.
+        """The lifted field of `f_trees` (one per variable) as the solver's
+        rhs, one compiled closure `fn(t, y)`.
 
-        For y = [x | Phi | G] with Phi (dim x dim) row-major, the closure
-        returns the tuple [F(x) | J(x) Phi | Phi' Q Phi], the right-hand
-        side of :func:`dynamics.lifted_system` for this field; without `q`
-        it ends after J Phi, and G need not be present in y.  `y` is a
-        sequence of Python floats, as :func:`integrate.solve` passes it;
-        numpy scalars would turn a domain error into inf or nan with a
-        warning, past the guard.  The code is scalar arithmetic: each
-        non-constant Jacobian entry is one local, constant entries and `q`
-        are inlined like parameters, and zero and unit factors are dropped,
-        so its values can differ from the matrix products of the generic
-        lift in the last bit.  Where the compiled arithmetic leaves the real
-        domain (see :func:`compile_vector`) the closure returns None, and
-        the caller evaluates the generic lift, which raises the typed
-        error.
+        For y = [x | Phi | G] with Phi (dim x dim) row-major, it returns
+        the tuple [F(x) | J(x) Phi | Phi' Q Phi], the right-hand side of
+        :func:`dynamics.lifted_system` for this field; without `q`, y and
+        the tuple end after Phi.  `y` is a sequence of Python floats, as
+        :func:`integrate.solve` passes it.  The code is scalar arithmetic:
+        each non-constant Jacobian entry is one local, constant entries and
+        `q` are inlined like parameters, and zero and unit factors are
+        dropped, so its values can differ from the matrix products of the
+        generic lift in the last bit.  Off the real domain it raises the
+        generic lift's :class:`DomainEvaluationError` (F, then J row-major).
 
         Compiled on the first call for each q and cached on the system.
         """
-        n, trees = self.dim, self.f_trees
         q = None if q is None else np.asarray(q, dtype=float)
         key = None if q is None else tuple(q.ravel().tolist())
-        lift = self._lifts.get(key)
-        if lift is None:
-            jac_trees = {(i, j): t.diff(j) for i, t in enumerate(trees)
-                         for j in range(n)}
-            fast = _compile(_lift_source(trees, jac_trees, self.params, q))
-            lift = _domain_guard(fast, list(trees) + list(jac_trees.values()),
-                                 lambda y: None)
-            self._lifts[key] = lift
-        return lift
+        if key not in self._lifts:
+            self._lifts[key] = _compile_lift(self.f_trees, self._jacobian_rows,
+                                             self.params, q)
+        return self._lifts[key]
 
     # -- round trip ---------------------------------------------------------
 
@@ -836,6 +831,10 @@ def parse_spec_text(text, params=None):
 
     if params:
         declared.update({k: float(v) for k, v in params.items()})
+    for name, value in declared.items():
+        if not math.isfinite(value):
+            raise SpecTextError(f"parameter '{name}' must be finite, "
+                                f"not {value}")
 
     if dim is None:
         raise SpecTextError("missing 'dim' declaration")

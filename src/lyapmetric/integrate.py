@@ -12,8 +12,9 @@ and cached: the stage combinations, the embedded error norm and the FSAL
 hand-off are unrolled scalar arithmetic with the tableau constants inlined.
 The right-hand side receives the state as a tuple of Python floats and
 returns a sequence of floats; Python float arithmetic raises where numpy
-scalars would return inf or nan with a warning, so a domain guard in a
-compiled closure still sees its error.  Accepted times and states go into
+scalars would return inf or nan with a warning, so a closure compiled from
+a system text (the solver's rhs itself, see :mod:`expressions`) still
+turns its domain exits into the typed error.  Accepted times and states go into
 flat ``array('d')`` buffers, and the solution's arrays are views of them.
 
 An attempt whose error estimate is not finite (a NaN or infinity in any

@@ -289,6 +289,27 @@ class TestAnalyze:
         assert len(again) == 16
         assert forgot == outputs
 
+    @pytest.mark.parametrize("command, text, message", [
+        (["analyze"], "dim=1; F1 = -x1 - 0.1*sin(x1^0.5)",
+         "fractional power of a negative base in subexpression '(x1 ^ 0.5)'"),
+        # through the compiled lift of the along-solutions metric
+        (["metric", "--grid=-0.5,0.2;"],
+         "dim=2; F1 = -x1 + 0.1*sin(x1^0.5); F2 = -x2",
+         "fractional power of a negative base in subexpression '(x1 ^ 0.5)'"),
+        (["analyze"], "dim=1; F1 = -x1^1e400",
+         "number '1e400' is not finite (at position 16)"),
+        (["analyze"], "dim=1; F1 = -k*x1; k = 1e300*1e300",
+         "parameter 'k' must be finite, not inf"),
+    ], ids=["analyze-power", "metric-power", "literal", "parameter"])
+    def test_domain_exits_are_typed(self, command, text, message, tmp_path,
+                                    capsys):
+        spec = tmp_path / "system.txt"
+        spec.write_text(text + "\n")
+        code = main([command[0], "--system", str(spec), *command[1:],
+                     "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_stable_linear_rate_near_abscissa(self, tmp_path):
         payload = tmp_path / "stable.json"
         payload.write_text(json.dumps({"A": [[0.0, 1.0], [-1.0, -1.0]]}))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -268,6 +269,7 @@ def test_fused_lift_matches_generic(model, with_q):
     ("dim=2; F1 = -x1^1.5; F2 = -x2 + x1", [-0.5, 0.2]),
     ("dim=2; F1 = -x1^1.5; F2 = -x2 + x1", [0.5, 0.2]),
     ("dim=1; F1 = -sqrt(x1)", [0.0]),
+    ("dim=2; F1 = -x1 + 0.1*sin(x1^0.5); F2 = -x2", [-0.5, 0.2]),
 ])
 def test_fused_lift_domain_fallback(text, point):
     model = parse_system(text)
@@ -285,19 +287,44 @@ def test_fused_lift_domain_fallback(text, point):
 
 
 def test_fused_lift_compiles_once_per_model(monkeypatch):
-    model = parse_system("dim=2; F1 = -x1 + x2^2; F2 = -2*x2 - x1*x2")
     compiled = []
     real = expressions._compile
 
-    def counting(src):
-        compiled.append(src)
-        return real(src)
+    def counting(inputs, lines, outputs, trees, params):
+        compiled.append(len(outputs))
+        return real(inputs, lines, outputs, trees, params)
 
     monkeypatch.setattr(expressions, "_compile", counting)
-    first = variational_flow(model, [0.5, 0.5], 1.0)
-    second = variational_flow(model, [0.5, 0.5], 1.0)
-    assert len(compiled) == 1
-    np.testing.assert_array_equal(first.phi, second.phi)
+    model = parse_system("dim=2; F1 = -x1 + x2^2; F2 = -2*x2 - x1*x2")
+    runs = []
+    for _ in range(2):
+        model.f([0.5, 0.5])
+        runs.append((flow(model, [0.5, 0.5], 1.0).states,
+                     variational_flow(model, [0.5, 0.5], 1.0).phi))
+    # field (2 outputs), Jacobian (4) and lift [F | J Phi] (6), once each
+    assert sorted(compiled) == [2, 4, 6]
+    for first, second in zip(*runs):
+        np.testing.assert_array_equal(first, second)
+
+
+@pytest.mark.parametrize("q", [None, np.eye(2)], ids=["no-Q", "Q"])
+def test_model_lift_rhs_is_the_compiled_lift(q):
+    model = parse_system("dim=2; F1 = -x1 + x2^2; F2 = -2*x2 - x1*x2")
+    assert model_lift(model, q).rhs is model.source.compiled_lift(q)
+
+
+@pytest.mark.parametrize("text", [
+    "dim=2; F1 = -x1 + x2^2; F2 = -2*x2 - x1*x2",
+    EVERY_FUNCTION_TEXT,
+], ids=["planar", "every-function"])
+def test_flow_of_parsed_model_matches_generic_bit_for_bit(text):
+    # the compiled field as the rhs, against model.f through numpy
+    model = parse_system(text)
+    plain = dataclasses.replace(model, source=None)
+    e0 = [0.4, -0.3, 0.2][:model.dim]
+    fast, generic = flow(model, e0, 2.0), flow(plain, e0, 2.0)
+    np.testing.assert_array_equal(fast.t, generic.t)
+    np.testing.assert_array_equal(fast.states, generic.states)
 
 
 def test_model_without_source_lifts_generically():

@@ -5,6 +5,7 @@ import pytest
 
 import lyapmetric
 from lyapmetric import SystemModel, parse_expression, parse_system
+from lyapmetric.dynamics import lifted_system
 from lyapmetric.errors import (
     DimensionMismatchError,
     DomainEvaluationError,
@@ -248,6 +249,13 @@ def test_fractional_power_of_negative_base_is_domain_error():
         m.f(np.array([-2.0]))
     with pytest.raises(DomainEvaluationError):
         m.jet2([-2.0])
+    # under a function the power is still typed, not a TypeError of sin
+    m = parse_system("dim=1; F1 = -x1 - 0.1*sin(x1^0.5)")
+    assert m.f([2.0])[0] == -2.0 - 0.1 * math.sin(2.0 ** 0.5)
+    with pytest.raises(DomainEvaluationError) as err:
+        m.f(np.array([-1.0]))
+    assert str(err.value) == ("fractional power of a negative base in "
+                              "subexpression '(x1 ^ 0.5)'")
 
 
 def test_log_of_nonpositive_is_domain_error():
@@ -270,7 +278,37 @@ def test_compiled_lift_is_cached_and_flags_domain_exits():
     assert parsed.compiled_lift([[1.0]]) is with_q
     # [F | J Phi] at x = 4, Phi = 1, a tuple of floats as the solver
     # passes it; with Q, Phi' Q Phi follows
-    assert lift((4.0, 1.0)) == (-2.0, -0.25)
-    assert with_q((4.0, 3.0, 0.0)) == (-2.0, -0.75, 9.0)
-    # a complex value off the real domain: the caller takes its fallback
-    assert lift((-4.0, 1.0)) is None
+    assert lift(0.0, (4.0, 1.0)) == (-2.0, -0.25)
+    assert with_q(0.0, (4.0, 3.0, 0.0)) == (-2.0, -0.75, 9.0)
+    # off the real domain: the typed error of the generic lift
+    model = SystemModel.from_parsed(parsed)
+    generic = lifted_system(lambda e: (model.f(e), model.jac(e)), 1, 1)
+    with pytest.raises(DomainEvaluationError) as want:
+        generic.rhs(0.0, (-4.0, 1.0))
+    with pytest.raises(DomainEvaluationError) as got:
+        lift(0.0, (-4.0, 1.0))
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("text, params", [
+    ("dim=1; F1 = -x1^1e400", None),
+    ("dim=1; F1 = -x1 + 0*x1^(1e400-1e400)", None),
+    ("dim=1; F1 = -x1*1e400", None),
+    ("dim=1; F1 = -k*x1; k = 1e300*1e300", None),
+    ("dim=1; F1 = -x1^(1e300*1e300)", None),
+    ("dim=1; F1 = -k*x1; k = 1", {"k": math.inf}),
+    ("dim=1; F1 = -k*x1; k = 1", {"k": math.nan}),
+], ids=["literal-exponent", "nan-exponent", "literal-factor",
+        "parameter", "folded-exponent", "override-inf", "override-nan"])
+def test_non_finite_constants_are_spec_errors(text, params):
+    with pytest.raises(SpecTextError):
+        parse_system(text, params=params)
+
+
+def test_overflowing_derivative_constant_compiles():
+    # finite literals can fold to a non-finite derivative constant
+    m = parse_system("dim=1; F1 = x1*1e300*1e300")
+    assert m.jac([0.0])[0, 0] == math.inf
+    assert m.source.compiled_lift()(0.0, (0.0, 1.0)) == (0.0, math.inf)
+    m = parse_system("dim=1; F1 = x1*1e300*1e300 - x1*1e300*1e300")
+    assert math.isnan(m.jac([0.0])[0, 0])
