@@ -13,6 +13,9 @@ checked against a genuinely separate route:
                                   u sin u along x(t) = x0 exp(mu_x t).
 * linear baselines                P from a dense Lyapunov solve, flows from
                                   the scaling-and-squaring matrix exponential.
+
+The oracles import SciPy where they run, so importing the catalog (as the
+command line does, for its registry) loads none of it.
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
-import scipy.linalg
 
 from .errors import LyapmetricError
 from .expressions import parse_system
@@ -97,6 +98,8 @@ def scalar_example_transition_oracle(e, t, nested=False):
     if not nested:
         big_e = scalar_example_oracle(e, t)
         return (big_e / (1.0 + big_e * big_e)) / (e / (1.0 + e * e))
+    import scipy.integrate
+
     val, _ = scipy.integrate.quad(
         lambda s: scalar_example_jacobian(scalar_example_oracle(e, s)),
         0.0, t, epsabs=1e-12, epsrel=1e-12, limit=200)
@@ -105,6 +108,8 @@ def scalar_example_transition_oracle(e, t, nested=False):
 
 def scalar_example_metric_oracle(e, q=1.0):
     """P(e) = q * integral of Phi(e, s)^2 over [0, inf), by outer quadrature."""
+    import scipy.integrate
+
     e = float(e)
     val, _ = scipy.integrate.quad(
         lambda s: scalar_example_transition_oracle(e, s) ** 2,
@@ -117,6 +122,8 @@ def scalar_example_distance_oracle(metric_eval, e, tol=1e-9):
     e = float(e)
     if e == 0.0:
         return 0.0
+    import scipy.integrate
+
     a, b = (0.0, e) if e > 0 else (e, 0.0)
     val, _ = scipy.integrate.quad(
         lambda s: math.sqrt(float(np.atleast_2d(metric_eval(np.array([s])))[0, 0])),
@@ -186,9 +193,11 @@ class LinearBaseline:
     p: np.ndarray
 
     def flow(self, e0, t):
-        return scipy.linalg.expm(self.a * float(t)) @ np.asarray(e0, float)
+        return self.transition(t) @ np.asarray(e0, float)
 
     def transition(self, t):
+        import scipy.linalg
+
         return scipy.linalg.expm(self.a * float(t))
 
     def residual(self):
@@ -204,6 +213,8 @@ def linear_baseline(a, q=None):
     if np.max(eigs.real) >= 0.0:
         raise LyapmetricError(
             f"A is not Hurwitz (spectral abscissa {np.max(eigs.real):.3g})")
+    import scipy.linalg
+
     p = scipy.linalg.solve_continuous_lyapunov(a.T, -q)
     p = 0.5 * (p + p.T)
     return LinearBaseline(a=a, q=q, p=p)

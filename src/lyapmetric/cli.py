@@ -23,12 +23,17 @@ Each command accepts only the flags it reads (see ``_COMMANDS``); the other
 :class:`RunConfig` fields keep their defaults.  A flag the command does not
 read, or a malformed one, is a usage error, reported like any other
 operational error (exit 1).
+
+Importing this module loads no SciPy, and a command imports nothing that
+the module did not: the parser's messages go through gettext, which imports
+``locale`` on its first lookup, so it is imported here.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import locale  # noqa: F401  (gettext's first lookup would import it)
 import math
 import sys
 from dataclasses import asdict, dataclass
@@ -353,7 +358,7 @@ def _certify_with_metric(config, model, field):
     grid = config.grid_points(field.point_dim)
     max_radius = max(float(np.max(np.linalg.norm(grid, axis=1))),
                      float(radii[-1]))
-    bound_radii = np.unique(np.concatenate([radii, [max_radius]]))
+    bound_radii = np.array(sorted({*radii.tolist(), max_radius}))
     metric_bounds(field, bound_radii, n_samples=config.samples,
                   seed=config.seed)
 

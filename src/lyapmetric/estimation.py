@@ -173,7 +173,7 @@ def estimate_les(model, radius, n_samples=8, horizon=10.0, tol=1e-9, seed=0):
         raise LyapmetricError("radius must be positive")
     require_equilibrium(model)
     points = sampling.sphere_points(model.dim, radius, n_samples, seed)
-    points = np.unique(points, axis=0)
+    points = sampling.unique_rows(points)
     flows = {}
 
     def run(e0):
@@ -218,7 +218,7 @@ def estimate_gain_function(model, radii, n_samples=8, horizon=10.0,
     sup_per_radius = []
     for j, s in enumerate(radii):
         points = sampling.sphere_points(model.dim, s, n_samples, seed + j)
-        points = np.unique(points, axis=0)
+        points = sampling.unique_rows(points)
         _, sups = _sampled_decay(
             points, run, decay_ratio, horizon, claim="global attractivity",
             series="the decay ratio", fit=False)
@@ -253,7 +253,7 @@ def estimate_linearized_decay(model, radii, n_samples=8, horizon=10.0,
     points, point_radii = [], []
     for j, s in enumerate(radii):
         pts = sampling.sphere_points(model.dim, s, n_samples, seed + 17 * j)
-        pts = np.unique(pts, axis=0)
+        pts = sampling.unique_rows(pts)
         points.extend(pts)
         point_radii.extend([s] * len(pts))
     rate, sups = _sampled_decay(

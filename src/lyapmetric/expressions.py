@@ -549,13 +549,14 @@ _COMPILE_GLOBALS = {
 }
 
 
-def _compile(inputs, lines, outputs, trees, params):
+def _compile(inputs, lines, outputs, trees, params, kind):
     """The one source builder: `_fn(_t, _y)` unpacks `_y` into the names
     `inputs` (all of it; a star target doubles the cost of a small
     closure), runs the assignments `lines` and returns the tuple `outputs`.
     Where that raises a domain exit it evaluates `trees` on `_y` in order,
     which raises :class:`DomainEvaluationError` naming the first failing
-    subexpression."""
+    subexpression.  The code is compiled under the filename
+    ``<lyapmetric KIND>``, so profiles keep each layout's calls apart."""
     src = (f"def _fn(_t, _y):\n    ({', '.join(inputs)},) = _y\n    try:\n"
            + "".join(f"        {line}\n" for line in lines)
            + f"        return ({', '.join(outputs)},)\n"
@@ -564,16 +565,17 @@ def _compile(inputs, lines, outputs, trees, params):
            "        raise\n")
     namespace = dict(_COMPILE_GLOBALS,
                      _evaluate=lambda y: [t.eval(y, params) for t in trees])
-    exec(src, namespace)
+    exec(compile(src, f"<lyapmetric {kind}>", "exec"), namespace)
     return namespace["_fn"]
 
 
-def compile_vector(trees, params, dim):
+def compile_vector(trees, params, dim, kind):
     """One closure `fn(t, x)` -> the tuple of `trees` at x, a sequence of
     `dim` Python floats (numpy scalars would turn a domain exit into inf or
-    nan with a warning)."""
+    nan with a warning); `kind` names the layout in its filename."""
     return _compile([f"_x{i}" for i in range(dim)], [],
-                    [t.emit(params) for t in trees], trees, params)
+                    [t.emit(params) for t in trees], trees, params,
+                    f"{kind} dim={dim}")
 
 
 def _floats(x, _dtype=np.dtype(float)):
@@ -636,7 +638,8 @@ def _compile_lift(f_trees, jac_rows, params, q):
                 for i in range(n) for k in range(n)]
     # the domain exit evaluates F, then J row-major, as the generic lift
     return _compile(inputs, lines, out,
-                    f_trees + [d for row in jac_rows for d in row], params)
+                    f_trees + [d for row in jac_rows for d in row], params,
+                    f"lift dim={n}" if q is None else f"lift+gramian dim={n}")
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +670,7 @@ class ParsedSystem:
         for `x` a sequence of Python floats (see :func:`compile_vector`).
         Compiled on first use, once per system; :meth:`compiled_field`
         wraps it for arrays and :func:`dynamics.flow` solves with it."""
-        return compile_vector(self.f_trees, self.params, self.dim)
+        return compile_vector(self.f_trees, self.params, self.dim, "field")
 
     def compiled_field(self):
         def field(x, _fn=self.field_rhs):
@@ -675,12 +678,17 @@ class ParsedSystem:
 
         return field
 
+    @functools.cached_property
+    def jacobian_rhs(self):
+        """The Jacobian entries, row-major, as a closure `fn(t, x)` like
+        :attr:`field_rhs`; compiled on first use, once per system."""
+        return compile_vector([d for row in self._jacobian_rows for d in row],
+                              self.params, self.dim, "jacobian")
+
     def compiled_jacobian(self):
-        fn = compile_vector([d for row in self._jacobian_rows for d in row],
-                            self.params, self.dim)
         shape = (len(self.f_trees), self.dim)
 
-        def jacobian(x, _fn=fn, _shape=shape):
+        def jacobian(x, _fn=self.jacobian_rhs, _shape=shape):
             return np.array(_fn(None, _floats(x))).reshape(_shape)
 
         return jacobian
@@ -701,7 +709,7 @@ class ParsedSystem:
             slot[rows, cols] = slot[cols, rows] = np.arange(len(rows))
             fn = compile_vector([d[i].diff(j) for d in self._jacobian_rows
                                  for i, j in zip(rows.tolist(), cols.tolist())],
-                                self.params, n)
+                                self.params, n, "hessian")
             return fn, slot
 
         def hessian(x, _m=m):

@@ -102,9 +102,11 @@ def _attempt_source(m):
 
 @functools.cache
 def _kernel(m):
-    """The attempt function for states of size m, compiled once."""
+    """The attempt function for states of size m, compiled once under the
+    filename ``<lyapmetric dp5 m=M>``, so profiles keep sizes apart."""
     namespace = {"sqrt": math.sqrt}
-    exec(_attempt_source(m), namespace)
+    exec(compile(_attempt_source(m), f"<lyapmetric dp5 m={m}>", "exec"),
+         namespace)
     return namespace["_attempt"]
 
 
@@ -201,12 +203,11 @@ def solve(rhs, y0, t_end, rtol=1e-9, dense=False, blowup_norm=1e8,
     hs = array("d") if dense else None
     coeffs = array("d") if dense else None
     f = rhs(0.0, y)
-    h = _initial_step(rhs, y, f, t_end, rtol, atol)
-    if not math.isfinite(h):
-        # a non-finite y0 or f0 makes it NaN, and a NaN step would never
-        # meet the underflow floor: it would spin through max_steps
+    if not all(map(math.isfinite, (*y, *f))):
+        # the first step's size would divide by zero (an infinite f0) or be
+        # NaN, which never meets the underflow floor
         raise BlowUpError(0.0, float("inf"), blowup_norm)
-    h = max(h, 1e-12)
+    h = max(_initial_step(rhs, y, f, t_end, rtol, atol), 1e-12)
     end_gap = 1e-14 * max(1.0, abs(t_end))
 
     t = 0.0

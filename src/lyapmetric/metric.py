@@ -1,9 +1,9 @@
 """Metric matrix functions built from transition-matrix quadrature.
 
 For a scalar field the metric along solutions has a closed form
-(:func:`scalar_metric_field`): one quadrature of F, no lifted solve and no
-truncation horizon.  In any dimension four constructions share one
-augmented-integration layout,
+(:func:`scalar_metric_field`): one adaptive Gauss-Legendre quadrature of F,
+no lifted solve and no truncation horizon.  In any dimension four
+constructions share one augmented-integration layout,
 :func:`dynamics.lifted_system`; each supplies only its `step(state) ->
 (state', A)` and Q, and reads the Gramian block of the final vector.  The
 metric along solutions lifts through :func:`dynamics.model_lift`, the fused
@@ -26,6 +26,8 @@ itself (:class:`systems.ManifoldStep`), whose field is the drift and whose
 
 from __future__ import annotations
 
+import functools
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -47,6 +49,8 @@ _H_FLOOR = 1e-6   # smallest Richardson step before the gate gives up
 _RESIDUAL_TOL = 1e-4  # residual verdict tolerance and Richardson gate
 _FLOW_TOL = 1e-12  # rtol of the short flows that difference P
 _SCALAR_QUAD_TOL = 1e-12  # epsrel of the closed-form scalar quadrature
+_SCALAR_PANELS = 200      # its panel limit
+_GAUSS_POINTS = 10        # nodes of its Gauss-Legendre panel rule
 _SCALAR_TAIL_TOL = 1e-7   # the lifted builders' default, for step and slack
 _GRAMIAN_TOL = 1e-12      # rtol of the Gramian quadrature before the polish
 _CHUNK = 6.0              # rescaled horizon growth per solve
@@ -391,6 +395,66 @@ def rescaled_metric_field(model, q=None, tail_tol=1e-7, ode_tol=1e-12):
 # closed-form scalar metric
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _gauss_legendre(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1], as
+    (node, weight) pairs: Newton's method on the Legendre polynomial P_n
+    from the Tricomi starting values, to the last bit."""
+    def legendre(x):
+        """P_n(x) and P_n'(x), by the three-term recurrence."""
+        p_prev, p = 1.0, x
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+    pairs = []
+    for i in range(n):
+        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        for _ in range(100):
+            p, slope = legendre(x)
+            x -= p / slope
+            if abs(p / slope) <= 1e-16:
+                break
+        slope = legendre(x)[1]
+        pairs.append((0.5 * (1.0 - x), 1.0 / ((1.0 - x * x) * slope * slope)))
+    return tuple(pairs)
+
+
+def _adaptive_gauss(fn, epsrel, limit):
+    """int_0^1 fn(u) du by globally adaptive Gauss-Legendre quadrature, or
+    None when `limit` panels do not reach the tolerance.
+
+    Each panel holds the _GAUSS_POINTS rule on its two halves; their sum is
+    the panel's value and its distance from the rule on the whole panel
+    its error.  The panel with the largest error is bisected until the
+    summed error is at most `epsrel` times the summed value.  `fn` takes
+    and returns a Python float.
+    """
+    nodes = _gauss_legendre(_GAUSS_POINTS)
+
+    def rule(a, b):
+        h = b - a
+        return h * sum(w * fn(a + h * x) for x, w in nodes)
+
+    def panel(a, b, whole):
+        m = 0.5 * (a + b)
+        left, right = rule(a, m), rule(m, b)
+        # heap order: largest error first, then leftmost
+        return (-abs(left + right - whole), a, b, left, right)
+
+    panels = [panel(0.0, 1.0, rule(0.0, 1.0))]
+    while True:
+        total = math.fsum(p[3] + p[4] for p in panels)
+        if -math.fsum(p[0] for p in panels) <= epsrel * abs(total):
+            return total
+        if len(panels) >= limit:
+            return None
+        _, a, b, left, right = heapq.heappop(panels)
+        m = 0.5 * (a + b)
+        heapq.heappush(panels, panel(a, m, left))
+        heapq.heappush(panels, panel(m, b, right))
+
+
 def scalar_metric_field(model, q=None, variant="along-solutions", decay=None):
     """Evaluator e -> P(e) of a scalar field in closed form: one quadrature
     of F, no lifted solve and no truncation horizon.
@@ -407,36 +471,49 @@ def scalar_metric_field(model, q=None, variant="along-solutions", decay=None):
     builders stay as the oracles of this one and share no code with it.
 
     The integral runs as int_0^1 -F(e u) w(e u) / e du over (F(e) / e)^2,
-    so nothing underflows near 0.  Every evaluated point s (the point
-    itself, then each quadrature node) must satisfy s F(s) < 0: otherwise
-    F has a zero in (0, s], a second equilibrium, which falsifies global
-    decay (:class:`FalsificationError`, stage "scalar-metric", witness s).
-    `decay` is attached for the analytic envelope of :func:`metric_bounds`.
-    The field has no truncation; it carries the lifted builders' default
-    tail_tol, so its residual step and envelope slack match theirs.
+    so nothing underflows near 0, by :func:`_adaptive_gauss` to relative
+    tolerance 1e-12 on at most 200 panels (:class:`LyapmetricError` beyond
+    them).  A model parsed from text is evaluated through its compiled
+    closures on Python floats, any other through `f` and `jac`.  Every
+    evaluated point s (the point itself, then each quadrature node) must
+    satisfy s F(s) < 0: otherwise F has a zero in (0, s], a second
+    equilibrium, which falsifies global decay (:class:`FalsificationError`,
+    stage "scalar-metric", witness s).  `decay` is attached for the
+    analytic envelope of :func:`metric_bounds`.  The field has no
+    truncation; it carries the lifted builders' default tail_tol, so its
+    residual step and envelope slack match theirs.
     """
-    from scipy.integrate import quad
-
     if model.dim != 1:
         raise LyapmetricError("the closed-form metric needs a scalar field")
     if variant not in ("along-solutions", "rescaled"):
         raise LyapmetricError(f"no closed form for metric variant '{variant}'")
     q = np.eye(1) if q is None else check_positive_definite(q)
     q_scalar = float(q[0, 0])
-    f, jac = model.f, model.jac
+    source = getattr(model, "source", None)
+    if source is not None:
+        def f(x, _fn=source.field_rhs):
+            return _fn(None, (x,))[0]
+
+        def jac(x, _fn=source.jacobian_rhs):
+            return _fn(None, (x,))[0]
+    else:
+        def f(x):
+            return float(model.f(np.array([x]))[0])
+
+        def jac(x):
+            return float(model.jac(np.array([x]))[0, 0])
 
     def weight(x):
         if variant == "rescaled":
-            return _slowing_weight(jac(x))
+            return 1.0 + abs(jac(x)) ** 3
         return 1.0
 
-    origin = np.zeros(1)
-    slope = float(jac(origin)[0, 0])
+    slope = jac(0.0)
     if not slope < 0.0:
         raise LyapmetricError(
             f"origin not exponentially stable at first order (F'(0) = "
             f"{slope:.3g})")
-    p_origin = -q_scalar * weight(origin) / (2.0 * slope)
+    p_origin = -q_scalar * weight(0.0) / (2.0 * slope)
 
     def require_decay(s, fs):
         # the sign of s F(s), without the product's underflow near 0
@@ -446,24 +523,24 @@ def scalar_metric_field(model, q=None, variant="along-solutions", decay=None):
                 "does not point to the origin, so a second equilibrium "
                 "lies in (0, s]", witness=[s], stage="scalar-metric")
 
-    def integrand(u, e):
-        x = np.array([e * u])
-        fx = float(f(x)[0])
-        require_decay(float(x[0]), fx)
-        return -fx * weight(x) / e
-
     def evaluator(point, horizon):
         e = float(point[0])
         if e == 0.0:
             return np.array([[p_origin]]), None
-        f_e = float(f(point)[0])
+        f_e = f(e)
         require_decay(e, f_e)
-        out = quad(integrand, 0.0, 1.0, args=(e,), epsabs=0.0,
-                   epsrel=_SCALAR_QUAD_TOL, limit=200, full_output=1)
-        if len(out) > 3:
+
+        def integrand(u):
+            x = e * u
+            fx = f(x)
+            require_decay(x, fx)
+            return -fx * weight(x) / e
+
+        integral = _adaptive_gauss(integrand, _SCALAR_QUAD_TOL, _SCALAR_PANELS)
+        if integral is None:
             raise LyapmetricError(
                 f"closed-form metric quadrature did not converge at e = {e}")
-        return np.array([[q_scalar * out[0] / (f_e / e) ** 2]]), None
+        return np.array([[q_scalar * integral / (f_e / e) ** 2]]), None
 
     return MetricField(dim=1, q=q, variant=variant, evaluator=evaluator,
                        decay=decay, tail_tol=_SCALAR_TAIL_TOL)
@@ -645,7 +722,7 @@ def metric_bounds(metric, radii, n_samples=8, seed=0, gain=None,
                                      seed + 41 * j)
         pts = np.vstack([pts, sampling.ball_points(
             metric.point_dim, s, max(2, n_samples // 2), seed + 41 * j + 7)])
-        pts = np.unique(pts, axis=0)
+        pts = sampling.unique_rows(pts)
         eigs = [np.linalg.eigvalsh(metric(p)) for p in pts]
         per_lo.append(min(float(e[0]) for e in eigs))
         per_hi.append(max(float(e[-1]) for e in eigs))

@@ -310,6 +310,19 @@ class TestAnalyze:
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_infinite_field_at_finite_start_is_falsified(self, tmp_path):
+        # finite literals whose product overflows: F(x) = inf at every
+        # sample, a blow-up at t = 0 rather than a division by zero
+        spec = tmp_path / "system.txt"
+        spec.write_text("dim=1; F1 = x1*1e300*1e300\n")
+        code = main(["analyze", "--system", str(spec),
+                     "--out", str(tmp_path / "r")])
+        assert code == 2
+        report = _read_report(tmp_path / "r")
+        assert report["verdict"] == "falsified"
+        assert report["reason"].startswith("LES falsified")
+        assert "|state| = inf" in report["reason"]
+
     def test_stable_linear_rate_near_abscissa(self, tmp_path):
         payload = tmp_path / "stable.json"
         payload.write_text(json.dumps({"A": [[0.0, 1.0], [-1.0, -1.0]]}))
@@ -675,3 +688,19 @@ class TestDeterminism:
         assert main(args) == 0
         second = (tmp_path / "report.json").read_bytes()
         assert first == second
+
+
+def test_command_path_imports_no_scipy(tmp_path):
+    # in a fresh process: pytest has SciPy loaded already
+    import lyapmetric
+
+    here = Path(__file__).resolve().parent
+    src = str(Path(lyapmetric.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(here / "command_path_imports.py"),
+         str(tmp_path)], capture_output=True, text=True, env=env,
+        timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -290,9 +290,9 @@ def test_fused_lift_compiles_once_per_model(monkeypatch):
     compiled = []
     real = expressions._compile
 
-    def counting(inputs, lines, outputs, trees, params):
+    def counting(inputs, lines, outputs, *rest):
         compiled.append(len(outputs))
-        return real(inputs, lines, outputs, trees, params)
+        return real(inputs, lines, outputs, *rest)
 
     monkeypatch.setattr(expressions, "_compile", counting)
     model = parse_system("dim=2; F1 = -x1 + x2^2; F2 = -2*x2 - x1*x2")

@@ -103,14 +103,17 @@ def test_non_finite_attempts_end_as_blowup():
 @pytest.mark.parametrize("rhs, y0", [
     (lambda t, y: [math.nan], [1.0]),
     (lambda t, y: [-y[0]], [math.nan]),
-], ids=["nan-rhs", "nan-state"])
+    # an infinite field at a finite start made the initial step 0
+    (lambda t, y: [y[0] * 1e300 * 1e300], [1.0]),
+], ids=["nan-rhs", "nan-state", "inf-rhs"])
 def test_non_finite_start_is_blowup_at_t0(rhs, y0):
     # a NaN initial step would never meet the underflow floor
     counting = _Counting(rhs)
     with pytest.raises(BlowUpError) as err:
         solve(counting, y0, 1.0, rtol=1e-9)
     assert err.value.t == 0.0
-    assert counting.calls == 2
+    # f(t0) only: the start is checked before the initial-step probe
+    assert counting.calls == 1
 
 
 def test_step_budget_counts_exactly_max_steps_attempts():
@@ -234,3 +237,20 @@ def test_attempt_matches_numpy_tableau(m):
     # h^5 |k|, so its summation order shows at a few 1e-8 relative
     assert err == pytest.approx(want_err, rel=1e-6)
     assert norm == max(abs(v) for v in y_new)
+
+
+def test_generated_code_has_its_own_filenames():
+    # profiles key functions by (filename, line, name): one shared
+    # "<string>" would merge every kernel and closure into one entry
+    source = parse_system("dim=2; F1 = -x1 + x2^2; F2 = -2*x2 - x1*x2").source
+    names = [integrate._kernel(2).__code__.co_filename,
+             integrate._kernel(6).__code__.co_filename,
+             source.field_rhs.__code__.co_filename,
+             source.jacobian_rhs.__code__.co_filename,
+             source.compiled_lift().__code__.co_filename,
+             source.compiled_lift(np.eye(2)).__code__.co_filename]
+    assert names == ["<lyapmetric dp5 m=2>", "<lyapmetric dp5 m=6>",
+                     "<lyapmetric field dim=2>",
+                     "<lyapmetric jacobian dim=2>",
+                     "<lyapmetric lift dim=2>",
+                     "<lyapmetric lift+gramian dim=2>"]

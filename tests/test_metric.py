@@ -288,6 +288,50 @@ class TestScalarClosedForm:
         assert 1.0 < w < 2.0
         assert info.value.stage == "scalar-metric"
 
+    @pytest.mark.parametrize("variant", ["along-solutions", "rescaled"])
+    def test_quadrature_agrees_with_scipy_quad(self, scalar_model, variant):
+        # the former route: QUADPACK at the same tolerance and panel limit
+        from scipy.integrate import quad
+
+        field = scalar_metric_field(scalar_model, variant=variant)
+
+        def weight(x):
+            if variant == "rescaled":
+                return 1.0 + abs(float(scalar_model.jac(x)[0, 0])) ** 3
+            return 1.0
+
+        def integrand(u, e):
+            x = np.array([e * u])
+            return -float(scalar_model.f(x)[0]) * weight(x) / e
+
+        for e in (0.5, -0.5, 1.0, -1.0, 2.0, -2.0):
+            val, _ = quad(integrand, 0.0, 1.0, args=(e,), epsabs=0.0,
+                          epsrel=1e-12, limit=200)
+            f_e = float(scalar_model.f(np.array([e]))[0])
+            want = val / (f_e / e) ** 2
+            assert field(np.array([e]))[0, 0] == pytest.approx(want,
+                                                               rel=1e-13)
+
+    def test_gauss_legendre_nodes_match_numpy(self):
+        from lyapmetric.metric import _GAUSS_POINTS, _gauss_legendre
+
+        nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_POINTS)
+        ours = np.array(_gauss_legendre(_GAUSS_POINTS))
+        np.testing.assert_allclose(ours[:, 0], 0.5 * (nodes + 1.0),
+                                   rtol=0, atol=2e-16)
+        np.testing.assert_allclose(ours[:, 1], 0.5 * weights, rtol=0,
+                                   atol=2e-16)
+
+    def test_quadrature_non_convergence_is_operational_error(self):
+        # a field oscillating far faster than 200 panels resolve
+        model = SystemModel(
+            dim=1, f=lambda x: -x * (1.5 + np.sin(1e6 * x)),
+            jac=lambda x: np.array([[-1.0]]))
+        field = scalar_metric_field(model)
+        with pytest.raises(LyapmetricError,
+                           match="did not converge at e = 1.0"):
+            field(np.array([1.0]))
+
     def test_needs_first_order_stability(self):
         with pytest.raises(LyapmetricError):
             scalar_metric_field(parse_system("dim=1; F1 = -x1^3"))
