@@ -326,8 +326,9 @@ def _build_metric(config, model, ode_tol=1e-12):
 
 
 def _metric_inequality(config, model):
-    """Build the configured metric, check L_F P + Q <= 0 on the grid and
-    take its eigenvalue envelopes: (field, grid, payload, verdict)."""
+    """Build the configured metric, check L_F P + Q <= 0 on the grid (with
+    :func:`residual_report`'s one Richardson cross-check of a lifted field)
+    and take its eigenvalue envelopes: (field, grid, payload, verdict)."""
     field = _build_metric(config, model)
     transverse = config.variant == "transverse"
     grid = config.grid_points(field.point_dim)

@@ -67,7 +67,9 @@ class TailHorizonError(LyapmetricError):
 
 
 class DerivativeUnreliableError(LyapmetricError):
-    """Richardson extrapolants of a flow-directional derivative disagree."""
+    """Richardson extrapolants of a flow-directional derivative disagree,
+    or a residual entry read off the transition identity disagrees with
+    its Richardson cross-check."""
 
 
 class GeodesicDomainError(LyapmetricError):

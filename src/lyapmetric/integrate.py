@@ -149,15 +149,23 @@ class OdeSolution:
 
 
 def _rms(values, scale):
-    return math.sqrt(sum((v / s) ** 2 for v, s in zip(values, scale))
-                     / len(scale))
+    """Scaled root mean square; inf where a square overflows."""
+    try:
+        return math.sqrt(sum((v / s) ** 2 for v, s in zip(values, scale))
+                         / len(scale))
+    except OverflowError:
+        return math.inf
 
 
 def _initial_step(rhs, y0, f0, t_end, rtol, atol):
-    """First step size from t = 0 (t_end > 0)."""
+    """First step size from t = 0 (t_end > 0) and the rhs calls its probe
+    made.  The size is 0.0 when the scaled norm of f0 or of its change
+    overflows, which leaves the first step to the solver's floor."""
     scale = [atol + rtol * abs(v) for v in y0]
     d0 = _rms(y0, scale)
     d1 = _rms(f0, scale)
+    if d1 == math.inf:
+        return 0.0, 0
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_end)
     f1 = rhs(h0, tuple(v + h0 * g for v, g in zip(y0, f0)))
@@ -166,7 +174,7 @@ def _initial_step(rhs, y0, f0, t_end, rtol, atol):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, t_end)
+    return min(100 * h0, h1, t_end), 1
 
 
 def _views(ts, ys, m):
@@ -207,7 +215,8 @@ def solve(rhs, y0, t_end, rtol=1e-9, dense=False, blowup_norm=1e8,
         # the first step's size would divide by zero (an infinite f0) or be
         # NaN, which never meets the underflow floor
         raise BlowUpError(0.0, float("inf"), blowup_norm)
-    h = max(_initial_step(rhs, y, f, t_end, rtol, atol), 1e-12)
+    h, probes = _initial_step(rhs, y, f, t_end, rtol, atol)
+    h = max(h, 1e-12)
     end_gap = 1e-14 * max(1.0, abs(t_end))
 
     t = 0.0
@@ -263,4 +272,4 @@ def solve(rhs, y0, t_end, rtol=1e-9, dense=False, blowup_norm=1e8,
         interp = DenseOutput(t_arr, np.frombuffer(hs),
                              np.frombuffer(coeffs).reshape(-1, 5, m))
     return OdeSolution(t_arr, y_arr, interp, n_steps, n_rejected,
-                       2 + 6 * (n_steps + n_rejected))
+                       1 + probes + 6 * (n_steps + n_rejected))

@@ -17,11 +17,16 @@ compiled rhs for a model parsed from text:
                                         state-independent lower bound
 
 plus the residual machinery that checks the matrix inequality
-L_F P(e) <= -Q by flow-aligned differencing of P (:func:`lie_derivative`,
-the one gated Lie derivative behind every such check in the package).  The
-transverse inequality is checked along the transversally linear system
-itself (:class:`systems.ManifoldStep`), whose field is the drift and whose
-`jac` is the generator dF/de(0, x) of its transition.
+L_F P(e) <= -Q.  A lifted field keeps the transition Phi(e, T(e)) at the
+end of each solve, and for a Gramian truncated at T the residual is exact:
+L_F P_T(e) + Q = Phi(e,T)' Q Phi(e,T), so its entries cost no further
+solve.  Every other field takes the flow-aligned differencing of P
+(:func:`lie_derivative`, the one gated Lie derivative behind every other
+such check in the package), which also cross-checks the identity at one
+point of each report.  The transverse inequality is checked along the
+transversally linear system itself (:class:`systems.ManifoldStep`), whose
+field is the drift and whose `jac` is the generator dF/de(0, x) of its
+transition.
 """
 
 from __future__ import annotations
@@ -85,11 +90,13 @@ class MetricField:
     """Evaluator point -> symmetric positive definite matrix, with the decay
     data and eigenvalue envelopes attached.
 
-    `evaluator(point, horizon) -> (P, horizon_used)`.  A lifted evaluator
-    integrates to a pinned `horizon`, or else chooses the truncation horizon
-    T(point) itself; fields without truncation (constant, callable, closed
-    form, tabulated) return None.  The field records the horizon each point
-    chose for itself (:meth:`horizon_for`) and keys its cache on
+    `evaluator(point, horizon) -> (P, horizon_used, Phi)`.  A lifted
+    evaluator integrates to a pinned `horizon`, or else chooses the
+    truncation horizon T(point) itself, and returns the transition Phi at
+    the horizon it reached; fields without truncation (constant, callable,
+    closed form, tabulated) return None for both.  The field records the
+    horizon each point chose for itself and the transition there
+    (:meth:`horizon_for`, :meth:`transition_for`) and keys its cache on
     (point, horizon_used), so P(e) and P(e, horizon=T(e)) are one
     evaluation.
 
@@ -109,7 +116,8 @@ class MetricField:
         self.bounds = None
         self._evaluator = evaluator
         self._cache = {}
-        self._horizons = {}
+        self._horizons = {}      # point -> T(point)
+        self._transitions = {}   # point -> Phi(point, T(point))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -124,22 +132,32 @@ class MetricField:
         hit = self._cache.get((key, horizon))
         if hit is not None:
             return hit.copy()
-        raw, used = self._evaluator(point, horizon)
+        raw, used, phi = self._evaluator(point, horizon)
         value = _symmetrize(np.asarray(raw, dtype=float))
         if horizon is None and used is not None:
             self._horizons[key] = used
+            self._transitions[key] = phi
         if len(self._cache) < 4096:
             self._cache[(key, used)] = value.copy()
         return value
 
-    def horizon_for(self, point):
-        """The truncation horizon P(point) chose for itself, or None for a
-        field without truncation; evaluates P(point) once if unrecorded."""
+    def _recorded(self, point, record):
         point = np.atleast_1d(np.asarray(point, dtype=float))
         key = point.tobytes()
         if key not in self._horizons:
             self(point)
-        return self._horizons.get(key)
+        return record.get(key)
+
+    def horizon_for(self, point):
+        """The truncation horizon P(point) chose for itself, or None for a
+        field without truncation; evaluates P(point) once if unrecorded."""
+        return self._recorded(point, self._horizons)
+
+    def transition_for(self, point):
+        """The transition of the field's lift at the horizon P(point) chose
+        for itself, or None for a field without a lift; evaluates P(point)
+        once if unrecorded."""
+        return self._recorded(point, self._transitions)
 
     # -- envelopes -----------------------------------------------------------
 
@@ -178,7 +196,7 @@ class MetricField:
             if x < lo or x > hi:
                 raise GeodesicDomainError(
                     f"point {point} outside certified domain [{lo}, {hi}]")
-            return np.array([[float(spline(x))]]), None
+            return np.array([[float(spline(x))]]), None, None
 
         out = MetricField(
             dim=self.dim, q=self.q, variant=self.variant, evaluator=evaluator,
@@ -202,7 +220,7 @@ def constant_metric(p, q=None):
     p = check_positive_definite(p, "P")
     q = np.eye(p.shape[0]) if q is None else check_positive_definite(q)
     return MetricField(dim=p.shape[0], q=q, variant="constant",
-                       evaluator=lambda point, horizon: (p.copy(), None))
+                       evaluator=lambda point, horizon: (p.copy(), None, None))
 
 
 def from_callable(fn, dim):
@@ -210,7 +228,7 @@ def from_callable(fn, dim):
     Q = I."""
     return MetricField(dim=dim, q=np.eye(dim), variant="custom",
                        evaluator=lambda point, horizon:
-                       (np.atleast_2d(fn(point)), None))
+                       (np.atleast_2d(fn(point)), None, None))
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +280,7 @@ def gramian_at_origin(model, q=None):
 def _decay_truncated_field(variant, make_lift, n_state, n_phi, q, decay,
                            tail_tol, ode_tol, horizon_cap, blowup_norm):
     """Evaluator point -> integral over [0, T(point)] of Phi' Q Phi for the
-    lifted system `make_lift(q)`.
+    lifted system `make_lift(q)`, with Phi(point, T(point)).
 
     Unless a horizon is pinned, T(point) comes from the analytic tail bound
     gain(|point|)^2 mu_max(Q) exp(-2 rate T) / (2 rate) <= tail_tol,
@@ -292,7 +310,8 @@ def _decay_truncated_field(variant, make_lift, n_state, n_phi, q, decay,
         sol = integrate.solve(lift.rhs, lift.y0(point), float(horizon),
                               rtol=ode_tol, blowup_norm=blowup_norm,
                               max_steps=500_000)
-        return lift.split(sol.y[-1])[2], horizon
+        _, phi, gramian = lift.split(sol.y[-1])
+        return gramian, horizon, phi.copy()
 
     return MetricField(dim=n_phi, q=q, variant=variant, evaluator=evaluator,
                        point_dim=n_state, decay=decay, tail_tol=tail_tol)
@@ -347,7 +366,8 @@ def rescaled_metric_field(model, q=None, tail_tol=1e-7, ode_tol=1e-12):
     the truncation.  A pinned horizon runs the same chunks and stops there,
     so P~(e, horizon=T(e)) repeats the adaptive P~(e) bit for bit and
     residual stencils share one truncation (the chunk quantization would
-    otherwise leak tail-sized jumps into flow differences).
+    otherwise leak tail-sized jumps into flow differences).  Phi~ at the
+    horizon reached comes with P~.
     """
     n = model.dim
     q = np.eye(n) if q is None else check_positive_definite(q)
@@ -372,16 +392,17 @@ def rescaled_metric_field(model, q=None, tail_tol=1e-7, ode_tol=1e-12):
             y = integrate.solve(lift.rhs, y, t_next - t_done, rtol=ode_tol,
                                 max_steps=500_000).y[-1]
             t_done = t_next
+            _, phi, gramian = lift.split(y)
             if horizon is not None:
                 if t_done >= horizon:
-                    return lift.split(y)[2], horizon
+                    return gramian, horizon, phi.copy()
                 continue
-            phi_norm = float(np.linalg.norm(lift.split(y)[1], 2))
+            phi_norm = float(np.linalg.norm(phi, 2))
             if prev_norm is not None and 0.0 < phi_norm < prev_norm:
                 rate = math.log(prev_norm / phi_norm) / _CHUNK
                 tail = phi_norm ** 2 * q_max / (2.0 * rate)
                 if tail <= tail_tol:
-                    return lift.split(y)[2], t_done
+                    return gramian, t_done, phi.copy()
             prev_norm = phi_norm
         raise TailHorizonError(
             "decay data insufficient: slowed transition tail did not "
@@ -526,7 +547,7 @@ def scalar_metric_field(model, q=None, variant="along-solutions", decay=None):
     def evaluator(point, horizon):
         e = float(point[0])
         if e == 0.0:
-            return np.array([[p_origin]]), None
+            return np.array([[p_origin]]), None, None
         f_e = f(e)
         require_decay(e, f_e)
 
@@ -540,7 +561,7 @@ def scalar_metric_field(model, q=None, variant="along-solutions", decay=None):
         if integral is None:
             raise LyapmetricError(
                 f"closed-form metric quadrature did not converge at e = {e}")
-        return np.array([[q_scalar * integral / (f_e / e) ** 2]]), None
+        return np.array([[q_scalar * integral / (f_e / e) ** 2]]), None, None
 
     return MetricField(dim=1, q=q, variant=variant, evaluator=evaluator,
                        decay=decay, tail_tol=_SCALAR_TAIL_TOL)
@@ -552,17 +573,24 @@ def scalar_metric_field(model, q=None, variant="along-solutions", decay=None):
 
 @dataclass
 class ResidualEntry:
+    """One residual entry.  `route` is "identity" (read off the field's
+    transition) or "richardson" (:func:`lie_derivative`, with the step `h`
+    that passed its gate and the `disagreement` it gated)."""
+
     point: np.ndarray
     residual: np.ndarray
     max_eigenvalue: float
-    h: float
-    disagreement: float
+    route: str
+    h: Optional[float] = None
+    disagreement: Optional[float] = None
 
     def to_dict(self):
-        return {"point": [float(v) for v in self.point],
-                "max_eigenvalue": self.max_eigenvalue,
-                "h": self.h,
-                "richardson_disagreement": self.disagreement}
+        out = {"point": [float(v) for v in self.point],
+               "max_eigenvalue": self.max_eigenvalue,
+               "route": self.route}
+        if self.route == "richardson":
+            out.update(h=self.h, richardson_disagreement=self.disagreement)
+        return out
 
 
 @dataclass
@@ -570,6 +598,7 @@ class ResidualReport:
     entries: list
     tolerance: float
     variant: str
+    cross_check: Optional[dict] = None
 
     @property
     def max_eigenvalue(self):
@@ -585,6 +614,7 @@ class ResidualReport:
                 "tolerance": self.tolerance,
                 "verdict": self.verdict,
                 "max_eigenvalue": self.max_eigenvalue,
+                "cross_check": self.cross_check,
                 "entries": [e.to_dict() for e in self.entries]}
 
 
@@ -633,32 +663,73 @@ def lie_derivative(metric, model, e, h=None):
     return (2.0 * d2 - d1) + p0 @ j + j.T @ p0, h, disagreement
 
 
-def lie_derivative_residual(metric, model, e, h=None):
-    """One residual entry R(e) = L_F P(e) + Q_eff (:func:`lie_derivative`).
+def _q_weight(metric, model, e):
+    """w(e) in Q_eff = w(e) Q: the slowing weight for the rescaled variant,
+    else 1."""
+    if metric.variant == "rescaled":
+        return _slowing_weight(model.jac(e))
+    return 1.0
 
-    For the rescaled variant Q_eff = Q (1 + |dF/de(e)|^3), matching the
-    inequality that construction satisfies; otherwise Q_eff = Q.  The entry
-    records the Richardson step h that passed the gate.
+
+def _richardson_residual(metric, model, e):
+    """L_F P(e) + Q_eff, symmetrized, by :func:`lie_derivative`:
+    (residual, h, disagreement)."""
+    lie, h, disagreement = lie_derivative(metric, model, e)
+    residual = lie + metric.q * _q_weight(metric, model, e)
+    return 0.5 * (residual + residual.T), h, disagreement
+
+
+def lie_derivative_residual(metric, model, e):
+    """One residual entry R(e) = L_F P(e) + Q_eff.
+
+    For the rescaled variant Q_eff = w(e) Q with w = 1 + |dF/de(e)|^3,
+    matching the inequality that construction satisfies; otherwise
+    Q_eff = Q.  Where the field holds the transition Phi(e, T(e)) of its
+    lift (:meth:`MetricField.transition_for`), the entry is the Gramian
+    identity R = Phi' Q Phi, times w for the rescaled variant, whose lift
+    runs at speed 1 / w; no further solve.  Any other field takes the
+    Richardson route, :func:`lie_derivative`, and the entry records the
+    step h that passed the gate.
     """
     e = np.atleast_1d(np.asarray(e, dtype=float))
-    lie, h, disagreement = lie_derivative(metric, model, e, h)
-    q_eff = metric.q
-    if metric.variant == "rescaled":
-        q_eff = metric.q * _slowing_weight(model.jac(e))
-    residual = lie + q_eff
-    residual = 0.5 * (residual + residual.T)
+    phi = metric.transition_for(e)
+    if phi is None:
+        residual, h, disagreement = _richardson_residual(metric, model, e)
+        route = "richardson"
+    else:
+        residual = _q_weight(metric, model, e) * (phi.T @ metric.q @ phi)
+        residual = 0.5 * (residual + residual.T)
+        route, h, disagreement = "identity", None, None
     max_eig = float(np.max(np.linalg.eigvalsh(residual)))
     return ResidualEntry(point=e, residual=residual, max_eigenvalue=max_eig,
-                         h=h, disagreement=disagreement)
+                         route=route, h=h, disagreement=disagreement)
 
 
 def residual_report(metric, model, points):
     """Residual entries on `points`, passing when every max eigenvalue is at
-    most _RESIDUAL_TOL."""
+    most _RESIDUAL_TOL.
+
+    When the first entry took the identity route it is cross-checked
+    against the Richardson route at the same point; `cross_check` records
+    the point, the Richardson step and the 2-norm gap, and a gap above
+    _RESIDUAL_TOL raises :class:`DerivativeUnreliableError`.
+    """
     entries = [lie_derivative_residual(metric, model, p)
                for p in np.atleast_2d(np.asarray(points, dtype=float))]
+    cross_check = None
+    if entries and entries[0].route == "identity":
+        first = entries[0]
+        richardson, h, _ = _richardson_residual(metric, model, first.point)
+        gap = float(np.linalg.norm(richardson - first.residual, 2))
+        if not gap <= _RESIDUAL_TOL:
+            raise DerivativeUnreliableError(
+                f"residual routes disagree at e = {first.point}: the "
+                f"transition identity and the Richardson derivative differ "
+                f"by {gap:.3g} > {_RESIDUAL_TOL:g}")
+        cross_check = {"point": [float(v) for v in first.point], "h": h,
+                       "gap": gap}
     return ResidualReport(entries=entries, tolerance=_RESIDUAL_TOL,
-                          variant=metric.variant)
+                          variant=metric.variant, cross_check=cross_check)
 
 
 # ---------------------------------------------------------------------------

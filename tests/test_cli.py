@@ -323,6 +323,27 @@ class TestAnalyze:
         assert report["reason"].startswith("LES falsified")
         assert "|state| = inf" in report["reason"]
 
+    @pytest.mark.parametrize("text", [
+        "dim=1; F1 = x1*1e160", "dim=1; F1 = -x1*1e160",
+        "dim=1; F1 = x1*1e300"])
+    def test_huge_finite_field_at_start_is_falsified(self, text, tmp_path,
+                                                     capsys):
+        # the first step's scaled norm of F overflows (1e160) or is
+        # infinite (1e300); the solve starts at its step floor and leaves
+        # the floating range at t = 0.  The stable -x1*1e160 ends the same
+        # way as -x1*1e100 does: no explicit step resolves its decay
+        spec = tmp_path / "system.txt"
+        spec.write_text(text + "\n")
+        code = main(["analyze", "--system", str(spec),
+                     "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert capsys.readouterr().err == ""
+        report = _read_report(tmp_path / "r")
+        assert report["verdict"] == "falsified"
+        assert report["reason"].startswith("LES falsified")
+        assert report["reason"].endswith("|state| = inf exceeded 1e+08 at "
+                                         "t = 0")
+
     def test_stable_linear_rate_near_abscissa(self, tmp_path):
         payload = tmp_path / "stable.json"
         payload.write_text(json.dumps({"A": [[0.0, 1.0], [-1.0, -1.0]]}))

@@ -116,6 +116,59 @@ def test_non_finite_start_is_blowup_at_t0(rhs, y0):
     assert counting.calls == 1
 
 
+def _initial_step_reference(rhs, y0, f0, t_end, rtol, atol):
+    """The first-step rule as written before overflow was handled."""
+    scale = [atol + rtol * abs(v) for v in y0]
+
+    def rms(values):
+        return math.sqrt(sum((v / s) ** 2 for v, s in zip(values, scale))
+                         / len(scale))
+
+    d0, d1 = rms(y0), rms(f0)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_end)
+    f1 = rhs(h0, tuple(v + h0 * g for v, g in zip(y0, f0)))
+    d2 = rms([b - a for a, b in zip(f0, f1)]) / h0
+    if max(d1, d2) <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    return min(100 * h0, h1, t_end)
+
+
+@pytest.mark.parametrize("scale, y0", [
+    (-1.0, (0.5,)), (1e140, (0.5,)), (-1e140, (-2.0,)), (1e-20, (1.0,)),
+    (0.0, (0.0,)), (-3.0, (1.0, -2.0, 1e-300)),
+])
+def test_initial_step_unchanged_where_norms_are_finite(scale, y0):
+    def rhs(t, y):
+        return [scale * v + t for v in y]
+
+    f0 = tuple(rhs(0.0, y0))
+    for rtol in (1e-4, 1e-9, 1e-12):
+        atol = integrate._ATOL_PER_RTOL * rtol
+        want = _initial_step_reference(rhs, y0, f0, 10.0, rtol, atol)
+        assert integrate._initial_step(rhs, y0, f0, 10.0, rtol, atol) == \
+            (want, 1)
+
+
+@pytest.mark.parametrize("scale", [1e160, -1e160, 1e300],
+                         ids=["square-overflows", "stable", "ratio-is-inf"])
+def test_overflowing_initial_norm_starts_at_the_floor(scale):
+    # the scaled norm of F overflows: no representable step resolves it,
+    # so the solve starts at its 1e-12 floor and the first attempts leave
+    # the floating range, a blow-up at t = 0
+    def rhs(t, y):
+        return [scale * y[0]]
+
+    f0 = tuple(rhs(0.0, (0.5,)))
+    assert integrate._initial_step(rhs, (0.5,), f0, 1.0, 1e-9, 1e-12) == \
+        (0.0, 0)
+    with pytest.raises(BlowUpError) as err:
+        solve(rhs, [0.5], 1.0, rtol=1e-9)
+    assert err.value.t == 0.0
+
+
 def test_step_budget_counts_exactly_max_steps_attempts():
     rhs = _Counting(lambda t, y: [y[1], -1e6 * y[0]])
     with pytest.raises(StepSizeUnderflowError, match="after 10 attempts"):

@@ -7,6 +7,7 @@ from lyapmetric import catalog, parse_system
 from lyapmetric.dynamics import variational_flow
 from lyapmetric import integrate
 from lyapmetric.errors import (
+    DerivativeUnreliableError,
     FalsificationError,
     LyapmetricError,
     TailHorizonError,
@@ -22,6 +23,7 @@ from lyapmetric.metric import (
     check_positive_definite,
     constant_metric,
     gramian_at_origin,
+    lie_derivative,
     lie_derivative_residual,
     metric_bounds,
     rescaled_metric_field,
@@ -34,6 +36,28 @@ from lyapmetric.systems import SystemModel
 
 SCALAR_GRID = (-2.0, -1.0, 0.5, 1.0, 2.0)
 CLOSED_FORM_POINTS = (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0)
+PLANAR = "dim=2; F1 = -x1 + x2^2; F2 = -2*x2 - x1*x2"
+
+
+def richardson_residual(field, model, e, h=None, weight=1.0):
+    """L_F P(e) + weight Q by the Richardson route, symmetrized as a
+    residual entry is: (residual, max eigenvalue, h, disagreement)."""
+    lie, h, disagreement = lie_derivative(field, model, e, h)
+    residual = lie + field.q * weight
+    residual = 0.5 * (residual + residual.T)
+    return (residual, float(np.max(np.linalg.eigvalsh(residual))), h,
+            disagreement)
+
+
+def lam2_transverse(tail_tol=1e-7):
+    """The lam = 2 counterexample (demo 06's setup) with its transverse
+    metric: (model, field)."""
+    model = catalog.get("transverse-counterexample").build(
+        {"lam": 2.0, "mu_x": 1.0})
+    decay = estimate_transverse_decay(model, ([-1.0], [1.0]),
+                                      n_samples=2, horizon=6.0)
+    return model, transverse_metric_field(model, decay=decay,
+                                          tail_tol=tail_tol)
 
 
 @pytest.fixture(scope="module")
@@ -369,41 +393,116 @@ class TestLieDerivativeResidual:
     def test_richardson_step_halves_until_gate_passes(self, monkeypatch):
         # on the rescaled planar field the default h = sqrt(tail_tol) and
         # h / 2 fail the gate at (0.8, -0.5); h / 4 passes.  The horizon
-        # is read once per entry, not once per try
-        model = parse_system("dim=2; F1 = -x1 + x2^2; F2 = -2*x2 - x1*x2")
+        # is read once per derivative, not once per try
+        model = parse_system(PLANAR)
         field = rescaled_metric_field(model)
         rule_calls = []
         horizon_for = field.horizon_for
         monkeypatch.setattr(field, "horizon_for",
                             lambda p: rule_calls.append(p) or horizon_for(p))
-        entry = lie_derivative_residual(field, model, [0.8, -0.5])
+        e = np.array([0.8, -0.5])
+        weight = 1.0 + np.linalg.norm(model.jac(e), 2) ** 3
+        _, max_eig, h, disagreement = richardson_residual(field, model, e,
+                                                          weight=weight)
         assert len(rule_calls) == 1
-        assert entry.h == pytest.approx(0.25 * math.sqrt(field.tail_tol))
-        assert entry.disagreement <= 10.0 * 1e-4
-        assert entry.max_eigenvalue <= 1e-4
+        assert h == pytest.approx(0.25 * math.sqrt(field.tail_tol))
+        assert disagreement <= 10.0 * 1e-4
+        assert max_eig <= 1e-4
 
     def test_transverse_entries_are_pinned(self):
-        # the residual along the transversally linear system: P is
-        # differenced along the drift and congruenced with dF/de(0, x).
-        # Values recorded on the lam = 2 counterexample (demo 06's setup)
-        model = catalog.get("transverse-counterexample").build(
-            {"lam": 2.0, "mu_x": 1.0})
-        decay = estimate_transverse_decay(model, ([-1.0], [1.0]),
-                                          n_samples=2, horizon=6.0)
-        field = transverse_metric_field(model, decay=decay, tail_tol=1e-6)
-        report = residual_report(field, model.manifold_step(),
-                                 [[0.5], [1.0]])
-        assert [(e.max_eigenvalue, e.h, e.disagreement)
-                for e in report.entries] == [
+        # the Richardson derivative along the transversally linear system:
+        # P is differenced along the drift and congruenced with
+        # dF/de(0, x).  Values recorded on the lam = 2 counterexample
+        model, field = lam2_transverse(tail_tol=1e-6)
+        step = model.manifold_step()
+        assert [richardson_residual(field, step, [x])[1:]
+                for x in (0.5, 1.0)] == [
             (2.0087836092308464e-06, 0.001, 1.3337578347316636e-05),
             (1.7455835770174843e-06, 0.001, 1.1631658025645919e-05)]
+        report = residual_report(field, step, [[0.5], [1.0]])
         assert report.verdict == "pass"
 
     def test_report_serializes(self, scalar_model, scalar_field):
-        report = residual_report(scalar_field, scalar_model, [[1.0]])
-        data = report.to_dict()
+        # a lifted field: identity entries, one cross-check; a closed-form
+        # field: Richardson entries with their step, and no cross-check
+        data = residual_report(scalar_field, scalar_model,
+                               [[1.0], [2.0]]).to_dict()
         assert data["verdict"] == "pass"
-        assert data["entries"][0]["h"] > 0
+        assert [sorted(e) for e in data["entries"]] == \
+            [["max_eigenvalue", "point", "route"]] * 2
+        assert {e["route"] for e in data["entries"]} == {"identity"}
+        assert data["cross_check"]["point"] == [1.0]
+        assert data["cross_check"]["h"] > 0
+        assert data["cross_check"]["gap"] <= data["tolerance"]
+        closed = scalar_metric_field(scalar_model)
+        data = residual_report(closed, scalar_model, [[1.0]]).to_dict()
+        [entry] = data["entries"]
+        assert entry["route"] == "richardson"
+        assert entry["h"] > 0 and entry["richardson_disagreement"] >= 0.0
+        assert data["cross_check"] is None
+
+
+class TestResidualIdentity:
+    """A lifted field's residual entry is its transition identity,
+    R = w Phi(e,T)' Q Phi(e,T), with no further solve; it agrees with the
+    Richardson route (w = 1, except the rescaled variant's slowing weight)."""
+
+    @staticmethod
+    def _along_solutions():
+        model = parse_system(PLANAR)
+        decay = estimate_linearized_decay(model, [0.5, 1.0, 2.0],
+                                          n_samples=2, horizon=10.0)
+        return model, solution_metric(model, decay=decay), \
+            [(0.8, -0.5), (0.5, 0.5)]
+
+    @staticmethod
+    def _rescaled():
+        model = parse_system(PLANAR)
+        return model, rescaled_metric_field(model), [(0.8, -0.5), (0.5, 0.5)]
+
+    @staticmethod
+    def _transverse():
+        model, field = lam2_transverse()
+        return model.manifold_step(), field, [(0.5,), (1.0,)]
+
+    @pytest.mark.parametrize("build", ["_along_solutions", "_rescaled",
+                                       "_transverse"])
+    def test_identity_matches_richardson(self, build, monkeypatch):
+        model, field, points = getattr(self, build)()
+        for p in points:
+            e = np.array(p)
+            field(e)   # the solve that records Phi(e, T(e))
+            solves = []
+            real = integrate.solve
+            with monkeypatch.context() as patch:
+                patch.setattr(integrate, "solve", lambda *a, **k:
+                              solves.append(1) or real(*a, **k))
+                entry = lie_derivative_residual(field, model, e)
+            assert entry.route == "identity" and entry.h is None
+            assert solves == []
+            weight = 1.0
+            if field.variant == "rescaled":
+                weight = 1.0 + np.linalg.norm(model.jac(e), 2) ** 3
+            richardson = richardson_residual(field, model, e,
+                                             weight=weight)[0]
+            assert np.linalg.norm(entry.residual - richardson, 2) <= 1e-6
+
+    def test_fields_without_a_lift_take_richardson(self, scalar_model):
+        for field in (scalar_metric_field(scalar_model),
+                      gramian_at_origin(scalar_model)):
+            assert field.transition_for([1.0]) is None
+            entry = lie_derivative_residual(field, scalar_model, [1.0])
+            assert entry.route == "richardson" and entry.h > 0
+
+    def test_cross_check_failure_is_unreliable_derivative(self):
+        # the field's lift is the planar field's, the model is not: the
+        # identity and the Richardson route along the model disagree
+        model, field, points = self._along_solutions()
+        other = SystemModel.from_linear(np.array([[-3.0, 1.0],
+                                                  [0.0, -1.0]]))
+        with pytest.raises(DerivativeUnreliableError,
+                           match="residual routes disagree"):
+            residual_report(field, other, points)
 
 
 class TestHorizonProtocol:
@@ -411,26 +510,20 @@ class TestHorizonProtocol:
     P(e) then P(e, horizon=T(e)) is one evaluation, and a dump of points
     already evaluated solves nothing."""
 
-    PLANAR = "dim=2; F1 = -x1 + x2^2; F2 = -2*x2 - x1*x2"
-
     @staticmethod
     def _along_solutions():
-        model = parse_system(TestHorizonProtocol.PLANAR)
+        model = parse_system(PLANAR)
         decay = estimate_linearized_decay(model, [0.5, 1.0, 2.0],
                                           n_samples=2, horizon=10.0)
         return solution_metric(model, decay=decay), [[0.8, -0.5], [0.5, 0.5]]
 
     @staticmethod
     def _transverse():
-        model = catalog.get("transverse-counterexample").build(
-            {"lam": 2.0, "mu_x": 1.0})
-        decay = estimate_transverse_decay(model, ([-1.0], [1.0]),
-                                          n_samples=2, horizon=6.0)
-        return transverse_metric_field(model, decay=decay), [[0.5], [-0.3]]
+        return lam2_transverse()[1], [[0.5], [-0.3]]
 
     @staticmethod
     def _rescaled():
-        model = parse_system(TestHorizonProtocol.PLANAR)
+        model = parse_system(PLANAR)
         return rescaled_metric_field(model), [[0.8, -0.5], [0.5, 0.5]]
 
     @pytest.mark.parametrize("build", ["_along_solutions", "_transverse",
@@ -459,9 +552,8 @@ class TestHorizonPinnedIdentity:
     """For P_T(e) = int_0^T Phi(e,s)' Q Phi(e,s) ds the residual is exact:
     d_F P_T + P_T J + J' P_T + Q = Phi(e,T)' Q Phi(e,T).  Phi(e,T) comes
     from SciPy DOP853 on the variational equation, not from the lifted
-    core that builds P_T."""
-
-    PLANAR = "dim=2; F1 = -x1 + x2^2; F2 = -2*x2 - x1*x2"
+    core that builds P_T; both routes must meet it, the Richardson
+    derivative (at step h) and the identity entry."""
 
     @staticmethod
     def _phi_at_horizon(model, e, horizon):
@@ -484,15 +576,18 @@ class TestHorizonPinnedIdentity:
         for p in points:
             e = np.array(p, dtype=float)
             phi = self._phi_at_horizon(model, e, field.horizon_for(e))
-            entry = lie_derivative_residual(field, model, e, h=h)
-            assert np.max(np.abs(entry.residual - phi.T @ field.q @ phi)) \
-                <= 1e-7
+            oracle = phi.T @ field.q @ phi
+            richardson = richardson_residual(field, model, e, h=h)[0]
+            entry = lie_derivative_residual(field, model, e)
+            assert entry.route == "identity"
+            for residual in (richardson, entry.residual):
+                assert np.max(np.abs(residual - oracle)) <= 1e-7
 
     # tail_tol 1e3 floors the horizon at T = 1, where Phi(e,T)' Q Phi(e,T)
     # is of order 0.1 rather than of the certified tail size
     @pytest.mark.parametrize("tail_tol, h", [(1e-7, None), (1e3, 1e-4)])
     def test_planar(self, tail_tol, h):
-        model = parse_system(self.PLANAR)
+        model = parse_system(PLANAR)
         decay = estimate_linearized_decay(model, [0.5, 1.0, 2.0],
                                           n_samples=4, horizon=10.0,
                                           tol=1e-9, seed=0)
