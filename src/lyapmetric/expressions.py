@@ -24,7 +24,10 @@ differentiated and compiled to fast closures; Jacobians and Hessians are the
 compiled closures of their symbolic derivatives.  One source builder emits
 them all, with the solver's rhs signature over Python floats; where the
 emitted arithmetic raises, it evaluates the trees, which raise
-:class:`DomainEvaluationError` naming the subexpression.
+:class:`DomainEvaluationError` naming the subexpression.  The emitted
+source computes each repeated subtree once, into a local, and drops a
+factor equal to exactly 1.0; each closure carries that source, which
+:func:`integrate.solve` inlines into its generated stepping loop.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -62,8 +66,9 @@ class Node:
         """Symbolic partial derivative with respect to variable `index`."""
         raise NotImplementedError
 
-    def emit(self, params):
-        """Python source for the compiled fast path, with `params` inlined."""
+    def emit(self, params, sub=None):
+        """Python source for the compiled fast path, with `params` inlined;
+        `sub(child)` gives each child's source (by default its own emit)."""
         raise NotImplementedError
 
     def text(self):
@@ -92,7 +97,7 @@ class Num(Node):
     def diff(self, index):
         return Num(0.0)
 
-    def emit(self, params):
+    def emit(self, params, sub=None):
         return repr(self.v)
 
     def text(self):
@@ -111,7 +116,7 @@ class Var(Node):
     def diff(self, index):
         return Num(1.0 if index == self.index else 0.0)
 
-    def emit(self, params):
+    def emit(self, params, sub=None):
         return f"_x{self.index}"
 
     def text(self):
@@ -133,7 +138,7 @@ class Param(Node):
     def diff(self, index):
         return Num(0.0)
 
-    def emit(self, params):
+    def emit(self, params, sub=None):
         if self.name not in params:
             raise UnknownIdentifierError(f"unknown identifier '{self.name}'")
         return repr(float(params[self.name]))
@@ -151,6 +156,18 @@ def _is_zero(node):
 
 def _is_one(node):
     return isinstance(node, Num) and node.v == 1.0
+
+
+def _is_unit(node, params):
+    """Whether `node` is a constant or a parameter equal to exactly 1.0."""
+    if isinstance(node, Param):
+        return node.name in params and float(params[node.name]) == 1.0
+    return _is_one(node)
+
+
+def _plain(params):
+    """The default `sub` of :meth:`Node.emit`: each child emits itself."""
+    return lambda node: node.emit(params)
 
 
 class Bin(Node):
@@ -187,8 +204,15 @@ class Bin(Node):
         num = sub(mul(da, self.b), mul(self.a, db))
         return Bin("/", num, Pow(self.b, 2.0)) if not _is_zero(num) else Num(0.0)
 
-    def emit(self, params):
-        return f"({self.a.emit(params)} {self.op} {self.b.emit(params)})"
+    def emit(self, params, sub=None):
+        sub = sub or _plain(params)
+        if self.op == "*":
+            # x * 1.0 == x for every float, signed zeros and infinities too
+            if _is_unit(self.a, params):
+                return sub(self.b)
+            if _is_unit(self.b, params):
+                return sub(self.a)
+        return f"({sub(self.a)} {self.op} {sub(self.b)})"
 
     def text(self):
         return f"({self.a.text()} {self.op} {self.b.text()})"
@@ -245,8 +269,8 @@ class Neg(Node):
         d = self.a.diff(index)
         return Num(0.0) if _is_zero(d) else Neg(d)
 
-    def emit(self, params):
-        return f"(-{self.a.emit(params)})"
+    def emit(self, params, sub=None):
+        return f"(-{(sub or _plain(params))(self.a)})"
 
     def text(self):
         return f"(-{self.a.text()})"
@@ -286,12 +310,13 @@ class Pow(Node):
             return da
         return mul(mul(Num(self.p), Pow(self.a, self.p - 1.0)), da)
 
-    def emit(self, params):
+    def emit(self, params, sub=None):
         # math.pow raises ValueError on a negative base where ** returns a
         # complex; on a positive base both are libm's pow
+        base = (sub or _plain(params))(self.a)
         if self.p.is_integer():
-            return f"({self.a.emit(params)} ** {repr(self.p)})"
-        return f"math.pow({self.a.emit(params)}, {repr(self.p)})"
+            return f"({base} ** {repr(self.p)})"
+        return f"math.pow({base}, {repr(self.p)})"
 
     def text(self):
         p = self.p
@@ -347,12 +372,12 @@ class Call(Node):
             outer = mul(Num(2.0), self.a)
         return mul(outer, da)
 
-    def emit(self, params):
+    def emit(self, params, sub=None):
+        sub = sub or _plain(params)
         if self.fn == "abs2":
-            inner = self.a.emit(params)
-            return f"({inner} * {inner})"
+            return f"({sub(self.a)} * {sub(self.a)})"
         fn = "log" if self.fn == "ln" else self.fn
-        return f"{fn}({self.a.emit(params)})"
+        return f"{fn}({sub(self.a)})"
 
     def text(self):
         return f"{self.fn}({self.a.text()})"
@@ -549,6 +574,51 @@ _COMPILE_GLOBALS = {
 }
 
 
+class _Emitter:
+    """Sources of expression trees over one `params`, where every subtree
+    of variables used twice or more among `roots` (a structurally equal
+    subtree counts as the same one) becomes one local ``_cN``.  Calling the emitter on a
+    tree returns its source and appends the assignments of the locals it
+    needs to `lines`, each after those it reads.  Float evaluation is
+    deterministic, so a local has the value of every copy it replaces."""
+
+    def __init__(self, params, roots):
+        self.params = params
+        self.lines = []
+        self._plain = {}     # id(node) -> source without locals
+        self._uses = {}      # plain source -> uses among the roots
+        self._names = {}     # plain source -> its local
+        for root in roots:
+            self._count(root)
+
+    def _source(self, node):
+        src = self._plain.get(id(node))
+        if src is None:
+            src = self._plain[id(node)] = node.emit(self.params, self._source)
+        return src
+
+    def _count(self, node):
+        # a subtree's children are counted once, however often it is used
+        src = self._source(node)
+        self._uses[src] = self._uses.get(src, 0) + 1
+        if self._uses[src] == 1:
+            node.emit(self.params, self._count)
+        return src
+
+    def __call__(self, node):
+        src = self._source(node)
+        if src in self._names:
+            return self._names[src]
+        out = node.emit(self.params, self)
+        # a subtree of constants is folded when the source is compiled
+        if (self._uses.get(src, 0) < 2 or out.isidentifier()
+                or not node.variables()):
+            return out
+        name = self._names[src] = f"_c{len(self._names)}"
+        self.lines.append(f"{name} = {out}")
+        return name
+
+
 def _compile(inputs, lines, outputs, trees, params, kind):
     """The one source builder: `_fn(_t, _y)` unpacks `_y` into the names
     `inputs` (all of it; a star target doubles the cost of a small
@@ -556,7 +626,12 @@ def _compile(inputs, lines, outputs, trees, params, kind):
     Where that raises a domain exit it evaluates `trees` on `_y` in order,
     which raises :class:`DomainEvaluationError` naming the first failing
     subexpression.  The code is compiled under the filename
-    ``<lyapmetric KIND>``, so profiles keep each layout's calls apart."""
+    ``<lyapmetric KIND>``, so profiles keep each layout's calls apart.
+
+    The closure carries its source as ``_fn.source_parts``, with the
+    fields `inputs` (`_` where unread), `lines`, `outputs`, `kind` and
+    `names` (the globals they read): :func:`integrate.solve` emits them
+    into each stage of its generated loop instead of calling `_fn`."""
     src = (f"def _fn(_t, _y):\n    ({', '.join(inputs)},) = _y\n    try:\n"
            + "".join(f"        {line}\n" for line in lines)
            + f"        return ({', '.join(outputs)},)\n"
@@ -566,16 +641,21 @@ def _compile(inputs, lines, outputs, trees, params, kind):
     namespace = dict(_COMPILE_GLOBALS,
                      _evaluate=lambda y: [t.eval(y, params) for t in trees])
     exec(compile(src, f"<lyapmetric {kind}>", "exec"), namespace)
-    return namespace["_fn"]
+    fn = namespace["_fn"]
+    fn.source_parts = SimpleNamespace(
+        inputs=tuple(inputs), lines=tuple(lines), outputs=tuple(outputs),
+        kind=kind, names=_COMPILE_GLOBALS)
+    return fn
 
 
 def compile_vector(trees, params, dim, kind):
     """One closure `fn(t, x)` -> the tuple of `trees` at x, a sequence of
     `dim` Python floats (numpy scalars would turn a domain exit into inf or
     nan with a warning); `kind` names the layout in its filename."""
-    return _compile([f"_x{i}" for i in range(dim)], [],
-                    [t.emit(params) for t in trees], trees, params,
-                    f"{kind} dim={dim}")
+    emit = _Emitter(params, trees)
+    outputs = [emit(t) for t in trees]
+    return _compile([f"_x{i}" for i in range(dim)], emit.lines, outputs,
+                    trees, params, f"{kind} dim={dim}")
 
 
 def _floats(x, _dtype=np.dtype(float)):
@@ -607,17 +687,22 @@ def _compile_lift(f_trees, jac_rows, params, q):
     n = len(f_trees)
     inputs = [f"_x{i}" for i in range(n)]
     inputs += [f"_p{i}_{j}" for i in range(n) for j in range(n)]
-    lines = []
+    varying = [(i, j, tree) for i, row in enumerate(jac_rows)
+               for j, tree in enumerate(row) if tree.variables()]
+    emit = _Emitter(params, f_trees + [tree for *_, tree in varying])
+    lines = emit.lines
+    out = [emit(t) for t in f_trees]
     # Jacobian entries: constants inline, everything else one local each
-    jac = {}
-    for i, row in enumerate(jac_rows):
-        for j, tree in enumerate(row):
-            if not tree.variables():
-                jac[i, j] = float(tree.eval((), params))
-            else:
-                lines.append(f"_j{i}_{j} = {tree.emit(params)}")
-                jac[i, j] = f"_j{i}_{j}"
-    out = [t.emit(params) for t in f_trees]
+    # (or the name of the input or local it equals)
+    jac = {(i, j): float(tree.eval((), params))
+           for i, row in enumerate(jac_rows)
+           for j, tree in enumerate(row) if not tree.variables()}
+    for i, j, tree in varying:
+        src = emit(tree)
+        if not src.isidentifier():
+            lines.append(f"_j{i}_{j} = {src}")
+            src = f"_j{i}_{j}"
+        jac[i, j] = src
     out += [_linear_sum([(jac[i, j], f"_p{j}_{k}") for j in range(n)])
             for i in range(n) for k in range(n)]
     if q is not None:
@@ -727,11 +812,12 @@ class ParsedSystem:
         :func:`dynamics.lifted_system` for this field; without `q`, y and
         the tuple end after Phi.  `y` is a sequence of Python floats, as
         :func:`integrate.solve` passes it.  The code is scalar arithmetic:
-        each non-constant Jacobian entry is one local, constant entries and
-        `q` are inlined like parameters, and zero and unit factors are
-        dropped, so its values can differ from the matrix products of the
-        generic lift in the last bit.  Off the real domain it raises the
-        generic lift's :class:`DomainEvaluationError` (F, then J row-major).
+        each non-constant Jacobian entry and each subtree that F and J
+        repeat is one local, constant entries and `q` are inlined like
+        parameters, and zero and unit factors are dropped, so its values
+        can differ from the matrix products of the generic lift in the
+        last bit.  Off the real domain it raises the generic lift's
+        :class:`DomainEvaluationError` (F, then J row-major).
 
         Compiled on the first call for each q and cached on the system.
         """

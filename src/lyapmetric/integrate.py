@@ -6,16 +6,28 @@ deterministic given (rhs, y0, t_end, tolerances), which the certificate
 machinery relies on.
 
 The states here are small (one to a few dozen floats), where a numpy call
-costs more than the arithmetic it does.  So one attempt is one generated
-function over Python floats, built on the first solve of each state size
-and cached: the stage combinations, the embedded error norm and the FSAL
-hand-off are unrolled scalar arithmetic with the tableau constants inlined.
+costs more than the arithmetic it does.  So the stepping loop itself is
+generated source over Python floats: the stage combinations, the embedded
+error norm, the step control, FSAL and the storage of accepted steps are
+unrolled scalar arithmetic with the tableau constants inlined.  For any
+rhs, each stage calls `rhs(t, point)`; that loop is built on the first
+solve of each state size.  A closure compiled from a system text (see
+:mod:`expressions`) carries its own source, and once it has run
+_INLINE_AFTER attempts its unpack, local lines and outputs are emitted
+into each stage of a loop of its own, with no call; a domain exit there
+re-runs the attempt through the closure, which raises the typed error.
+Both loops give the same bits, so a solve may switch between them.  Each
+call of a loop runs at most _CHUNK attempts and returns its state to
+:func:`solve`: CPython 3.11 specializes a code object's float arithmetic
+only from its ninth call on, so a loop that ran a whole solve in one call
+would stay generic.
+
 The right-hand side receives the state as a tuple of Python floats and
 returns a sequence of floats; Python float arithmetic raises where numpy
-scalars would return inf or nan with a warning, so a closure compiled from
-a system text (the solver's rhs itself, see :mod:`expressions`) still
-turns its domain exits into the typed error.  Accepted times and states go into
-flat ``array('d')`` buffers, and the solution's arrays are views of them.
+scalars would return inf or nan with a warning, so a compiled closure
+still turns its domain exits into the typed error.  Accepted times and
+states go into flat ``array('d')`` buffers, and the solution's arrays are
+views of them.
 
 An attempt whose error estimate is not finite (a NaN or infinity in any
 stage) is rejected at the smallest step factor; if the step then
@@ -26,6 +38,8 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
+import weakref
 from array import array
 from dataclasses import dataclass
 from typing import Optional
@@ -55,6 +69,10 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _ATOL_PER_RTOL = 1e-3
+_CHUNK = 32           # attempts per call of a generated loop
+# attempts a compiled closure runs through rhs calls before its inlined
+# loop is built: about where that compile (1-3 ms) has paid for itself
+_INLINE_AFTER = 1024
 
 
 def _combination(weights, stages, c, keep_zeros=False):
@@ -65,49 +83,188 @@ def _combination(weights, stages, c, keep_zeros=False):
     return " + ".join(terms)
 
 
-def _attempt_source(m):
-    """Source of `_attempt(rhs, t, h, y, f, rtol, atol)` for states of size
-    m: one Dormand-Prince attempt from (t, y) with f = rhs(t, y).  Returns
-    (err, |y_new|_inf, y_new, stages); stages[6] = rhs(t + h, y_new)."""
+def _point(i, c):
+    """Source of component c of stage i's point (stage 6's is y_new)."""
+    return f"y{c} + h * ({_combination(_A[i], range(i), c)})"
+
+
+def _called_stages(m):
+    """Source of stages 1-6 as rhs calls: k{i}_{c} is component c of the
+    rhs at stage i, n{c} of the fifth-order solution."""
     comps = range(m)
-
-    def unpack(names, value):
-        return f"    {', '.join(names)}, = {value}\n"
-
-    lines = [unpack([f"y{c}" for c in comps], "y"),
-             unpack([f"k0_{c}" for c in comps], "f")]
+    lines = []
     for i in range(1, 6):
-        point = ", ".join(
-            f"y{c} + h * ({_combination(_A[i], range(i), c)})" for c in comps)
-        lines.append(f"    k{i} = rhs(t + {_C[i]!r} * h, ({point},))\n")
-        lines.append(unpack([f"k{i}_{c}" for c in comps], f"k{i}"))
-    for c in comps:
-        solution = _combination(_A[6], range(6), c)
-        lines.append(f"    n{c} = y{c} + h * ({solution})\n")
-    lines.append(f"    yn = ({', '.join(f'n{c}' for c in comps)},)\n")
-    lines.append("    k6 = rhs(t + h, yn)\n")
-    lines.append(unpack([f"k6_{c}" for c in comps], "k6"))
-    for c in comps:
+        point = ", ".join(_point(i, c) for c in comps)
+        lines.append(f"{', '.join(f'k{i}_{c}' for c in comps)}, = "
+                     f"rhs(t + {_C[i]!r} * h, ({point},))")
+    lines += [f"n{c} = {_point(6, c)}" for c in comps]
+    lines.append(f"{', '.join(f'k6_{c}' for c in comps)}, = "
+                 f"rhs(t + h, ({', '.join(f'n{c}' for c in comps)},))")
+    return lines
+
+
+def _inlined_stages(parts):
+    """Source of stages 1-6 with a compiled closure's input names, local
+    lines and outputs in place of each rhs call.  A point component whose
+    input is `_` (not read) is formed only for the solution, which lands
+    in the inputs it feeds; returns the lines and the solution's names."""
+    solution = [f"n{c}" if name == "_" else name
+                for c, name in enumerate(parts.inputs)]
+    lines = []
+    for i in range(1, 7):
+        names = solution if i == 6 else parts.inputs
+        lines += [f"{name} = {_point(i, c)}"
+                  for c, name in enumerate(names) if name != "_"]
+        lines += parts.lines
+        lines += [f"k{i}_{c} = {out}" for c, out in enumerate(parts.outputs)]
+    return lines, solution
+
+
+def _rerun(rhs, t, h, y, f):
+    """Stages 1-6 of the attempt from (t, y), f = rhs(t, y), each as an
+    rhs call with the generated loops' arithmetic: where an inlined stage
+    left the domain, the closure raises its typed error here."""
+    stages = [f]
+    for i in range(1, 7):
+        point = []
+        for c, v in enumerate(y):
+            # the generated sums: zero weights dropped, left to right
+            terms = [w * k[c] for w, k in zip(_A[i], stages) if w != 0.0]
+            point.append(v + h * functools.reduce(operator.add, terms))
+        stages.append(rhs(t + (h if i == 6 else _C[i] * h), tuple(point)))
+
+
+def _blow_up(t, norm, bound):
+    """The error for a state of max-norm `norm` past `bound` at time t; a
+    NaN norm is reported as inf."""
+    return BlowUpError(t, norm if math.isfinite(norm) else math.inf, bound)
+
+
+def _loop_source(m, parts=None):
+    """Source of `_loop(rhs, ...)`: up to _CHUNK Dormand-Prince attempts
+    from the solver state, for states of size m.  Without `parts` each
+    stage calls rhs; with a compiled closure's `parts` each stage runs its
+    lines inline, and a domain exit re-runs the attempt through rhs (see
+    :func:`_rerun`).  Accepted steps are appended to the buffers.  Returns
+    (stopped, t, h, y, f, n_steps, n_rejected, non_finite): `stopped` when
+    the solve reached t_end, ran out of attempts or of step size, which
+    :func:`solve` tells apart; blow-ups raise in the loop."""
+    comps = range(m)
+    y = ", ".join(f"y{c}" for c in comps) + ","
+    k0 = ", ".join(f"k0_{c}" for c in comps) + ","
+    a = ", ".join(f"a{c}" for c in comps) + ","
+    state = f"t, h, ({y}), ({k0}), n_steps, n_rejected, non_finite"
+    if parts is None:
+        stages = [" " * 8 + line for line in _called_stages(m)]
+        solution = [f"n{c}" for c in comps]
+    else:
+        inlined, solution = _inlined_stages(parts)
+        stages = ["        try:", *(" " * 12 + line for line in inlined),
+                  "        except _exits:",
+                  f"            _rerun(rhs, t, h, ({y}), ({k0}))",
+                  "            raise"]
+    n = ", ".join(solution) + ","
+    k = ", ".join(f"({', '.join(f'k{i}_{c}' for c in comps)},)"
+                  for i in range(7))
+    lines = [
+        f"def _loop(rhs, t, h, y, f, n_steps, n_rejected, non_finite, t_end,"
+        f" end_gap, rtol, atol, blowup_norm, max_steps, ts, ys, hs, coeffs):",
+        f"    {y} = y",
+        f"    {k0} = f",
+        f"    {a} = {', '.join(f'abs(y{c})' for c in comps)},   # |y|",
+        f"    for _ in range({_CHUNK}):",
+        "        remaining = t_end - t",
+        "        if h > remaining:",
+        "            h = remaining",
+        # the step floor 1e-14 max(1, |t|), with t >= 0
+        "        if (remaining <= end_gap or n_steps + n_rejected >= "
+        "max_steps or h < 1e-14 * (t if t > 1.0 else 1.0)):",
+        f"            return True, {state}",
+        *stages,
+    ]
+    for c, name in zip(comps, solution):
         # scale = atol + rtol max(|y|, |y_new|); a NaN in y_new is kept
         estimate = _combination(_E, range(7), c, keep_zeros=True)
-        lines.append(f"    a{c} = abs(y{c}); b{c} = abs(n{c})\n"
-                     f"    e{c} = h * ({estimate}) / "
-                     f"(atol + rtol * (a{c} if a{c} > b{c} else b{c}))\n")
+        lines += [f"        b{c} = abs({name})",
+                  f"        e{c} = h * ({estimate}) / "
+                  f"(atol + rtol * (a{c} if a{c} > b{c} else b{c}))"]
     norm = f"max({', '.join(f'b{c}' for c in comps)})" if m > 1 else "b0"
-    lines.append(f"    err = sqrt({' + '.join(f'e{c} * e{c}' for c in comps)})"
-                 f" / {math.sqrt(m)!r}\n")
-    lines.append(f"    return err, {norm}, yn, (f, k1, k2, k3, k4, k5, k6)\n")
-    return "def _attempt(rhs, t, h, y, f, rtol, atol):\n" + "".join(lines)
+    lines += [
+        f"        err = sqrt({' + '.join(f'e{c} * e{c}' for c in comps)})"
+        f" / {math.sqrt(m)!r}",
+        # a NaN or infinite err is rejected at the smallest factor, which
+        # is what max() gives it
+        "        non_finite = not err < inf",
+        "        if err <= 1.0:",
+        "            t_new = t + h",
+        "            if abs(t_new - t_end) <= end_gap:",
+        "                t_new = t_end",
+        f"            norm_inf = {norm}",
+        "            if not norm_inf < inf or norm_inf > blowup_norm:",
+        "                raise _blow_up(t_new, norm_inf, blowup_norm)",
+        "            if hs is not None:",
+        "                hs.append(h)",
+        "                coeffs.extend(_dense_coefficients(",
+        f"                    h, ({y}), ({n}), ({k})))",
+        "            ts.append(t_new)",
+        f"            ys.extend(({n}))",
+        f"            t, {y} {a} {k0} = t_new, {n} "   # FSAL: k0 = k6
+        f"{', '.join(f'b{c}' for c in comps)}, "
+        f"{', '.join(f'k6_{c}' for c in comps)}",
+        "            n_steps += 1",
+        f"            h *= {_MAX_FACTOR!r} if err == 0.0 else max("
+        f"{_MIN_FACTOR!r}, min({_MAX_FACTOR!r}, {_SAFETY!r} * err ** -0.2))",
+        "        else:",
+        "            n_rejected += 1",
+        f"            h *= max({_MIN_FACTOR!r}, {_SAFETY!r} * err ** -0.2)",
+        f"    return False, {state}",
+    ]
+    return "".join(line + "\n" for line in lines)
+
+
+def _build(source, filename, names):
+    """Compile a `_loop` source under `filename` with the globals `names`
+    (those of the inlined closure's lines) plus the loop's own."""
+    namespace = dict(names, abs=abs, max=max, min=min, range=range,
+                     sqrt=math.sqrt, inf=math.inf, _blow_up=_blow_up,
+                     _rerun=_rerun, _dense_coefficients=_dense_coefficients)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["_loop"]
 
 
 @functools.cache
-def _kernel(m):
-    """The attempt function for states of size m, compiled once under the
+def _called_loop(m):
+    """The loop for any rhs of state size m, compiled once under the
     filename ``<lyapmetric dp5 m=M>``, so profiles keep sizes apart."""
-    namespace = {"sqrt": math.sqrt}
-    exec(compile(_attempt_source(m), f"<lyapmetric dp5 m={m}>", "exec"),
-         namespace)
-    return namespace["_attempt"]
+    return _build(_loop_source(m), f"<lyapmetric dp5 m={m}>", {})
+
+
+# compiled closure -> the attempts it has run through the called loop,
+# then its inlined loop
+_inlined = weakref.WeakKeyDictionary()
+
+
+def _loop(rhs, m, attempts=0):
+    """The loop for the next chunk of a solve with `rhs`, which has just
+    run `attempts` more attempts.  A closure of :mod:`expressions` runs
+    through the called loop of its size until it has made _INLINE_AFTER
+    attempts in all, then through its own inlined loop, compiled at that
+    point under the filename ``<lyapmetric dp5 KIND>``; both give the same
+    bits.  Any other rhs, or a closure whose inputs or outputs are not
+    of size m, runs through the called loop."""
+    parts = getattr(rhs, "source_parts", None)
+    if parts is None or not len(parts.inputs) == len(parts.outputs) == m:
+        return _called_loop(m)
+    made = _inlined.get(rhs, 0)
+    if callable(made):
+        return made
+    if made + attempts < _INLINE_AFTER:
+        _inlined[rhs] = made + attempts
+        return _called_loop(m)
+    loop = _inlined[rhs] = _build(_loop_source(m, parts),
+                                  f"<lyapmetric dp5 {parts.kind}>",
+                                  parts.names)
+    return loop
 
 
 def _dense_coefficients(h, y, y_new, stages):
@@ -187,14 +344,18 @@ def solve(rhs, y0, t_end, rtol=1e-9, dense=False, blowup_norm=1e8,
     tolerance _ATOL_PER_RTOL * rtol.
 
     `rhs(t, y)` receives y as a tuple of Python floats and returns a
-    sequence of floats (a list or a tuple).
+    sequence of floats (a list or a tuple).  The steps run in a generated
+    loop, _CHUNK attempts per call; a compiled closure of
+    :mod:`expressions` is inlined into its stages after _INLINE_AFTER
+    attempts, with the same results (see the module docstring).
 
     Raises :class:`BlowUpError` when the max-norm of the state exceeds
     `blowup_norm`, when y0 or rhs(0, y0) is not finite, or when the step
     underflows right after an attempt with a non-finite error estimate;
     :class:`StepSizeUnderflowError` when the controller drives the step
     below the floating floor otherwise, or after `max_steps` attempts
-    (accepted plus rejected).  `n_fev` counts the rhs calls made.
+    (accepted plus rejected).  `n_fev` counts the rhs evaluations made,
+    inlined or called.
     """
     y = tuple(np.asarray(y0, dtype=float).ravel().tolist())
     m = len(y)
@@ -207,7 +368,7 @@ def solve(rhs, y0, t_end, rtol=1e-9, dense=False, blowup_norm=1e8,
     if t_end == 0.0:
         return OdeSolution(*_views(ts, ys, m), None, 0, 0, 0)
 
-    attempt = _kernel(m)
+    loop = _loop(rhs, m)
     hs = array("d") if dense else None
     coeffs = array("d") if dense else None
     f = rhs(0.0, y)
@@ -219,52 +380,26 @@ def solve(rhs, y0, t_end, rtol=1e-9, dense=False, blowup_norm=1e8,
     h = max(h, 1e-12)
     end_gap = 1e-14 * max(1.0, abs(t_end))
 
-    t = 0.0
-    n_steps = n_rejected = 0
-    non_finite = False   # the last attempt's error estimate was not finite
-
-    while t < t_end:
-        remaining = t_end - t
-        if remaining <= end_gap:
+    # one chunk of attempts per loop call; the next chunk may run inlined.
+    # non_finite: the last attempt's error estimate was not finite
+    t, n_steps, n_rejected, non_finite = 0.0, 0, 0, False
+    while True:
+        attempts = n_steps + n_rejected
+        stopped, t, h, y, f, n_steps, n_rejected, non_finite = loop(
+            rhs, t, h, y, f, n_steps, n_rejected, non_finite, t_end,
+            end_gap, rtol, atol, blowup_norm, max_steps, ts, ys, hs, coeffs)
+        loop = _loop(rhs, m, n_steps + n_rejected - attempts)
+        if not stopped:
+            continue
+        if t_end - t <= end_gap:
             break
         if n_steps + n_rejected >= max_steps:
             raise StepSizeUnderflowError(
                 f"step budget exhausted after {max_steps} attempts")
-        if h > remaining:
-            h = remaining
-        if h < 1e-14 * max(1.0, abs(t)):
-            if non_finite:
-                raise BlowUpError(t, float("inf"), blowup_norm)
-            raise StepSizeUnderflowError(
-                f"step size underflow at t = {t:.6g} (stiffness)")
-
-        err, norm_inf, y_new, stages = attempt(rhs, t, h, y, f, rtol, atol)
-        non_finite = not math.isfinite(err)
-
         if non_finite:
-            n_rejected += 1
-            h *= _MIN_FACTOR
-        elif err <= 1.0:
-            t_new = t + h
-            if abs(t_new - t_end) <= end_gap:
-                t_new = t_end
-            if not math.isfinite(norm_inf):
-                raise BlowUpError(t_new, float("inf"), blowup_norm)
-            if norm_inf > blowup_norm:
-                raise BlowUpError(t_new, norm_inf, blowup_norm)
-            if dense:
-                hs.append(h)
-                coeffs.extend(_dense_coefficients(h, y, y_new, stages))
-            ts.append(t_new)
-            ys.extend(y_new)
-            t, y, f = t_new, y_new, stages[6]   # FSAL
-            n_steps += 1
-            factor = _MAX_FACTOR if err == 0.0 else min(
-                _MAX_FACTOR, _SAFETY * err ** -0.2)
-            h *= max(_MIN_FACTOR, factor)
-        else:
-            n_rejected += 1
-            h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
+            raise BlowUpError(t, float("inf"), blowup_norm)
+        raise StepSizeUnderflowError(
+            f"step size underflow at t = {t:.6g} (stiffness)")
 
     t_arr, y_arr = _views(ts, ys, m)
     interp = None

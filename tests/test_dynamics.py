@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lyapmetric import catalog, expressions, parse_system
+from lyapmetric import catalog, expressions, integrate, parse_system
 from lyapmetric.dynamics import (
     flow,
     lifted_system,
@@ -295,6 +295,13 @@ def test_fused_lift_compiles_once_per_model(monkeypatch):
         return real(inputs, lines, outputs, *rest)
 
     monkeypatch.setattr(expressions, "_compile", counting)
+    # and the generated loop of each closure the solver inlines
+    loops = []
+    build = integrate._build
+    monkeypatch.setattr(integrate, "_build", lambda source, filename, names:
+                        loops.append(filename) or build(source, filename,
+                                                        names))
+    monkeypatch.setattr(integrate, "_INLINE_AFTER", 0)
     model = parse_system("dim=2; F1 = -x1 + x2^2; F2 = -2*x2 - x1*x2")
     runs = []
     for _ in range(2):
@@ -303,6 +310,8 @@ def test_fused_lift_compiles_once_per_model(monkeypatch):
                      variational_flow(model, [0.5, 0.5], 1.0).phi))
     # field (2 outputs), Jacobian (4) and lift [F | J Phi] (6), once each
     assert sorted(compiled) == [2, 4, 6]
+    assert loops == ["<lyapmetric dp5 field dim=2>",
+                     "<lyapmetric dp5 lift dim=2>"]
     for first, second in zip(*runs):
         np.testing.assert_array_equal(first, second)
 

@@ -1,14 +1,22 @@
+import dataclasses
+import dis
 import math
 import os
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lyapmetric import catalog, integrate
-from lyapmetric.dynamics import flow, transverse_flow, variational_flow
+from lyapmetric.dynamics import (
+    flow,
+    model_lift,
+    transverse_flow,
+    variational_flow,
+)
 from lyapmetric.errors import (
     BlowUpError,
     DomainEvaluationError,
@@ -187,7 +195,7 @@ def test_fev_counts_rhs_calls():
     assert solve(rhs, [1.0], 0.0).n_fev == rhs.calls == 0
 
 
-# -- the generated attempt kernel -------------------------------------------
+# -- the generated stepping loop --------------------------------------------
 
 def test_nan_in_one_component_of_one_stage_is_rejected():
     # a NaN in the second stage only, in a component the field does not
@@ -235,12 +243,12 @@ def test_counterexample_phi_matches_oracle(x0):
         np.testing.assert_allclose(traj.phi[:, 0, 0], want, rtol=1e-8)
 
 
-def test_kernel_is_built_once_per_state_size(monkeypatch):
+def test_loop_is_built_once_per_state_size(monkeypatch):
     built = []
-    real = integrate._attempt_source
-    monkeypatch.setattr(integrate, "_attempt_source",
-                        lambda m: built.append(m) or real(m))
-    integrate._kernel.cache_clear()
+    real = integrate._loop_source
+    monkeypatch.setattr(integrate, "_loop_source", lambda m, parts=None:
+                        built.append(m) or real(m, parts))
+    integrate._called_loop.cache_clear()
     for y0 in ([1.0, 2.0], [3.0], [0.5, 0.5], [1.0, 1.0, 1.0], [2.0]):
         solve(lambda t, y: [-v for v in y], y0, 1.0)
     assert built == [2, 1, 3]
@@ -248,15 +256,16 @@ def test_kernel_is_built_once_per_state_size(monkeypatch):
 
 def test_nothing_is_compiled_at_import():
     code = ("import lyapmetric, lyapmetric.cli, lyapmetric.integrate as i; "
-            "assert i._kernel.cache_info().currsize == 0")
+            "assert i._called_loop.cache_info().currsize == 0; "
+            "assert len(i._inlined) == 0")
     src = str(Path(integrate.__file__).resolve().parents[1])
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": src})
 
 
-def _numpy_attempt(rhs, t, h, y, f):
+def _numpy_attempt(rhs, t, h, y, f, rtol):
     """One Dormand-Prince attempt with numpy tableau products: the
-    reference for the generated kernel, whose sums run left to right."""
+    reference for the generated loop, whose sums run left to right."""
     a = np.zeros((7, 7))
     for i, row in enumerate(integrate._A):
         a[i, :len(row)] = row
@@ -265,45 +274,233 @@ def _numpy_attempt(rhs, t, h, y, f):
     for i in range(1, 7):
         point = np.asarray(y) + h * (a[i, :i] @ k[:i])
         k[i] = rhs(t + integrate._C[i] * h, tuple(point.tolist()))
-    scale = 1e-12 + 1e-9 * np.maximum(np.abs(y), np.abs(point))
+    scale = integrate._ATOL_PER_RTOL * rtol + rtol * np.maximum(
+        np.abs(y), np.abs(point))
     r = h * (np.array(integrate._E) @ k) / scale
     return math.sqrt(r @ r / len(y)), point, k
+
+
+def _one_attempt(rhs, t, h, y, f, rtol, blowup_norm=math.inf):
+    """Run the called loop for one attempt of step h from (t, y), with
+    t_end at t + 2h; returns its result tuple and the node buffers."""
+    ts, ys = array("d", (t,)), array("d", y)
+    result = integrate._called_loop(len(y))(
+        rhs, t, h, y, f, 0, 0, False, t + 2 * h, 1e-14, rtol,
+        integrate._ATOL_PER_RTOL * rtol, blowup_norm, 1, ts, ys, None, None)
+    return result, ts, ys
 
 
 @pytest.mark.parametrize("m", [1, 3, 6])
 def test_attempt_matches_numpy_tableau(m):
     rng = np.random.default_rng(m)
     a = rng.normal(size=(m, m))
+    calls = []
 
     def rhs(t, y):
-        return (a @ np.asarray(y) + math.sin(t)).tolist()
+        out = (a @ np.asarray(y) + math.sin(t)).tolist()
+        calls.append(out)
+        return out
 
     y = tuple(rng.normal(size=m).tolist())
     f = rhs(0.3, y)
-    err, norm, y_new, stages = integrate._kernel(m)(
-        rhs, 0.3, 0.05, y, f, 1e-9, 1e-12)
-    want_err, want_y, want_k = _numpy_attempt(rhs, 0.3, 0.05, y, f)
+    # a tolerance that accepts the attempt at err = 0.8: the next step
+    # 0.9 err^-0.2 h is unclamped and shorter than what remains, so the
+    # step size the loop returns (out of attempts) shows err
+    rtol = _numpy_attempt(rhs, 0.3, 0.05, y, f, 1.0)[0] / 0.8
+    want_err, want_y, want_k = _numpy_attempt(rhs, 0.3, 0.05, y, f, rtol)
+    del calls[:]
+    (stopped, t, h, _, f_new, n_steps, n_rejected, _), ts, ys = \
+        _one_attempt(rhs, 0.3, 0.05, y, f, rtol)
+    assert (stopped, t, n_steps, n_rejected) == (True, 0.3 + 0.05, 1, 0)
+    y_new = ys[m:]
+    stages = [f] + calls
     np.testing.assert_allclose(y_new, want_y, rtol=1e-14, atol=1e-15)
     np.testing.assert_allclose(np.array(stages), want_k, rtol=1e-13,
                                atol=1e-14)
+    assert f_new == tuple(calls[-1])   # FSAL
     # the error estimate cancels stage sums of size |k| down to about
     # h^5 |k|, so its summation order shows at a few 1e-8 relative
-    assert err == pytest.approx(want_err, rel=1e-6)
-    assert norm == max(abs(v) for v in y_new)
+    assert h / 0.05 == pytest.approx(0.9 * want_err ** -0.2, rel=1e-6)
+    with pytest.raises(BlowUpError) as err:
+        _one_attempt(rhs, 0.3, 0.05, y, f, rtol, blowup_norm=0.0)
+    assert err.value.norm == max(abs(v) for v in y_new)
+
+
+PLANAR = "dim=2; F1 = -x1 + x2^2; F2 = -2*x2 - x1*x2"
 
 
 def test_generated_code_has_its_own_filenames():
     # profiles key functions by (filename, line, name): one shared
-    # "<string>" would merge every kernel and closure into one entry
-    source = parse_system("dim=2; F1 = -x1 + x2^2; F2 = -2*x2 - x1*x2").source
-    names = [integrate._kernel(2).__code__.co_filename,
-             integrate._kernel(6).__code__.co_filename,
-             source.field_rhs.__code__.co_filename,
-             source.jacobian_rhs.__code__.co_filename,
-             source.compiled_lift().__code__.co_filename,
-             source.compiled_lift(np.eye(2)).__code__.co_filename]
+    # "<string>" would merge every loop and closure into one entry
+    source = parse_system(PLANAR).source
+    closures = [source.field_rhs, source.jacobian_rhs,
+                source.compiled_lift(), source.compiled_lift(np.eye(2))]
+    sizes = [2, 2, 6, 10]
+    names = [integrate._called_loop(2).__code__.co_filename,
+             integrate._called_loop(6).__code__.co_filename]
+    names += [fn.__code__.co_filename for fn in closures]
+    # the Jacobian's four outputs are no rhs of its two inputs
+    names += [integrate._loop(fn, m, integrate._INLINE_AFTER)
+              .__code__.co_filename for fn, m in zip(closures, sizes)]
     assert names == ["<lyapmetric dp5 m=2>", "<lyapmetric dp5 m=6>",
                      "<lyapmetric field dim=2>",
                      "<lyapmetric jacobian dim=2>",
                      "<lyapmetric lift dim=2>",
-                     "<lyapmetric lift+gramian dim=2>"]
+                     "<lyapmetric lift+gramian dim=2>",
+                     "<lyapmetric dp5 field dim=2>",
+                     "<lyapmetric dp5 m=2>",
+                     "<lyapmetric dp5 lift dim=2>",
+                     "<lyapmetric dp5 lift+gramian dim=2>"]
+
+
+# -- the inlined loop against the called loop --------------------------------
+
+@pytest.fixture
+def inline_at_once(monkeypatch):
+    """Compiled closures run inlined from their first attempt."""
+    monkeypatch.setattr(integrate, "_INLINE_AFTER", 0)
+
+
+def _called(closure):
+    """A plain function around `closure`: the solver calls it per stage."""
+    def rhs(t, y):
+        return closure(t, y)
+
+    return rhs
+
+
+def _solve_both(closure, y0, t_end, **kwargs):
+    """`closure` solved through its inlined loop and through the called
+    loop; every field of the two solutions must be equal."""
+    inlined = solve(closure, y0, t_end, **kwargs)
+    assert callable(integrate._inlined[closure])
+    called = solve(_called(closure), y0, t_end, **kwargs)
+    for a, b in ((inlined.t, called.t), (inlined.y, called.y)):
+        np.testing.assert_array_equal(a, b)
+    assert (inlined.n_steps, inlined.n_rejected, inlined.n_fev) == \
+        (called.n_steps, called.n_rejected, called.n_fev)
+    if kwargs.get("dense"):
+        np.testing.assert_array_equal(inlined.dense.hs, called.dense.hs)
+        np.testing.assert_array_equal(inlined.dense.coeffs,
+                                      called.dense.coeffs)
+    return inlined
+
+
+def test_inlined_planar_gramian_lift_is_bit_identical(inline_at_once):
+    model = parse_system(PLANAR)
+    lift = model_lift(model, np.eye(2))
+    sol = _solve_both(lift.rhs, lift.y0([0.8, -0.5]), 8.0, rtol=1e-12)
+    assert sol.n_steps > 100
+
+
+def test_inlined_transverse_falsify_solve_is_bit_identical(inline_at_once):
+    # the transverse-falsify workload's one solve: ~107k attempts of the
+    # counterexample's lift, ending in a blow-up past 1e12 before t = 10
+    model = catalog.get("transverse-counterexample").build({})
+    lift = model_lift(model.full)
+    y0 = lift.y0([-0.4021148723065759, -0.29715926616860894])
+    sol = _solve_both(lift.rhs, y0, 10.0, rtol=1e-9, blowup_norm=1e12)
+    assert (sol.n_steps, sol.n_rejected, sol.n_fev) == (100803, 6466, 643616)
+
+
+@pytest.mark.parametrize("q", [None, np.eye(1)], ids=["lift", "gramian"])
+def test_inlined_scalar_example_lift_is_bit_identical(inline_at_once, q):
+    lift = model_lift(catalog.get("scalar-example").build({}), q)
+    _solve_both(lift.rhs, lift.y0([2.0]), 12.0, rtol=1e-11)
+
+
+def test_inlined_dense_flow_is_bit_identical(inline_at_once):
+    source = parse_system(PLANAR).source
+    _solve_both(source.field_rhs, [0.8, -0.5], 6.0, rtol=1e-10, dense=True)
+
+
+def test_unit_factors_are_not_emitted():
+    # mu_x = 1 multiplies x2 in G1: the emitted lift reads x2 itself
+    source = catalog.get("transverse-counterexample").build({}).full.source
+    for fn in (source.field_rhs, source.compiled_lift(),
+               source.compiled_lift(np.eye(2))):
+        parts = fn.source_parts
+        assert "1.0 *" not in " ".join(parts.lines + parts.outputs)
+    rng = np.random.default_rng(3)
+    for y in rng.normal(size=(20, 2)).tolist() + [[-0.0, -0.0], [0.0, -0.0]]:
+        want = [t.eval(y, source.params) for t in source.f_trees]
+        got = source.field_rhs(0.0, tuple(y))
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_repeated_subtrees_are_hoisted():
+    # sin(x2) once per lift call, where the trees repeat it three times
+    source = catalog.get("transverse-counterexample").build({}).full.source
+    parts = source.compiled_lift().source_parts
+    text = "\n".join(parts.lines + parts.outputs)
+    assert text.count("sin(") == 1
+    generic = model_lift(dataclasses.replace(
+        catalog.get("transverse-counterexample").build({}).full,
+        source=None))
+    for y in np.random.default_rng(4).normal(size=(20, 6)).tolist():
+        np.testing.assert_allclose(source.compiled_lift()(0.0, tuple(y)),
+                                   generic.rhs(0.0, y), rtol=1e-15)
+
+
+def _budget_errors(closure, y0, max_steps):
+    """The error texts of the inlined and the called solve."""
+    texts = []
+    for rhs in (closure, _called(closure)):
+        with pytest.raises(StepSizeUnderflowError) as err:
+            solve(rhs, y0, 50.0, rtol=1e-12, max_steps=max_steps)
+        texts.append(str(err.value))
+    return texts
+
+
+@pytest.mark.parametrize("chunks, extra", [(1, 0), (2, 0), (2, 1)])
+def test_step_budget_at_chunk_boundaries(inline_at_once, chunks, extra):
+    max_steps = chunks * integrate._CHUNK + extra
+    field = parse_system("dim=2; F1 = x2; F2 = -1e6*x1").source.field_rhs
+    want = f"step budget exhausted after {max_steps} attempts"
+    assert _budget_errors(field, [1.0, 0.0], max_steps) == [want, want]
+
+
+def test_solve_ending_on_a_chunk_boundary(inline_at_once):
+    # t_end at the node after 2 * _CHUNK attempts: the loop returns with
+    # the solve complete, and the next call finds it done
+    field = parse_system(PLANAR).source.field_rhs
+    long = solve(_called(field), [0.8, -0.5], 20.0, rtol=1e-11)
+    assert long.n_rejected == 0
+    t_end = float(long.t[2 * integrate._CHUNK])
+    sol = _solve_both(field, [0.8, -0.5], t_end, rtol=1e-11,
+                      max_steps=2 * integrate._CHUNK)
+    assert sol.n_steps + sol.n_rejected == 2 * integrate._CHUNK
+    assert sol.t[-1] == t_end
+
+
+@pytest.mark.parametrize("rtol, stage", [(1e-7, 1), (1e-3, 6)])
+def test_domain_exit_in_an_inlined_stage(inline_at_once, rtol, stage):
+    # x1 oscillates through -1, where ln(x1 + 1) leaves the domain; these
+    # tolerances make stage 1 and stage 6 of an attempt the first to
+    # cross, which the called solve's rhs calls show
+    field = parse_system(
+        "dim=2; F1 = x2; F2 = -20*x1 + 0*ln(x1 + 1)").source.field_rhs
+    counted = _Counting(field)
+    texts = []
+    for rhs in (field, counted):
+        with pytest.raises(DomainEvaluationError) as err:
+            solve(rhs, [2.8, 0.5], 10.0, rtol=rtol)
+        texts.append(str(err.value))
+    # f(t0), the initial-step probe, then six stages per attempt
+    assert (counted.calls - 3) % 6 + 1 == stage
+    assert texts[0] == texts[1] == \
+        "math domain error in subexpression 'ln((x1 + 1.0))'"
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="specializing interpreter from CPython 3.11")
+def test_generated_loop_specializes_its_float_arithmetic():
+    # CPython specializes a code object only after several calls, so a
+    # loop that ran a whole solve in one call would stay generic
+    field = parse_system("dim=2; F1 = x2; F2 = -x1").source.field_rhs
+    sol = solve(field, [1.0, 0.0], 2000.0, rtol=1e-10)
+    assert sol.n_steps + sol.n_rejected >= 10_000
+    loop = integrate._loop(field, 2)
+    assert callable(integrate._inlined[field])
+    ops = {i.opname for i in dis.get_instructions(loop, adaptive=True)}
+    assert "BINARY_OP_MULTIPLY_FLOAT" in ops and "BINARY_OP_ADD_FLOAT" in ops
