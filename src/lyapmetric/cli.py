@@ -463,6 +463,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise LyapmetricError(message)
 
+    def add_argument(self, *args, **kwargs):
+        # straight into the group the parser would choose: the parser's
+        # own add_argument also builds a help formatter per argument only
+        # to check a tuple metavar (none here); each formatter asks for the
+        # terminal size and is left as cyclic garbage, 43 per command
+        optional = bool(args) and args[0][:1] in self.prefix_chars
+        group = self._optionals if optional else self._positionals
+        return group.add_argument(*args, **kwargs)
+
 
 # flag -> (RunConfig field, add_argument keywords)
 _FLAGS = {

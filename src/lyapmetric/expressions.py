@@ -165,6 +165,20 @@ def _is_unit(node, params):
     return _is_one(node)
 
 
+def _unit_free(node, params):
+    """`node` with the products by a unit factor (see :func:`_is_unit`)
+    taken off: x * 1.0 == x for every float, signed zeros and infinities
+    too, so those products emit their other factor."""
+    while isinstance(node, Bin) and node.op == "*":
+        if _is_unit(node.a, params):
+            node = node.b
+        elif _is_unit(node.b, params):
+            node = node.a
+        else:
+            break
+    return node
+
+
 def _plain(params):
     """The default `sub` of :meth:`Node.emit`: each child emits itself."""
     return lambda node: node.emit(params)
@@ -207,11 +221,9 @@ class Bin(Node):
     def emit(self, params, sub=None):
         sub = sub or _plain(params)
         if self.op == "*":
-            # x * 1.0 == x for every float, signed zeros and infinities too
-            if _is_unit(self.a, params):
-                return sub(self.b)
-            if _is_unit(self.b, params):
-                return sub(self.a)
+            factor = _unit_free(self, params)
+            if factor is not self:
+                return sub(factor)
         return f"({sub(self.a)} {self.op} {sub(self.b)})"
 
     def text(self):
@@ -577,17 +589,19 @@ _COMPILE_GLOBALS = {
 class _Emitter:
     """Sources of expression trees over one `params`, where every subtree
     of variables used twice or more among `roots` (a structurally equal
-    subtree counts as the same one) becomes one local ``_cN``.  Calling the emitter on a
-    tree returns its source and appends the assignments of the locals it
-    needs to `lines`, each after those it reads.  Float evaluation is
-    deterministic, so a local has the value of every copy it replaces."""
+    subtree counts as the same one) becomes one local ``_cN``.  Calling the
+    emitter on a tree returns its source and appends the assignments of the
+    locals it needs to `lines`, each after those it reads.  Float
+    evaluation is deterministic, so a local has the value of every copy it
+    replaces."""
 
     def __init__(self, params, roots):
         self.params = params
         self.lines = []
-        self._plain = {}     # id(node) -> source without locals
-        self._uses = {}      # plain source -> uses among the roots
-        self._names = {}     # plain source -> its local
+        self._plain = {}       # id(node) -> source without locals
+        self._uses = {}        # plain source -> uses among the roots
+        self._repeated = set()   # plain sources that become locals
+        self._names = {}       # plain source -> its local, once emitted
         for root in roots:
             self._count(root)
 
@@ -598,25 +612,42 @@ class _Emitter:
         return src
 
     def _count(self, node):
-        # a subtree's children are counted once, however often it is used
+        # a unit product has its factor's source: count the factor alone
+        node = _unit_free(node, self.params)
         src = self._source(node)
-        self._uses[src] = self._uses.get(src, 0) + 1
-        if self._uses[src] == 1:
+        uses = self._uses[src] = self._uses.get(src, 0) + 1
+        if uses == 1:
+            # a subtree's children are counted once, however often it is used
             node.emit(self.params, self._count)
+        elif uses == 2 and not src.isidentifier() and node.variables():
+            # a subtree of constants is folded when the source is compiled
+            self._repeated.add(src)
         return src
 
     def __call__(self, node):
+        if not self._repeated:
+            return self._source(node)
+        node = _unit_free(node, self.params)
         src = self._source(node)
         if src in self._names:
             return self._names[src]
         out = node.emit(self.params, self)
-        # a subtree of constants is folded when the source is compiled
-        if (self._uses.get(src, 0) < 2 or out.isidentifier()
-                or not node.variables()):
+        if src not in self._repeated:
             return out
         name = self._names[src] = f"_c{len(self._names)}"
         self.lines.append(f"{name} = {out}")
         return name
+
+
+def _can_exit(node):
+    """Whether the emitted arithmetic of `node` can raise a domain exit:
+    Python float +, - and * return inf or nan where they leave the
+    floats, so only division, powers and function calls can."""
+    if isinstance(node, Bin) and node.op in "+-*":
+        return _can_exit(node.a) or _can_exit(node.b)
+    if isinstance(node, Neg):
+        return _can_exit(node.a)
+    return isinstance(node, (Bin, Pow, Call))
 
 
 def _compile(inputs, lines, outputs, trees, params, kind):
@@ -625,19 +656,22 @@ def _compile(inputs, lines, outputs, trees, params, kind):
     closure), runs the assignments `lines` and returns the tuple `outputs`.
     Where that raises a domain exit it evaluates `trees` on `_y` in order,
     which raises :class:`DomainEvaluationError` naming the first failing
-    subexpression.  The code is compiled under the filename
+    subexpression; where none of `trees` can exit (see :func:`_can_exit`)
+    there is no handler, which makes the source a third cheaper to
+    compile.  The code is compiled under the filename
     ``<lyapmetric KIND>``, so profiles keep each layout's calls apart.
 
     The closure carries its source as ``_fn.source_parts``, with the
     fields `inputs` (`_` where unread), `lines`, `outputs`, `kind` and
     `names` (the globals they read): :func:`integrate.solve` emits them
     into each stage of its generated loop instead of calling `_fn`."""
-    src = (f"def _fn(_t, _y):\n    ({', '.join(inputs)},) = _y\n    try:\n"
-           + "".join(f"        {line}\n" for line in lines)
-           + f"        return ({', '.join(outputs)},)\n"
-           "    except _exits:\n"
-           "        _evaluate(_y)\n"
-           "        raise\n")
+    body = [*lines, f"return ({', '.join(outputs)},)"]
+    src = f"def _fn(_t, _y):\n    ({', '.join(inputs)},) = _y\n"
+    if any(map(_can_exit, trees)):
+        src += ("    try:\n" + "".join(f"        {line}\n" for line in body)
+                + "    except _exits:\n        _evaluate(_y)\n        raise\n")
+    else:
+        src += "".join(f"    {line}\n" for line in body)
     namespace = dict(_COMPILE_GLOBALS,
                      _evaluate=lambda y: [t.eval(y, params) for t in trees])
     exec(compile(src, f"<lyapmetric {kind}>", "exec"), namespace)

@@ -15,7 +15,8 @@ solve of each state size.  A closure compiled from a system text (see
 :mod:`expressions`) carries its own source, and once it has run
 _INLINE_AFTER attempts its unpack, local lines and outputs are emitted
 into each stage of a loop of its own, with no call; a domain exit there
-re-runs the attempt through the closure, which raises the typed error.
+re-runs the attempt through the called loop, where the closure raises the
+typed error.
 Both loops give the same bits, so a solve may switch between them.  Each
 call of a loop runs at most _CHUNK attempts and returns its state to
 :func:`solve`: CPython 3.11 specializes a code object's float arithmetic
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import weakref
 from array import array
 from dataclasses import dataclass
@@ -120,20 +120,6 @@ def _inlined_stages(parts):
     return lines, solution
 
 
-def _rerun(rhs, t, h, y, f):
-    """Stages 1-6 of the attempt from (t, y), f = rhs(t, y), each as an
-    rhs call with the generated loops' arithmetic: where an inlined stage
-    left the domain, the closure raises its typed error here."""
-    stages = [f]
-    for i in range(1, 7):
-        point = []
-        for c, v in enumerate(y):
-            # the generated sums: zero weights dropped, left to right
-            terms = [w * k[c] for w, k in zip(_A[i], stages) if w != 0.0]
-            point.append(v + h * functools.reduce(operator.add, terms))
-        stages.append(rhs(t + (h if i == 6 else _C[i] * h), tuple(point)))
-
-
 def _blow_up(t, norm, bound):
     """The error for a state of max-norm `norm` past `bound` at time t; a
     NaN norm is reported as inf."""
@@ -144,11 +130,12 @@ def _loop_source(m, parts=None):
     """Source of `_loop(rhs, ...)`: up to _CHUNK Dormand-Prince attempts
     from the solver state, for states of size m.  Without `parts` each
     stage calls rhs; with a compiled closure's `parts` each stage runs its
-    lines inline, and a domain exit re-runs the attempt through rhs (see
-    :func:`_rerun`).  Accepted steps are appended to the buffers.  Returns
-    (stopped, t, h, y, f, n_steps, n_rejected, non_finite): `stopped` when
-    the solve reached t_end, ran out of attempts or of step size, which
-    :func:`solve` tells apart; blow-ups raise in the loop."""
+    lines inline, and a domain exit re-runs the attempt through the called
+    loop, where the closure raises its typed error.  Accepted steps are
+    appended to the buffers.  Returns (stopped, t, h, y, f, n_steps,
+    n_rejected, non_finite): `stopped` when the solve reached t_end, ran
+    out of attempts or of step size, which :func:`solve` tells apart;
+    blow-ups raise in the loop."""
     comps = range(m)
     y = ", ".join(f"y{c}" for c in comps) + ","
     k0 = ", ".join(f"k0_{c}" for c in comps) + ","
@@ -161,7 +148,10 @@ def _loop_source(m, parts=None):
         inlined, solution = _inlined_stages(parts)
         stages = ["        try:", *(" " * 12 + line for line in inlined),
                   "        except _exits:",
-                  f"            _rerun(rhs, t, h, ({y}), ({k0}))",
+                  f"            _called_loop({m})(rhs, t, h, ({y}), ({k0}), "
+                  "n_steps, n_rejected, non_finite, t_end, end_gap, rtol, "
+                  "atol, blowup_norm, n_steps + n_rejected + 1, ts, ys, hs, "
+                  "coeffs)",
                   "            raise"]
     n = ", ".join(solution) + ","
     k = ", ".join(f"({', '.join(f'k{i}_{c}' for c in comps)},)"
@@ -227,7 +217,8 @@ def _build(source, filename, names):
     (those of the inlined closure's lines) plus the loop's own."""
     namespace = dict(names, abs=abs, max=max, min=min, range=range,
                      sqrt=math.sqrt, inf=math.inf, _blow_up=_blow_up,
-                     _rerun=_rerun, _dense_coefficients=_dense_coefficients)
+                     _called_loop=_called_loop,
+                     _dense_coefficients=_dense_coefficients)
     exec(compile(source, filename, "exec"), namespace)
     return namespace["_loop"]
 
@@ -244,21 +235,22 @@ def _called_loop(m):
 _inlined = weakref.WeakKeyDictionary()
 
 
-def _loop(rhs, m, attempts=0):
+def _loop(rhs, m, attempts=0, build=True):
     """The loop for the next chunk of a solve with `rhs`, which has just
     run `attempts` more attempts.  A closure of :mod:`expressions` runs
     through the called loop of its size until it has made _INLINE_AFTER
-    attempts in all, then through its own inlined loop, compiled at that
-    point under the filename ``<lyapmetric dp5 KIND>``; both give the same
-    bits.  Any other rhs, or a closure whose inputs or outputs are not
-    of size m, runs through the called loop."""
+    attempts in all, then through its own inlined loop, compiled when a
+    chunk first asks for it (`build`; a solve's last chunk only counts)
+    under the filename ``<lyapmetric dp5 KIND>``; both give the same bits.
+    Any other rhs, or a closure whose inputs or outputs are not of size m,
+    runs through the called loop."""
     parts = getattr(rhs, "source_parts", None)
     if parts is None or not len(parts.inputs) == len(parts.outputs) == m:
         return _called_loop(m)
     made = _inlined.get(rhs, 0)
     if callable(made):
         return made
-    if made + attempts < _INLINE_AFTER:
+    if made + attempts < _INLINE_AFTER or not build:
         _inlined[rhs] = made + attempts
         return _called_loop(m)
     loop = _inlined[rhs] = _build(_loop_source(m, parts),
@@ -388,7 +380,8 @@ def solve(rhs, y0, t_end, rtol=1e-9, dense=False, blowup_norm=1e8,
         stopped, t, h, y, f, n_steps, n_rejected, non_finite = loop(
             rhs, t, h, y, f, n_steps, n_rejected, non_finite, t_end,
             end_gap, rtol, atol, blowup_norm, max_steps, ts, ys, hs, coeffs)
-        loop = _loop(rhs, m, n_steps + n_rejected - attempts)
+        loop = _loop(rhs, m, n_steps + n_rejected - attempts,
+                     build=not stopped)
         if not stopped:
             continue
         if t_end - t <= end_gap:

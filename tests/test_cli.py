@@ -212,6 +212,30 @@ class TestRunConfig:
         config = config_from_args(args)
         assert (config.samples, config.variant) == (4, "along-solutions")
 
+    def test_parser_matches_plain_argparse(self, monkeypatch):
+        # arguments go straight into their group, with no help formatter
+        # built per argument; help texts and actions stay argparse's own
+        monkeypatch.setenv("COLUMNS", "100")
+        formatters = []
+        init = argparse.HelpFormatter.__init__
+        monkeypatch.setattr(argparse.HelpFormatter, "__init__",
+                            lambda self, *a, **k: formatters.append(1)
+                            or init(self, *a, **k))
+
+        def texts(parser):
+            [sub] = [a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+            commands = [parser, *sub.choices.values()]
+            return ([p.format_help() for p in commands],
+                    [[(type(a), a.option_strings, a.dest, a.container.title)
+                      for a in p._actions] for p in commands])
+
+        parser = build_parser()
+        assert len(formatters) == 1      # the subcommands' prog
+        ours = texts(parser)
+        monkeypatch.delattr(type(parser), "add_argument")
+        assert texts(build_parser()) == ours
+
 
 class TestAnalyze:
     def test_scalar_example_passes(self, tmp_path):

@@ -290,6 +290,25 @@ def test_compiled_lift_is_cached_and_flags_domain_exits():
     assert str(got.value) == str(want.value)
 
 
+def test_exit_handler_only_where_a_tree_can_raise():
+    # Python float +, - and * return inf or nan instead of raising: their
+    # closures compile without the handler; /, ^ and functions keep it
+    safe = parse_spec_text("dim=2; k = 3; F1 = -k*x1 + x2*x2; "
+                           "F2 = -(x1 - x2)*1e300*1e300")
+    closures = [safe.field_rhs, safe.jacobian_rhs, safe.compiled_lift(),
+                safe.compiled_lift(np.eye(2))]
+    assert not any("_evaluate" in fn.__code__.co_names for fn in closures)
+    for y in ([1e300, 1e300], [1e300, -1e300], [math.inf, math.nan]):
+        want = [t.eval(y, safe.params) for t in safe.f_trees]
+        got = safe.field_rhs(0.0, tuple(y))
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+    for text in ("dim=1; F1 = 1/x1", "dim=1; F1 = -x1^2",
+                 "dim=1; F1 = -x1 + sin(x1)"):
+        parsed = parse_spec_text(text)
+        for fn in (parsed.field_rhs, parsed.compiled_lift()):
+            assert "_evaluate" in fn.__code__.co_names
+
+
 @pytest.mark.parametrize("text, params", [
     ("dim=1; F1 = -x1^1e400", None),
     ("dim=1; F1 = -x1 + 0*x1^(1e400-1e400)", None),

@@ -319,8 +319,9 @@ def test_attempt_matches_numpy_tableau(m):
                                atol=1e-14)
     assert f_new == tuple(calls[-1])   # FSAL
     # the error estimate cancels stage sums of size |k| down to about
-    # h^5 |k|, so its summation order shows at a few 1e-8 relative
-    assert h / 0.05 == pytest.approx(0.9 * want_err ** -0.2, rel=1e-6)
+    # h^5 |k|, so its summation order shows at a few 1e-8 relative; err
+    # is read back from h = 0.05 * 0.9 err^-0.2 to about 1e-15
+    assert (h / (0.05 * 0.9)) ** -5 == pytest.approx(want_err, rel=1e-6)
     with pytest.raises(BlowUpError) as err:
         _one_attempt(rhs, 0.3, 0.05, y, f, rtol, blowup_norm=0.0)
     assert err.value.norm == max(abs(v) for v in y_new)
@@ -440,6 +441,12 @@ def test_repeated_subtrees_are_hoisted():
     for y in np.random.default_rng(4).normal(size=(20, 6)).tolist():
         np.testing.assert_allclose(source.compiled_lift()(0.0, tuple(y)),
                                    generic.rhs(0.0, y), rtol=1e-15)
+    # a product by p = 1 emits its factor, which counts once: used once it
+    # stays inline, and what repeats inside it is still hoisted
+    parts = parse_system("dim=2; p = 1; F1 = p*(x1*x2); "
+                         "F2 = p*(sin(x1)*sin(x1))").source.field_rhs.source_parts
+    assert parts.lines == ("_c0 = sin(_x0)",)
+    assert parts.outputs == ("(_x0 * _x1)", "(_c0 * _c0)")
 
 
 def _budget_errors(closure, y0, max_steps):
@@ -490,6 +497,19 @@ def test_domain_exit_in_an_inlined_stage(inline_at_once, rtol, stage):
     assert (counted.calls - 3) % 6 + 1 == stage
     assert texts[0] == texts[1] == \
         "math domain error in subexpression 'ln((x1 + 1.0))'"
+
+
+def test_no_inlined_loop_is_built_after_the_last_chunk(monkeypatch):
+    # a count that crosses _INLINE_AFTER in a solve's last chunk builds
+    # nothing; the next solve's first chunk builds and runs the loop
+    monkeypatch.setattr(integrate, "_INLINE_AFTER", 10)
+    field = parse_system("dim=2; F1 = x2; F2 = -x1").source.field_rhs
+    sol = solve(field, [1.0, 0.0], 1.0, rtol=1e-8)
+    attempts = sol.n_steps + sol.n_rejected
+    assert 10 <= attempts <= integrate._CHUNK
+    assert integrate._inlined[field] == attempts
+    solve(field, [1.0, 0.0], 1.0, rtol=1e-8)
+    assert callable(integrate._inlined[field])
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11),
