@@ -13,9 +13,7 @@ from .errors import (
     TailHorizonError,
 )
 from .estimation import (
-    BoundConstants,
     DecayEstimate,
-    estimate_bound_constants,
     estimate_gain_function,
     estimate_les,
     estimate_linearized_decay,
@@ -64,10 +62,9 @@ __all__ = [
     # flows
     "flow", "variational_flow", "transverse_flow", "Trajectory",
     # estimation
-    "DecayEstimate", "BoundConstants",
+    "DecayEstimate",
     "estimate_les", "estimate_gain_function", "estimate_linearized_decay",
-    "estimate_transverse_decay", "estimate_bound_constants",
-    "jacobian_norm_majorant",
+    "estimate_transverse_decay", "jacobian_norm_majorant",
     # metrics
     "MetricField", "ResidualReport", "constant_metric", "gramian_at_origin",
     "solution_metric", "transverse_metric_field", "rescaled_metric_field",

@@ -66,7 +66,7 @@ from .metric import (
     solution_metric,
     transverse_metric_field,
 )
-from .stabilization import synthesize_controller, tabulate_potential
+from .stabilization import synthesize_controller
 from .systems import ControlSystem, SystemModel, TransverseModel
 
 _VARIANTS = ("origin", "along-solutions", "transverse", "rescaled")
@@ -428,27 +428,18 @@ def cmd_stabilize(config):
     field = constant_metric(config.p_matrix(n), q=config.q_matrix(n))
     grid = config.grid_points(n)
 
-    closed_loop, potential, certificate = synthesize_controller(
+    # a constant metric passes only a constant g: the loop always exports
+    closed_loop, _, certificate = synthesize_controller(
         model, field, gain=config.lambda_gain, sample_points=grid)
     certify_payload, certify_verdict = _certify_with_metric(
         config, closed_loop, field)
-
-    if closed_loop.source is not None:
-        _out_path(config, "closed_loop.txt").write_text(
-            closed_loop.to_spec_text(), encoding="utf-8")
-        export = {"closed_loop_spec": "closed_loop.txt"}
-    else:
-        radius = float(np.max(np.abs(grid)))
-        grid_u, values, meta = tabulate_potential(
-            potential, [-radius], [radius])
-        write_csv(_out_path(config, "potential.csv"), ["w", "U"],
-                  zip(grid_u, values))
-        export = {"potential_table": "potential.csv",
-                  "potential_meta": meta}
+    _out_path(config, "closed_loop.txt").write_text(
+        closed_loop.to_spec_text(), encoding="utf-8")
     verdict = "pass" if certificate.verdict == "pass" \
         and certify_verdict == "pass" else "fail"
     payload = {"controller": certificate.to_dict(),
-               "closed_loop_certificate": certify_payload, **export}
+               "closed_loop_certificate": certify_payload,
+               "closed_loop_spec": "closed_loop.txt"}
     return _write_report(config, payload, verdict)
 
 

@@ -1,4 +1,4 @@
-"""Decay-envelope and bound-constant estimation from sampled trajectories.
+"""Decay-envelope estimation from sampled trajectories.
 
 Everything here is a certificate over an explicitly recorded sample set, not
 a proof: the returned constants make the claimed inequalities hold on every
@@ -80,24 +80,6 @@ class DecayEstimate:
                 {"s": float(s), "k": float(k)}
                 for s, k in zip(self.gain_radii, self.gain_values)]
         return out
-
-
-@dataclass
-class BoundConstants:
-    """Suprema of the first/second-derivative norms over a sampled domain."""
-
-    mu: float
-    rho: float
-    c: float
-    parts: dict
-    argmax: dict
-    domain: str
-
-    def to_report(self):
-        return {"mu": self.mu, "rho": self.rho, "c": self.c,
-                "parts": self.parts,
-                "argmax": {k: list(map(float, v)) for k, v in self.argmax.items()},
-                "domain": self.domain}
 
 
 def _fit_tail_rate(t, values, horizon):
@@ -295,72 +277,6 @@ def estimate_transverse_decay(model, x_box, n_samples=8, horizon=8.0,
     info = SampleInfo(len(points), seed, horizon, tol, "drift box")
     return DecayEstimate(rate=rate, radius=float(np.max(np.abs([lo, hi]))),
                          samples=info, gain_const=gain)
-
-
-def _tensor_block_norm(hessians, rows, cols):
-    """Max over components of the 2-norm of a Hessian sub-block."""
-    return max(float(np.linalg.norm(h[rows][:, cols], 2)) for h in hessians)
-
-
-def estimate_bound_constants(model, e_radius, x_box, n_samples=256, seed=0):
-    """Suprema of the derivative norms entering the transverse estimates:
-
-    mu  = sup_x |dF/de(0, x)|
-    rho = sup_x |dG/dx(0, x)|
-    c   = sup over the (e, x) sample of the second-derivative e-blocks,
-          the mixed e/x blocks of F, and |dG/de|.
-
-    Deterministic low-discrepancy sample; argmax points are recorded.  The
-    suprema are recomputed on nested half/quarter samples, and a >= 10x
-    growth across the two doublings raises an error ("bound likely
-    unbounded on domain").
-    """
-    lo, hi = x_box
-    counts = [max(8, n_samples // 4), max(8, n_samples // 2), n_samples]
-    history = []
-    result = None
-    for count in counts:
-        xs = sampling.box_points(lo, hi, count, seed)
-        es = sampling.ball_points(model.n_e, e_radius, count, seed + 1)
-        e_slice = slice(0, model.n_e)
-        x_slice = slice(model.n_e, model.n_e + model.n_x)
-
-        mu, rho = 0.0, 0.0
-        parts = {"d2F_dede": 0.0, "d2F_dxde": 0.0, "dG_de": 0.0}
-        argmax = {}
-        zero_e = np.zeros(model.n_e)
-        for x in xs:
-            m = float(np.linalg.norm(model.df_de(zero_e, x), 2))
-            if m >= mu:
-                mu, argmax["mu"] = m, x
-            r = float(np.linalg.norm(model.dg_dx(zero_e, x), 2))
-            if r >= rho:
-                rho, argmax["rho"] = r, x
-        for e, x in zip(es, xs):
-            hess = model.hess_blocks(e, x)[: model.n_e]
-            v = _tensor_block_norm(hess, e_slice, e_slice)
-            if v >= parts["d2F_dede"]:
-                parts["d2F_dede"], argmax["d2F_dede"] = v, np.concatenate([e, x])
-            v = _tensor_block_norm(hess, x_slice, e_slice)
-            if v >= parts["d2F_dxde"]:
-                parts["d2F_dxde"], argmax["d2F_dxde"] = v, np.concatenate([e, x])
-            v = float(np.linalg.norm(model.dg_de(e, x), 2))
-            if v >= parts["dG_de"]:
-                parts["dG_de"], argmax["dG_de"] = v, np.concatenate([e, x])
-        c = max(parts.values())
-        history.append((mu, rho, c))
-        result = BoundConstants(
-            mu=mu, rho=rho, c=c, parts=dict(parts), argmax=argmax,
-            domain=f"|e| <= {e_radius}, x in [{lo}, {hi}], "
-                   f"{count} low-discrepancy samples (seed {seed})")
-
-    for idx, label in ((0, "mu"), (1, "rho"), (2, "c")):
-        a, b, c3 = (h[idx] for h in history)
-        if b >= 10.0 * max(a, 1e-300) and c3 >= 10.0 * max(b, 1e-300):
-            raise LyapmetricError(
-                f"bound '{label}' likely unbounded on domain "
-                f"(grew {a:.3g} -> {b:.3g} -> {c3:.3g} under refinement)")
-    return result
 
 
 def jacobian_norm_majorant(model, radii, n_samples=64, seed=0):

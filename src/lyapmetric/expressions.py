@@ -20,13 +20,13 @@ abs2``, the reserved constants ``pi`` and ``e``, state variables ``x<k>`` and
 declared parameters.  ``#`` starts a comment running to end of line.
 
 Parsed expressions are immutable trees.  They can be evaluated, symbolically
-differentiated and compiled to fast closures; Jacobians and Hessians are the
-compiled closures of their symbolic derivatives.  One source builder emits
-them all, with the solver's rhs signature over Python floats; where the
-emitted arithmetic raises, it evaluates the trees, which raise
-:class:`DomainEvaluationError` naming the subexpression.  The emitted
-source computes each repeated subtree once, into a local, and drops a
-factor equal to exactly 1.0; each closure carries that source, which
+differentiated and compiled to fast closures; Jacobians are the compiled
+closures of their symbolic derivatives.  One source builder emits them all,
+with the solver's rhs signature over Python floats; where the emitted
+arithmetic raises, it evaluates the trees, which raise
+:class:`DomainEvaluationError` naming the subexpression.  The emitted source
+computes each repeated subtree once, into a local, and drops a factor equal
+to exactly 1.0; each closure carries that source, which
 :func:`integrate.solve` inlines into its generated stepping loop.
 """
 
@@ -320,7 +320,9 @@ class Pow(Node):
             return Num(0.0)
         if self.p == 1.0:
             return da
-        return mul(mul(Num(self.p), Pow(self.a, self.p - 1.0)), da)
+        # a ** 1.0 is a for every float, so a square's derivative reads a
+        power = self.a if self.p == 2.0 else Pow(self.a, self.p - 1.0)
+        return mul(mul(Num(self.p), power), da)
 
     def emit(self, params, sub=None):
         # math.pow raises ValueError on a negative base where ** returns a
@@ -753,8 +755,21 @@ def _compile_lift(f_trees, jac_rows, params, q):
                 else:
                     lines.append(f"_m{j}_{k} = {_linear_sum(terms)}")
                     qphi[j, k] = f"_m{j}_{k}"
-        out += [_linear_sum([(f"_p{j}_{i}", qphi[j, k]) for j in range(n)])
-                for i in range(n) for k in range(n)]
+        # with Q symmetric, so is Phi' Q Phi: each off-diagonal entry is
+        # one local, read for (i, k) and (k, i)
+        symmetric = np.array_equal(q, q.T)
+        gram = {}
+        for i in range(n):
+            for k in range(n):
+                if symmetric and k < i:
+                    gram[i, k] = gram[k, i]
+                    continue
+                gram[i, k] = _linear_sum([(f"_p{j}_{i}", qphi[j, k])
+                                          for j in range(n)])
+                if symmetric and k > i:
+                    lines.append(f"_g{i}_{k} = {gram[i, k]}")
+                    gram[i, k] = f"_g{i}_{k}"
+        out += [gram[i, k] for i in range(n) for k in range(n)]
     # the domain exit evaluates F, then J row-major, as the generic lift
     return _compile(inputs, lines, out,
                     f_trees + [d for row in jac_rows for d in row], params,
@@ -811,31 +826,6 @@ class ParsedSystem:
             return np.array(_fn(None, _floats(x))).reshape(_shape)
 
         return jacobian
-
-    def compiled_hessian(self):
-        """Component Hessians of the field, shape (len(f_trees), dim, dim).
-
-        Compiles ``f_trees[k].diff(i).diff(j)`` for i <= j on the first call
-        and mirrors the upper triangle, so every Hessian is exactly symmetric.
-        """
-        n, m = self.dim, len(self.f_trees)
-
-        @functools.cache
-        def compiled():
-            rows, cols = np.triu_indices(n)
-            # slot[i, j]: position of entry (i, j) among the i <= j values
-            slot = np.empty((n, n), dtype=int)
-            slot[rows, cols] = slot[cols, rows] = np.arange(len(rows))
-            fn = compile_vector([d[i].diff(j) for d in self._jacobian_rows
-                                 for i, j in zip(rows.tolist(), cols.tolist())],
-                                self.params, n, "hessian")
-            return fn, slot
-
-        def hessian(x, _m=m):
-            fn, slot = compiled()
-            return np.array(fn(None, _floats(x))).reshape(_m, -1)[:, slot]
-
-        return hessian
 
     def compiled_lift(self, q=None):
         """The lifted field of `f_trees` (one per variable) as the solver's

@@ -9,6 +9,10 @@ For w' = f(w) + g(w) u with a metric P such that
 the feedback u = -lam U(w) makes the closed loop satisfy L_F P <= -Q (Q is
 the metric's `q`); that one loop is replayed, exported and certified by the
 distance-to-origin machinery.  Condition numbers refer to this list.
+
+For a constant P, condition 2 makes P Dg skew and condition 3 makes it
+symmetric, so g must be constant; with an expression source that is
+decided from g's derivative trees, and U is then the linear form (P g)' w.
 """
 
 from __future__ import annotations
@@ -29,7 +33,15 @@ _FD_STEP = 1e-5          # relative step of the closedness differences
 _QUAD_TOL = 1e-10        # relative tolerance of the potential quadrature
 _DECREASE_TOL = 1e-6     # conditions 1 and the closed-loop replay
 _KILLING_TOL = 1e-8      # condition 2
-_EXPORT_POINTS = 101     # grid size of a tabulated potential export
+
+
+def _varying_input(g_model):
+    """The first (k, j) whose derivative tree dg_k/dw_j does not fold to
+    the constant 0, or None when g is constant by its trees.  A constant
+    that only cancels numerically (sin(w)^2 + cos(w)^2) does not fold."""
+    return next(((k, j) for k, tree in enumerate(g_model.source.f_trees)
+                 for j in range(g_model.dim)
+                 if not expressions._is_zero(tree.diff(j))), None)
 
 
 def killing_residual(metric, g_model, w):
@@ -166,6 +178,8 @@ def synthesize_controller(control_sys, metric, gain, sample_points):
 
     Raises :class:`FalsificationError` naming the failed condition when any
     residual exceeds its tolerance; no controller is emitted in that case.
+    Under a constant metric, g with a source must be constant by its trees
+    (condition 2, no witness); the sampled Killing residual cross-checks it.
     """
     n = control_sys.dim
     sample_points = np.atleast_2d(np.asarray(sample_points, dtype=float))
@@ -173,6 +187,14 @@ def synthesize_controller(control_sys, metric, gain, sample_points):
     g_model = control_sys.input_field
 
     # condition 2: the input field preserves the metric
+    if metric.variant == "constant" and g_model.source is not None:
+        varying = _varying_input(g_model)
+        if varying is not None:
+            k, j = varying
+            raise FalsificationError(
+                "condition 2 failed: a constant metric needs a constant g, "
+                f"but dg{k + 1}/dx{j + 1} of g{k + 1} = "
+                f"{g_model.source.f_trees[k].text()} does not fold to 0")
     killing_sup = max(killing_residual(metric, g_model, w)[1]
                       for w in sample_points)
     if killing_sup > _KILLING_TOL:
@@ -220,31 +242,27 @@ def synthesize_controller(control_sys, metric, gain, sample_points):
                          float(np.max(np.linalg.eigvalsh(
                              0.5 * (lhs + lhs.T)))))
 
+    # conditions 1-3 raised above unless they hold
     cert = ControllerCertificate(
         gain=gain, killing_sup=killing_sup,
         integrability_sup=integrability_sup, decrease_sup=decrease_sup,
         closed_loop_sup=closed_sup,
-        verdict="pass" if (killing_sup <= _KILLING_TOL
-                           and integrability_sup <= _CLOSEDNESS_TOL
-                           and decrease_sup <= _DECREASE_TOL
-                           and closed_sup <= _DECREASE_TOL) else "fail",
+        verdict="pass" if closed_sup <= _DECREASE_TOL else "fail",
         samples=sample_points.shape[0], tolerance=_DECREASE_TOL)
     return closed_loop, potential, cert
 
 
 def export_closed_loop(control_sys, metric, gain):
     """The closed loop as a model that prints in the system-text grammar,
-    when the potential has an exact expression (constant metric with a
-    constant input field: U is the linear form (P b)' w).  Returns None when
-    the expression route does not apply; callers fall back to a tabulated U.
+    when the potential has an exact expression (constant metric with an
+    input field constant by its trees: U is the linear form (P b)' w).
+    Returns None when the expression route does not apply; callers fall
+    back to the quadrature potential.
     """
     drift = control_sys.drift
     g_model = control_sys.input_field
     if metric.variant != "constant" or drift.source is None \
-            or g_model.source is None:
-        return None
-    g_trees = g_model.source.f_trees
-    if any(t.variables() for t in g_trees):
+            or g_model.source is None or _varying_input(g_model) is not None:
         return None
     n = control_sys.dim
     b = g_model.f(np.zeros(n))
@@ -264,21 +282,3 @@ def export_closed_loop(control_sys, metric, gain):
     return SystemModel.from_parsed(expressions.ParsedSystem(
         n, None, drift.source.params, new_trees, [], []))
 
-
-def tabulate_potential(potential, lo, hi):
-    """Grid samples of U at _EXPORT_POINTS points, for export when no
-    expression form exists.
-
-    Returns (grid, values, metadata); the metadata names the interpolation
-    contract for consumers.
-    """
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    if lo.size != 1:
-        raise LyapmetricError("tabulated export is one-dimensional")
-    grid = np.linspace(float(lo[0]), float(hi[0]), _EXPORT_POINTS)
-    values = np.array([potential(np.array([g])) for g in grid])
-    meta = {"interpolation": "cubic-spline", "columns": ["w", "U"],
-            "base_point": [float(v) for v in potential.base_point],
-            "points": _EXPORT_POINTS}
-    return grid, values, meta

@@ -4,8 +4,8 @@ systems, and controlled systems.
 All models are immutable after construction and hold plain callables, so they
 are safe to evaluate concurrently; none records whether F(0) = 0, which each
 claim that needs it checks (:func:`require_equilibrium`).  Models built from
-specification text compile their field, Jacobian and component Hessians from
-the symbolic derivatives of their expression trees, and round-trip to text.
+specification text compile their field and Jacobian from the expression
+trees and their symbolic derivatives, and round-trip to text.
 
 A two-block model has one first-order object on its invariant set, the
 transversally linear system x' = G(0, x), Phi' = dF/de(0, x) Phi
@@ -17,7 +17,7 @@ it as a model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -27,29 +27,17 @@ from .errors import DimensionMismatchError, FalsificationError, LyapmetricError
 _EQUILIBRIUM_TOL = 1e-12
 
 
-class Jet(NamedTuple):
-    """Field value (dim,), Jacobian (dim, dim) and component Hessians
-    (dim, dim, dim) at one point."""
-
-    value: np.ndarray
-    grad: np.ndarray
-    hess: np.ndarray
-
-
 @dataclass(frozen=True)
 class SystemModel:
-    """Autonomous vector field with first (and optionally second) derivatives.
+    """Autonomous vector field with its first derivative.
 
     f      point -> field value, shape (dim,)
     jac    point -> Jacobian, shape (dim, dim)
-    hess   point -> stacked component Hessians, shape (dim, dim, dim); None
-           when the model is only C1
     """
 
     dim: int
     f: Callable[[np.ndarray], np.ndarray]
     jac: Callable[[np.ndarray], np.ndarray]
-    hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
     source: Optional[expressions.ParsedSystem] = field(default=None, repr=False)
 
     @staticmethod
@@ -58,7 +46,6 @@ class SystemModel:
             dim=parsed.dim,
             f=parsed.compiled_field(),
             jac=parsed.compiled_jacobian(),
-            hess=parsed.compiled_hessian(),
             source=parsed,
         )
 
@@ -68,21 +55,11 @@ class SystemModel:
         a = np.array(a, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatchError("A must be square")
-        n = a.shape[0]
-        zeros = np.zeros((n, n, n))
         return SystemModel(
-            dim=n,
+            dim=a.shape[0],
             f=lambda x, _a=a: _a @ np.asarray(x, dtype=float),
             jac=lambda x, _a=a: _a.copy(),
-            hess=lambda x, _z=zeros: _z.copy(),
         )
-
-    def jet2(self, point):
-        """Value, Jacobian and component Hessians at `point`."""
-        if self.hess is None:
-            raise LyapmetricError("second derivatives unavailable (C1 model)")
-        x = np.asarray(point, float)
-        return Jet(self.f(x), self.jac(x), self.hess(x))
 
     def to_spec_text(self):
         if self.source is None:
@@ -107,9 +84,9 @@ class TransverseModel:
     """Coupled pair e' = F(e, x), x' = G(e, x) with F(0, x) = 0.
 
     The set {e = 0} is then invariant.  Implemented as a view onto the
-    combined field `full` on (e, x); block slices give the partials used by
-    the bound-constant estimates, and :meth:`manifold_step` the
-    transversally linear system on {e = 0}.
+    combined field `full` on (e, x): :meth:`f_block` is the e-rows of the
+    field, and :meth:`manifold_step` the transversally linear system on
+    {e = 0}.
     """
 
     n_e: int
@@ -145,33 +122,12 @@ class TransverseModel:
     def dim(self):
         return self.n_e + self.n_x
 
-    def _join(self, e, x):
-        return np.concatenate([np.asarray(e, float), np.asarray(x, float)])
-
     def f_block(self, e, x):
-        return self.full.f(self._join(e, x))[: self.n_e]
-
-    def g_block(self, e, x):
-        return self.full.f(self._join(e, x))[self.n_e:]
-
-    def df_de(self, e, x):
-        return self.full.jac(self._join(e, x))[: self.n_e, : self.n_e]
-
-    def dg_de(self, e, x):
-        return self.full.jac(self._join(e, x))[self.n_e:, : self.n_e]
-
-    def dg_dx(self, e, x):
-        return self.full.jac(self._join(e, x))[self.n_e:, self.n_e:]
+        return self.full.f(np.concatenate([e, x]))[: self.n_e]
 
     def manifold_step(self):
         """The transversally linear system on {e = 0}."""
         return ManifoldStep(self.n_e, self.n_x, self.full)
-
-    def hess_blocks(self, e, x):
-        """Component Hessians of the combined field at (e, x)."""
-        if self.full.hess is None:
-            raise LyapmetricError("second derivatives unavailable (C1 model)")
-        return self.full.hess(self._join(e, x))
 
 
 class ManifoldStep:

@@ -238,14 +238,14 @@ def test_criterion_8_property_suites(scalar_model, tmp_path):
             value = field2(np.array(p))
             assert np.max(np.abs(value - value.T)) <= 1e-10
 
-        # jet gradients vs central differences at 1e-6 relative
+        # Jacobians vs central differences at 1e-6 relative
         planar = catalog.get("transverse-counterexample").build(
             {"lam": 1.0, "mu_x": 1.0}).full
         for model in (scalar_model, planar):
             n = model.dim
             for _ in range(10):
                 x = rng.uniform(-2.0, 2.0, n)
-                grad = model.jet2(x).grad
+                grad = model.jac(x)
                 for k in range(n):
                     for j in range(n):
                         xp, xm = x.copy(), x.copy()

@@ -711,6 +711,35 @@ class TestStabilize:
         assert capsys.readouterr().err.startswith("error: --grid: ")
         assert not (tmp_path / "r" / "report.json").exists()
 
+    def test_varying_input_field_exits_two_at_condition_two(self, tmp_path):
+        # L_g P = 4w for P = 1 and g = 1 + w^2: zero at the one grid point,
+        # so only g's derivative tree can reject it
+        spec = tmp_path / "plant.txt"
+        spec.write_text("dim = 1\nF1 = x1\ng1 = 1 + x1^2\n")
+        code = main(["stabilize", "--system", str(spec), "--lambda-gain", "3",
+                     "--grid=0", "--out", str(tmp_path / "r")])
+        assert code == 2
+        report = _read_report(tmp_path / "r")
+        assert report["verdict"] == "falsified"
+        assert report["reason"].startswith("condition 2 failed")
+        assert "g1" in report["reason"] and "dx1" in report["reason"]
+        assert report["witness"] is None
+        assert sorted(p.name for p in (tmp_path / "r").iterdir()) == \
+            ["report.json"]
+
+    def test_input_field_constant_by_folding_is_exported(self, tmp_path):
+        spec = tmp_path / "plant.txt"
+        spec.write_text("dim = 1\nF1 = x1\ng1 = x1 - x1 + 1\n")
+        code = main(["stabilize", "--system", str(spec), "--lambda-gain", "3",
+                     "--grid=-2,-1,1,2", "--out", str(tmp_path / "r")])
+        assert code == 0
+        assert _read_report(tmp_path / "r")["closed_loop_spec"] == \
+            "closed_loop.txt"
+        from lyapmetric import parse_system
+
+        closed = parse_system((tmp_path / "r" / "closed_loop.txt").read_text())
+        assert closed.f(np.array([1.0]))[0] == pytest.approx(-2.0, abs=1e-12)
+
     def test_insufficient_gain_exits_two(self, tmp_path):
         spec = tmp_path / "plant.txt"
         spec.write_text("dim = 1\nF1 = x1\ng1 = 1\n")

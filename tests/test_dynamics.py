@@ -125,8 +125,8 @@ def test_manifold_step_is_drift_and_transverse_jacobian():
     for x in (0.5, -1.3, 0.0, 2.7):
         point = np.array([x])
         drift, a = step(point)
-        assert np.array_equal(drift, model.g_block(np.zeros(1), [x]))
-        assert np.array_equal(a, model.df_de(np.zeros(1), [x]))
+        assert np.array_equal(drift, model.full.f([0.0, x])[1:])
+        assert np.array_equal(a, model.full.jac([0.0, x])[:1, :1])
         assert np.array_equal(drift, step.f(point))
         assert np.array_equal(a, step.jac(point))
         assert a[0, 0] == pytest.approx(-(2.0 + x * math.sin(x)), rel=1e-15)

@@ -7,7 +7,6 @@ from lyapmetric import catalog, parse_system, sampling
 from lyapmetric.dynamics import flow, transverse_flow
 from lyapmetric.errors import FalsificationError
 from lyapmetric.estimation import (
-    estimate_bound_constants,
     estimate_gain_function,
     estimate_les,
     estimate_linearized_decay,
@@ -238,33 +237,6 @@ def test_decay_gates_name_gate_and_witness(estimator, field, gate):
         estimate(parse_system(text.format(F=field)))
     assert err.value.witness in points
     assert gate in str(err.value)
-
-
-class TestBoundConstants:
-    def test_counterexample_constants(self):
-        model = catalog.get("transverse-counterexample").build(
-            {"lam": 1.0, "mu_x": 1.0})
-        bc = estimate_bound_constants(model, e_radius=1.0,
-                                      x_box=([-2.0], [2.0]), n_samples=512)
-        # 1-D grid-search oracle for sup |lam + x sin x| over [-2, 2]
-        grid = np.linspace(-2.0, 2.0, 40001)
-        mu_ref = float(np.max(np.abs(1.0 + grid * np.sin(grid))))
-        assert bc.mu <= mu_ref + 1e-9
-        assert bc.mu == pytest.approx(mu_ref, rel=0.02)
-        assert bc.rho == pytest.approx(1.0, abs=1e-12)
-        assert bc.parts["dG_de"] == 0.0
-        assert bc.parts["d2F_dede"] == 0.0
-        # mixed term: sup |sin x + x cos x| over the box
-        mixed_ref = float(np.max(np.abs(np.sin(grid) + grid * np.cos(grid))))
-        assert bc.parts["d2F_dxde"] == pytest.approx(mixed_ref, rel=0.05)
-
-    def test_linear_two_block(self):
-        model = parse_system("dim=2; e_dim=1; F1 = -2*x1; G1 = 3*x2")
-        bc = estimate_bound_constants(model, e_radius=1.0,
-                                      x_box=([-1.0], [1.0]), n_samples=64)
-        assert bc.mu == pytest.approx(2.0, abs=1e-12)
-        assert bc.rho == pytest.approx(3.0, abs=1e-12)
-        assert bc.c == pytest.approx(0.0, abs=1e-12)
 
 
 def test_jacobian_norm_majorant_scalar_example(scalar_model):

@@ -9,7 +9,6 @@ from lyapmetric.dynamics import lifted_system
 from lyapmetric.errors import (
     DimensionMismatchError,
     DomainEvaluationError,
-    LyapmetricError,
     SpecTextError,
     UnknownIdentifierError,
 )
@@ -39,7 +38,7 @@ def test_parse_planar_counterexample():
     e, x = np.array([1.0]), np.array([2.0])
     expected = -(1.0 + 2.0 * math.sin(2.0)) * 1.0
     assert m.f_block(e, x)[0] == pytest.approx(expected, rel=1e-15)
-    assert m.g_block(e, x)[0] == 2.0
+    assert m.full.f(np.concatenate([e, x]))[1] == 2.0
 
 
 def test_parse_is_deterministic():
@@ -50,30 +49,38 @@ def test_parse_is_deterministic():
         assert a.f(np.array([p]))[0] == b.f(np.array([p]))[0]
 
 
+def _jet(model, x):
+    """F, its Jacobian and the second derivatives d2F_k/dx_i dx_j at x,
+    the last from the expression trees."""
+    source = model.source
+    x = np.asarray(x, float)
+    second = np.array([[[t.diff(i).diff(j).eval(x.tolist(), source.params)
+                         for j in range(model.dim)]
+                        for i in range(model.dim)] for t in source.f_trees])
+    return model.f(x), model.jac(x), second
+
+
 def test_jet_odd_function_at_origin():
-    m = parse_system(SCALAR)
-    jet = m.jet2([0.0])
-    assert jet.value[0] == 0.0
-    assert jet.grad[0, 0] == pytest.approx(-1.0, abs=1e-15)
-    assert jet.hess[0, 0, 0] == pytest.approx(0.0, abs=1e-15)
+    value, grad, hess = _jet(parse_system(SCALAR), [0.0])
+    assert value[0] == 0.0
+    assert grad[0, 0] == pytest.approx(-1.0, abs=1e-15)
+    assert hess[0, 0, 0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_jet_linear_field():
-    m = parse_system(LINEAR)
-    jet = m.jet2([3.0])
-    assert jet.value[0] == -3.0
-    assert jet.grad[0, 0] == -1.0
-    assert jet.hess[0, 0, 0] == 0.0
+    value, grad, hess = _jet(parse_system(LINEAR), [3.0])
+    assert value[0] == -3.0
+    assert grad[0, 0] == -1.0
+    assert hess[0, 0, 0] == 0.0
 
 
 def test_jet_scalar_example_at_one():
     # hand differentiation: F'(e) = (e^2-1)/(1+e^2)^2 so F'(1) = 0,
     # F''(e) = 2e(3-e^2)/(1+e^2)^3 so F''(1) = 1/2
-    m = parse_system(SCALAR)
-    jet = m.jet2([1.0])
-    assert jet.value[0] == pytest.approx(-0.5, abs=1e-15)
-    assert jet.grad[0, 0] == pytest.approx(0.0, abs=1e-15)
-    assert jet.hess[0, 0, 0] == pytest.approx(0.5, abs=1e-14)
+    value, grad, hess = _jet(parse_system(SCALAR), [1.0])
+    assert value[0] == pytest.approx(-0.5, abs=1e-15)
+    assert grad[0, 0] == pytest.approx(0.0, abs=1e-15)
+    assert hess[0, 0, 0] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_gradient_matches_central_differences():
@@ -84,7 +91,7 @@ def test_gradient_matches_central_differences():
         n = full.dim
         for _ in range(20):
             x = rng.uniform(-2.0, 2.0, n)
-            grad = full.jet2(x).grad
+            grad = full.jac(x)
             h = 1e-6
             for k in range(n):
                 for j in range(n):
@@ -96,15 +103,6 @@ def test_gradient_matches_central_differences():
                     assert abs(grad[k, j] - fd) <= 1e-6 * scale
 
 
-def test_hessian_exactly_symmetric():
-    model = parse_system(PLANAR).full
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        x = rng.uniform(-3.0, 3.0, 2)
-        for hess in model.jet2(x).hess:
-            assert np.array_equal(hess, hess.T)
-
-
 def test_hessian_matches_jacobian_differences():
     rng = np.random.default_rng(3)
     h = 1e-5
@@ -114,7 +112,7 @@ def test_hessian_matches_jacobian_differences():
         n = model.dim
         for _ in range(20):
             x = rng.uniform(-3.0, 3.0, n)
-            hess = model.hess(x)
+            hess = _jet(model, x)[2]
             for j in range(n):
                 step = np.zeros(n)
                 step[j] = h
@@ -143,8 +141,9 @@ _U = 0.7 * 0.4
                         [-1.0 / 0.4**2, 2.0 * 0.7 / 0.4**3]])),
 ])
 def test_hessian_closed_form(text, expected):
+    # the second-order tree calculus: tree.diff(i).diff(j)
     model = parse_system(f"dim=2; F1 = {text}; F2 = 0")
-    hess = model.hess(np.array([0.7, 0.4]))
+    hess = _jet(model, [0.7, 0.4])[2]
     assert np.allclose(hess[0], expected, rtol=1e-14, atol=1e-14)
     assert np.array_equal(hess[1], np.zeros((2, 2)))
 
@@ -154,20 +153,12 @@ def test_every_exported_name_resolves():
         assert hasattr(lyapmetric, name), name
 
 
-def test_linear_model_jet_has_zero_hessians():
+def test_linear_model_value_and_jacobian():
     a = np.array([[0.0, 1.0], [-2.0, -3.0]])
     x = np.array([0.5, -1.0])
-    jet = SystemModel.from_linear(a).jet2(x)
-    assert np.array_equal(jet.value, a @ x)
-    assert np.array_equal(jet.grad, a)
-    assert np.array_equal(jet.hess, np.zeros((2, 2, 2)))
-
-
-def test_c1_model_jet_is_rejected():
-    # a model built without Hessians is C1, whoever built it
-    model = SystemModel(dim=1, f=lambda x: -x, jac=lambda x: -np.eye(1))
-    with pytest.raises(LyapmetricError, match="C1"):
-        model.jet2([0.5])
+    model = SystemModel.from_linear(a)
+    assert np.array_equal(model.f(x), a @ x)
+    assert np.array_equal(model.jac(x), a)
 
 
 def test_pretty_print_round_trip():
@@ -248,7 +239,7 @@ def test_fractional_power_of_negative_base_is_domain_error():
     with pytest.raises(DomainEvaluationError):
         m.f(np.array([-2.0]))
     with pytest.raises(DomainEvaluationError):
-        m.jet2([-2.0])
+        m.jac(np.array([-2.0]))
     # under a function the power is still typed, not a TypeError of sin
     m = parse_system("dim=1; F1 = -x1 - 0.1*sin(x1^0.5)")
     assert m.f([2.0])[0] == -2.0 - 0.1 * math.sin(2.0 ** 0.5)

@@ -422,6 +422,9 @@ def test_unit_factors_are_not_emitted():
                source.compiled_lift(np.eye(2))):
         parts = fn.source_parts
         assert "1.0 *" not in " ".join(parts.lines + parts.outputs)
+    # nor a power 1.0: the derivative of x2^2 reads x2 itself
+    parts = parse_system(PLANAR).source.compiled_lift(np.eye(2)).source_parts
+    assert "** 1.0" not in " ".join(parts.lines + parts.outputs)
     rng = np.random.default_rng(3)
     for y in rng.normal(size=(20, 2)).tolist() + [[-0.0, -0.0], [0.0, -0.0]]:
         want = [t.eval(y, source.params) for t in source.f_trees]
@@ -447,6 +450,21 @@ def test_repeated_subtrees_are_hoisted():
                          "F2 = p*(sin(x1)*sin(x1))").source.field_rhs.source_parts
     assert parts.lines == ("_c0 = sin(_x0)",)
     assert parts.outputs == ("(_x0 * _x1)", "(_c0 * _c0)")
+
+
+def test_symmetric_gramian_entries_are_emitted_once():
+    # [x | J Phi | Phi' Q Phi]: outputs 7 and 8 are G's entries (0, 1), (1, 0)
+    model = parse_system(PLANAR)
+    parts = model.source.compiled_lift(np.eye(2)).source_parts
+    assert parts.outputs[7] == parts.outputs[8] == "_g0_1"
+    # an asymmetric Q keeps both, as the generic lift computes them
+    q = np.array([[2.0, 0.3], [-0.1, 1.0]])
+    fused = model_lift(model, q).rhs
+    assert fused.source_parts.outputs[7] != fused.source_parts.outputs[8]
+    generic = model_lift(dataclasses.replace(model, source=None), q).rhs
+    for y in np.random.default_rng(5).normal(size=(20, 10)).tolist():
+        np.testing.assert_allclose(fused(0.0, tuple(y)), generic(0.0, y),
+                                   rtol=1e-14, atol=1e-14)
 
 
 def _budget_errors(closure, y0, max_steps):

@@ -14,7 +14,6 @@ from lyapmetric.stabilization import (
     export_closed_loop,
     killing_residual,
     synthesize_controller,
-    tabulate_potential,
 )
 
 SCALAR_PLANT = "dim=1; F1 = x1; g1 = 1"
@@ -213,14 +212,37 @@ class TestSynthesize:
         assert closed.source is not None
         assert closed.to_spec_text() == "dim = 1\nF1 = (x1 - (3.0 * x1))\n"
 
-    def test_quadrature_loop_without_expression_form(self, unit_metric):
-        # a state-dependent input field has no exported expression: the
-        # replayed loop goes through the quadrature potential
+    def test_quadrature_loop_without_expression_form(self):
+        # P(w) = 1/cos^2(w) with g = cos(w): L_g P = 2 sin/cos^2 - 2 sin/cos^2
+        # = 0 exactly, and U = ln|sec + tan| has no exported expression, so
+        # the replayed loop goes through the quadrature potential
         cs = parse_system("dim=1; F1 = -x1; g1 = cos(x1)")
-        closed, _, cert = synthesize_controller(
-            cs, unit_metric, gain=0.5, sample_points=[[0.0]])
+        field = from_callable(
+            lambda w: [[1.0 / np.cos(float(w[0])) ** 2]], dim=1)
+        pts = np.linspace(-0.6, 0.6, 5).reshape(-1, 1)
+        closed, potential, cert = synthesize_controller(
+            cs, field, gain=0.5, sample_points=pts)
         assert closed.source is None
         assert cert.verdict == "pass"
+        assert cert.killing_sup <= 1e-8
+        w = 0.5
+        assert potential([w]) == pytest.approx(
+            np.log(1.0 / np.cos(w) + np.tan(w)), rel=1e-9)
+        assert closed.f([w])[0] == pytest.approx(
+            -w - 0.5 * potential([w]) * np.cos(w), rel=1e-12)
+
+    @pytest.mark.parametrize("g", ["1 + x1^2", "x1^2", "sin(x1)^2 + cos(x1)^2"])
+    def test_varying_input_fails_condition_two_by_its_trees(self, g):
+        # a constant P needs a constant g; the trees decide it, with no
+        # sample: at w = 0 the Killing residual of 1 + w^2 is 0, and
+        # sin^2 + cos^2 is constant but its derivative does not fold
+        cs = parse_system(f"dim=1; F1 = x1; g1 = {g}")
+        field = constant_metric(np.array([[1.0]]))
+        with pytest.raises(FalsificationError) as err:
+            synthesize_controller(cs, field, gain=3.0, sample_points=[[0.0]])
+        assert "condition 2" in str(err.value)
+        assert "dg1/dx1" in str(err.value)
+        assert err.value.witness is None
 
     def test_base_point_shift_leaves_field_unchanged(self, unit_metric):
         # relocating the anchor shifts U by a constant; with the same anchor
@@ -252,15 +274,3 @@ class TestExport:
     def test_expression_route_declined_for_state_dependent_g(self, unit_metric):
         cs = parse_system("dim=1; F1 = -x1; g1 = cos(x1)")
         assert export_closed_loop(cs, unit_metric, 1.0) is None
-
-    def test_tabulated_route(self, unit_metric):
-        cs = parse_system("dim=1; F1 = -x1; g1 = cos(x1)")
-        from lyapmetric.stabilization import PotentialU
-
-        pot = PotentialU(unit_metric, cs.input_field)
-        grid, values, meta = tabulate_potential(pot, [-1.0], [1.0])
-        assert len(grid) == len(values) == meta["points"] == 101
-        assert meta["interpolation"] == "cubic-spline"
-        # U(w) = sin(w) here
-        mid = np.argmin(np.abs(grid - 0.5))
-        assert values[mid] == pytest.approx(np.sin(grid[mid]), abs=1e-9)
