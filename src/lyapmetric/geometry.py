@@ -13,7 +13,13 @@ parameter [0, 1] by one damped-Newton shooting solver (:func:`_shoot`),
 tried with one segment (single shooting) and then with _SEGMENTS segments
 (multiple shooting); as a last resort the straight-line length is returned,
 only ever flagged as an upper bound.  Shooting also serves as the test
-oracle for the 1-D route.
+oracle for the 1-D route.  Its segment solves read only their end, but
+they run the 5(4) pair of :func:`integrate.solve`, not the endpoint-only
+8(5,3) pair: the geodesic rhs differences P (Christoffel symbols), so it
+is smooth only to the noise of P, where the higher order saves no rhs
+evaluations, and on a spline metric (:meth:`MetricField.tabulate`) the
+8(5,3) pair's end states were further off and single shooting stopped
+converging.
 
 Every unflagged distance carries its gradient at both endpoints, by the
 first variation of length: P(b) gamma'(1) / L at the target b and

@@ -1,27 +1,38 @@
-"""Adaptive explicit Runge-Kutta integration (Dormand-Prince 5(4)).
+"""Adaptive explicit Runge-Kutta integration: two embedded Dormand-Prince
+pairs, chosen by what the caller reads.
 
-One embedded pair, fifth-order propagation with a fourth-order error
-estimate, FSAL, and the classic quartic continuous extension.  Everything is
-deterministic given (rhs, y0, t_end, tolerances), which the certificate
-machinery relies on.
+* A solve that reads the trajectory (``trajectory=True``, the default)
+  runs the 5(4) pair: fifth-order propagation with a fourth-order error
+  estimate, FSAL, every accepted step stored, and the classic quartic
+  continuous extension on request.  Six rhs evaluations per attempt.
+* A solve that reads only its end state (``trajectory=False``) runs the
+  8(5,3) pair of Prince & Dormand (J. Comput. Appl. Math. 1981; Hairer,
+  Norsett & Wanner, Solving ODEs I, II.10): eighth-order propagation, the
+  err5/err3 error norm of DOP853, FSAL, and no storage.  Twelve rhs
+  evaluations per attempt, and at tight tolerances several times fewer
+  attempts than the 5(4) pair.
+
+Everything is deterministic given (rhs, y0, t_end, tolerances, pair),
+which the certificate machinery relies on.
 
 The states here are small (one to a few dozen floats), where a numpy call
 costs more than the arithmetic it does.  So the stepping loop itself is
-generated source over Python floats: the stage combinations, the embedded
-error norm, the step control, FSAL and the storage of accepted steps are
-unrolled scalar arithmetic with the tableau constants inlined.  For any
-rhs, each stage calls `rhs(t, point)`; that loop is built on the first
-solve of each state size.  A closure compiled from a system text (see
-:mod:`expressions`) carries its own source, and once it has run
-_INLINE_AFTER attempts its unpack, local lines and outputs are emitted
-into each stage of a loop of its own, with no call; a domain exit there
-re-runs the attempt through the called loop, where the closure raises the
-typed error.
-Both loops give the same bits, so a solve may switch between them.  Each
-call of a loop runs at most _CHUNK attempts and returns its state to
-:func:`solve`: CPython 3.11 specializes a code object's float arithmetic
-only from its ninth call on, so a loop that ran a whole solve in one call
-would stay generic.
+generated source over Python floats, one generator for both pairs: the
+stage combinations, the embedded error norm, the step control, FSAL and
+(5(4) only) the storage of accepted steps are unrolled scalar arithmetic
+with the tableau constants inlined.  For any rhs, each stage calls
+`rhs(t, point)`; that loop is built on the first solve of each state size
+and pair.  A closure compiled from a system text (see :mod:`expressions`)
+carries its own source, and once it has made _INLINE_AFTER rhs
+evaluations through a pair's called loop, its unpack, local lines and
+outputs are emitted into each stage of a loop of its own for that pair,
+with no call; a domain exit there re-runs the attempt through the called
+loop, where the closure raises the typed error.
+Both loops of a pair give the same bits, so a solve may switch between
+them.  Each call of a loop runs at most _CHUNK attempts and returns its
+state to :func:`solve`: CPython 3.11 specializes a code object's float
+arithmetic only from its ninth call on, so a loop that ran a whole solve
+in one call would stay generic.
 
 The right-hand side receives the state as a tuple of Python floats and
 returns a sequence of floats; Python float arithmetic raises where numpy
@@ -41,8 +52,8 @@ import functools
 import math
 import weakref
 from array import array
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -65,14 +76,59 @@ _D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
       -10690763975 / 1880347072, 701980252875 / 199316789632,
       -1453857185 / 822651844, 69997945 / 29380423)
 
+# Dormand-Prince 8(5,3) tableau, the twelve stages of DOP853 as doubles:
+# stage i at t + _DOP853_C[i] h on y + h * sum_j _DOP853_A[i][j] k_j; the
+# eighth-order solution weighs k0..k11 by _DOP853_B, and stage 12 (FSAL)
+# runs at t + h on it.  _DOP853_E5 and _DOP853_E3 weigh k0..k12 into the
+# fifth- and third-order error estimates.
+_DOP853_C = (0.0, 0.05260015195876773, 0.0789002279381516,
+             0.1183503419072274, 0.2816496580927726, 0.3333333333333333,
+             0.25, 0.3076923076923077, 0.6512820512820513, 0.6,
+             0.8571428571428571, 1.0)
+_DOP853_A = (
+    (),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386,
+     0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+     -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998,
+     0.10726203044637328, -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486,
+     -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505,
+     2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+     -8.87285693353063, 12.360567175794303, 0.6433927460157636))
+_DOP853_B = (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+             1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+             -0.1521609496625161, 0.20136540080403034, 0.04471061572777259)
+_DOP853_E3 = (-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+              1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+              -0.1521609496625161, 0.20136540080403034, 0.02265179219836082,
+              0.0)
+_DOP853_E5 = (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+              -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+              0.3341791187130175, 0.08192320648511571, -0.022355307863886294,
+              0.0)
+
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _ATOL_PER_RTOL = 1e-3
 _CHUNK = 32           # attempts per call of a generated loop
-# attempts a compiled closure runs through rhs calls before its inlined
-# loop is built: about where that compile (1-3 ms) has paid for itself
-_INLINE_AFTER = 1024
+# rhs evaluations a compiled closure makes through a pair's called loop
+# before its inlined loop is built: about where that compile (1-6 ms) has
+# paid for itself, for either pair (1024 DP5 or 512 DOP853 attempts)
+_INLINE_AFTER = 6144
 
 
 def _combination(weights, stages, c, keep_zeros=False):
@@ -83,37 +139,104 @@ def _combination(weights, stages, c, keep_zeros=False):
     return " + ".join(terms)
 
 
-def _point(i, c):
-    """Source of component c of stage i's point (stage 6's is y_new)."""
-    return f"y{c} + h * ({_combination(_A[i], range(i), c)})"
-
-
-def _called_stages(m):
-    """Source of stages 1-6 as rhs calls: k{i}_{c} is component c of the
-    rhs at stage i, n{c} of the fifth-order solution."""
-    comps = range(m)
+def _dp5_error(comps, solution):
+    """Source setting `err`: the RMS of the 5(4) estimate h (b - b_hat) k
+    over scale = atol + rtol max(|y|, |y_new|); a NaN in y_new is kept."""
     lines = []
-    for i in range(1, 6):
-        point = ", ".join(_point(i, c) for c in comps)
+    for c, name in zip(comps, solution):
+        estimate = _combination(_E, range(7), c, keep_zeros=True)
+        lines += [f"        b{c} = abs({name})",
+                  f"        e{c} = h * ({estimate}) / "
+                  f"(atol + rtol * (a{c} if a{c} > b{c} else b{c}))"]
+    squares = " + ".join(f"e{c} * e{c}" for c in comps)
+    lines.append(f"        err = sqrt({squares}) / {math.sqrt(len(comps))!r}")
+    return lines
+
+
+def _dop853_error(comps, solution):
+    """Source setting `err`: DOP853's h |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) m)
+    over the same scale, 0 where both estimates are.  Every stage enters
+    e5, zero weights included, so a NaN anywhere makes err NaN."""
+    lines = []
+    for c, name in zip(comps, solution):
+        five = _combination(_DOP853_E5, range(13), c, keep_zeros=True)
+        three = _combination(_DOP853_E3, range(13), c)
+        lines += [f"        b{c} = abs({name})",
+                  f"        s{c} = atol + rtol * "
+                  f"(a{c} if a{c} > b{c} else b{c})",
+                  f"        e{c} = ({five}) / s{c}",
+                  f"        d{c} = ({three}) / s{c}"]
+    lines += [f"        err5 = {' + '.join(f'e{c} * e{c}' for c in comps)}",
+              f"        err3 = {' + '.join(f'd{c} * d{c}' for c in comps)}",
+              "        denom = err5 + 0.01 * err3",
+              f"        err = h * err5 / sqrt(denom * {float(len(comps))!r})"
+              " if denom != 0.0 else 0.0"]
+    return lines
+
+
+@dataclass(frozen=True, eq=False)
+class _Pair:
+    """An embedded pair as the loop generator reads it.  Stage i >= 1 runs
+    at t + c[i] h on y + h sum_j a[i][j] k_j; the last row of `a` gives the
+    solution, at which the last stage (FSAL) runs at t + h."""
+
+    name: str                 # in the generated loops' filenames
+    c: tuple
+    a: tuple
+    error: Callable           # (components, solution names) -> err source
+    order: int                # of the error estimate; exponent -1/(order+1)
+    stores: bool              # each accepted step goes into the buffers
+    # compiled closure -> its rhs evaluations through the called loop,
+    # then its inlined loop
+    inlined: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary)
+
+    @property
+    def stages(self):
+        """rhs evaluations per attempt."""
+        return len(self.a) - 1
+
+
+_DP5 = _Pair("dp5", _C, _A, _dp5_error, order=4, stores=True)
+_DOP853 = _Pair("dop853", (*_DOP853_C, 1.0), (*_DOP853_A, _DOP853_B),
+                _dop853_error, order=7, stores=False)
+# rhs evaluations per attempt of a trajectory=False solve
+ENDPOINT_STAGES = _DOP853.stages
+
+
+def _point(pair, i, c):
+    """Source of component c of stage i's point (the last stage's is the
+    solution)."""
+    return f"y{c} + h * ({_combination(pair.a[i], range(i), c)})"
+
+
+def _called_stages(pair, m):
+    """Source of the stages as rhs calls: k{i}_{c} is component c of the
+    rhs at stage i, n{c} of the solution."""
+    comps = range(m)
+    last = pair.stages
+    lines = []
+    for i in range(1, last):
+        point = ", ".join(_point(pair, i, c) for c in comps)
         lines.append(f"{', '.join(f'k{i}_{c}' for c in comps)}, = "
-                     f"rhs(t + {_C[i]!r} * h, ({point},))")
-    lines += [f"n{c} = {_point(6, c)}" for c in comps]
-    lines.append(f"{', '.join(f'k6_{c}' for c in comps)}, = "
+                     f"rhs(t + {pair.c[i]!r} * h, ({point},))")
+    lines += [f"n{c} = {_point(pair, last, c)}" for c in comps]
+    lines.append(f"{', '.join(f'k{last}_{c}' for c in comps)}, = "
                  f"rhs(t + h, ({', '.join(f'n{c}' for c in comps)},))")
     return lines
 
 
-def _inlined_stages(parts):
-    """Source of stages 1-6 with a compiled closure's input names, local
+def _inlined_stages(pair, parts):
+    """Source of the stages with a compiled closure's input names, local
     lines and outputs in place of each rhs call.  A point component whose
     input is `_` (not read) is formed only for the solution, which lands
     in the inputs it feeds; returns the lines and the solution's names."""
     solution = [f"n{c}" if name == "_" else name
                 for c, name in enumerate(parts.inputs)]
     lines = []
-    for i in range(1, 7):
-        names = solution if i == 6 else parts.inputs
-        lines += [f"{name} = {_point(i, c)}"
+    for i in range(1, pair.stages + 1):
+        names = solution if i == pair.stages else parts.inputs
+        lines += [f"{name} = {_point(pair, i, c)}"
                   for c, name in enumerate(names) if name != "_"]
         lines += parts.lines
         lines += [f"k{i}_{c} = {out}" for c, out in enumerate(parts.outputs)]
@@ -126,26 +249,27 @@ def _blow_up(t, norm, bound):
     return BlowUpError(t, norm if math.isfinite(norm) else math.inf, bound)
 
 
-def _loop_source(m, parts=None):
-    """Source of `_loop(rhs, ...)`: up to _CHUNK Dormand-Prince attempts
-    from the solver state, for states of size m.  Without `parts` each
-    stage calls rhs; with a compiled closure's `parts` each stage runs its
-    lines inline, and a domain exit re-runs the attempt through the called
-    loop, where the closure raises its typed error.  Accepted steps are
-    appended to the buffers.  Returns (stopped, t, h, y, f, n_steps,
-    n_rejected, non_finite): `stopped` when the solve reached t_end, ran
-    out of attempts or of step size, which :func:`solve` tells apart;
-    blow-ups raise in the loop."""
+def _loop_source(m, pair, parts=None):
+    """Source of `_loop(rhs, ...)`: up to _CHUNK attempts of `pair` from
+    the solver state, for states of size m.  Without `parts` each stage
+    calls rhs; with a compiled closure's `parts` each stage runs its lines
+    inline, and a domain exit re-runs the attempt through the called loop,
+    where the closure raises its typed error.  A pair that `stores`
+    appends accepted steps to the buffers.  Returns (stopped, t, h, y, f,
+    n_steps, n_rejected, non_finite): `stopped` when the solve reached
+    t_end, ran out of attempts or of step size, which :func:`solve` tells
+    apart; blow-ups raise in the loop."""
     comps = range(m)
+    last = pair.stages
     y = ", ".join(f"y{c}" for c in comps) + ","
     k0 = ", ".join(f"k0_{c}" for c in comps) + ","
     a = ", ".join(f"a{c}" for c in comps) + ","
     state = f"t, h, ({y}), ({k0}), n_steps, n_rejected, non_finite"
     if parts is None:
-        stages = [" " * 8 + line for line in _called_stages(m)]
+        stages = [" " * 8 + line for line in _called_stages(pair, m)]
         solution = [f"n{c}" for c in comps]
     else:
-        inlined, solution = _inlined_stages(parts)
+        inlined, solution = _inlined_stages(pair, parts)
         stages = ["        try:", *(" " * 12 + line for line in inlined),
                   "        except _exits:",
                   f"            _called_loop({m})(rhs, t, h, ({y}), ({k0}), "
@@ -154,8 +278,7 @@ def _loop_source(m, parts=None):
                   "coeffs)",
                   "            raise"]
     n = ", ".join(solution) + ","
-    k = ", ".join(f"({', '.join(f'k{i}_{c}' for c in comps)},)"
-                  for i in range(7))
+    exponent = -1 / (pair.order + 1)
     lines = [
         f"def _loop(rhs, t, h, y, f, n_steps, n_rejected, non_finite, t_end,"
         f" end_gap, rtol, atol, blowup_norm, max_steps, ts, ys, hs, coeffs):",
@@ -171,17 +294,20 @@ def _loop_source(m, parts=None):
         "max_steps or h < 1e-14 * (t if t > 1.0 else 1.0)):",
         f"            return True, {state}",
         *stages,
+        *pair.error(comps, solution),
     ]
-    for c, name in zip(comps, solution):
-        # scale = atol + rtol max(|y|, |y_new|); a NaN in y_new is kept
-        estimate = _combination(_E, range(7), c, keep_zeros=True)
-        lines += [f"        b{c} = abs({name})",
-                  f"        e{c} = h * ({estimate}) / "
-                  f"(atol + rtol * (a{c} if a{c} > b{c} else b{c}))"]
     norm = f"max({', '.join(f'b{c}' for c in comps)})" if m > 1 else "b0"
+    store = []
+    if pair.stores:
+        k = ", ".join(f"({', '.join(f'k{i}_{c}' for c in comps)},)"
+                      for i in range(last + 1))
+        store = ["            if hs is not None:",
+                 "                hs.append(h)",
+                 "                coeffs.extend(_dense_coefficients(",
+                 f"                    h, ({y}), ({n}), ({k})))",
+                 "            ts.append(t_new)",
+                 f"            ys.extend(({n}))"]
     lines += [
-        f"        err = sqrt({' + '.join(f'e{c} * e{c}' for c in comps)})"
-        f" / {math.sqrt(m)!r}",
         # a NaN or infinite err is rejected at the smallest factor, which
         # is what max() gives it
         "        non_finite = not err < inf",
@@ -192,21 +318,18 @@ def _loop_source(m, parts=None):
         f"            norm_inf = {norm}",
         "            if not norm_inf < inf or norm_inf > blowup_norm:",
         "                raise _blow_up(t_new, norm_inf, blowup_norm)",
-        "            if hs is not None:",
-        "                hs.append(h)",
-        "                coeffs.extend(_dense_coefficients(",
-        f"                    h, ({y}), ({n}), ({k})))",
-        "            ts.append(t_new)",
-        f"            ys.extend(({n}))",
-        f"            t, {y} {a} {k0} = t_new, {n} "   # FSAL: k0 = k6
+        *store,
+        f"            t, {y} {a} {k0} = t_new, {n} "   # FSAL: k0 = k_last
         f"{', '.join(f'b{c}' for c in comps)}, "
-        f"{', '.join(f'k6_{c}' for c in comps)}",
+        f"{', '.join(f'k{last}_{c}' for c in comps)}",
         "            n_steps += 1",
         f"            h *= {_MAX_FACTOR!r} if err == 0.0 else max("
-        f"{_MIN_FACTOR!r}, min({_MAX_FACTOR!r}, {_SAFETY!r} * err ** -0.2))",
+        f"{_MIN_FACTOR!r}, min({_MAX_FACTOR!r}, {_SAFETY!r} * err ** "
+        f"{exponent!r}))",
         "        else:",
         "            n_rejected += 1",
-        f"            h *= max({_MIN_FACTOR!r}, {_SAFETY!r} * err ** -0.2)",
+        f"            h *= max({_MIN_FACTOR!r}, {_SAFETY!r} * err ** "
+        f"{exponent!r})",
         f"    return False, {state}",
     ]
     return "".join(line + "\n" for line in lines)
@@ -214,48 +337,46 @@ def _loop_source(m, parts=None):
 
 def _build(source, filename, names):
     """Compile a `_loop` source under `filename` with the globals `names`
-    (those of the inlined closure's lines) plus the loop's own."""
+    (those of the inlined closure's lines and its re-run loop) plus the
+    loop's own."""
     namespace = dict(names, abs=abs, max=max, min=min, range=range,
                      sqrt=math.sqrt, inf=math.inf, _blow_up=_blow_up,
-                     _called_loop=_called_loop,
                      _dense_coefficients=_dense_coefficients)
     exec(compile(source, filename, "exec"), namespace)
     return namespace["_loop"]
 
 
 @functools.cache
-def _called_loop(m):
-    """The loop for any rhs of state size m, compiled once under the
-    filename ``<lyapmetric dp5 m=M>``, so profiles keep sizes apart."""
-    return _build(_loop_source(m), f"<lyapmetric dp5 m={m}>", {})
+def _called_loop(m, pair):
+    """The loop of `pair` for any rhs of state size m, compiled once under
+    the filename ``<lyapmetric PAIR m=M>``, so profiles keep sizes and
+    pairs apart."""
+    return _build(_loop_source(m, pair), f"<lyapmetric {pair.name} m={m}>",
+                  {})
 
 
-# compiled closure -> the attempts it has run through the called loop,
-# then its inlined loop
-_inlined = weakref.WeakKeyDictionary()
-
-
-def _loop(rhs, m, attempts=0, build=True):
-    """The loop for the next chunk of a solve with `rhs`, which has just
-    run `attempts` more attempts.  A closure of :mod:`expressions` runs
-    through the called loop of its size until it has made _INLINE_AFTER
-    attempts in all, then through its own inlined loop, compiled when a
-    chunk first asks for it (`build`; a solve's last chunk only counts)
-    under the filename ``<lyapmetric dp5 KIND>``; both give the same bits.
-    Any other rhs, or a closure whose inputs or outputs are not of size m,
-    runs through the called loop."""
+def _loop(rhs, m, pair, evaluations=0, build=True):
+    """The loop of `pair` for the next chunk of a solve with `rhs`, which
+    has just made `evaluations` more rhs evaluations.  A closure of
+    :mod:`expressions` runs through the called loop of its size until it
+    has made _INLINE_AFTER evaluations in all through it, then through its
+    own inlined loop, compiled when a chunk first asks for it (`build`; a
+    solve's last chunk only counts) under the filename
+    ``<lyapmetric PAIR KIND>``; both give the same bits.  Any other rhs,
+    or a closure whose inputs or outputs are not of size m, runs through
+    the called loop."""
     parts = getattr(rhs, "source_parts", None)
     if parts is None or not len(parts.inputs) == len(parts.outputs) == m:
-        return _called_loop(m)
-    made = _inlined.get(rhs, 0)
+        return _called_loop(m, pair)
+    made = pair.inlined.get(rhs, 0)
     if callable(made):
         return made
-    if made + attempts < _INLINE_AFTER or not build:
-        _inlined[rhs] = made + attempts
-        return _called_loop(m)
-    loop = _inlined[rhs] = _build(_loop_source(m, parts),
-                                  f"<lyapmetric dp5 {parts.kind}>",
-                                  parts.names)
+    if made + evaluations < _INLINE_AFTER or not build:
+        pair.inlined[rhs] = made + evaluations
+        return _called_loop(m, pair)
+    loop = pair.inlined[rhs] = _build(
+        _loop_source(m, pair, parts), f"<lyapmetric {pair.name} {parts.kind}>",
+        dict(parts.names, _called_loop=lambda size: _called_loop(size, pair)))
     return loop
 
 
@@ -306,10 +427,11 @@ def _rms(values, scale):
         return math.inf
 
 
-def _initial_step(rhs, y0, f0, t_end, rtol, atol):
-    """First step size from t = 0 (t_end > 0) and the rhs calls its probe
-    made.  The size is 0.0 when the scaled norm of f0 or of its change
-    overflows, which leaves the first step to the solver's floor."""
+def _initial_step(rhs, y0, f0, t_end, rtol, atol, order):
+    """First step size from t = 0 (t_end > 0) for a pair whose error
+    estimate has order `order`, and the rhs calls its probe made.  The
+    size is 0.0 when the scaled norm of f0 or of its change overflows,
+    which leaves the first step to the solver's floor."""
     scale = [atol + rtol * abs(v) for v in y0]
     d0 = _rms(y0, scale)
     d1 = _rms(f0, scale)
@@ -322,7 +444,7 @@ def _initial_step(rhs, y0, f0, t_end, rtol, atol):
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** (1 / (order + 1))
     return min(100 * h0, h1, t_end), 1
 
 
@@ -331,24 +453,35 @@ def _views(ts, ys, m):
 
 
 def solve(rhs, y0, t_end, rtol=1e-9, dense=False, blowup_norm=1e8,
-          max_steps=5_000_000):
+          max_steps=5_000_000, trajectory=True):
     """Integrate y' = rhs(t, y) from 0 to t_end, with the absolute
     tolerance _ATOL_PER_RTOL * rtol.
 
     `rhs(t, y)` receives y as a tuple of Python floats and returns a
     sequence of floats (a list or a tuple).  The steps run in a generated
     loop, _CHUNK attempts per call; a compiled closure of
-    :mod:`expressions` is inlined into its stages after _INLINE_AFTER
-    attempts, with the same results (see the module docstring).
+    :mod:`expressions` is inlined into its stages after _INLINE_AFTER rhs
+    evaluations, with the same results (see the module docstring).
 
-    Raises :class:`BlowUpError` when the max-norm of the state exceeds
-    `blowup_norm`, when y0 or rhs(0, y0) is not finite, or when the step
-    underflows right after an attempt with a non-finite error estimate;
-    :class:`StepSizeUnderflowError` when the controller drives the step
-    below the floating floor otherwise, or after `max_steps` attempts
-    (accepted plus rejected).  `n_fev` counts the rhs evaluations made,
-    inlined or called.
+    With `trajectory` (the default) the 5(4) pair runs and every accepted
+    step is kept in `t` and `y`; `dense` adds the quartic interpolant.
+    Without it the 8(5,3) pair runs and only the end state is kept:
+    `t` is [0, t_end], `y` is [y0, y(t_end)] and `dense` is None; asking
+    for `dense` then is a ValueError.
+
+    Raises :class:`BlowUpError` when the max-norm of an accepted state
+    exceeds `blowup_norm`, when y0 or rhs(0, y0) is not finite, or when
+    the step underflows right after an attempt with a non-finite error
+    estimate; :class:`StepSizeUnderflowError` when the controller drives
+    the step below the floating floor otherwise, or after `max_steps`
+    attempts (accepted plus rejected).  `n_fev` counts the rhs evaluations
+    made, inlined or called: 1 + probes + 6 attempts for the 5(4) pair,
+    1 + probes + 12 attempts for the 8(5,3) pair, where probes (0 or 1) is
+    the initial-step probe.
     """
+    if dense and not trajectory:
+        raise ValueError("dense output needs the trajectory")
+    pair = _DP5 if trajectory else _DOP853
     y = tuple(np.asarray(y0, dtype=float).ravel().tolist())
     m = len(y)
     atol = _ATOL_PER_RTOL * rtol
@@ -360,7 +493,7 @@ def solve(rhs, y0, t_end, rtol=1e-9, dense=False, blowup_norm=1e8,
     if t_end == 0.0:
         return OdeSolution(*_views(ts, ys, m), None, 0, 0, 0)
 
-    loop = _loop(rhs, m)
+    loop = _loop(rhs, m, pair)
     hs = array("d") if dense else None
     coeffs = array("d") if dense else None
     f = rhs(0.0, y)
@@ -368,7 +501,7 @@ def solve(rhs, y0, t_end, rtol=1e-9, dense=False, blowup_norm=1e8,
         # the first step's size would divide by zero (an infinite f0) or be
         # NaN, which never meets the underflow floor
         raise BlowUpError(0.0, float("inf"), blowup_norm)
-    h, probes = _initial_step(rhs, y, f, t_end, rtol, atol)
+    h, probes = _initial_step(rhs, y, f, t_end, rtol, atol, pair.order)
     h = max(h, 1e-12)
     end_gap = 1e-14 * max(1.0, abs(t_end))
 
@@ -380,7 +513,8 @@ def solve(rhs, y0, t_end, rtol=1e-9, dense=False, blowup_norm=1e8,
         stopped, t, h, y, f, n_steps, n_rejected, non_finite = loop(
             rhs, t, h, y, f, n_steps, n_rejected, non_finite, t_end,
             end_gap, rtol, atol, blowup_norm, max_steps, ts, ys, hs, coeffs)
-        loop = _loop(rhs, m, n_steps + n_rejected - attempts,
+        loop = _loop(rhs, m, pair,
+                     pair.stages * (n_steps + n_rejected - attempts),
                      build=not stopped)
         if not stopped:
             continue
@@ -394,10 +528,13 @@ def solve(rhs, y0, t_end, rtol=1e-9, dense=False, blowup_norm=1e8,
         raise StepSizeUnderflowError(
             f"step size underflow at t = {t:.6g} (stiffness)")
 
+    if not pair.stores:
+        ts.append(t)
+        ys.extend(y)
     t_arr, y_arr = _views(ts, ys, m)
     interp = None
     if dense:
         interp = DenseOutput(t_arr, np.frombuffer(hs),
                              np.frombuffer(coeffs).reshape(-1, 5, m))
     return OdeSolution(t_arr, y_arr, interp, n_steps, n_rejected,
-                       1 + probes + 6 * (n_steps + n_rejected))
+                       1 + probes + pair.stages * (n_steps + n_rejected))

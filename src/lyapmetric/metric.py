@@ -5,7 +5,10 @@ For a scalar field the metric along solutions has a closed form
 no lifted solve and no truncation horizon.  In any dimension four
 constructions share one augmented-integration layout,
 :func:`dynamics.lifted_system`; each supplies only its `step(state) ->
-(state', A)` and Q, and reads the Gramian block of the final vector.  The
+(state', A)` and Q, and reads the Gramian block of the final vector.
+Since only that final vector is read, every such solve runs the
+endpoint-only 8(5,3) pair of :func:`integrate.solve` (``trajectory=False``),
+within a budget of _P_EVALS rhs evaluations.  The
 metric along solutions lifts through :func:`dynamics.model_lift`, the fused
 compiled rhs for a model parsed from text:
 
@@ -46,6 +49,7 @@ from .errors import (
     FalsificationError,
     GeodesicDomainError,
     LyapmetricError,
+    StepSizeUnderflowError,
     TailHorizonError,
 )
 
@@ -60,6 +64,9 @@ _SCALAR_TAIL_TOL = 1e-7   # the lifted builders' default, for step and slack
 _GRAMIAN_TOL = 1e-12      # rtol of the Gramian quadrature before the polish
 _CHUNK = 6.0              # rescaled horizon growth per solve
 _MAX_CHUNKS = 40          # rescaled horizon cap, in chunks
+# rhs evaluations one P solve may make: as many as 500k attempts of the
+# 5(4) pair, so a runaway solve does no more work with the 8(5,3) pair
+_P_EVALS = 3_000_000
 
 
 def check_positive_definite(q, name="Q"):
@@ -238,9 +245,10 @@ def from_callable(fn, dim):
 def gramian_at_origin(model, q=None):
     """Constant metric solving A'P + PA = -Q for A the Jacobian at zero.
 
-    Quadrature over a horizon set by the spectral abscissa, then polished by
-    interval doubling (M <- M + Z'MZ, Z <- Z^2) until the tail is below
-    rounding; the algebraic residual is verified to 1e-8.
+    Quadrature over a horizon set by the spectral abscissa (one endpoint
+    solve of the 8(5,3) pair), then polished by interval doubling
+    (M <- M + Z'MZ, Z <- Z^2) until the tail is below rounding; the
+    algebraic residual is verified to 1e-8.
     """
     a = np.asarray(model.jac(np.zeros(model.dim)), dtype=float)
     n = a.shape[0]
@@ -255,7 +263,8 @@ def gramian_at_origin(model, q=None):
     t0 = 2.0 / abs(abscissa)
     no_state = np.empty(0)
     lift = lifted_system(lambda state: (no_state, a), 0, n, q)
-    sol = integrate.solve(lift.rhs, lift.y0(no_state), t0, rtol=_GRAMIAN_TOL)
+    sol = integrate.solve(lift.rhs, lift.y0(no_state), t0, rtol=_GRAMIAN_TOL,
+                          trajectory=False)
     _, z, m = lift.split(sol.y[-1])
 
     for _ in range(64):
@@ -277,6 +286,25 @@ def gramian_at_origin(model, q=None):
 # decay-truncated Gramians: along solutions and transverse
 # ---------------------------------------------------------------------------
 
+def _p_solve(variant, point, horizon, rhs, y0, ode_tol, blowup_norm=1e8,
+             start=0.0):
+    """The end state of one P solve of `rhs` from y0 over [start, horizon]:
+    endpoint only, so the 8(5,3) pair, within _P_EVALS rhs evaluations.
+    Running out of them or of step size re-raises with the variant, the
+    point and the horizon."""
+    try:
+        return integrate.solve(
+            rhs, y0, float(horizon) - start, rtol=ode_tol,
+            blowup_norm=blowup_norm,
+            max_steps=_P_EVALS // integrate.ENDPOINT_STAGES,
+            trajectory=False).y[-1]
+    except StepSizeUnderflowError as err:
+        at = ", ".join(f"{v:.6g}" for v in np.ravel(point))
+        raise StepSizeUnderflowError(
+            f"{variant} metric at ({at}), horizon {float(horizon):.6g}: "
+            f"{err}") from None
+
+
 def _decay_truncated_field(variant, make_lift, n_state, n_phi, q, decay,
                            tail_tol, ode_tol, horizon_cap, blowup_norm):
     """Evaluator point -> integral over [0, T(point)] of Phi' Q Phi for the
@@ -284,7 +312,8 @@ def _decay_truncated_field(variant, make_lift, n_state, n_phi, q, decay,
 
     Unless a horizon is pinned, T(point) comes from the analytic tail bound
     gain(|point|)^2 mu_max(Q) exp(-2 rate T) / (2 rate) <= tail_tol,
-    so the truncation error is certified by the decay estimate.
+    so the truncation error is certified by the decay estimate.  Each
+    evaluation is one endpoint solve (:func:`_p_solve`).
     """
     if decay is None:
         raise LyapmetricError(f"{variant} metric needs decay data")
@@ -307,10 +336,9 @@ def _decay_truncated_field(variant, make_lift, n_state, n_phi, q, decay,
     def evaluator(point, horizon):
         if horizon is None:
             horizon = tail_horizon(point)
-        sol = integrate.solve(lift.rhs, lift.y0(point), float(horizon),
-                              rtol=ode_tol, blowup_norm=blowup_norm,
-                              max_steps=500_000)
-        _, phi, gramian = lift.split(sol.y[-1])
+        end = _p_solve(variant, point, horizon, lift.rhs, lift.y0(point),
+                       ode_tol, blowup_norm)
+        _, phi, gramian = lift.split(end)
         return gramian, horizon, phi.copy()
 
     return MetricField(dim=n_phi, q=q, variant=variant, evaluator=evaluator,
@@ -367,7 +395,8 @@ def rescaled_metric_field(model, q=None, tail_tol=1e-7, ode_tol=1e-12):
     so P~(e, horizon=T(e)) repeats the adaptive P~(e) bit for bit and
     residual stencils share one truncation (the chunk quantization would
     otherwise leak tail-sized jumps into flow differences).  Phi~ at the
-    horizon reached comes with P~.
+    horizon reached comes with P~.  Each chunk is one endpoint solve
+    (:func:`_p_solve`).
     """
     n = model.dim
     q = np.eye(n) if q is None else check_positive_definite(q)
@@ -389,8 +418,8 @@ def rescaled_metric_field(model, q=None, tail_tol=1e-7, ode_tol=1e-12):
             t_next = t_done + _CHUNK
             if horizon is not None:
                 t_next = min(t_next, float(horizon))
-            y = integrate.solve(lift.rhs, y, t_next - t_done, rtol=ode_tol,
-                                max_steps=500_000).y[-1]
+            y = _p_solve("rescaled", point, t_next, lift.rhs, y,
+                         ode_tol, start=t_done)
             t_done = t_next
             _, phi, gramian = lift.split(y)
             if horizon is not None:

@@ -59,11 +59,23 @@ def test_step_budget_exhaustion():
         solve(rhs, [1.0, 0.0], 50.0, rtol=1e-9, max_steps=10)
 
 
+# both pairs: trajectory=True runs the 5(4) pair, trajectory=False the
+# endpoint-only 8(5,3) pair
+TRAJECTORY = (True, False)
+
+
+def _stages(trajectory):
+    """rhs evaluations per attempt of the pair `solve` runs."""
+    return 6 if trajectory else 12
+
+
 def test_blowup_detection_time():
     # y' = y^2 from 1 blows up at t = 1
-    with pytest.raises(BlowUpError) as err:
-        solve(lambda t, y: [y[0] * y[0]], [1.0], 2.0, rtol=1e-9, blowup_norm=1e6)
-    assert err.value.t == pytest.approx(1.0, abs=1e-2)
+    for trajectory in TRAJECTORY:
+        with pytest.raises(BlowUpError) as err:
+            solve(lambda t, y: [y[0] * y[0]], [1.0], 2.0, rtol=1e-9,
+                  blowup_norm=1e6, trajectory=trajectory)
+        assert err.value.t == pytest.approx(1.0, abs=1e-2)
 
 
 def test_dense_output_continuous_at_nodes():
@@ -124,7 +136,7 @@ def test_non_finite_start_is_blowup_at_t0(rhs, y0):
     assert counting.calls == 1
 
 
-def _initial_step_reference(rhs, y0, f0, t_end, rtol, atol):
+def _initial_step_reference(rhs, y0, f0, t_end, rtol, atol, order):
     """The first-step rule as written before overflow was handled."""
     scale = [atol + rtol * abs(v) for v in y0]
 
@@ -140,7 +152,7 @@ def _initial_step_reference(rhs, y0, f0, t_end, rtol, atol):
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / (order + 1))
     return min(100 * h0, h1, t_end)
 
 
@@ -155,9 +167,11 @@ def test_initial_step_unchanged_where_norms_are_finite(scale, y0):
     f0 = tuple(rhs(0.0, y0))
     for rtol in (1e-4, 1e-9, 1e-12):
         atol = integrate._ATOL_PER_RTOL * rtol
-        want = _initial_step_reference(rhs, y0, f0, 10.0, rtol, atol)
-        assert integrate._initial_step(rhs, y0, f0, 10.0, rtol, atol) == \
-            (want, 1)
+        for order in (4, 7):   # the 5(4) and the 8(5,3) pair
+            want = _initial_step_reference(rhs, y0, f0, 10.0, rtol, atol,
+                                           order)
+            assert integrate._initial_step(rhs, y0, f0, 10.0, rtol, atol,
+                                           order) == (want, 1)
 
 
 @pytest.mark.parametrize("scale", [1e160, -1e160, 1e300],
@@ -170,29 +184,36 @@ def test_overflowing_initial_norm_starts_at_the_floor(scale):
         return [scale * y[0]]
 
     f0 = tuple(rhs(0.0, (0.5,)))
-    assert integrate._initial_step(rhs, (0.5,), f0, 1.0, 1e-9, 1e-12) == \
+    assert integrate._initial_step(rhs, (0.5,), f0, 1.0, 1e-9, 1e-12, 4) == \
         (0.0, 0)
-    with pytest.raises(BlowUpError) as err:
-        solve(rhs, [0.5], 1.0, rtol=1e-9)
-    assert err.value.t == 0.0
+    for trajectory in TRAJECTORY:
+        with pytest.raises(BlowUpError) as err:
+            solve(rhs, [0.5], 1.0, rtol=1e-9, trajectory=trajectory)
+        assert err.value.t == 0.0
 
 
 def test_step_budget_counts_exactly_max_steps_attempts():
-    rhs = _Counting(lambda t, y: [y[1], -1e6 * y[0]])
-    with pytest.raises(StepSizeUnderflowError, match="after 10 attempts"):
-        solve(rhs, [1.0, 0.0], 50.0, rtol=1e-9, max_steps=10)
-    # f(t0), the initial-step probe, then six stages per attempt
-    assert rhs.calls == 2 + 6 * 10
+    for trajectory in TRAJECTORY:
+        rhs = _Counting(lambda t, y: [y[1], -1e6 * y[0]])
+        with pytest.raises(StepSizeUnderflowError,
+                           match="after 10 attempts"):
+            solve(rhs, [1.0, 0.0], 50.0, rtol=1e-9, max_steps=10,
+                  trajectory=trajectory)
+        # f(t0), the initial-step probe, then the pair's stages per attempt
+        assert rhs.calls == 2 + _stages(trajectory) * 10
 
 
 def test_fev_counts_rhs_calls():
-    rhs = _Counting(lambda t, y: [-y[0]])
-    sol = solve(rhs, [1.0], 3.0, rtol=1e-9)
-    assert sol.n_fev == rhs.calls
-    assert sol.n_fev == 2 + 6 * (sol.n_steps + sol.n_rejected)
+    for trajectory in TRAJECTORY:
+        rhs = _Counting(lambda t, y: [-y[0]])
+        sol = solve(rhs, [1.0], 3.0, rtol=1e-9, trajectory=trajectory)
+        assert sol.n_fev == rhs.calls
+        assert sol.n_fev == \
+            2 + _stages(trajectory) * (sol.n_steps + sol.n_rejected)
 
-    rhs = _Counting(lambda t, y: [-y[0]])
-    assert solve(rhs, [1.0], 0.0).n_fev == rhs.calls == 0
+        rhs = _Counting(lambda t, y: [-y[0]])
+        assert solve(rhs, [1.0], 0.0, trajectory=trajectory).n_fev == \
+            rhs.calls == 0
 
 
 # -- the generated stepping loop --------------------------------------------
@@ -200,21 +221,26 @@ def test_fev_counts_rhs_calls():
 def test_nan_in_one_component_of_one_stage_is_rejected():
     # a NaN in the second stage only, in a component the field does not
     # feed back: that stage has zero weight in the solution, so only the
-    # error estimate sees it, and every attempt across t = 0.5 is rejected
-    calls = _Counting(lambda t, y: [-y[0], math.cos(t), -y[2]])
+    # error estimate sees it (a zero weight there times NaN is NaN, not 0),
+    # and every attempt across t = 0.5 is rejected
+    for trajectory in TRAJECTORY:
+        calls = _Counting(lambda t, y: [-y[0], math.cos(t), -y[2]])
 
-    def rhs(t, y):
-        out = calls(t, y)
-        # calls 1-2 are f(t0) and the initial-step probe; then six per attempt
-        if t > 0.5 and (calls.calls - 3) % 6 == 0:
-            out[1] = math.nan
-        return out
+        def rhs(t, y):
+            out = calls(t, y)
+            # calls 1-2 are f(t0) and the initial-step probe; then the
+            # pair's stages per attempt
+            if t > 0.5 and (calls.calls - 3) % _stages(trajectory) == 0:
+                out[1] = math.nan
+            return out
 
-    with pytest.raises(BlowUpError) as err:
-        solve(rhs, [1.0, 0.0, 2.0], 2.0, rtol=1e-9)
-    # a step may still cross 0.5 with its second stage before it
-    assert 0.5 < err.value.t < 0.6
-    assert err.value.norm == math.inf
+        with pytest.raises(BlowUpError) as err:
+            solve(rhs, [1.0, 0.0, 2.0], 2.0, rtol=1e-9,
+                  trajectory=trajectory)
+        # a step may still cross 0.5 with its second stage before it; the
+        # 8(5,3) pair's steps are longer, and its second stage earlier
+        assert 0.5 < err.value.t < (0.6 if trajectory else 0.7)
+        assert err.value.norm == math.inf
 
 
 def test_domain_exit_inside_a_step_is_typed():
@@ -246,18 +272,21 @@ def test_counterexample_phi_matches_oracle(x0):
 def test_loop_is_built_once_per_state_size(monkeypatch):
     built = []
     real = integrate._loop_source
-    monkeypatch.setattr(integrate, "_loop_source", lambda m, parts=None:
-                        built.append(m) or real(m, parts))
+    monkeypatch.setattr(integrate, "_loop_source", lambda m, pair, parts=None:
+                        built.append((m, pair.name)) or real(m, pair, parts))
     integrate._called_loop.cache_clear()
     for y0 in ([1.0, 2.0], [3.0], [0.5, 0.5], [1.0, 1.0, 1.0], [2.0]):
-        solve(lambda t, y: [-v for v in y], y0, 1.0)
-    assert built == [2, 1, 3]
+        for trajectory in TRAJECTORY:
+            solve(lambda t, y: [-v for v in y], y0, 1.0,
+                  trajectory=trajectory)
+    assert built == [(2, "dp5"), (2, "dop853"), (1, "dp5"), (1, "dop853"),
+                     (3, "dp5"), (3, "dop853")]
 
 
 def test_nothing_is_compiled_at_import():
     code = ("import lyapmetric, lyapmetric.cli, lyapmetric.integrate as i; "
             "assert i._called_loop.cache_info().currsize == 0; "
-            "assert len(i._inlined) == 0")
+            "assert len(i._DP5.inlined) == len(i._DOP853.inlined) == 0")
     src = str(Path(integrate.__file__).resolve().parents[1])
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": src})
@@ -284,7 +313,7 @@ def _one_attempt(rhs, t, h, y, f, rtol, blowup_norm=math.inf):
     """Run the called loop for one attempt of step h from (t, y), with
     t_end at t + 2h; returns its result tuple and the node buffers."""
     ts, ys = array("d", (t,)), array("d", y)
-    result = integrate._called_loop(len(y))(
+    result = integrate._called_loop(len(y), integrate._DP5)(
         rhs, t, h, y, f, 0, 0, False, t + 2 * h, 1e-14, rtol,
         integrate._ATOL_PER_RTOL * rtol, blowup_norm, 1, ts, ys, None, None)
     return result, ts, ys
@@ -337,21 +366,23 @@ def test_generated_code_has_its_own_filenames():
     closures = [source.field_rhs, source.jacobian_rhs,
                 source.compiled_lift(), source.compiled_lift(np.eye(2))]
     sizes = [2, 2, 6, 10]
-    names = [integrate._called_loop(2).__code__.co_filename,
-             integrate._called_loop(6).__code__.co_filename]
-    names += [fn.__code__.co_filename for fn in closures]
-    # the Jacobian's four outputs are no rhs of its two inputs
-    names += [integrate._loop(fn, m, integrate._INLINE_AFTER)
-              .__code__.co_filename for fn, m in zip(closures, sizes)]
-    assert names == ["<lyapmetric dp5 m=2>", "<lyapmetric dp5 m=6>",
-                     "<lyapmetric field dim=2>",
+    names = [fn.__code__.co_filename for fn in closures]
+    assert names == ["<lyapmetric field dim=2>",
                      "<lyapmetric jacobian dim=2>",
                      "<lyapmetric lift dim=2>",
-                     "<lyapmetric lift+gramian dim=2>",
-                     "<lyapmetric dp5 field dim=2>",
-                     "<lyapmetric dp5 m=2>",
-                     "<lyapmetric dp5 lift dim=2>",
-                     "<lyapmetric dp5 lift+gramian dim=2>"]
+                     "<lyapmetric lift+gramian dim=2>"]
+    for pair in (integrate._DP5, integrate._DOP853):
+        names = [integrate._called_loop(2, pair).__code__.co_filename,
+                 integrate._called_loop(6, pair).__code__.co_filename]
+        # the Jacobian's four outputs are no rhs of its two inputs
+        names += [integrate._loop(fn, m, pair, integrate._INLINE_AFTER)
+                  .__code__.co_filename for fn, m in zip(closures, sizes)]
+        p = pair.name
+        assert names == [f"<lyapmetric {p} m=2>", f"<lyapmetric {p} m=6>",
+                         f"<lyapmetric {p} field dim=2>",
+                         f"<lyapmetric {p} m=2>",
+                         f"<lyapmetric {p} lift dim=2>",
+                         f"<lyapmetric {p} lift+gramian dim=2>"]
 
 
 # -- the inlined loop against the called loop --------------------------------
@@ -373,8 +404,10 @@ def _called(closure):
 def _solve_both(closure, y0, t_end, **kwargs):
     """`closure` solved through its inlined loop and through the called
     loop; every field of the two solutions must be equal."""
+    pair = integrate._DP5 if kwargs.get("trajectory", True) \
+        else integrate._DOP853
     inlined = solve(closure, y0, t_end, **kwargs)
-    assert callable(integrate._inlined[closure])
+    assert callable(pair.inlined[closure])
     called = solve(_called(closure), y0, t_end, **kwargs)
     for a, b in ((inlined.t, called.t), (inlined.y, called.y)):
         np.testing.assert_array_equal(a, b)
@@ -392,6 +425,47 @@ def test_inlined_planar_gramian_lift_is_bit_identical(inline_at_once):
     lift = model_lift(model, np.eye(2))
     sol = _solve_both(lift.rhs, lift.y0([0.8, -0.5]), 8.0, rtol=1e-12)
     assert sol.n_steps > 100
+
+
+def test_inlined_endpoint_gramian_is_bit_identical(inline_at_once):
+    # the planar lift+gramian as every P(e) solve runs it: 8(5,3), end
+    # state only, through its inlined and its called loop
+    model = parse_system(PLANAR)
+    lift = model_lift(model, np.eye(2))
+    sol = _solve_both(lift.rhs, lift.y0([0.8, -0.5]), 7.772, rtol=1e-12,
+                      trajectory=False)
+    assert sol.n_steps > 50
+    assert sol.t.tolist() == [0.0, 7.772]
+    assert sol.n_fev == 2 + 12 * (sol.n_steps + sol.n_rejected)
+    # the same end state as the 5(4) pair's trajectory, to rounding
+    full = solve(lift.rhs, lift.y0([0.8, -0.5]), 7.772, rtol=1e-12)
+    assert full.n_steps > 5 * sol.n_steps
+    np.testing.assert_allclose(sol.y[-1], full.y[-1], rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(sol.y[0], full.y[0])
+
+
+def test_dop853_tableau_is_scipys():
+    # the literals are SciPy's coefficients to the last bit; SciPy stays
+    # off the command path, so it is read here only
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    n = ref.N_STAGES
+    assert integrate._DOP853_C == tuple(ref.C[:n].tolist())
+    assert integrate._DOP853_A == tuple(tuple(ref.A[i, :i].tolist())
+                                        for i in range(n))
+    assert integrate._DOP853_B == tuple(ref.B.tolist())
+    assert integrate._DOP853_E3 == tuple(ref.E3.tolist())
+    assert integrate._DOP853_E5 == tuple(ref.E5.tolist())
+    assert integrate._DOP853.stages == n == integrate.ENDPOINT_STAGES
+
+
+def test_endpoint_solve_keeps_no_dense_output():
+    with pytest.raises(ValueError, match="dense"):
+        solve(lambda t, y: [-y[0]], [1.0], 1.0, dense=True, trajectory=False)
+    sol = solve(lambda t, y: [-y[0]], [1.0], 3.0, rtol=1e-10,
+                trajectory=False)
+    assert sol.dense is None and sol.y.shape == (2, 1)
+    assert sol.y[-1, 0] == pytest.approx(math.exp(-3.0), rel=1e-10)
 
 
 def test_inlined_transverse_falsify_solve_is_bit_identical(inline_at_once):
@@ -467,12 +541,13 @@ def test_symmetric_gramian_entries_are_emitted_once():
                                    rtol=1e-14, atol=1e-14)
 
 
-def _budget_errors(closure, y0, max_steps):
+def _budget_errors(closure, y0, max_steps, trajectory):
     """The error texts of the inlined and the called solve."""
     texts = []
     for rhs in (closure, _called(closure)):
         with pytest.raises(StepSizeUnderflowError) as err:
-            solve(rhs, y0, 50.0, rtol=1e-12, max_steps=max_steps)
+            solve(rhs, y0, 50.0, rtol=1e-12, max_steps=max_steps,
+                  trajectory=trajectory)
         texts.append(str(err.value))
     return texts
 
@@ -482,7 +557,9 @@ def test_step_budget_at_chunk_boundaries(inline_at_once, chunks, extra):
     max_steps = chunks * integrate._CHUNK + extra
     field = parse_system("dim=2; F1 = x2; F2 = -1e6*x1").source.field_rhs
     want = f"step budget exhausted after {max_steps} attempts"
-    assert _budget_errors(field, [1.0, 0.0], max_steps) == [want, want]
+    for trajectory in TRAJECTORY:
+        assert _budget_errors(field, [1.0, 0.0], max_steps,
+                              trajectory) == [want, want]
 
 
 def test_solve_ending_on_a_chunk_boundary(inline_at_once):
@@ -498,36 +575,45 @@ def test_solve_ending_on_a_chunk_boundary(inline_at_once):
     assert sol.t[-1] == t_end
 
 
-@pytest.mark.parametrize("rtol, stage", [(1e-7, 1), (1e-3, 6)])
-def test_domain_exit_in_an_inlined_stage(inline_at_once, rtol, stage):
+# per pair, the tolerance whose solve first crosses the domain edge in a
+# given stage: the first stage, and a stage at t + h (the 5(4) pair's
+# last; the 8(5,3) pair's solution stage is never first)
+@pytest.mark.parametrize("crossings", [
+    pytest.param({True: (1e-7, 1), False: (1.25e-7, 1)}, id="1e-07-1"),
+    pytest.param({True: (1e-3, 6), False: (2.5e-7, 11)}, id="0.001-6"),
+])
+def test_domain_exit_in_an_inlined_stage(inline_at_once, crossings):
     # x1 oscillates through -1, where ln(x1 + 1) leaves the domain; these
-    # tolerances make stage 1 and stage 6 of an attempt the first to
-    # cross, which the called solve's rhs calls show
+    # tolerances make the given stage of an attempt the first to cross,
+    # which the called solve's rhs calls show
     field = parse_system(
         "dim=2; F1 = x2; F2 = -20*x1 + 0*ln(x1 + 1)").source.field_rhs
-    counted = _Counting(field)
-    texts = []
-    for rhs in (field, counted):
-        with pytest.raises(DomainEvaluationError) as err:
-            solve(rhs, [2.8, 0.5], 10.0, rtol=rtol)
-        texts.append(str(err.value))
-    # f(t0), the initial-step probe, then six stages per attempt
-    assert (counted.calls - 3) % 6 + 1 == stage
-    assert texts[0] == texts[1] == \
-        "math domain error in subexpression 'ln((x1 + 1.0))'"
+    for trajectory in TRAJECTORY:
+        rtol, stage = crossings[trajectory]
+        counted = _Counting(field)
+        texts = []
+        for rhs in (field, counted):
+            with pytest.raises(DomainEvaluationError) as err:
+                solve(rhs, [2.8, 0.5], 10.0, rtol=rtol,
+                      trajectory=trajectory)
+            texts.append(str(err.value))
+        # f(t0), the initial-step probe, then the pair's stages per attempt
+        assert (counted.calls - 3) % _stages(trajectory) + 1 == stage
+        assert texts[0] == texts[1] == \
+            "math domain error in subexpression 'ln((x1 + 1.0))'"
 
 
 def test_no_inlined_loop_is_built_after_the_last_chunk(monkeypatch):
     # a count that crosses _INLINE_AFTER in a solve's last chunk builds
     # nothing; the next solve's first chunk builds and runs the loop
-    monkeypatch.setattr(integrate, "_INLINE_AFTER", 10)
+    monkeypatch.setattr(integrate, "_INLINE_AFTER", 60)   # evaluations
     field = parse_system("dim=2; F1 = x2; F2 = -x1").source.field_rhs
     sol = solve(field, [1.0, 0.0], 1.0, rtol=1e-8)
     attempts = sol.n_steps + sol.n_rejected
     assert 10 <= attempts <= integrate._CHUNK
-    assert integrate._inlined[field] == attempts
+    assert integrate._DP5.inlined[field] == 6 * attempts
     solve(field, [1.0, 0.0], 1.0, rtol=1e-8)
-    assert callable(integrate._inlined[field])
+    assert callable(integrate._DP5.inlined[field])
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11),
@@ -538,7 +624,7 @@ def test_generated_loop_specializes_its_float_arithmetic():
     field = parse_system("dim=2; F1 = x2; F2 = -x1").source.field_rhs
     sol = solve(field, [1.0, 0.0], 2000.0, rtol=1e-10)
     assert sol.n_steps + sol.n_rejected >= 10_000
-    loop = integrate._loop(field, 2)
-    assert callable(integrate._inlined[field])
+    loop = integrate._loop(field, 2, integrate._DP5)
+    assert callable(integrate._DP5.inlined[field])
     ops = {i.opname for i in dis.get_instructions(loop, adaptive=True)}
     assert "BINARY_OP_MULTIPLY_FLOAT" in ops and "BINARY_OP_ADD_FLOAT" in ops

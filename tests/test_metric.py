@@ -6,10 +6,12 @@ import pytest
 from lyapmetric import catalog, parse_system
 from lyapmetric.dynamics import variational_flow
 from lyapmetric import integrate
+from lyapmetric import metric as metric_module
 from lyapmetric.errors import (
     DerivativeUnreliableError,
     FalsificationError,
     LyapmetricError,
+    StepSizeUnderflowError,
     TailHorizonError,
 )
 from lyapmetric.estimation import (
@@ -126,6 +128,43 @@ class TestSolutionMetric:
         for e in (-2.0, 0.3, 1.0):
             value = field(np.array([e]))
             assert value[0, 0] == pytest.approx(0.5, abs=1e-6)
+
+    def test_endpoint_gramian_matches_lyapunov_solution(self):
+        # a linear field: P_T(e) = P - exp(A'T) P exp(AT) at every e, with
+        # P the dense Lyapunov solution, which checks the 8(5,3) endpoint
+        # solve of the lift at pinned horizons
+        from scipy.linalg import expm
+
+        a = np.array([[0.0, 1.0], [-1.0, -1.0]])
+        base = catalog.linear_baseline(a)
+        model = parse_system("dim=2; F1 = x2; F2 = -x1 - x2")
+        decay = estimate_linearized_decay(model, [0.5, 1.0], n_samples=2,
+                                          horizon=10.0)
+        field = solution_metric(model, decay=decay)
+        e = np.array([0.3, -0.2])
+        for horizon in (1.0, 7.5, 30.0, None):
+            got = field(e, horizon=horizon)
+            phi = expm(a * field.horizon_for(e) if horizon is None
+                       else a * horizon)
+            want = base.p - phi.T @ base.p @ phi
+            assert np.max(np.abs(got - want)) <= 1e-12
+        np.testing.assert_allclose(field.transition_for(e), phi, rtol=0,
+                                   atol=1e-12)
+
+    def test_p_solve_budget_names_variant_point_and_horizon(
+            self, monkeypatch):
+        # the budget counts rhs evaluations: 600 of them are 50 attempts of
+        # the 8(5,3) pair, too few for this solve (about 70)
+        m = parse_system("dim=2; F1 = -x1 + x2^2; F2 = -2*x2 - x1*x2")
+        decay = estimate_linearized_decay(m, [0.5, 1.0], n_samples=2,
+                                          horizon=10.0)
+        field = solution_metric(m, decay=decay)
+        monkeypatch.setattr(metric_module, "_P_EVALS", 600)
+        with pytest.raises(StepSizeUnderflowError) as err:
+            field(np.array([0.8, -0.5]), horizon=7.5)
+        assert str(err.value) == (
+            "along-solutions metric at (0.8, -0.5), horizon 7.5: "
+            "step budget exhausted after 50 attempts")
 
     def test_scalar_example_against_nested_quadrature(self, scalar_field):
         for e in SCALAR_GRID:
@@ -412,13 +451,15 @@ class TestLieDerivativeResidual:
     def test_transverse_entries_are_pinned(self):
         # the Richardson derivative along the transversally linear system:
         # P is differenced along the drift and congruenced with
-        # dF/de(0, x).  Values recorded on the lam = 2 counterexample
+        # dF/de(0, x).  Values recorded on the lam = 2 counterexample with
+        # P solved by the 8(5,3) pair; each is within 4e-8 of the exact
+        # entry Phi' Q Phi of the truncated Gramian
         model, field = lam2_transverse(tail_tol=1e-6)
         step = model.manifold_step()
         assert [richardson_residual(field, step, [x])[1:]
                 for x in (0.5, 1.0)] == [
-            (2.0087836092308464e-06, 0.001, 1.3337578347316636e-05),
-            (1.7455835770174843e-06, 0.001, 1.1631658025645919e-05)]
+            (2.008784220297599e-06, 0.001, 1.333757851385009e-05),
+            (1.7455863763338186e-06, 0.001, 1.1631656665622714e-05)]
         report = residual_report(field, step, [[0.5], [1.0]])
         assert report.verdict == "pass"
 
