@@ -24,6 +24,13 @@ through one helper that solves a lift into a :class:`Trajectory`.  The
 nonlinear pair (e, x) is a plain :func:`flow` of `model.full`.  The module
 also holds the CSV writer behind every `to_csv` and the command-line
 outputs.
+
+Every flow keeps its accepted steps.  With `dense` it runs the 5(4) pair
+of :func:`integrate.solve` for its quartic interpolant
+(:meth:`Trajectory.state_at`, :meth:`Trajectory.phi_at`); without it, the
+8(5,3) pair, whose steps are several times longer, and the derivatives at
+its nodes give :meth:`Trajectory.hermite_points` a cubic interpolant
+between them at no extra rhs evaluation.
 """
 
 from __future__ import annotations
@@ -120,15 +127,58 @@ def _check_tol(tol):
             f"tolerance {tol} outside ({_TOL_RANGE[0]}, {_TOL_RANGE[1]})")
 
 
+def _hermite(values, slopes, h, theta):
+    """Cubic Hermite values at the fractions `theta` of each step, from the
+    node `values` and their time derivatives `slopes` (both (m, ...)) over
+    the step sizes `h`, row by row: ((m - 1) * len(theta), ...)."""
+    lead = (1,) * (values.ndim - 1)
+    theta = theta.reshape(1, -1, *lead)
+    h = h.reshape(-1, 1, *lead)
+    y0, y1 = values[:-1, None], values[1:, None]
+    f0, f1 = slopes[:-1, None], slopes[1:, None]
+    # (1 - th) y0 + th y1 + th (th - 1) ((1 - 2 th) dy + h ((th - 1) f0 + th f1))
+    out = ((1.0 - theta) * y0 + theta * y1 + theta * (theta - 1.0) * (
+        (1.0 - 2.0 * theta) * (y1 - y0)
+        + h * ((theta - 1.0) * f0 + theta * f1)))
+    return out.reshape(-1, *values.shape[1:])
+
+
 @dataclass
 class Trajectory:
-    """Time grid, states, and (optionally) transition matrices along a flow."""
+    """Time grid, states, and (optionally) transition matrices along a flow.
+
+    A trajectory of stored steps also carries the time derivatives of its
+    states and transitions at the nodes (`d_states`, `d_phi`), from which
+    :meth:`hermite_points` reads it between the nodes."""
 
     t: np.ndarray                      # strictly increasing, t[0] = 0
     states: np.ndarray                 # (m, n)
     phi: Optional[np.ndarray] = None   # (m, n_e, n_e)
     dense: Optional[integrate.DenseOutput] = None
     n_state: int = 0
+    d_states: Optional[np.ndarray] = None   # (m, n)
+    d_phi: Optional[np.ndarray] = None      # (m, n_e, n_e)
+
+    def hermite_points(self, per_step):
+        """`per_step` equally spaced points inside each step, on the cubic
+        Hermite interpolant of the values and derivatives at the step's
+        two nodes (Hairer, Norsett & Wanner, Solving ODEs I, II.6), as a
+        Trajectory of those points only, in time order.  It is empty for
+        a single node; otherwise the derivatives must be there."""
+        if self.d_states is None and len(self.t) > 1:
+            raise LyapmetricError("trajectory has no derivatives at its nodes")
+        theta = np.arange(1, per_step + 1) / (per_step + 1)
+        h = np.diff(self.t)
+
+        def points(values, slopes):
+            if values is None or len(h) == 0:
+                return None if values is None else values[:0]
+            return _hermite(values, slopes, h, theta)
+
+        return Trajectory(t=(self.t[:-1, None] + theta * h[:, None]).ravel(),
+                          states=points(self.states, self.d_states),
+                          phi=points(self.phi, self.d_phi),
+                          n_state=self.n_state)
 
     def state_at(self, t):
         if self.dense is None:
@@ -162,10 +212,18 @@ def _initial_state(state0, n, tol):
     return state0
 
 
+def _pair(dense):
+    """The pair of a flow's solve: the 5(4) pair for its interpolant, the
+    8(5,3) pair otherwise, whose nodes carry derivatives for
+    :meth:`Trajectory.hermite_points`."""
+    return "dp5" if dense else "dop853"
+
+
 def flow(model, e0, horizon, tol=1e-9, dense=False, blowup_norm=1e8):
     """Integrate e' = F(e) from e0 over [0, horizon]; the rhs is the
     compiled field of `model.source` where the model has one, else
-    `model.f`."""
+    `model.f`.  The solve runs the 8(5,3) pair, or with `dense` the 5(4)
+    pair and its interpolant."""
     e0 = _initial_state(e0, model.dim, tol)
     f, source = model.f, getattr(model, "source", None)
 
@@ -174,19 +232,22 @@ def flow(model, e0, horizon, tol=1e-9, dense=False, blowup_norm=1e8):
 
     sol = integrate.solve(numpy_rhs if source is None else source.field_rhs,
                           e0, horizon, rtol=tol, dense=dense,
-                          blowup_norm=blowup_norm)
+                          blowup_norm=blowup_norm, pair=_pair(dense))
     return Trajectory(t=sol.t, states=sol.y, dense=sol.dense,
-                      n_state=model.dim)
+                      n_state=model.dim, d_states=sol.f)
 
 
 def _lifted_flow(lift, state0, n_state, horizon, tol, dense, blowup_norm):
-    """Solve a lift from `state0` into a Trajectory with its Phi."""
+    """Solve a lift from `state0` into a Trajectory with its Phi, on the
+    pair that :func:`flow` would choose."""
     state0 = _initial_state(state0, n_state, tol)
     sol = integrate.solve(lift.rhs, lift.y0(state0), horizon, rtol=tol,
-                          dense=dense, blowup_norm=blowup_norm)
+                          dense=dense, blowup_norm=blowup_norm,
+                          pair=_pair(dense))
     states, phi, _ = lift.split(sol.y)
+    d_states, d_phi = (None, None) if sol.f is None else lift.split(sol.f)[:2]
     return Trajectory(t=sol.t, states=states, phi=phi, dense=sol.dense,
-                      n_state=n_state)
+                      n_state=n_state, d_states=d_states, d_phi=d_phi)
 
 
 def variational_flow(model, e0, horizon, tol=1e-9, dense=False,

@@ -3,7 +3,9 @@
 Everything here is a certificate over an explicitly recorded sample set, not
 a proof: the returned constants make the claimed inequalities hold on every
 sampled trajectory grid, and each report carries the sample metadata needed
-to replay it.
+to replay it.  A grid is the accepted steps of a flow of the 8(5,3) pair,
+where the gates read the series, plus _SUP_POINTS cubic Hermite points
+inside each step, which the sups read as well.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .systems import require_equilibrium
 # envelope gains finite on increasing horizons
 _RATE_SHRINK = 0.9
 _GROWTH_CAP = 10.0  # running-sup growth per window doubling that falsifies
+_SUP_POINTS = 3  # cubic Hermite points per step that each sup also reads
 
 
 @dataclass
@@ -112,9 +115,13 @@ def _sampled_decay(points, run, norms, horizon, claim, series, at="e0",
     the series whose decay is claimed.  A blow-up, a running sup that keeps
     growing, or (with `fit`) a tail without exponential decay raises
     :class:`FalsificationError` naming the `claim` and the gate, with the
-    point as witness.  Returns the envelope rate, the slowest fitted tail
-    rate (0 without `fit`, for series already normalized by a given rate),
-    and per point the sup of series * exp(rate t).
+    point as witness; the gates read the series on the accepted steps.
+    Returns the envelope rate, the slowest fitted tail rate (0 without
+    `fit`, for series already normalized by a given rate), and per point
+    the sup of series * exp(rate t) over the accepted steps and
+    _SUP_POINTS cubic Hermite points inside each step
+    (:meth:`dynamics.Trajectory.hermite_points`), which give the sup of a
+    solve with long steps the density of a fine grid.
     """
     rates, runs = [], []
     for p in points:
@@ -135,7 +142,9 @@ def _sampled_decay(points, run, norms, horizon, claim, series, at="e0",
             if rate is None or rate <= 0.0:
                 raise falsified(f"no exponential tail decay of {series}")
             rates.append(rate)
-        runs.append((traj.t, values))
+        inner = traj.hermite_points(_SUP_POINTS)
+        runs.append((np.append(traj.t, inner.t),
+                     np.append(values, norms(p, inner))))
     rate = min(rates) if fit else 0.0
     return rate, [float(np.max(v * np.exp(rate * t))) for t, v in runs]
 
@@ -216,7 +225,12 @@ def estimate_gain_function(model, radii, n_samples=8, horizon=10.0,
 
 
 def _phi_norms(point, traj, rows=None):
-    return np.linalg.norm(traj.phi[:, :rows], 2, axis=(1, 2))
+    """Spectral norm of the first `rows` rows of each Phi; a block with one
+    row or one column is a vector, whose 2-norm needs no SVD."""
+    blocks = traj.phi[:, :rows]
+    if 1 in blocks.shape[1:]:
+        return np.hypot.reduce(blocks.reshape(len(blocks), -1), axis=1)
+    return np.linalg.norm(blocks, 2, axis=(1, 2))
 
 
 def estimate_linearized_decay(model, radii, n_samples=8, horizon=10.0,

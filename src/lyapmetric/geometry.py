@@ -14,8 +14,8 @@ tried with one segment (single shooting) and then with _SEGMENTS segments
 (multiple shooting); as a last resort the straight-line length is returned,
 only ever flagged as an upper bound.  Shooting also serves as the test
 oracle for the 1-D route.  Its segment solves read only their end, but
-they run the 5(4) pair of :func:`integrate.solve`, not the endpoint-only
-8(5,3) pair: the geodesic rhs differences P (Christoffel symbols), so it
+they run the 5(4) pair of :func:`integrate.solve`, not the 8(5,3) pair
+of the metric's endpoint solves: the geodesic rhs differences P (Christoffel symbols), so it
 is smooth only to the noise of P, where the higher order saves no rhs
 evaluations, and on a spline metric (:meth:`MetricField.tabulate`) the
 8(5,3) pair's end states were further off and single shooting stopped
@@ -228,8 +228,9 @@ def _damped_newton(residual, z0, tol):
     1e-6 (1 + |z|)) and takes the first of the fractions 1, 1/2, ..., 1/128
     of itself that lowers |r|.  Returns (z, value, |r|, iterations) at the
     first iterate with |r| <= tol, or at the last one evaluated when the
-    iterations run out; None when an evaluation outside the line search
-    fails, the Jacobian is singular or no fraction lowers |r|.
+    iterations run out or no fraction lowers |r| (the residual has stalled,
+    and the caller judges whether it is small enough); None when an
+    evaluation outside the line search fails or the Jacobian is singular.
     """
     z = z0
     for iteration in range(_NEWTON_MAX_ITER):
@@ -267,7 +268,7 @@ def _damped_newton(residual, z0, tol):
                 break
             alpha *= 0.5
         else:
-            return None
+            return last
     return last
 
 

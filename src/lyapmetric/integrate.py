@@ -1,16 +1,23 @@
 """Adaptive explicit Runge-Kutta integration: two embedded Dormand-Prince
-pairs, chosen by what the caller reads.
+pairs, chosen by the caller (`pair`), each with or without storage of its
+accepted steps (`trajectory`).
 
-* A solve that reads the trajectory (``trajectory=True``, the default)
-  runs the 5(4) pair: fifth-order propagation with a fourth-order error
-  estimate, FSAL, every accepted step stored, and the classic quartic
+* The 5(4) pair (``pair="dp5"``, the default): fifth-order propagation
+  with a fourth-order error estimate, FSAL, and the classic quartic
   continuous extension on request.  Six rhs evaluations per attempt.
-* A solve that reads only its end state (``trajectory=False``) runs the
-  8(5,3) pair of Prince & Dormand (J. Comput. Appl. Math. 1981; Hairer,
-  Norsett & Wanner, Solving ODEs I, II.10): eighth-order propagation, the
-  err5/err3 error norm of DOP853, FSAL, and no storage.  Twelve rhs
-  evaluations per attempt, and at tight tolerances several times fewer
-  attempts than the 5(4) pair.
+  Callers that read between the steps (``dense=True``) and the geodesic
+  solves of :mod:`geometry` run it.
+* The 8(5,3) pair of Prince & Dormand (``pair="dop853"``; J. Comput.
+  Appl. Math. 1981; Hairer, Norsett & Wanner, Solving ODEs I, II.10):
+  eighth-order propagation, the err5/err3 error norm of DOP853, FSAL, and
+  no continuous extension.  Twelve rhs evaluations per attempt, and at
+  tight tolerances several times fewer attempts than the 5(4) pair.  The
+  endpoint-only metric solves and the sampled flows of :mod:`dynamics`
+  run it.
+
+A stored trajectory keeps t, y and f = rhs(t, y) at every accepted node;
+f is the FSAL stage, so it costs no evaluation, and it gives the caller a
+cubic Hermite interpolant between the nodes (Solving ODEs I, II.6).
 
 Everything is deterministic given (rhs, y0, t_end, tolerances, pair),
 which the certificate machinery relies on.
@@ -19,15 +26,15 @@ The states here are small (one to a few dozen floats), where a numpy call
 costs more than the arithmetic it does.  So the stepping loop itself is
 generated source over Python floats, one generator for both pairs: the
 stage combinations, the embedded error norm, the step control, FSAL and
-(5(4) only) the storage of accepted steps are unrolled scalar arithmetic
-with the tableau constants inlined.  For any rhs, each stage calls
-`rhs(t, point)`; that loop is built on the first solve of each state size
-and pair.  A closure compiled from a system text (see :mod:`expressions`)
-carries its own source, and once it has made _INLINE_AFTER rhs
-evaluations through a pair's called loop, its unpack, local lines and
-outputs are emitted into each stage of a loop of its own for that pair,
-with no call; a domain exit there re-runs the attempt through the called
-loop, where the closure raises the typed error.
+the storage of accepted steps (when the node buffers are given) are
+unrolled scalar arithmetic with the tableau constants inlined.  For any
+rhs, each stage calls `rhs(t, point)`; that loop is built on the first
+solve of each state size and pair.  A closure compiled from a system text
+(see :mod:`expressions`) carries its own source, and once it has made
+_INLINE_AFTER rhs evaluations through a pair's called loop, its unpack,
+local lines and outputs are emitted into each stage of a loop of its own
+for that pair, with no call; a domain exit there re-runs the attempt
+through the called loop, where the closure raises the typed error.
 Both loops of a pair give the same bits, so a solve may switch between
 them.  Each call of a loop runs at most _CHUNK attempts and returns its
 state to :func:`solve`: CPython 3.11 specializes a code object's float
@@ -37,9 +44,9 @@ in one call would stay generic.
 The right-hand side receives the state as a tuple of Python floats and
 returns a sequence of floats; Python float arithmetic raises where numpy
 scalars would return inf or nan with a warning, so a compiled closure
-still turns its domain exits into the typed error.  Accepted times and
-states go into flat ``array('d')`` buffers, and the solution's arrays are
-views of them.
+still turns its domain exits into the typed error.  Accepted times,
+states and derivatives go into flat ``array('d')`` buffers, and the
+solution's arrays are views of them.
 
 An attempt whose error estimate is not finite (a NaN or infinity in any
 stage) is rejected at the smallest step factor; if the step then
@@ -185,7 +192,7 @@ class _Pair:
     a: tuple
     error: Callable           # (components, solution names) -> err source
     order: int                # of the error estimate; exponent -1/(order+1)
-    stores: bool              # each accepted step goes into the buffers
+    interpolant: bool         # has the quartic continuous extension
     # compiled closure -> its rhs evaluations through the called loop,
     # then its inlined loop
     inlined: weakref.WeakKeyDictionary = field(
@@ -197,10 +204,11 @@ class _Pair:
         return len(self.a) - 1
 
 
-_DP5 = _Pair("dp5", _C, _A, _dp5_error, order=4, stores=True)
+_DP5 = _Pair("dp5", _C, _A, _dp5_error, order=4, interpolant=True)
 _DOP853 = _Pair("dop853", (*_DOP853_C, 1.0), (*_DOP853_A, _DOP853_B),
-                _dop853_error, order=7, stores=False)
-# rhs evaluations per attempt of a trajectory=False solve
+                _dop853_error, order=7, interpolant=False)
+_PAIRS = {pair.name: pair for pair in (_DP5, _DOP853)}
+# rhs evaluations per attempt of the 8(5,3) pair, which endpoint solves run
 ENDPOINT_STAGES = _DOP853.stages
 
 
@@ -254,8 +262,9 @@ def _loop_source(m, pair, parts=None):
     the solver state, for states of size m.  Without `parts` each stage
     calls rhs; with a compiled closure's `parts` each stage runs its lines
     inline, and a domain exit re-runs the attempt through the called loop,
-    where the closure raises its typed error.  A pair that `stores`
-    appends accepted steps to the buffers.  Returns (stopped, t, h, y, f,
+    where the closure raises its typed error.  Given the node buffers
+    (`ts` not None), each accepted step is appended to them, and with `hs`
+    the 5(4) pair's dense coefficients too.  Returns (stopped, t, h, y, f,
     n_steps, n_rejected, non_finite): `stopped` when the solve reached
     t_end, ran out of attempts or of step size, which :func:`solve` tells
     apart; blow-ups raise in the loop."""
@@ -274,14 +283,15 @@ def _loop_source(m, pair, parts=None):
                   "        except _exits:",
                   f"            _called_loop({m})(rhs, t, h, ({y}), ({k0}), "
                   "n_steps, n_rejected, non_finite, t_end, end_gap, rtol, "
-                  "atol, blowup_norm, n_steps + n_rejected + 1, ts, ys, hs, "
-                  "coeffs)",
+                  "atol, blowup_norm, n_steps + n_rejected + 1, ts, ys, fs, "
+                  "hs, coeffs)",
                   "            raise"]
     n = ", ".join(solution) + ","
     exponent = -1 / (pair.order + 1)
     lines = [
         f"def _loop(rhs, t, h, y, f, n_steps, n_rejected, non_finite, t_end,"
-        f" end_gap, rtol, atol, blowup_norm, max_steps, ts, ys, hs, coeffs):",
+        f" end_gap, rtol, atol, blowup_norm, max_steps, ts, ys, fs, hs,"
+        f" coeffs):",
         f"    {y} = y",
         f"    {k0} = f",
         f"    {a} = {', '.join(f'abs(y{c})' for c in comps)},   # |y|",
@@ -297,16 +307,18 @@ def _loop_source(m, pair, parts=None):
         *pair.error(comps, solution),
     ]
     norm = f"max({', '.join(f'b{c}' for c in comps)})" if m > 1 else "b0"
-    store = []
-    if pair.stores:
+    k_last = ", ".join(f"k{last}_{c}" for c in comps) + ","
+    store = ["            if ts is not None:",
+             "                ts.append(t_new)",
+             f"                ys.extend(({n}))",
+             f"                fs.extend(({k_last}))"]
+    if pair.interpolant:
         k = ", ".join(f"({', '.join(f'k{i}_{c}' for c in comps)},)"
                       for i in range(last + 1))
-        store = ["            if hs is not None:",
-                 "                hs.append(h)",
-                 "                coeffs.extend(_dense_coefficients(",
-                 f"                    h, ({y}), ({n}), ({k})))",
-                 "            ts.append(t_new)",
-                 f"            ys.extend(({n}))"]
+        store += ["                if hs is not None:",
+                  "                    hs.append(h)",
+                  "                    coeffs.extend(_dense_coefficients(",
+                  f"                        h, ({y}), ({n}), ({k})))"]
     lines += [
         # a NaN or infinite err is rejected at the smallest factor, which
         # is what max() gives it
@@ -416,6 +428,7 @@ class OdeSolution:
     n_steps: int
     n_rejected: int
     n_fev: int
+    f: Optional[np.ndarray] = None    # rhs at each node of a trajectory
 
 
 def _rms(values, scale):
@@ -453,7 +466,7 @@ def _views(ts, ys, m):
 
 
 def solve(rhs, y0, t_end, rtol=1e-9, dense=False, blowup_norm=1e8,
-          max_steps=5_000_000, trajectory=True):
+          max_steps=5_000_000, trajectory=True, pair="dp5"):
     """Integrate y' = rhs(t, y) from 0 to t_end, with the absolute
     tolerance _ATOL_PER_RTOL * rtol.
 
@@ -463,11 +476,14 @@ def solve(rhs, y0, t_end, rtol=1e-9, dense=False, blowup_norm=1e8,
     :mod:`expressions` is inlined into its stages after _INLINE_AFTER rhs
     evaluations, with the same results (see the module docstring).
 
-    With `trajectory` (the default) the 5(4) pair runs and every accepted
-    step is kept in `t` and `y`; `dense` adds the quartic interpolant.
-    Without it the 8(5,3) pair runs and only the end state is kept:
-    `t` is [0, t_end], `y` is [y0, y(t_end)] and `dense` is None; asking
-    for `dense` then is a ValueError.
+    `pair` is "dp5", the 5(4) pair, or "dop853", the 8(5,3) pair.  With
+    `trajectory` (the default) every accepted step is kept: `t`, `y` and
+    `f`, the rhs at each node (the FSAL stage, no extra evaluation);
+    `dense` adds the 5(4) pair's quartic interpolant, which the 8(5,3)
+    pair does not have.  Without it only the end state is kept: `t` is
+    [0, t_end], `y` is [y0, y(t_end)], `f` and `dense` are None; asking
+    for `dense` then is a ValueError.  Storing changes no arithmetic, so
+    both ways give the same end state and counts.
 
     Raises :class:`BlowUpError` when the max-norm of an accepted state
     exceeds `blowup_norm`, when y0 or rhs(0, y0) is not finite, or when
@@ -479,9 +495,9 @@ def solve(rhs, y0, t_end, rtol=1e-9, dense=False, blowup_norm=1e8,
     1 + probes + 12 attempts for the 8(5,3) pair, where probes (0 or 1) is
     the initial-step probe.
     """
-    if dense and not trajectory:
-        raise ValueError("dense output needs the trajectory")
-    pair = _DP5 if trajectory else _DOP853
+    pair = _PAIRS[pair]
+    if dense and not (trajectory and pair.interpolant):
+        raise ValueError("dense output needs a trajectory of the 5(4) pair")
     y = tuple(np.asarray(y0, dtype=float).ravel().tolist())
     m = len(y)
     atol = _ATOL_PER_RTOL * rtol
@@ -501,6 +517,9 @@ def solve(rhs, y0, t_end, rtol=1e-9, dense=False, blowup_norm=1e8,
         # the first step's size would divide by zero (an infinite f0) or be
         # NaN, which never meets the underflow floor
         raise BlowUpError(0.0, float("inf"), blowup_norm)
+    fs = array("d", f)
+    # the loop stores nothing without the node buffers
+    buffers = (ts, ys, fs) if trajectory else (None, None, None)
     h, probes = _initial_step(rhs, y, f, t_end, rtol, atol, pair.order)
     h = max(h, 1e-12)
     end_gap = 1e-14 * max(1.0, abs(t_end))
@@ -512,7 +531,8 @@ def solve(rhs, y0, t_end, rtol=1e-9, dense=False, blowup_norm=1e8,
         attempts = n_steps + n_rejected
         stopped, t, h, y, f, n_steps, n_rejected, non_finite = loop(
             rhs, t, h, y, f, n_steps, n_rejected, non_finite, t_end,
-            end_gap, rtol, atol, blowup_norm, max_steps, ts, ys, hs, coeffs)
+            end_gap, rtol, atol, blowup_norm, max_steps, *buffers, hs,
+            coeffs)
         loop = _loop(rhs, m, pair,
                      pair.stages * (n_steps + n_rejected - attempts),
                      build=not stopped)
@@ -528,13 +548,16 @@ def solve(rhs, y0, t_end, rtol=1e-9, dense=False, blowup_norm=1e8,
         raise StepSizeUnderflowError(
             f"step size underflow at t = {t:.6g} (stiffness)")
 
-    if not pair.stores:
+    n_fev = 1 + probes + pair.stages * (n_steps + n_rejected)
+    if not trajectory:
         ts.append(t)
         ys.extend(y)
+        return OdeSolution(*_views(ts, ys, m), None, n_steps, n_rejected,
+                           n_fev)
     t_arr, y_arr = _views(ts, ys, m)
     interp = None
     if dense:
         interp = DenseOutput(t_arr, np.frombuffer(hs),
                              np.frombuffer(coeffs).reshape(-1, 5, m))
-    return OdeSolution(t_arr, y_arr, interp, n_steps, n_rejected,
-                       1 + probes + pair.stages * (n_steps + n_rejected))
+    return OdeSolution(t_arr, y_arr, interp, n_steps, n_rejected, n_fev,
+                       np.frombuffer(fs).reshape(-1, m))

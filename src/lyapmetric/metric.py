@@ -7,7 +7,8 @@ constructions share one augmented-integration layout,
 :func:`dynamics.lifted_system`; each supplies only its `step(state) ->
 (state', A)` and Q, and reads the Gramian block of the final vector.
 Since only that final vector is read, every such solve runs the
-endpoint-only 8(5,3) pair of :func:`integrate.solve` (``trajectory=False``),
+8(5,3) pair of :func:`integrate.solve` and stores no step
+(``pair="dop853", trajectory=False``),
 within a budget of _P_EVALS rhs evaluations.  The
 metric along solutions lifts through :func:`dynamics.model_lift`, the fused
 compiled rhs for a model parsed from text:
@@ -264,7 +265,7 @@ def gramian_at_origin(model, q=None):
     no_state = np.empty(0)
     lift = lifted_system(lambda state: (no_state, a), 0, n, q)
     sol = integrate.solve(lift.rhs, lift.y0(no_state), t0, rtol=_GRAMIAN_TOL,
-                          trajectory=False)
+                          trajectory=False, pair="dop853")
     _, z, m = lift.split(sol.y[-1])
 
     for _ in range(64):
@@ -297,7 +298,7 @@ def _p_solve(variant, point, horizon, rhs, y0, ode_tol, blowup_norm=1e8,
             rhs, y0, float(horizon) - start, rtol=ode_tol,
             blowup_norm=blowup_norm,
             max_steps=_P_EVALS // integrate.ENDPOINT_STAGES,
-            trajectory=False).y[-1]
+            trajectory=False, pair="dop853").y[-1]
     except StepSizeUnderflowError as err:
         at = ", ".join(f"{v:.6g}" for v in np.ravel(point))
         raise StepSizeUnderflowError(

@@ -6,6 +6,7 @@ import pytest
 
 from lyapmetric import catalog, expressions, integrate, parse_system
 from lyapmetric.dynamics import (
+    Trajectory,
     flow,
     lifted_system,
     model_lift,
@@ -162,11 +163,19 @@ def test_linearity_of_variation(scalar_model):
 
 
 def test_tolerance_refinement_is_monotone(scalar_model):
-    errs = []
-    for tol in (1e-4, 1e-6, 1e-8):
-        traj = flow(scalar_model, [1.0], 2.0, tol=tol)
-        errs.append(abs(traj.states[-1, 0] - catalog.scalar_example_oracle(1.0, 2.0)))
-    assert errs[1] <= errs[0] and errs[2] <= errs[1]
+    # the 5(4) pair (a dense flow's) refines monotonically; the 8(5,3)
+    # pair of a plain flow is near its floor already at tol 1e-4 (errors
+    # 8.8e-9 there and 1.2e-8 at 1e-6), so it is held to a tenth of tol
+    want = catalog.scalar_example_oracle(1.0, 2.0)
+    for dense in (True, False):
+        errs = []
+        for tol in (1e-4, 1e-6, 1e-8):
+            traj = flow(scalar_model, [1.0], 2.0, tol=tol, dense=dense)
+            errs.append(abs(traj.states[-1, 0] - want))
+            if not dense:
+                assert errs[-1] <= 0.1 * tol
+        if dense:
+            assert errs[1] <= errs[0] and errs[2] <= errs[1]
 
 
 def test_blowup_reported():
@@ -194,6 +203,32 @@ def test_dense_output_below_tolerance():
 def test_phi_at_zero_is_identity(scalar_model):
     traj = variational_flow(scalar_model, [0.7], 1.0, tol=1e-9)
     assert np.array_equal(traj.phi[0], np.eye(1))
+
+
+def test_hermite_points_reproduce_cubics():
+    # the cubic Hermite interpolant is exact on cubics: states t^3 - t and
+    # a Phi block 2 t^3 + 1 on uneven steps, read at 1/4, 1/2, 3/4 of each
+    t = np.array([0.0, 0.3, 1.0, 1.1, 2.5])
+    traj = Trajectory(t=t, states=(t ** 3 - t)[:, None],
+                      phi=(2 * t ** 3 + 1)[:, None, None],
+                      d_states=(3 * t ** 2 - 1)[:, None],
+                      d_phi=(6 * t ** 2)[:, None, None])
+    inner = traj.hermite_points(3)
+    want_t = np.concatenate([a + np.array([0.25, 0.5, 0.75]) * (b - a)
+                             for a, b in zip(t[:-1], t[1:])])
+    np.testing.assert_allclose(inner.t, want_t, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(inner.states[:, 0], want_t ** 3 - want_t,
+                               rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(inner.phi[:, 0, 0], 2 * want_t ** 3 + 1,
+                               rtol=1e-13)
+    # a plain flow carries the derivatives its points need, within the
+    # cubic's own error h^4 |y^(4)| / 384 on the 8(5,3) pair's steps (h up
+    # to 0.42 here: 7.9e-5 relative); one node has no step to fill
+    points = flow(parse_system("dim=1; F1 = -x1"), [1.0], 2.0).hermite_points(3)
+    np.testing.assert_allclose(points.states[:, 0], np.exp(-points.t),
+                               rtol=1e-4)
+    assert len(Trajectory(t=t[:1], states=np.ones((1, 1)))
+               .hermite_points(3).t) == 0
 
 
 def test_trajectory_csv_round_trip(tmp_path, scalar_model):
@@ -310,8 +345,8 @@ def test_fused_lift_compiles_once_per_model(monkeypatch):
                      variational_flow(model, [0.5, 0.5], 1.0).phi))
     # field (2 outputs), Jacobian (4) and lift [F | J Phi] (6), once each
     assert sorted(compiled) == [2, 4, 6]
-    assert loops == ["<lyapmetric dp5 field dim=2>",
-                     "<lyapmetric dp5 lift dim=2>"]
+    assert loops == ["<lyapmetric dop853 field dim=2>",
+                     "<lyapmetric dop853 lift dim=2>"]
     for first, second in zip(*runs):
         np.testing.assert_array_equal(first, second)
 

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -222,6 +223,39 @@ class TestShootingFallbacks:
         assert d.method == "single-shooting"
         assert d.value == value
         assert d.iterations == 4
+
+    def test_stalled_residual_within_accept_is_a_shot(self, monkeypatch):
+        # end positions linear in the velocity, with a floor of 2e-8 on
+        # their distance to the target: Newton reaches the floor, after
+        # which no line-search fraction lowers |r|; the last
+        # iterate is returned, and with |r| = 2e-8 <= accept = 3e-6
+        # single shooting takes it
+        target = np.array([0.9, 0.7])
+        mix = np.array([[1.0, 0.1], [0.1, 1.0]])
+
+        def stalled(metric, start, velocity, s_span):
+            gap = start + s_span * (mix @ velocity) - target
+            norm = float(np.linalg.norm(gap))
+            floor = 2e-8
+            end = target + (gap * (floor / norm) if 0.0 < norm < floor
+                            else gap if norm else np.array([floor, 0.0]))
+            row = np.concatenate([end, velocity,
+                                  [s_span * np.linalg.norm(velocity)]])
+            return SimpleNamespace(y=row[None, :])
+
+        monkeypatch.setattr(geometry, "_integrate_geodesic", stalled)
+        hit = geometry._shoot(constant_metric(np.eye(2)), np.zeros(2), target,
+                              1, 1e-10, 3e-6)
+        assert hit is not None
+        velocity, length, iterations, _ = hit
+        want = np.linalg.solve(mix, target)
+        np.testing.assert_allclose(velocity, want, rtol=0, atol=3e-8)
+        assert length == pytest.approx(np.linalg.norm(want), abs=3e-8)
+        # returned at the stall, not when the iterations ran out
+        assert iterations < geometry._NEWTON_MAX_ITER
+        # with an accept below the floor the stalled shot is still refused
+        assert geometry._shoot(constant_metric(np.eye(2)), np.zeros(2),
+                               target, 1, 1e-10, 1e-8) is None
 
     # diag(1 + x1^2, 1): the x1-axis is a geodesic (x2 -> -x2 symmetry), so
     # the distance to (1.5, 0) has the closed form of the 1-D quadratic metric

@@ -59,22 +59,22 @@ def test_step_budget_exhaustion():
         solve(rhs, [1.0, 0.0], 50.0, rtol=1e-9, max_steps=10)
 
 
-# both pairs: trajectory=True runs the 5(4) pair, trajectory=False the
-# endpoint-only 8(5,3) pair
-TRAJECTORY = (True, False)
+# the solve arguments of each pair and storage: the 5(4) trajectory, the
+# 8(5,3) endpoint solve and the 8(5,3) trajectory
+RUNS = ({}, {"pair": "dop853", "trajectory": False}, {"pair": "dop853"})
 
 
-def _stages(trajectory):
+def _stages(run):
     """rhs evaluations per attempt of the pair `solve` runs."""
-    return 6 if trajectory else 12
+    return 12 if run.get("pair") == "dop853" else 6
 
 
 def test_blowup_detection_time():
     # y' = y^2 from 1 blows up at t = 1
-    for trajectory in TRAJECTORY:
+    for run in RUNS:
         with pytest.raises(BlowUpError) as err:
             solve(lambda t, y: [y[0] * y[0]], [1.0], 2.0, rtol=1e-9,
-                  blowup_norm=1e6, trajectory=trajectory)
+                  blowup_norm=1e6, **run)
         assert err.value.t == pytest.approx(1.0, abs=1e-2)
 
 
@@ -186,33 +186,33 @@ def test_overflowing_initial_norm_starts_at_the_floor(scale):
     f0 = tuple(rhs(0.0, (0.5,)))
     assert integrate._initial_step(rhs, (0.5,), f0, 1.0, 1e-9, 1e-12, 4) == \
         (0.0, 0)
-    for trajectory in TRAJECTORY:
+    for run in RUNS:
         with pytest.raises(BlowUpError) as err:
-            solve(rhs, [0.5], 1.0, rtol=1e-9, trajectory=trajectory)
+            solve(rhs, [0.5], 1.0, rtol=1e-9, **run)
         assert err.value.t == 0.0
 
 
 def test_step_budget_counts_exactly_max_steps_attempts():
-    for trajectory in TRAJECTORY:
+    for run in RUNS:
         rhs = _Counting(lambda t, y: [y[1], -1e6 * y[0]])
         with pytest.raises(StepSizeUnderflowError,
                            match="after 10 attempts"):
             solve(rhs, [1.0, 0.0], 50.0, rtol=1e-9, max_steps=10,
-                  trajectory=trajectory)
+                  **run)
         # f(t0), the initial-step probe, then the pair's stages per attempt
-        assert rhs.calls == 2 + _stages(trajectory) * 10
+        assert rhs.calls == 2 + _stages(run) * 10
 
 
 def test_fev_counts_rhs_calls():
-    for trajectory in TRAJECTORY:
+    for run in RUNS:
         rhs = _Counting(lambda t, y: [-y[0]])
-        sol = solve(rhs, [1.0], 3.0, rtol=1e-9, trajectory=trajectory)
+        sol = solve(rhs, [1.0], 3.0, rtol=1e-9, **run)
         assert sol.n_fev == rhs.calls
         assert sol.n_fev == \
-            2 + _stages(trajectory) * (sol.n_steps + sol.n_rejected)
+            2 + _stages(run) * (sol.n_steps + sol.n_rejected)
 
         rhs = _Counting(lambda t, y: [-y[0]])
-        assert solve(rhs, [1.0], 0.0, trajectory=trajectory).n_fev == \
+        assert solve(rhs, [1.0], 0.0, **run).n_fev == \
             rhs.calls == 0
 
 
@@ -223,23 +223,23 @@ def test_nan_in_one_component_of_one_stage_is_rejected():
     # feed back: that stage has zero weight in the solution, so only the
     # error estimate sees it (a zero weight there times NaN is NaN, not 0),
     # and every attempt across t = 0.5 is rejected
-    for trajectory in TRAJECTORY:
+    for run in RUNS:
         calls = _Counting(lambda t, y: [-y[0], math.cos(t), -y[2]])
 
         def rhs(t, y):
             out = calls(t, y)
             # calls 1-2 are f(t0) and the initial-step probe; then the
             # pair's stages per attempt
-            if t > 0.5 and (calls.calls - 3) % _stages(trajectory) == 0:
+            if t > 0.5 and (calls.calls - 3) % _stages(run) == 0:
                 out[1] = math.nan
             return out
 
         with pytest.raises(BlowUpError) as err:
             solve(rhs, [1.0, 0.0, 2.0], 2.0, rtol=1e-9,
-                  trajectory=trajectory)
+                  **run)
         # a step may still cross 0.5 with its second stage before it; the
         # 8(5,3) pair's steps are longer, and its second stage earlier
-        assert 0.5 < err.value.t < (0.6 if trajectory else 0.7)
+        assert 0.5 < err.value.t < (0.6 if _stages(run) == 6 else 0.7)
         assert err.value.norm == math.inf
 
 
@@ -276,9 +276,8 @@ def test_loop_is_built_once_per_state_size(monkeypatch):
                         built.append((m, pair.name)) or real(m, pair, parts))
     integrate._called_loop.cache_clear()
     for y0 in ([1.0, 2.0], [3.0], [0.5, 0.5], [1.0, 1.0, 1.0], [2.0]):
-        for trajectory in TRAJECTORY:
-            solve(lambda t, y: [-v for v in y], y0, 1.0,
-                  trajectory=trajectory)
+        for run in RUNS:
+            solve(lambda t, y: [-v for v in y], y0, 1.0, **run)
     assert built == [(2, "dp5"), (2, "dop853"), (1, "dp5"), (1, "dop853"),
                      (3, "dp5"), (3, "dop853")]
 
@@ -312,10 +311,11 @@ def _numpy_attempt(rhs, t, h, y, f, rtol):
 def _one_attempt(rhs, t, h, y, f, rtol, blowup_norm=math.inf):
     """Run the called loop for one attempt of step h from (t, y), with
     t_end at t + 2h; returns its result tuple and the node buffers."""
-    ts, ys = array("d", (t,)), array("d", y)
+    ts, ys, fs = array("d", (t,)), array("d", y), array("d", f)
     result = integrate._called_loop(len(y), integrate._DP5)(
         rhs, t, h, y, f, 0, 0, False, t + 2 * h, 1e-14, rtol,
-        integrate._ATOL_PER_RTOL * rtol, blowup_norm, 1, ts, ys, None, None)
+        integrate._ATOL_PER_RTOL * rtol, blowup_norm, 1, ts, ys, fs, None,
+        None)
     return result, ts, ys
 
 
@@ -404,12 +404,12 @@ def _called(closure):
 def _solve_both(closure, y0, t_end, **kwargs):
     """`closure` solved through its inlined loop and through the called
     loop; every field of the two solutions must be equal."""
-    pair = integrate._DP5 if kwargs.get("trajectory", True) \
-        else integrate._DOP853
+    pair = integrate._PAIRS[kwargs.get("pair", "dp5")]
     inlined = solve(closure, y0, t_end, **kwargs)
     assert callable(pair.inlined[closure])
     called = solve(_called(closure), y0, t_end, **kwargs)
-    for a, b in ((inlined.t, called.t), (inlined.y, called.y)):
+    for a, b in ((inlined.t, called.t), (inlined.y, called.y),
+                 (inlined.f, called.f)):
         np.testing.assert_array_equal(a, b)
     assert (inlined.n_steps, inlined.n_rejected, inlined.n_fev) == \
         (called.n_steps, called.n_rejected, called.n_fev)
@@ -433,7 +433,7 @@ def test_inlined_endpoint_gramian_is_bit_identical(inline_at_once):
     model = parse_system(PLANAR)
     lift = model_lift(model, np.eye(2))
     sol = _solve_both(lift.rhs, lift.y0([0.8, -0.5]), 7.772, rtol=1e-12,
-                      trajectory=False)
+                      trajectory=False, pair="dop853")
     assert sol.n_steps > 50
     assert sol.t.tolist() == [0.0, 7.772]
     assert sol.n_fev == 2 + 12 * (sol.n_steps + sol.n_rejected)
@@ -462,9 +462,11 @@ def test_dop853_tableau_is_scipys():
 def test_endpoint_solve_keeps_no_dense_output():
     with pytest.raises(ValueError, match="dense"):
         solve(lambda t, y: [-y[0]], [1.0], 1.0, dense=True, trajectory=False)
+    with pytest.raises(ValueError, match="dense"):
+        solve(lambda t, y: [-y[0]], [1.0], 1.0, dense=True, pair="dop853")
     sol = solve(lambda t, y: [-y[0]], [1.0], 3.0, rtol=1e-10,
-                trajectory=False)
-    assert sol.dense is None and sol.y.shape == (2, 1)
+                trajectory=False, pair="dop853")
+    assert sol.dense is None and sol.f is None and sol.y.shape == (2, 1)
     assert sol.y[-1, 0] == pytest.approx(math.exp(-3.0), rel=1e-10)
 
 
@@ -476,6 +478,29 @@ def test_inlined_transverse_falsify_solve_is_bit_identical(inline_at_once):
     y0 = lift.y0([-0.4021148723065759, -0.29715926616860894])
     sol = _solve_both(lift.rhs, y0, 10.0, rtol=1e-9, blowup_norm=1e12)
     assert (sol.n_steps, sol.n_rejected, sol.n_fev) == (100803, 6466, 643616)
+    # the storing 8(5,3) loop, which the sampled decay flows run
+    sol = _solve_both(lift.rhs, y0, 10.0, rtol=1e-9, blowup_norm=1e12,
+                      pair="dop853")
+    assert (sol.n_steps, sol.n_rejected, sol.n_fev) == (22909, 7843, 369026)
+
+
+@pytest.mark.parametrize("pair", ["dp5", "dop853"])
+def test_storing_changes_no_arithmetic(pair):
+    # a trajectory solve ends where the endpoint solve does, bit for bit
+    # and after the same attempts, and each node carries rhs(t, y) exactly
+    source = parse_system(PLANAR).source
+    lift = model_lift(parse_system(PLANAR), np.eye(2))
+    for rhs, y0 in ((source.field_rhs, [0.8, -0.5]),
+                    (lift.rhs, lift.y0([0.8, -0.5]))):
+        end = solve(rhs, y0, 7.5, rtol=1e-10, trajectory=False, pair=pair)
+        sol = solve(rhs, y0, 7.5, rtol=1e-10, pair=pair)
+        np.testing.assert_array_equal(sol.y[-1], end.y[-1])
+        assert sol.t[-1] == end.t[-1] == 7.5
+        assert (sol.n_steps, sol.n_rejected, sol.n_fev) == \
+            (end.n_steps, end.n_rejected, end.n_fev)
+        assert len(sol.t) == len(sol.f) == sol.n_steps + 1
+        np.testing.assert_array_equal(
+            sol.f, [rhs(t, tuple(y.tolist())) for t, y in zip(sol.t, sol.y)])
 
 
 @pytest.mark.parametrize("q", [None, np.eye(1)], ids=["lift", "gramian"])
@@ -541,13 +566,12 @@ def test_symmetric_gramian_entries_are_emitted_once():
                                    rtol=1e-14, atol=1e-14)
 
 
-def _budget_errors(closure, y0, max_steps, trajectory):
+def _budget_errors(closure, y0, max_steps, run):
     """The error texts of the inlined and the called solve."""
     texts = []
     for rhs in (closure, _called(closure)):
         with pytest.raises(StepSizeUnderflowError) as err:
-            solve(rhs, y0, 50.0, rtol=1e-12, max_steps=max_steps,
-                  trajectory=trajectory)
+            solve(rhs, y0, 50.0, rtol=1e-12, max_steps=max_steps, **run)
         texts.append(str(err.value))
     return texts
 
@@ -557,9 +581,9 @@ def test_step_budget_at_chunk_boundaries(inline_at_once, chunks, extra):
     max_steps = chunks * integrate._CHUNK + extra
     field = parse_system("dim=2; F1 = x2; F2 = -1e6*x1").source.field_rhs
     want = f"step budget exhausted after {max_steps} attempts"
-    for trajectory in TRAJECTORY:
+    for run in RUNS:
         assert _budget_errors(field, [1.0, 0.0], max_steps,
-                              trajectory) == [want, want]
+                              run) == [want, want]
 
 
 def test_solve_ending_on_a_chunk_boundary(inline_at_once):
@@ -579,8 +603,8 @@ def test_solve_ending_on_a_chunk_boundary(inline_at_once):
 # given stage: the first stage, and a stage at t + h (the 5(4) pair's
 # last; the 8(5,3) pair's solution stage is never first)
 @pytest.mark.parametrize("crossings", [
-    pytest.param({True: (1e-7, 1), False: (1.25e-7, 1)}, id="1e-07-1"),
-    pytest.param({True: (1e-3, 6), False: (2.5e-7, 11)}, id="0.001-6"),
+    pytest.param({6: (1e-7, 1), 12: (1.25e-7, 1)}, id="1e-07-1"),
+    pytest.param({6: (1e-3, 6), 12: (2.5e-7, 11)}, id="0.001-6"),
 ])
 def test_domain_exit_in_an_inlined_stage(inline_at_once, crossings):
     # x1 oscillates through -1, where ln(x1 + 1) leaves the domain; these
@@ -588,17 +612,16 @@ def test_domain_exit_in_an_inlined_stage(inline_at_once, crossings):
     # which the called solve's rhs calls show
     field = parse_system(
         "dim=2; F1 = x2; F2 = -20*x1 + 0*ln(x1 + 1)").source.field_rhs
-    for trajectory in TRAJECTORY:
-        rtol, stage = crossings[trajectory]
+    for run in RUNS:
+        rtol, stage = crossings[_stages(run)]
         counted = _Counting(field)
         texts = []
         for rhs in (field, counted):
             with pytest.raises(DomainEvaluationError) as err:
-                solve(rhs, [2.8, 0.5], 10.0, rtol=rtol,
-                      trajectory=trajectory)
+                solve(rhs, [2.8, 0.5], 10.0, rtol=rtol, **run)
             texts.append(str(err.value))
         # f(t0), the initial-step probe, then the pair's stages per attempt
-        assert (counted.calls - 3) % _stages(trajectory) + 1 == stage
+        assert (counted.calls - 3) % _stages(run) + 1 == stage
         assert texts[0] == texts[1] == \
             "math domain error in subexpression 'ln((x1 + 1.0))'"
 
