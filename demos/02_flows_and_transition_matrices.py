@@ -13,17 +13,16 @@ from lyapmetric.dynamics import flow, variational_flow
 model = catalog.get("scalar-example").build()
 
 print("== state flow vs the implicit-equation oracle ==")
-traj = flow(model, [1.0], 5.0, tol=1e-10, dense=True)
 for t in (0.5, 1.0, 2.0, 5.0):
-    numeric = traj.state_at(t)[0]
+    numeric = flow(model, [1.0], t, tol=1e-10).states[-1, 0]
     oracle = catalog.scalar_example_oracle(1.0, t)
     print(f"  t={t:3.1f}  E={numeric:.9f}  oracle={oracle:.9f}  "
           f"diff={abs(numeric - oracle):.2e}")
 
 print("\n== transition matrix vs two independent oracles ==")
-vtraj = variational_flow(model, [1.0], 2.0, tol=1e-11, dense=True)
 for t in (0.5, 1.0, 2.0):
-    phi = vtraj.phi_at(t)[0, 0]
+    vtraj = variational_flow(model, [1.0], t, tol=1e-11)
+    phi = vtraj.phi[-1, 0, 0]
     ident = catalog.scalar_example_transition_oracle(1.0, t)
     nested = catalog.scalar_example_transition_oracle(1.0, t, nested=True)
     print(f"  t={t:3.1f}  Phi={phi:.9f}  identity-route={ident:.9f}  "

@@ -57,11 +57,11 @@ for e1 in (0.5, 1.0, 2.0):
 print("\n== pairwise distances contract ==")
 from lyapmetric.dynamics import flow
 
-t1 = flow(model, [1.0], 2.0, tol=1e-10, dense=True)
-t2 = flow(model, [0.5], 2.0, tol=1e-10, dense=True)
 print("  t     d(E1(t), E2(t))")
 for t in np.linspace(0.0, 2.0, 5):
-    rep = geometry.pairwise_distance(field, t1.state_at(t), t2.state_at(t))
+    e1_t = flow(model, [1.0], t, tol=1e-10).states[-1]
+    e2_t = flow(model, [0.5], t, tol=1e-10).states[-1]
+    rep = geometry.pairwise_distance(field, e1_t, e2_t)
     print(f"  {t:3.1f}   {rep.distance:.8f}")
 
 print("\n== a geodesic on a curved one-dimensional metric ==")

@@ -11,7 +11,7 @@ checked against a genuinely separate route:
 * ``transverse-counterexample``   e' = -(lam + x sin x) e, x' = mu_x x; all
                                   oracles come from the antiderivative of
                                   u sin u along x(t) = x0 exp(mu_x t).
-* linear baselines                P from a dense Lyapunov solve, flows from
+* linear baselines                P from a direct Lyapunov solve, flows from
                                   the scaling-and-squaring matrix exponential.
 
 The oracles import SciPy where they run, so importing the catalog (as the
@@ -186,7 +186,7 @@ def counterexample_uniform_gain(mu_x):
 
 @dataclass
 class LinearBaseline:
-    """Exact metric and flow for e' = A e, all via dense linear algebra."""
+    """Exact metric and flow for e' = A e, all by direct linear algebra."""
 
     a: np.ndarray
     q: np.ndarray

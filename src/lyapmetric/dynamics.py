@@ -25,12 +25,11 @@ nonlinear pair (e, x) is a plain :func:`flow` of `model.full`.  The module
 also holds the CSV writer behind every `to_csv` and the command-line
 outputs.
 
-Every flow keeps its accepted steps.  With `dense` it runs the 5(4) pair
-of :func:`integrate.solve` for its quartic interpolant
-(:meth:`Trajectory.state_at`, :meth:`Trajectory.phi_at`); without it, the
-8(5,3) pair, whose steps are several times longer, and the derivatives at
-its nodes give :meth:`Trajectory.hermite_points` a cubic interpolant
-between them at no extra rhs evaluation.
+Every flow runs the 8(5,3) pair of :func:`integrate.solve` and keeps its
+accepted steps with the derivatives at its nodes, which give
+:meth:`Trajectory.hermite_points` a cubic interpolant between them at no
+extra rhs evaluation.  A caller that needs the state at a given time
+flows to that time.
 """
 
 from __future__ import annotations
@@ -154,8 +153,6 @@ class Trajectory:
     t: np.ndarray                      # strictly increasing, t[0] = 0
     states: np.ndarray                 # (m, n)
     phi: Optional[np.ndarray] = None   # (m, n_e, n_e)
-    dense: Optional[integrate.DenseOutput] = None
-    n_state: int = 0
     d_states: Optional[np.ndarray] = None   # (m, n)
     d_phi: Optional[np.ndarray] = None      # (m, n_e, n_e)
 
@@ -177,20 +174,7 @@ class Trajectory:
 
         return Trajectory(t=(self.t[:-1, None] + theta * h[:, None]).ravel(),
                           states=points(self.states, self.d_states),
-                          phi=points(self.phi, self.d_phi),
-                          n_state=self.n_state)
-
-    def state_at(self, t):
-        if self.dense is None:
-            raise LyapmetricError("trajectory was integrated without dense output")
-        return np.atleast_1d(self.dense(t))[: self.n_state]
-
-    def phi_at(self, t):
-        if self.dense is None or self.phi is None:
-            raise LyapmetricError("no dense transition data on this trajectory")
-        n = self.phi.shape[1]
-        flat = np.atleast_1d(self.dense(t))[self.n_state: self.n_state + n * n]
-        return flat.reshape(n, n)
+                          phi=points(self.phi, self.d_phi))
 
     def to_csv(self, path):
         """Write `t, e_1..e_n[, phi_11..phi_nn]` rows, 17 significant digits."""
@@ -212,18 +196,10 @@ def _initial_state(state0, n, tol):
     return state0
 
 
-def _pair(dense):
-    """The pair of a flow's solve: the 5(4) pair for its interpolant, the
-    8(5,3) pair otherwise, whose nodes carry derivatives for
-    :meth:`Trajectory.hermite_points`."""
-    return "dp5" if dense else "dop853"
-
-
-def flow(model, e0, horizon, tol=1e-9, dense=False, blowup_norm=1e8):
+def flow(model, e0, horizon, tol=1e-9, blowup_norm=1e8):
     """Integrate e' = F(e) from e0 over [0, horizon]; the rhs is the
     compiled field of `model.source` where the model has one, else
-    `model.f`.  The solve runs the 8(5,3) pair, or with `dense` the 5(4)
-    pair and its interpolant."""
+    `model.f`."""
     e0 = _initial_state(e0, model.dim, tol)
     f, source = model.f, getattr(model, "source", None)
 
@@ -231,31 +207,26 @@ def flow(model, e0, horizon, tol=1e-9, dense=False, blowup_norm=1e8):
         return f(np.asarray(y)).tolist()
 
     sol = integrate.solve(numpy_rhs if source is None else source.field_rhs,
-                          e0, horizon, rtol=tol, dense=dense,
-                          blowup_norm=blowup_norm, pair=_pair(dense))
-    return Trajectory(t=sol.t, states=sol.y, dense=sol.dense,
-                      n_state=model.dim, d_states=sol.f)
+                          e0, horizon, rtol=tol, blowup_norm=blowup_norm)
+    return Trajectory(t=sol.t, states=sol.y, d_states=sol.f)
 
 
-def _lifted_flow(lift, state0, n_state, horizon, tol, dense, blowup_norm):
-    """Solve a lift from `state0` into a Trajectory with its Phi, on the
-    pair that :func:`flow` would choose."""
+def _lifted_flow(lift, state0, n_state, horizon, tol, blowup_norm):
+    """Solve a lift from `state0` into a Trajectory with its Phi."""
     state0 = _initial_state(state0, n_state, tol)
     sol = integrate.solve(lift.rhs, lift.y0(state0), horizon, rtol=tol,
-                          dense=dense, blowup_norm=blowup_norm,
-                          pair=_pair(dense))
+                          blowup_norm=blowup_norm)
     states, phi, _ = lift.split(sol.y)
     d_states, d_phi = (None, None) if sol.f is None else lift.split(sol.f)[:2]
-    return Trajectory(t=sol.t, states=states, phi=phi, dense=sol.dense,
-                      n_state=n_state, d_states=d_states, d_phi=d_phi)
+    return Trajectory(t=sol.t, states=states, phi=phi, d_states=d_states,
+                      d_phi=d_phi)
 
 
-def variational_flow(model, e0, horizon, tol=1e-9, dense=False,
-                     blowup_norm=1e8):
+def variational_flow(model, e0, horizon, tol=1e-9, blowup_norm=1e8):
     """Jointly integrate the state and its transition matrix, through
     :func:`model_lift`."""
     return _lifted_flow(model_lift(model), e0, model.dim, horizon, tol,
-                        dense, blowup_norm)
+                        blowup_norm)
 
 
 def transverse_flow(model, x0, horizon, tol=1e-9, blowup_norm=1e8):
@@ -265,5 +236,4 @@ def transverse_flow(model, x0, horizon, tol=1e-9, blowup_norm=1e8):
     that :func:`metric.transverse_metric_field` integrates.  `states` is
     the drift and `phi` the transition."""
     lift = lifted_system(model.manifold_step(), model.n_x, model.n_e)
-    return _lifted_flow(lift, x0, model.n_x, horizon, tol, False,
-                        blowup_norm)
+    return _lifted_flow(lift, x0, model.n_x, horizon, tol, blowup_norm)

@@ -2,18 +2,15 @@
 pairs, chosen by the caller (`pair`), each with or without storage of its
 accepted steps (`trajectory`).
 
-* The 5(4) pair (``pair="dp5"``, the default): fifth-order propagation
-  with a fourth-order error estimate, FSAL, and the classic quartic
-  continuous extension on request.  Six rhs evaluations per attempt.
-  Callers that read between the steps (``dense=True``) and the geodesic
-  solves of :mod:`geometry` run it.
-* The 8(5,3) pair of Prince & Dormand (``pair="dop853"``; J. Comput.
-  Appl. Math. 1981; Hairer, Norsett & Wanner, Solving ODEs I, II.10):
-  eighth-order propagation, the err5/err3 error norm of DOP853, FSAL, and
-  no continuous extension.  Twelve rhs evaluations per attempt, and at
-  tight tolerances several times fewer attempts than the 5(4) pair.  The
-  endpoint-only metric solves and the sampled flows of :mod:`dynamics`
-  run it.
+* The 8(5,3) pair of Prince & Dormand (``pair="dop853"``, the default;
+  J. Comput. Appl. Math. 1981; Hairer, Norsett & Wanner, Solving ODEs I,
+  II.10): eighth-order propagation, the err5/err3 error norm of DOP853 and
+  FSAL.  Twelve rhs evaluations per attempt, and at tight tolerances
+  several times fewer attempts than the 5(4) pair.  Every flow of
+  :mod:`dynamics` and every endpoint metric solve runs it.
+* The 5(4) pair (``pair="dp5"``): fifth-order propagation with a
+  fourth-order error estimate and FSAL.  Six rhs evaluations per attempt.
+  The geodesic solves of :mod:`geometry` run it.
 
 A stored trajectory keeps t, y and f = rhs(t, y) at every accepted node;
 f is the FSAL stage, so it costs no evaluation, and it gives the caller a
@@ -78,10 +75,6 @@ _A = ((),
       (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920,
       -17253 / 339200, 22 / 525, -1 / 40)   # b - b_hat
-# continuous-extension weights for the deviation polynomial
-_D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
-      -10690763975 / 1880347072, 701980252875 / 199316789632,
-      -1453857185 / 822651844, 69997945 / 29380423)
 
 # Dormand-Prince 8(5,3) tableau, the twelve stages of DOP853 as doubles:
 # stage i at t + _DOP853_C[i] h on y + h * sum_j _DOP853_A[i][j] k_j; the
@@ -192,7 +185,6 @@ class _Pair:
     a: tuple
     error: Callable           # (components, solution names) -> err source
     order: int                # of the error estimate; exponent -1/(order+1)
-    interpolant: bool         # has the quartic continuous extension
     # compiled closure -> its rhs evaluations through the called loop,
     # then its inlined loop
     inlined: weakref.WeakKeyDictionary = field(
@@ -204,9 +196,9 @@ class _Pair:
         return len(self.a) - 1
 
 
-_DP5 = _Pair("dp5", _C, _A, _dp5_error, order=4, interpolant=True)
+_DP5 = _Pair("dp5", _C, _A, _dp5_error, order=4)
 _DOP853 = _Pair("dop853", (*_DOP853_C, 1.0), (*_DOP853_A, _DOP853_B),
-                _dop853_error, order=7, interpolant=False)
+                _dop853_error, order=7)
 _PAIRS = {pair.name: pair for pair in (_DP5, _DOP853)}
 # rhs evaluations per attempt of the 8(5,3) pair, which endpoint solves run
 ENDPOINT_STAGES = _DOP853.stages
@@ -263,8 +255,7 @@ def _loop_source(m, pair, parts=None):
     calls rhs; with a compiled closure's `parts` each stage runs its lines
     inline, and a domain exit re-runs the attempt through the called loop,
     where the closure raises its typed error.  Given the node buffers
-    (`ts` not None), each accepted step is appended to them, and with `hs`
-    the 5(4) pair's dense coefficients too.  Returns (stopped, t, h, y, f,
+    (`ts` not None), each accepted step is appended to them.  Returns (stopped, t, h, y, f,
     n_steps, n_rejected, non_finite): `stopped` when the solve reached
     t_end, ran out of attempts or of step size, which :func:`solve` tells
     apart; blow-ups raise in the loop."""
@@ -283,15 +274,13 @@ def _loop_source(m, pair, parts=None):
                   "        except _exits:",
                   f"            _called_loop({m})(rhs, t, h, ({y}), ({k0}), "
                   "n_steps, n_rejected, non_finite, t_end, end_gap, rtol, "
-                  "atol, blowup_norm, n_steps + n_rejected + 1, ts, ys, fs, "
-                  "hs, coeffs)",
+                  "atol, blowup_norm, n_steps + n_rejected + 1, ts, ys, fs)",
                   "            raise"]
     n = ", ".join(solution) + ","
     exponent = -1 / (pair.order + 1)
     lines = [
         f"def _loop(rhs, t, h, y, f, n_steps, n_rejected, non_finite, t_end,"
-        f" end_gap, rtol, atol, blowup_norm, max_steps, ts, ys, fs, hs,"
-        f" coeffs):",
+        f" end_gap, rtol, atol, blowup_norm, max_steps, ts, ys, fs):",
         f"    {y} = y",
         f"    {k0} = f",
         f"    {a} = {', '.join(f'abs(y{c})' for c in comps)},   # |y|",
@@ -312,13 +301,6 @@ def _loop_source(m, pair, parts=None):
              "                ts.append(t_new)",
              f"                ys.extend(({n}))",
              f"                fs.extend(({k_last}))"]
-    if pair.interpolant:
-        k = ", ".join(f"({', '.join(f'k{i}_{c}' for c in comps)},)"
-                      for i in range(last + 1))
-        store += ["                if hs is not None:",
-                  "                    hs.append(h)",
-                  "                    coeffs.extend(_dense_coefficients(",
-                  f"                        h, ({y}), ({n}), ({k})))"]
     lines += [
         # a NaN or infinite err is rejected at the smallest factor, which
         # is what max() gives it
@@ -352,8 +334,7 @@ def _build(source, filename, names):
     (those of the inlined closure's lines and its re-run loop) plus the
     loop's own."""
     namespace = dict(names, abs=abs, max=max, min=min, range=range,
-                     sqrt=math.sqrt, inf=math.inf, _blow_up=_blow_up,
-                     _dense_coefficients=_dense_coefficients)
+                     sqrt=math.sqrt, inf=math.inf, _blow_up=_blow_up)
     exec(compile(source, filename, "exec"), namespace)
     return namespace["_loop"]
 
@@ -392,39 +373,10 @@ def _loop(rhs, m, pair, evaluations=0, build=True):
     return loop
 
 
-def _dense_coefficients(h, y, y_new, stages):
-    """The five coefficient rows of the quartic continuous extension on one
-    accepted step, concatenated."""
-    k0, k6 = stages[0], stages[6]
-    ydiff = [b - a for a, b in zip(y, y_new)]
-    bspl = [h * k - d for k, d in zip(k0, ydiff)]
-    last = [d - h * k - b for d, k, b in zip(ydiff, k6, bspl)]
-    dev = [h * sum(w * k for w, k in zip(_D, ks)) for ks in zip(*stages)]
-    return [*y, *ydiff, *bspl, *last, *dev]
-
-
-class DenseOutput:
-    """Piecewise-quartic interpolant collected over accepted steps."""
-
-    def __init__(self, ts, hs, coeffs):
-        self.ts = ts              # accepted nodes, len m+1
-        self.hs = hs              # step sizes, len m
-        self.coeffs = coeffs      # (m, 5, n): rows r1..r5 per step
-
-    def __call__(self, t):
-        t = float(t)
-        idx = int(np.searchsorted(self.ts, t, side="right") - 1)
-        idx = min(max(idx, 0), len(self.hs) - 1)
-        r1, r2, r3, r4, r5 = self.coeffs[idx]
-        theta = (t - self.ts[idx]) / self.hs[idx]
-        return r1 + theta * (r2 + (1.0 - theta) * (r3 + theta * (r4 + (1.0 - theta) * r5)))
-
-
 @dataclass
 class OdeSolution:
     t: np.ndarray
     y: np.ndarray
-    dense: Optional[DenseOutput]
     n_steps: int
     n_rejected: int
     n_fev: int
@@ -465,8 +417,8 @@ def _views(ts, ys, m):
     return np.frombuffer(ts), np.frombuffer(ys).reshape(-1, m)
 
 
-def solve(rhs, y0, t_end, rtol=1e-9, dense=False, blowup_norm=1e8,
-          max_steps=5_000_000, trajectory=True, pair="dp5"):
+def solve(rhs, y0, t_end, rtol=1e-9, blowup_norm=1e8,
+          max_steps=5_000_000, trajectory=True, pair="dop853"):
     """Integrate y' = rhs(t, y) from 0 to t_end, with the absolute
     tolerance _ATOL_PER_RTOL * rtol.
 
@@ -476,13 +428,11 @@ def solve(rhs, y0, t_end, rtol=1e-9, dense=False, blowup_norm=1e8,
     :mod:`expressions` is inlined into its stages after _INLINE_AFTER rhs
     evaluations, with the same results (see the module docstring).
 
-    `pair` is "dp5", the 5(4) pair, or "dop853", the 8(5,3) pair.  With
+    `pair` is "dop853", the 8(5,3) pair, or "dp5", the 5(4) pair.  With
     `trajectory` (the default) every accepted step is kept: `t`, `y` and
-    `f`, the rhs at each node (the FSAL stage, no extra evaluation);
-    `dense` adds the 5(4) pair's quartic interpolant, which the 8(5,3)
-    pair does not have.  Without it only the end state is kept: `t` is
-    [0, t_end], `y` is [y0, y(t_end)], `f` and `dense` are None; asking
-    for `dense` then is a ValueError.  Storing changes no arithmetic, so
+    `f`, the rhs at each node (the FSAL stage, no extra evaluation).
+    Without it only the end state is kept: `t` is [0, t_end], `y` is
+    [y0, y(t_end)] and `f` is None.  Storing changes no arithmetic, so
     both ways give the same end state and counts.
 
     Raises :class:`BlowUpError` when the max-norm of an accepted state
@@ -496,8 +446,6 @@ def solve(rhs, y0, t_end, rtol=1e-9, dense=False, blowup_norm=1e8,
     the initial-step probe.
     """
     pair = _PAIRS[pair]
-    if dense and not (trajectory and pair.interpolant):
-        raise ValueError("dense output needs a trajectory of the 5(4) pair")
     y = tuple(np.asarray(y0, dtype=float).ravel().tolist())
     m = len(y)
     atol = _ATOL_PER_RTOL * rtol
@@ -507,11 +455,9 @@ def solve(rhs, y0, t_end, rtol=1e-9, dense=False, blowup_norm=1e8,
     ts = array("d", (0.0,))
     ys = array("d", y)
     if t_end == 0.0:
-        return OdeSolution(*_views(ts, ys, m), None, 0, 0, 0)
+        return OdeSolution(*_views(ts, ys, m), 0, 0, 0)
 
     loop = _loop(rhs, m, pair)
-    hs = array("d") if dense else None
-    coeffs = array("d") if dense else None
     f = rhs(0.0, y)
     if not all(map(math.isfinite, (*y, *f))):
         # the first step's size would divide by zero (an infinite f0) or be
@@ -531,8 +477,7 @@ def solve(rhs, y0, t_end, rtol=1e-9, dense=False, blowup_norm=1e8,
         attempts = n_steps + n_rejected
         stopped, t, h, y, f, n_steps, n_rejected, non_finite = loop(
             rhs, t, h, y, f, n_steps, n_rejected, non_finite, t_end,
-            end_gap, rtol, atol, blowup_norm, max_steps, *buffers, hs,
-            coeffs)
+            end_gap, rtol, atol, blowup_norm, max_steps, *buffers)
         loop = _loop(rhs, m, pair,
                      pair.stages * (n_steps + n_rejected - attempts),
                      build=not stopped)
@@ -552,12 +497,6 @@ def solve(rhs, y0, t_end, rtol=1e-9, dense=False, blowup_norm=1e8,
     if not trajectory:
         ts.append(t)
         ys.extend(y)
-        return OdeSolution(*_views(ts, ys, m), None, n_steps, n_rejected,
-                           n_fev)
-    t_arr, y_arr = _views(ts, ys, m)
-    interp = None
-    if dense:
-        interp = DenseOutput(t_arr, np.frombuffer(hs),
-                             np.frombuffer(coeffs).reshape(-1, 5, m))
-    return OdeSolution(t_arr, y_arr, interp, n_steps, n_rejected, n_fev,
+        return OdeSolution(*_views(ts, ys, m), n_steps, n_rejected, n_fev)
+    return OdeSolution(*_views(ts, ys, m), n_steps, n_rejected, n_fev,
                        np.frombuffer(fs).reshape(-1, m))

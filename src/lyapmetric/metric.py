@@ -6,10 +6,9 @@ no lifted solve and no truncation horizon.  In any dimension four
 constructions share one augmented-integration layout,
 :func:`dynamics.lifted_system`; each supplies only its `step(state) ->
 (state', A)` and Q, and reads the Gramian block of the final vector.
-Since only that final vector is read, every such solve runs the
-8(5,3) pair of :func:`integrate.solve` and stores no step
-(``pair="dop853", trajectory=False``),
-within a budget of _P_EVALS rhs evaluations.  The
+Only that final vector is read, so each such solve of
+:func:`integrate.solve` stores no step (``trajectory=False``), within a
+budget of _P_EVALS rhs evaluations.  The
 metric along solutions lifts through :func:`dynamics.model_lift`, the fused
 compiled rhs for a model parsed from text:
 
@@ -65,8 +64,7 @@ _SCALAR_TAIL_TOL = 1e-7   # the lifted builders' default, for step and slack
 _GRAMIAN_TOL = 1e-12      # rtol of the Gramian quadrature before the polish
 _CHUNK = 6.0              # rescaled horizon growth per solve
 _MAX_CHUNKS = 40          # rescaled horizon cap, in chunks
-# rhs evaluations one P solve may make: as many as 500k attempts of the
-# 5(4) pair, so a runaway solve does no more work with the 8(5,3) pair
+# rhs evaluations one P solve may make: 250k attempts of the 8(5,3) pair
 _P_EVALS = 3_000_000
 
 
@@ -265,7 +263,7 @@ def gramian_at_origin(model, q=None):
     no_state = np.empty(0)
     lift = lifted_system(lambda state: (no_state, a), 0, n, q)
     sol = integrate.solve(lift.rhs, lift.y0(no_state), t0, rtol=_GRAMIAN_TOL,
-                          trajectory=False, pair="dop853")
+                          trajectory=False)
     _, z, m = lift.split(sol.y[-1])
 
     for _ in range(64):
@@ -298,7 +296,7 @@ def _p_solve(variant, point, horizon, rhs, y0, ode_tol, blowup_norm=1e8,
             rhs, y0, float(horizon) - start, rtol=ode_tol,
             blowup_norm=blowup_norm,
             max_steps=_P_EVALS // integrate.ENDPOINT_STAGES,
-            trajectory=False, pair="dop853").y[-1]
+            trajectory=False).y[-1]
     except StepSizeUnderflowError as err:
         at = ", ".join(f"{v:.6g}" for v in np.ravel(point))
         raise StepSizeUnderflowError(
@@ -660,13 +658,14 @@ def lie_derivative(metric, model, e, h=None):
     dF/de(0, x).
 
     d_F P comes from one-sided differences of P along the flow at steps h
-    and h/2, combined by Richardson extrapolation; the 2-norm gap between
-    the two extrapolation inputs gates reliability.  While it exceeds
-    10 _RESIDUAL_TOL, h is halved (not below 1e-6); the h that passed is
-    returned.  The default h is max(1e-4, sqrt(tail_tol)).  Every P is
-    pinned to the horizon P(e) chose for itself
-    (:meth:`MetricField.horizon_for`), so truncation does not leak into the
-    differences.
+    and h/2, each state the end of its own flow, combined by Richardson
+    extrapolation; the 2-norm gap between the two extrapolation inputs
+    gates reliability.  While it exceeds 10 _RESIDUAL_TOL, h is halved
+    (not below 1e-6); the h that passed is returned.  The default h is
+    max(1e-4, sqrt(tail_tol)).  Every P is pinned to the horizon P(e)
+    chose for itself (:meth:`MetricField.horizon_for`), so truncation does
+    not leak into the differences.  On a constant metric d_F P is exactly
+    0, which is what its differences give, and no flow runs.
     """
     e = np.atleast_1d(np.asarray(e, dtype=float))
     if h is None:
@@ -674,10 +673,12 @@ def lie_derivative(metric, model, e, h=None):
         h = max(1e-4, math.sqrt(base))
     horizon = metric.horizon_for(e)
     p0 = metric(e, horizon)
-    while True:
-        traj = flow(model, e, h, tol=_FLOW_TOL, dense=True)
-        p_h = metric(traj.states[-1], horizon)
-        p_h2 = metric(traj.state_at(0.5 * h), horizon)
+    d1 = d2 = np.zeros_like(p0)
+    disagreement = 0.0
+    while metric.variant != "constant":
+        p_h = metric(flow(model, e, h, tol=_FLOW_TOL).states[-1], horizon)
+        p_h2 = metric(flow(model, e, 0.5 * h, tol=_FLOW_TOL).states[-1],
+                      horizon)
         d1 = (p_h - p0) / h
         d2 = (p_h2 - p0) / (0.5 * h)
         disagreement = float(np.linalg.norm(d2 - d1, 2))

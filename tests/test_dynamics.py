@@ -52,17 +52,17 @@ def test_counterexample_envelope():
 
 def test_variational_linear_transition():
     m = parse_system("dim=1; F1 = -x1")
-    traj = variational_flow(m, [4.0], 2.0, tol=1e-11, dense=True)
     for t in (0.3, 1.0, 2.0):
-        assert traj.phi_at(t)[0, 0] == pytest.approx(math.exp(-t), abs=1e-9)
+        traj = variational_flow(m, [4.0], t, tol=1e-11)
+        assert traj.phi[-1, 0, 0] == pytest.approx(math.exp(-t), abs=1e-9)
 
 
 def test_variational_scalar_example_against_oracles(scalar_model):
     # two independent routes: the 1-D transition identity and a nested
     # quadrature of the Jacobian along the implicit-equation solution
-    traj = variational_flow(scalar_model, [1.0], 2.0, tol=1e-11, dense=True)
     for t in (0.5, 1.0, 2.0):
-        phi = traj.phi_at(t)[0, 0]
+        phi = variational_flow(scalar_model, [1.0], t,
+                               tol=1e-11).phi[-1, 0, 0]
         assert phi == pytest.approx(
             catalog.scalar_example_transition_oracle(1.0, t), abs=1e-6)
         assert phi == pytest.approx(
@@ -138,11 +138,10 @@ def test_transverse_decoupled_case_matches_single_system():
     model = parse_system("dim=2; e_dim=1; F1 = -x1; G1 = x2")
     traj = transverse_flow(model, [0.5], 1.5, tol=1e-10)
     single = parse_system("dim=1; F1 = -x1")
-    ref = variational_flow(single, [1.0], 1.5, tol=1e-10, dense=True)
     for tq in (0.5, 1.0, 1.5):
         i = int(np.argmin(np.abs(traj.t - tq)))
-        assert traj.phi[i, 0, 0] == pytest.approx(
-            ref.phi_at(traj.t[i])[0, 0], abs=1e-9)
+        ref = variational_flow(single, [1.0], traj.t[i], tol=1e-10)
+        assert traj.phi[i, 0, 0] == pytest.approx(ref.phi[-1, 0, 0], abs=1e-9)
 
 
 def test_variation_no_decay_demo():
@@ -163,19 +162,18 @@ def test_linearity_of_variation(scalar_model):
 
 
 def test_tolerance_refinement_is_monotone(scalar_model):
-    # the 5(4) pair (a dense flow's) refines monotonically; the 8(5,3)
-    # pair of a plain flow is near its floor already at tol 1e-4 (errors
-    # 8.8e-9 there and 1.2e-8 at 1e-6), so it is held to a tenth of tol
+    # the 5(4) pair refines monotonically; the 8(5,3) pair of a flow is
+    # near its floor already at tol 1e-4 (errors 8.8e-9 there and 1.2e-8
+    # at 1e-6), so it is held to a tenth of tol
     want = catalog.scalar_example_oracle(1.0, 2.0)
-    for dense in (True, False):
-        errs = []
-        for tol in (1e-4, 1e-6, 1e-8):
-            traj = flow(scalar_model, [1.0], 2.0, tol=tol, dense=dense)
-            errs.append(abs(traj.states[-1, 0] - want))
-            if not dense:
-                assert errs[-1] <= 0.1 * tol
-        if dense:
-            assert errs[1] <= errs[0] and errs[2] <= errs[1]
+    errs = []
+    for tol in (1e-4, 1e-6, 1e-8):
+        sol = integrate.solve(scalar_model.source.field_rhs, [1.0], 2.0,
+                              rtol=tol, pair="dp5")
+        errs.append(abs(sol.y[-1, 0] - want))
+        traj = flow(scalar_model, [1.0], 2.0, tol=tol)
+        assert abs(traj.states[-1, 0] - want) <= 0.1 * tol
+    assert errs[1] <= errs[0] and errs[2] <= errs[1]
 
 
 def test_blowup_reported():
@@ -195,9 +193,9 @@ def test_tolerance_range_enforced():
 def test_dense_output_below_tolerance():
     m = parse_system("dim=1; F1 = -x1")
     tol = 1e-9
-    traj = flow(m, [1.0], 3.0, tol=tol, dense=True)
     for t in np.linspace(0.0, 3.0, 40):
-        assert abs(traj.state_at(t)[0] - math.exp(-t)) <= 20 * tol
+        state = flow(m, [1.0], t, tol=tol).states[-1, 0]
+        assert abs(state - math.exp(-t)) <= 20 * tol
 
 
 def test_phi_at_zero_is_identity(scalar_model):

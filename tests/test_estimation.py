@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from lyapmetric import catalog, estimation, parse_system, sampling
+from lyapmetric import catalog, estimation, integrate, parse_system, sampling
 from lyapmetric.dynamics import (
     Trajectory,
     flow,
+    model_lift,
     transverse_flow,
     variational_flow,
 )
@@ -163,12 +164,14 @@ class TestLinearizedDecay:
 
     def test_hermite_sup_loses_no_more_than_the_5_4_grid(self):
         # the planar linearized samples of analyze's defaults (radii 0.5,
-        # 1, 2, four each): against a fine reference, the 5(4) interpolant
-        # at rtol 1e-12 on 100k points, each sup of |Phi| e^{rate t} over
-        # the 8(5,3) steps and their Hermite points falls no further short
-        # than the sup over the 5(4) pair's steps.  Worst shortfalls
+        # 1, 2, four each): against a fine reference, SciPy's DOP853 dense
+        # output at rtol 1e-12 on 100k points, each sup of |Phi| e^{rate t}
+        # over the 8(5,3) steps and their Hermite points falls no further
+        # short than the sup over the 5(4) pair's steps.  Worst shortfalls
         # measured: 3.4e-5 on the 5(4) steps, 1.4e-3 on the 8(5,3) steps
         # alone, 4.4e-6 with three Hermite points per step
+        from scipy.integrate import solve_ivp
+
         model = parse_system("dim=2; F1 = -x1 + x2^2; F2 = -2*x2 - x1*x2")
         points = [p for j, s in enumerate((0.5, 1.0, 2.0))
                   for p in sampling.unique_rows(
@@ -177,14 +180,26 @@ class TestLinearizedDecay:
             points, lambda e0: variational_flow(model, e0, 10.0),
             estimation._phi_norms, 10.0, claim="linearized decay",
             series="|Phi|")
+        lift = model_lift(model)
+
+        def lifted(t, y):
+            phi = y[2:].reshape(2, 2)
+            return np.concatenate([model.f(y[:2]),
+                                   (model.jac(y[:2]) @ phi).ravel()])
+
         fine = np.linspace(0.0, 10.0, 100_001)
         hermite_loss = coarse_loss = 0.0
         for e0, got in zip(points, sups):
-            ref = variational_flow(model, e0, 10.0, tol=1e-12, dense=True)
-            phi = _quartic_values(ref.dense, fine)[:, 2:].reshape(-1, 2, 2)
+            ref = solve_ivp(lifted, (0.0, 10.0), lift.y0(e0),
+                            method="DOP853", rtol=1e-12, atol=1e-15,
+                            dense_output=True)
+            phi = ref.sol(fine)[2:].T.reshape(-1, 2, 2)
             want = np.max(np.linalg.norm(phi, 2, axis=(1, 2))
                           * np.exp(rate * fine))
-            coarse = variational_flow(model, e0, 10.0, dense=True)
+            # the 5(4) pair's nodes at the flows' default tolerance
+            sol = integrate.solve(lift.rhs, lift.y0(e0), 10.0, pair="dp5")
+            states, phi, _ = lift.split(sol.y)
+            coarse = Trajectory(t=sol.t, states=states, phi=phi)
             coarse_sup = np.max(estimation._phi_norms(e0, coarse)
                                 * np.exp(rate * coarse.t))
             hermite_loss = max(hermite_loss, want - got)
@@ -210,16 +225,6 @@ class TestLinearizedDecay:
             t=np.zeros(50), states=np.zeros((50, 1)), phi=phi), 1)
         np.testing.assert_allclose(
             got, np.linalg.norm(phi[:, :1], 2, axis=(1, 2)), rtol=1e-15)
-
-
-def _quartic_values(dense, t):
-    """The 5(4) pair's quartic interpolant at the times t, vectorized."""
-    idx = np.clip(np.searchsorted(dense.ts, t, side="right") - 1, 0,
-                  len(dense.hs) - 1)
-    theta = ((t - dense.ts[idx]) / dense.hs[idx])[:, None]
-    r1, r2, r3, r4, r5 = np.moveaxis(dense.coeffs[idx], 1, 0)
-    return r1 + theta * (r2 + (1.0 - theta) * (
-        r3 + theta * (r4 + (1.0 - theta) * r5)))
 
 
 class TestTransverseDecay:

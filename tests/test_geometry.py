@@ -522,11 +522,10 @@ class TestPairwise:
         from lyapmetric.dynamics import flow
 
         model, tab = scalar_setup
-        t1 = flow(model, [1.0], 2.0, tol=1e-10, dense=True)
-        t2 = flow(model, [0.5], 2.0, tol=1e-10, dense=True)
         values = []
         for t in np.linspace(0.0, 2.0, 9):
-            values.append(geometry.pairwise_distance(
-                tab, t1.state_at(t), t2.state_at(t)).distance)
+            e1 = flow(model, [1.0], t, tol=1e-10).states[-1]
+            e2 = flow(model, [0.5], t, tol=1e-10).states[-1]
+            values.append(geometry.pairwise_distance(tab, e1, e2).distance)
         diffs = np.diff(values)
         assert np.all(diffs < 0.0)

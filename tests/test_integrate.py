@@ -28,26 +28,26 @@ from lyapmetric.integrate import solve
 
 def test_polynomial_rhs_is_exact():
     # fifth-order scheme integrates y' = t^4 exactly up to rounding
-    sol = solve(lambda t, y: [t ** 4], [0.0], 2.0, rtol=1e-6)
+    sol = solve(lambda t, y: [t ** 4], [0.0], 2.0, rtol=1e-6, pair="dp5")
     assert sol.y[-1, 0] == pytest.approx(2.0 ** 5 / 5.0, rel=1e-12)
 
 
 def test_exponential_accuracy_tracks_tolerance():
     errors = []
     for rtol in (1e-6, 1e-9, 1e-12):
-        sol = solve(lambda t, y: [-y[0]], [1.0], 4.0, rtol=rtol)
+        sol = solve(lambda t, y: [-y[0]], [1.0], 4.0, rtol=rtol, pair="dp5")
         errors.append(abs(sol.y[-1, 0] - math.exp(-4.0)))
     assert errors[1] < errors[0] and errors[2] < errors[1]
 
 
 def test_zero_horizon_returns_initial_node():
-    sol = solve(lambda t, y: [-y[0]], [3.0], 0.0)
+    sol = solve(lambda t, y: [-y[0]], [3.0], 0.0, pair="dp5")
     assert len(sol.t) == 1 and sol.y[0, 0] == 3.0
 
 
 def test_backward_integration_rejected():
     with pytest.raises(ValueError):
-        solve(lambda t, y: [-y[0]], [1.0], -1.0)
+        solve(lambda t, y: [-y[0]], [1.0], -1.0, pair="dp5")
 
 
 def test_step_budget_exhaustion():
@@ -56,12 +56,13 @@ def test_step_budget_exhaustion():
         return [y[1], -1e6 * y[0]]
 
     with pytest.raises(StepSizeUnderflowError):
-        solve(rhs, [1.0, 0.0], 50.0, rtol=1e-9, max_steps=10)
+        solve(rhs, [1.0, 0.0], 50.0, rtol=1e-9, max_steps=10, pair="dp5")
 
 
 # the solve arguments of each pair and storage: the 5(4) trajectory, the
 # 8(5,3) endpoint solve and the 8(5,3) trajectory
-RUNS = ({}, {"pair": "dop853", "trajectory": False}, {"pair": "dop853"})
+RUNS = ({"pair": "dp5"}, {"pair": "dop853", "trajectory": False},
+        {"pair": "dop853"})
 
 
 def _stages(run):
@@ -78,20 +79,11 @@ def test_blowup_detection_time():
         assert err.value.t == pytest.approx(1.0, abs=1e-2)
 
 
-def test_dense_output_continuous_at_nodes():
-    sol = solve(lambda t, y: [-y[0]], [1.0], 3.0, rtol=1e-10, dense=True)
-    for i in range(1, len(sol.t) - 1):
-        t = sol.t[i]
-        left = sol.dense(t - 1e-13)
-        right = sol.dense(t + 1e-13)
-        assert abs(float(left[0]) - float(right[0])) <= 1e-9
-
-
 def test_deterministic_repetition():
     a = solve(lambda t, y: [math.sin(t) - y[0]], [0.5], 5.0,
-              rtol=1e-9)
+              rtol=1e-9, pair="dp5")
     b = solve(lambda t, y: [math.sin(t) - y[0]], [0.5], 5.0,
-              rtol=1e-9)
+              rtol=1e-9, pair="dp5")
     assert np.array_equal(a.t, b.t)
     assert np.array_equal(a.y, b.y)
 
@@ -115,7 +107,7 @@ def test_non_finite_attempts_end_as_blowup():
         return [math.nan] if t > 0.5 else [-y[0]]
 
     with pytest.raises(BlowUpError) as err:
-        solve(rhs, [1.0], 2.0, rtol=1e-9)
+        solve(rhs, [1.0], 2.0, rtol=1e-9, pair="dp5")
     assert err.value.t == pytest.approx(0.5, abs=1e-9)
     assert err.value.norm == math.inf
 
@@ -130,7 +122,7 @@ def test_non_finite_start_is_blowup_at_t0(rhs, y0):
     # a NaN initial step would never meet the underflow floor
     counting = _Counting(rhs)
     with pytest.raises(BlowUpError) as err:
-        solve(counting, y0, 1.0, rtol=1e-9)
+        solve(counting, y0, 1.0, rtol=1e-9, pair="dp5")
     assert err.value.t == 0.0
     # f(t0) only: the start is checked before the initial-step probe
     assert counting.calls == 1
@@ -314,8 +306,7 @@ def _one_attempt(rhs, t, h, y, f, rtol, blowup_norm=math.inf):
     ts, ys, fs = array("d", (t,)), array("d", y), array("d", f)
     result = integrate._called_loop(len(y), integrate._DP5)(
         rhs, t, h, y, f, 0, 0, False, t + 2 * h, 1e-14, rtol,
-        integrate._ATOL_PER_RTOL * rtol, blowup_norm, 1, ts, ys, fs, None,
-        None)
+        integrate._ATOL_PER_RTOL * rtol, blowup_norm, 1, ts, ys, fs)
     return result, ts, ys
 
 
@@ -404,7 +395,7 @@ def _called(closure):
 def _solve_both(closure, y0, t_end, **kwargs):
     """`closure` solved through its inlined loop and through the called
     loop; every field of the two solutions must be equal."""
-    pair = integrate._PAIRS[kwargs.get("pair", "dp5")]
+    pair = integrate._PAIRS[kwargs.get("pair", "dop853")]
     inlined = solve(closure, y0, t_end, **kwargs)
     assert callable(pair.inlined[closure])
     called = solve(_called(closure), y0, t_end, **kwargs)
@@ -413,17 +404,14 @@ def _solve_both(closure, y0, t_end, **kwargs):
         np.testing.assert_array_equal(a, b)
     assert (inlined.n_steps, inlined.n_rejected, inlined.n_fev) == \
         (called.n_steps, called.n_rejected, called.n_fev)
-    if kwargs.get("dense"):
-        np.testing.assert_array_equal(inlined.dense.hs, called.dense.hs)
-        np.testing.assert_array_equal(inlined.dense.coeffs,
-                                      called.dense.coeffs)
     return inlined
 
 
 def test_inlined_planar_gramian_lift_is_bit_identical(inline_at_once):
     model = parse_system(PLANAR)
     lift = model_lift(model, np.eye(2))
-    sol = _solve_both(lift.rhs, lift.y0([0.8, -0.5]), 8.0, rtol=1e-12)
+    sol = _solve_both(lift.rhs, lift.y0([0.8, -0.5]), 8.0, rtol=1e-12,
+                      pair="dp5")
     assert sol.n_steps > 100
 
 
@@ -438,7 +426,8 @@ def test_inlined_endpoint_gramian_is_bit_identical(inline_at_once):
     assert sol.t.tolist() == [0.0, 7.772]
     assert sol.n_fev == 2 + 12 * (sol.n_steps + sol.n_rejected)
     # the same end state as the 5(4) pair's trajectory, to rounding
-    full = solve(lift.rhs, lift.y0([0.8, -0.5]), 7.772, rtol=1e-12)
+    full = solve(lift.rhs, lift.y0([0.8, -0.5]), 7.772, rtol=1e-12,
+                 pair="dp5")
     assert full.n_steps > 5 * sol.n_steps
     np.testing.assert_allclose(sol.y[-1], full.y[-1], rtol=0, atol=1e-13)
     np.testing.assert_array_equal(sol.y[0], full.y[0])
@@ -460,13 +449,9 @@ def test_dop853_tableau_is_scipys():
 
 
 def test_endpoint_solve_keeps_no_dense_output():
-    with pytest.raises(ValueError, match="dense"):
-        solve(lambda t, y: [-y[0]], [1.0], 1.0, dense=True, trajectory=False)
-    with pytest.raises(ValueError, match="dense"):
-        solve(lambda t, y: [-y[0]], [1.0], 1.0, dense=True, pair="dop853")
     sol = solve(lambda t, y: [-y[0]], [1.0], 3.0, rtol=1e-10,
                 trajectory=False, pair="dop853")
-    assert sol.dense is None and sol.f is None and sol.y.shape == (2, 1)
+    assert sol.f is None and sol.y.shape == (2, 1)
     assert sol.y[-1, 0] == pytest.approx(math.exp(-3.0), rel=1e-10)
 
 
@@ -476,7 +461,8 @@ def test_inlined_transverse_falsify_solve_is_bit_identical(inline_at_once):
     model = catalog.get("transverse-counterexample").build({})
     lift = model_lift(model.full)
     y0 = lift.y0([-0.4021148723065759, -0.29715926616860894])
-    sol = _solve_both(lift.rhs, y0, 10.0, rtol=1e-9, blowup_norm=1e12)
+    sol = _solve_both(lift.rhs, y0, 10.0, rtol=1e-9, blowup_norm=1e12,
+                      pair="dp5")
     assert (sol.n_steps, sol.n_rejected, sol.n_fev) == (100803, 6466, 643616)
     # the storing 8(5,3) loop, which the sampled decay flows run
     sol = _solve_both(lift.rhs, y0, 10.0, rtol=1e-9, blowup_norm=1e12,
@@ -506,12 +492,7 @@ def test_storing_changes_no_arithmetic(pair):
 @pytest.mark.parametrize("q", [None, np.eye(1)], ids=["lift", "gramian"])
 def test_inlined_scalar_example_lift_is_bit_identical(inline_at_once, q):
     lift = model_lift(catalog.get("scalar-example").build({}), q)
-    _solve_both(lift.rhs, lift.y0([2.0]), 12.0, rtol=1e-11)
-
-
-def test_inlined_dense_flow_is_bit_identical(inline_at_once):
-    source = parse_system(PLANAR).source
-    _solve_both(source.field_rhs, [0.8, -0.5], 6.0, rtol=1e-10, dense=True)
+    _solve_both(lift.rhs, lift.y0([2.0]), 12.0, rtol=1e-11, pair="dp5")
 
 
 def test_unit_factors_are_not_emitted():
@@ -590,11 +571,11 @@ def test_solve_ending_on_a_chunk_boundary(inline_at_once):
     # t_end at the node after 2 * _CHUNK attempts: the loop returns with
     # the solve complete, and the next call finds it done
     field = parse_system(PLANAR).source.field_rhs
-    long = solve(_called(field), [0.8, -0.5], 20.0, rtol=1e-11)
+    long = solve(_called(field), [0.8, -0.5], 20.0, rtol=1e-11, pair="dp5")
     assert long.n_rejected == 0
     t_end = float(long.t[2 * integrate._CHUNK])
     sol = _solve_both(field, [0.8, -0.5], t_end, rtol=1e-11,
-                      max_steps=2 * integrate._CHUNK)
+                      max_steps=2 * integrate._CHUNK, pair="dp5")
     assert sol.n_steps + sol.n_rejected == 2 * integrate._CHUNK
     assert sol.t[-1] == t_end
 
@@ -631,11 +612,11 @@ def test_no_inlined_loop_is_built_after_the_last_chunk(monkeypatch):
     # nothing; the next solve's first chunk builds and runs the loop
     monkeypatch.setattr(integrate, "_INLINE_AFTER", 60)   # evaluations
     field = parse_system("dim=2; F1 = x2; F2 = -x1").source.field_rhs
-    sol = solve(field, [1.0, 0.0], 1.0, rtol=1e-8)
+    sol = solve(field, [1.0, 0.0], 1.0, rtol=1e-8, pair="dp5")
     attempts = sol.n_steps + sol.n_rejected
     assert 10 <= attempts <= integrate._CHUNK
     assert integrate._DP5.inlined[field] == 6 * attempts
-    solve(field, [1.0, 0.0], 1.0, rtol=1e-8)
+    solve(field, [1.0, 0.0], 1.0, rtol=1e-8, pair="dp5")
     assert callable(integrate._DP5.inlined[field])
 
 
@@ -645,7 +626,7 @@ def test_generated_loop_specializes_its_float_arithmetic():
     # CPython specializes a code object only after several calls, so a
     # loop that ran a whole solve in one call would stay generic
     field = parse_system("dim=2; F1 = x2; F2 = -x1").source.field_rhs
-    sol = solve(field, [1.0, 0.0], 2000.0, rtol=1e-10)
+    sol = solve(field, [1.0, 0.0], 2000.0, rtol=1e-10, pair="dp5")
     assert sol.n_steps + sol.n_rejected >= 10_000
     loop = integrate._loop(field, 2, integrate._DP5)
     assert callable(integrate._DP5.inlined[field])

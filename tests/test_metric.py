@@ -416,6 +416,35 @@ class TestLieDerivativeResidual:
             entry = lie_derivative_residual(field, model, p)
             assert abs(entry.max_eigenvalue) <= 1e-7
 
+    def test_constant_metric_makes_no_solve(self, monkeypatch, tmp_path):
+        # d_F P of a constant metric is exactly 0: lie_derivative returns
+        # the bits that differencing P along two flows gives (a callable
+        # P still flows), with no flow; and stabilize, whose metric is
+        # constant, asks for no stepping loop
+        from lyapmetric import cli, dynamics
+        from lyapmetric.metric import from_callable
+
+        p = np.array([[2.0, 0.3], [0.3, 1.0]])
+        model = parse_system(PLANAR)
+        e = np.array([0.8, -0.5])
+        want = lie_derivative(from_callable(lambda point: p, 2), model, e)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a constant metric ran a solve")
+
+        for module, name in ((dynamics, "flow"), (metric_module, "flow"),
+                             (integrate, "_loop")):
+            monkeypatch.setattr(module, name, no_solve)
+        got = lie_derivative(constant_metric(p), model, e)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1:] == want[1:]
+
+        spec = tmp_path / "plant.txt"
+        spec.write_text("dim=1; F1 = x1; g1 = 1\n")
+        assert cli.main(["stabilize", "--system", str(spec),
+                         "--lambda-gain", "3", "--grid=-2,-1,1,2",
+                         "--out", str(tmp_path / "r")]) == 0
+
     def test_scalar_example_grid(self, scalar_model, scalar_field):
         report = residual_report(scalar_field, scalar_model,
                                  [[e] for e in SCALAR_GRID])
@@ -645,16 +674,17 @@ class TestHorizonPinnedIdentity:
 class TestQuadraticDecreaseAlongLiftedFlow:
     def test_scalar_example(self, scalar_model, scalar_field):
         # d/dt (delta' P(E) delta) = -delta' Q delta along the lifted flow
-        traj = variational_flow(scalar_model, [1.0], 2.0, tol=1e-11,
-                                dense=True)
+        def at(t):
+            return variational_flow(scalar_model, [1.0], t, tol=1e-11)
+
         t1, t2 = 0.4, 1.2
         values = {}
         for t in (t1, t2):
-            e_t = traj.state_at(t)
-            phi_t = traj.phi_at(t)[0, 0]
-            values[t] = phi_t ** 2 * scalar_field(e_t)[0, 0]
+            traj = at(t)
+            values[t] = traj.phi[-1, 0, 0] ** 2 * \
+                scalar_field(traj.states[-1])[0, 0]
         ts = np.linspace(t1, t2, 101)
-        phis = np.array([traj.phi_at(t)[0, 0] for t in ts])
+        phis = np.array([at(t).phi[-1, 0, 0] for t in ts])
         drop = float(np.trapezoid(phis ** 2, ts))
         assert values[t2] - values[t1] == pytest.approx(-drop, rel=1e-4)
 
@@ -666,16 +696,18 @@ class TestFlowInvariance:
         e = np.array([1.0])
         h = 0.05
         horizon = scalar_field.horizon_for(e)
-        traj = variational_flow(scalar_model, e, horizon + h, tol=1e-11,
-                                dense=True)
-        phi_h = traj.phi_at(h)
+        def at(t):
+            return variational_flow(scalar_model, e, t, tol=1e-11)
+
+        flow_h = at(h)
+        phi_h = flow_h.phi[-1]
         q = scalar_field.q
         ts = np.linspace(h, horizon + h, 4001)
-        phis = np.array([traj.phi_at(t)[0, 0] for t in ts])
+        phis = np.array([at(t).phi[-1, 0, 0] for t in ts])
         shifted = np.trapezoid(phis ** 2 * q[0, 0], ts)
         inv = np.linalg.inv(phi_h)
         rhs = (inv.T @ np.array([[shifted]]) @ inv).item()
-        lhs = scalar_field(traj.state_at(h))[0, 0]
+        lhs = scalar_field(flow_h.states[-1])[0, 0]
         assert lhs == pytest.approx(rhs, abs=1e-5)
 
 
