@@ -86,13 +86,19 @@ class DecayEstimate:
 
 
 def _fit_tail_rate(t, values, horizon):
-    """Least-squares slope of log(values) on the tail t in [horizon/2, horizon]."""
+    """Minus the least-squares slope of log(values) on the tail t in
+    [horizon/2, horizon], each node weighted by its trapezoid share of the
+    tail: the L2 fit of the log-series over the interval, not over the
+    nodes, so where the solver put its steps does not tilt it."""
     mask = (t >= 0.5 * horizon) & (values > 0.0)
     if int(np.sum(mask)) < 4:
         return None
     tt = t[mask]
     ln = np.log(values[mask])
-    slope = np.polyfit(tt, ln, 1)[0]
+    dt = np.diff(tt)
+    weights = np.append(dt, 0.0) + np.insert(dt, 0, 0.0)  # twice trapezoid
+    centred = tt - np.dot(weights, tt) / np.sum(weights)
+    slope = np.dot(weights * centred, ln) / np.dot(weights * centred, centred)
     return -float(slope)
 
 

@@ -319,6 +319,24 @@ def test_decay_gates_name_gate_and_witness(estimator, field, gate):
     assert gate in str(err.value)
 
 
+def test_tail_fit_is_the_interval_fit_on_an_uneven_grid():
+    # log|series| = -2 t + sin t, with nodes dense on [5, 6] and sparse
+    # on [6, 10], as a solver may step: the fit is the L2 fit over the
+    # tail [5, 10], to 4.3e-5 here; an unweighted fit over the nodes
+    # follows the dense part and is off by 0.18
+    def log_series(t):
+        return -2.0 * t + np.sin(t)
+
+    fine = np.linspace(5.0, 10.0, 100_001)
+    centred = fine - fine.mean()
+    want = -np.dot(centred, log_series(fine)) / np.dot(centred, centred)
+    t = np.concatenate([np.linspace(0.0, 5.0, 20, endpoint=False),
+                        np.linspace(5.0, 6.0, 400, endpoint=False),
+                        np.linspace(6.0, 10.0, 81)])
+    got = estimation._fit_tail_rate(t, np.exp(log_series(t)), 10.0)
+    assert got == pytest.approx(want, abs=1e-3)
+
+
 def test_jacobian_norm_majorant_scalar_example(scalar_model):
     maj = jacobian_norm_majorant(scalar_model, [0.5, 1.0, 2.0], n_samples=64)
     # |dF/de| on the line peaks at the origin with value 1

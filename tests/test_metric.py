@@ -481,15 +481,16 @@ class TestLieDerivativeResidual:
         # the Richardson derivative along the transversally linear system:
         # P is differenced along the drift and congruenced with
         # dF/de(0, x).  Values recorded on the lam = 2 counterexample with
-        # P and the decay samples solved by the 8(5,3) pair (horizon
-        # 3.27339); each is within 4e-8 of the exact entry Phi' Q Phi of
-        # the truncated Gramian
+        # P and the decay samples solved by the 8(5,3) pair and the tail
+        # rate fitted with trapezoid weights (horizon 3.28051); each is
+        # within 4e-8 of the exact entry Phi' Q Phi of the truncated
+        # Gramian
         model, field = lam2_transverse(tail_tol=1e-6)
         step = model.manifold_step()
         assert [richardson_residual(field, step, [x])[1:]
                 for x in (0.5, 1.0)] == [
-            (1.7817434736500104e-06, 0.001, 1.3337864923634868e-05),
-            (1.235210603356407e-06, 0.001, 1.1635610419613585e-05)]
+            (1.5376189395066575e-06, 0.001, 1.3337926180190252e-05),
+            (8.19401237972528e-07, 0.001, 1.163959345573673e-05)]
         report = residual_report(field, step, [[0.5], [1.0]])
         assert report.verdict == "pass"
 
