@@ -387,8 +387,8 @@ def dini_derivative_V(metric, model, e, gate_tol=1e-3):
     largest step would drop below 1e-4; the estimate records the largest
     step that passed.  A flagged result means some distance solve returned
     only an upper bound.  Certificates take D+V from the distance gradient
-    instead (four distance solves and three flows fewer); this ladder shares no code with
-    that route and is its test oracle.
+    instead (four distance solves and three flows fewer); this ladder
+    shares no code with that route and is its test oracle.
     """
     e = np.atleast_1d(np.asarray(e, dtype=float))
     h_seq = _DINI_H_SEQ

@@ -255,10 +255,10 @@ def _loop_source(m, pair, parts=None):
     calls rhs; with a compiled closure's `parts` each stage runs its lines
     inline, and a domain exit re-runs the attempt through the called loop,
     where the closure raises its typed error.  Given the node buffers
-    (`ts` not None), each accepted step is appended to them.  Returns (stopped, t, h, y, f,
-    n_steps, n_rejected, non_finite): `stopped` when the solve reached
-    t_end, ran out of attempts or of step size, which :func:`solve` tells
-    apart; blow-ups raise in the loop."""
+    (`ts` not None), each accepted step is appended to them.  Returns
+    (stopped, t, h, y, f, n_steps, n_rejected, non_finite): `stopped` when
+    the solve reached t_end, ran out of attempts or of step size, which
+    :func:`solve` tells apart; blow-ups raise in the loop."""
     comps = range(m)
     last = pair.stages
     y = ", ".join(f"y{c}" for c in comps) + ","
@@ -297,10 +297,6 @@ def _loop_source(m, pair, parts=None):
     ]
     norm = f"max({', '.join(f'b{c}' for c in comps)})" if m > 1 else "b0"
     k_last = ", ".join(f"k{last}_{c}" for c in comps) + ","
-    store = ["            if ts is not None:",
-             "                ts.append(t_new)",
-             f"                ys.extend(({n}))",
-             f"                fs.extend(({k_last}))"]
     lines += [
         # a NaN or infinite err is rejected at the smallest factor, which
         # is what max() gives it
@@ -312,7 +308,10 @@ def _loop_source(m, pair, parts=None):
         f"            norm_inf = {norm}",
         "            if not norm_inf < inf or norm_inf > blowup_norm:",
         "                raise _blow_up(t_new, norm_inf, blowup_norm)",
-        *store,
+        "            if ts is not None:",
+        "                ts.append(t_new)",
+        f"                ys.extend(({n}))",
+        f"                fs.extend(({k_last}))",
         f"            t, {y} {a} {k0} = t_new, {n} "   # FSAL: k0 = k_last
         f"{', '.join(f'b{c}' for c in comps)}, "
         f"{', '.join(f'k{last}_{c}' for c in comps)}",
