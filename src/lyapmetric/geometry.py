@@ -5,28 +5,31 @@ Geodesics use the standard convention gamma'' + Gamma[gamma', gamma'] = 0,
 under which the P-speed of a geodesic is conserved; the speed-conservation
 check in the test suite is the validator for that sign choice.
 
-In one dimension the segment between two points is the only curve joining
-them, so their distance is the quadrature |int_a^b sqrt(p(s)) ds|; a
-quadrature that does not reach its tolerance is returned flagged.  In two
-or more dimensions distances are solved as two-point problems on the affine
-parameter [0, 1] by one damped-Newton shooting solver (:func:`_shoot`),
-tried with one segment (single shooting) and then with _SEGMENTS segments
-(multiple shooting); as a last resort the straight-line length is returned,
-only ever flagged as an upper bound.  Shooting also serves as the test
-oracle for the 1-D route.  Its segment solves read only their end, but
-they run the 5(4) pair of :func:`integrate.solve`, not the 8(5,3) pair
-of every other solve: the geodesic rhs differences P (Christoffel
-symbols), so it is smooth only to the noise of P, and on the planar 2-D
-``certify --grid="0.5,0.5;"`` the 8(5,3) pair took 2,032 Christoffel
-evaluations in 26 geodesic solves (13.3 s) where the 5(4) pair takes 980
-in 13 (5.7 s).
+Under a constant metric the straight segment is the geodesic, so every
+distance there is sqrt(d'Pd) in closed form.  In one dimension the segment
+between two points is the only curve joining them, so their distance is
+the quadrature |int_a^b sqrt(p(s)) ds| (:func:`metric._adaptive_gauss`);
+a quadrature that does not reach its tolerance is returned flagged.  In
+two or more dimensions distances are solved as two-point problems on the
+affine parameter [0, 1] by one damped-Newton shooting solver
+(:func:`_shoot`), tried with one segment (single shooting) and then with
+_SEGMENTS segments (multiple shooting); as a last resort the straight-line
+length is returned, only ever flagged as an upper bound.  Shooting also
+serves as the test oracle for the closed form and the 1-D route.  Its
+segment solves read only their end, but they run the 5(4) pair of
+:func:`integrate.solve`, not the 8(5,3) pair of every other solve: the
+geodesic rhs differences P (Christoffel symbols), so it is smooth only to
+the noise of P, and on the C^2 cubic spline of :meth:`MetricField.tabulate`
+the 8(5,3) pair's end states put single shooting up to 4.0e-9 from the
+1-D quadrature, where the 5(4) pair stays within 1.3e-10.
 
 Every unflagged distance carries its gradient at both endpoints, by the
 first variation of length: P(b) gamma'(1) / L at the target b and
--P(a) gamma'(0) / L at the start a (in 1-D, +-sqrt(p) with the sign of
-the segment).  A flow derivative of a distance is that gradient applied to
-the field, so the Lyapunov decrease and the pairwise contraction rate cost
-no solve beyond the distance itself; the Dini ladder is their test oracle.
+-P(a) gamma'(0) / L at the start a (+-Pd / L under a constant metric,
+and in 1-D +-sqrt(p) with the sign of the segment).  A flow derivative of
+a distance is that gradient applied to the field, so the Lyapunov
+decrease and the pairwise contraction rate cost no solve beyond the
+distance itself; the Dini ladder is their test oracle.
 """
 
 from __future__ import annotations
@@ -40,10 +43,10 @@ import numpy as np
 from . import integrate
 from .dynamics import flow, write_csv
 from .errors import DerivativeUnreliableError, LyapmetricError
+from .metric import _adaptive_gauss
 
 _BVP_TOL = 1e-10
 _NEWTON_MAX_ITER = 25
-_MAX_PANELS = 8192
 _CHRISTOFFEL_STEP = 1e-4  # relative central-difference step of christoffel
 _SEGMENTS = 8  # multiple-shooting segments
 # the shooting settings tried in order, before the flagged straight line:
@@ -157,61 +160,42 @@ def normalize_velocity(metric, e, v):
 def riemannian_length(metric, points, rel_tol=1e-8):
     """Length of the piecewise-linear path through `points`.
 
-    Composite Simpson per segment, doubling the panel count until the
-    relative change drops below `rel_tol` or the count reaches 8192.
+    Each segment's length is one :func:`metric._adaptive_gauss` quadrature
+    to relative tolerance `rel_tol`; a segment that has not converged
+    within its panel cap raises :class:`LyapmetricError` naming it.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] < 2:
         raise LyapmetricError("a path needs at least two points")
-    return sum(_segment_length(metric, points[k], points[k + 1], rel_tol)[0]
-               for k in range(points.shape[0] - 1))
+    total = 0.0
+    for k in range(points.shape[0] - 1):
+        length, panels, converged = _segment_length(
+            metric, points[k], points[k + 1], rel_tol)
+        if not converged:
+            raise LyapmetricError(
+                f"segment {k} ({points[k]} -> {points[k + 1]}) did not "
+                f"converge to rel_tol {rel_tol:.3g} in {panels} panels")
+        total += length
+    return total
 
 
 def _segment_length(metric, a, b, rel_tol):
-    """Simpson length of the segment a -> b: (length, panels, converged)."""
+    """Length of the segment a -> b: (length, panels, converged)."""
     d = b - a
-    if float(np.linalg.norm(d)) == 0.0:
-        return 0.0, 0, True
 
     def speed(sigma):
         x = a + sigma * d
         return math.sqrt(max(float(d @ metric(x) @ d), 0.0))
 
-    return _refined_simpson(speed, rel_tol)
-
-
-def _refined_simpson(fn, rel_tol, scale_floor=1e-300):
-    """Simpson rule for fn on [0, 1], doubling the panels from 4 until two
-    consecutive values differ by at most rel_tol * max(|value|,
-    scale_floor): (value, panels, converged)."""
-    panels = 4
-    vals = np.array([fn(x) for x in np.linspace(0.0, 1.0, panels + 1)])
-    prev = _simpson(vals)
-    while panels < _MAX_PANELS:
-        panels *= 2
-        # the even nodes of the doubled grid are the previous nodes exactly
-        # (power-of-two spacings), so only the midpoints are new
-        xs = np.linspace(0.0, 1.0, panels + 1)
-        refined = np.empty(panels + 1)
-        refined[0::2] = vals
-        refined[1::2] = [fn(x) for x in xs[1::2]]
-        vals = refined
-        cur = _simpson(vals)
-        if abs(cur - prev) <= rel_tol * max(abs(cur), scale_floor):
-            return cur, panels, True
-        prev = cur
-    return prev, panels, False
-
-
-def _simpson(vals):
-    panels = vals.size - 1
-    h = 1.0 / panels
-    return h / 3.0 * (vals[0] + vals[-1] + 4.0 * np.sum(vals[1:-1:2])
-                      + 2.0 * np.sum(vals[2:-1:2]))
+    return _adaptive_gauss(speed, rel_tol)
 
 
 @dataclass
 class DistanceValue:
+    """One distance solve, by `method`: "coincident", "closed-form" (a
+    constant metric), "quadrature" (1-D), "single-shooting",
+    "multiple-shooting" or the flagged "straight-line-upper-bound"."""
+
     value: float
     iterations: int
     flagged: bool
@@ -323,6 +307,14 @@ def _distance_between(metric, start, target):
     gap = float(np.linalg.norm(target - start))
     if gap == 0.0:
         return DistanceValue(0.0, 0, False, "coincident")
+
+    if metric.variant == "constant":
+        # straight lines are the geodesics: V = sqrt(d'Pd), grad = +-Pd / V
+        d = target - start
+        pd = metric(target) @ d
+        length = math.sqrt(float(d @ pd))
+        return DistanceValue(length, 0, False, "closed-form",
+                             gradient=pd / length, start_gradient=-pd / length)
 
     if start.size == 1:
         # the segment is the only path joining two points of a line, and

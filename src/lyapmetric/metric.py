@@ -58,7 +58,7 @@ _H_FLOOR = 1e-6   # smallest Richardson step before the gate gives up
 _RESIDUAL_TOL = 1e-4  # residual verdict tolerance and Richardson gate
 _FLOW_TOL = 1e-12  # rtol of the short flows that difference P
 _SCALAR_QUAD_TOL = 1e-12  # epsrel of the closed-form scalar quadrature
-_SCALAR_PANELS = 200      # its panel limit
+_QUAD_PANELS = 200        # panel cap of the adaptive quadrature
 _GAUSS_POINTS = 10        # nodes of its Gauss-Legendre panel rule
 _SCALAR_TAIL_TOL = 1e-7   # the lifted builders' default, for step and slack
 _GRAMIAN_TOL = 1e-12      # rtol of the Gramian quadrature before the polish
@@ -469,15 +469,16 @@ def _gauss_legendre(n):
     return tuple(pairs)
 
 
-def _adaptive_gauss(fn, epsrel, limit):
-    """int_0^1 fn(u) du by globally adaptive Gauss-Legendre quadrature, or
-    None when `limit` panels do not reach the tolerance.
+def _adaptive_gauss(fn, epsrel, floor=0.0):
+    """int_0^1 fn(u) du by globally adaptive Gauss-Legendre quadrature:
+    (value, panels, converged).
 
     Each panel holds the _GAUSS_POINTS rule on its two halves; their sum is
     the panel's value and its distance from the rule on the whole panel
     its error.  The panel with the largest error is bisected until the
-    summed error is at most `epsrel` times the summed value.  `fn` takes
-    and returns a Python float.
+    summed error is at most `epsrel` times max(|summed value|, `floor`),
+    or, unconverged, until there are _QUAD_PANELS panels.  `fn` takes
+    and returns a Python float.  This is the package's one 1-D quadrature.
     """
     nodes = _gauss_legendre(_GAUSS_POINTS)
 
@@ -494,10 +495,11 @@ def _adaptive_gauss(fn, epsrel, limit):
     panels = [panel(0.0, 1.0, rule(0.0, 1.0))]
     while True:
         total = math.fsum(p[3] + p[4] for p in panels)
-        if -math.fsum(p[0] for p in panels) <= epsrel * abs(total):
-            return total
-        if len(panels) >= limit:
-            return None
+        if -math.fsum(p[0] for p in panels) <= epsrel * max(abs(total),
+                                                             floor):
+            return total, len(panels), True
+        if len(panels) >= _QUAD_PANELS:
+            return total, len(panels), False
         _, a, b, left, right = heapq.heappop(panels)
         m = 0.5 * (a + b)
         heapq.heappush(panels, panel(a, m, left))
@@ -585,8 +587,8 @@ def scalar_metric_field(model, q=None, variant="along-solutions", decay=None):
             require_decay(x, fx)
             return -fx * weight(x) / e
 
-        integral = _adaptive_gauss(integrand, _SCALAR_QUAD_TOL, _SCALAR_PANELS)
-        if integral is None:
+        integral, _, converged = _adaptive_gauss(integrand, _SCALAR_QUAD_TOL)
+        if not converged:
             raise LyapmetricError(
                 f"closed-form metric quadrature did not converge at e = {e}")
         return np.array([[q_scalar * integral / (f_e / e) ** 2]]), None, None

@@ -24,8 +24,7 @@ import numpy as np
 
 from . import expressions
 from .errors import ClosednessError, FalsificationError, LyapmetricError
-from .geometry import _refined_simpson
-from .metric import lie_derivative
+from .metric import _adaptive_gauss, lie_derivative
 from .systems import SystemModel
 
 _CLOSEDNESS_TOL = 1e-6
@@ -84,8 +83,11 @@ def closedness_residual(metric, g_model, points):
 class PotentialU:
     """Scalar potential of the one-form P(w) g(w), anchored at U(w0) = 0.
 
-    Values come from composite quadrature along the straight segment from
-    the base point; the gradient is exact by construction.
+    Values come from :func:`metric._adaptive_gauss` along the straight
+    segment from the base point, to relative tolerance 1e-10 of
+    max(|U(w)|, 1); one that does not converge raises
+    :class:`LyapmetricError` naming w.  The gradient is exact by
+    construction.
     """
 
     def __init__(self, metric, g_model, base_point=None):
@@ -109,8 +111,8 @@ class PotentialU:
             x = self.base_point + sigma * d
             return float(self.gradient(x) @ d)
 
-        value, panels, converged = _refined_simpson(
-            integrand, _QUAD_TOL, scale_floor=1.0)
+        value, panels, converged = _adaptive_gauss(integrand, _QUAD_TOL,
+                                                   floor=1.0)
         if not converged:
             raise LyapmetricError(
                 f"potential U(w) at w = {w} did not converge to relative "

@@ -16,6 +16,14 @@ def quadratic_1d_metric():
 
 
 @pytest.fixture(scope="module")
+def oscillating_metric():
+    # p = 1 + 1e-4 sin(1e6 (x - 1/2)) beyond x = 1/2, constant before: no
+    # quadrature within the panel cap resolves a segment reaching past 1/2
+    return from_callable(lambda x: np.array([[
+        1.0 + 1e-4 * math.sin(1e6 * max(float(x[0]) - 0.5, 0.0))]]), dim=1)
+
+
+@pytest.fixture(scope="module")
 def scalar_setup():
     model = catalog.get("scalar-example").build()
     decay = estimate_linearized_decay(model, [0.5, 1.0, 2.0, 2.6],
@@ -131,21 +139,19 @@ class TestRiemannianLength:
                                        rel_tol=1e-10)
         assert abs(a - b) <= 1e-8 * abs(b)
 
-    def test_refinement_reuses_nodes_exactly(self):
-        # reusing the previous nodes must give the same value as evaluating
-        # the final grid from scratch
-        fn = lambda x: math.sqrt(1.0 + math.sin(3.0 * x) ** 2)  # noqa: E731
-        value, panels, converged = geometry._refined_simpson(fn, 1e-10)
-        assert converged
-        vals = np.array([fn(x) for x in np.linspace(0.0, 1.0, panels + 1)])
-        h = 1.0 / panels
-        ref = h / 3.0 * (vals[0] + vals[-1] + 4.0 * np.sum(vals[1:-1:2])
-                         + 2.0 * np.sum(vals[2:-1:2]))
-        assert value == ref
+    def test_unconverged_segment_raises(self, oscillating_metric):
+        from lyapmetric.errors import LyapmetricError
+
+        # the first segment converges, the second never does
+        with pytest.raises(LyapmetricError, match=r"segment 1 \(\[0\.2\]"):
+            geometry.riemannian_length(oscillating_metric,
+                                       [[0.0], [0.2], [1.0]], rel_tol=1e-10)
 
 
 class TestDistanceToOrigin:
     def test_constant_metric_closed_form(self):
+        # oracles: the segment quadrature in 1-D, single shooting above,
+        # the value and both endpoint gradients
         rng = np.random.default_rng(3)
         for n in (1, 2, 3):
             basis = rng.normal(size=(n, n))
@@ -153,8 +159,19 @@ class TestDistanceToOrigin:
             field = constant_metric(p)
             e = rng.uniform(-1.5, 1.5, n)
             d = geometry.distance_to_origin(field, e)
-            assert not d.flagged
-            assert d.value == pytest.approx(math.sqrt(e @ p @ e), abs=1e-8)
+            assert not d.flagged and d.method == "closed-form"
+            if n == 1:
+                ref, _, converged = geometry._segment_length(
+                    field, np.zeros(1), e, geometry._BVP_TOL)
+                assert converged
+                assert d.value == pytest.approx(ref, abs=1e-8)
+                continue
+            u, length, _, arrival = _shoot(field, np.zeros(n), e, 1)
+            assert d.value == pytest.approx(length, abs=1e-9)
+            np.testing.assert_allclose(d.gradient, p @ arrival / length,
+                                       rtol=0, atol=1e-8)
+            np.testing.assert_allclose(d.start_gradient, -(p @ u) / length,
+                                       rtol=0, atol=1e-8)
 
     def test_origin_is_zero(self, quadratic_1d_metric):
         d = geometry.distance_to_origin(quadratic_1d_metric, [0.0])
@@ -283,22 +300,19 @@ class TestShootingFallbacks:
 
 
 class TestOneDimensionalQuadrature:
-    @pytest.fixture(scope="class")
-    def cusp_metric(self):
-        # sqrt(p) has a cusp at 1/3, so Simpson converges only like
-        # panels^-1.5 and cannot reach rel_tol = 1e-10 within the panel cap
-        return from_callable(
-            lambda x: np.array([[1.0 + abs(float(x[0]) - 1.0 / 3.0) ** 0.5]]),
-            dim=1)
-
     def test_route_selected_by_dimension(self, quadratic_1d_metric):
         d = geometry.distance_to_origin(quadratic_1d_metric, [1.5])
         assert d.method == "quadrature"
         assert not d.flagged
-        assert d.iterations == 0 and d.panels >= 8
-        field = constant_metric(np.array([[2.0, 0.3], [0.3, 1.0]]))
+        assert d.iterations == 0 and d.panels >= 1
         assert geometry.distance_to_origin(
-            field, [0.4, -0.2]).method == "single-shooting"
+            TestShootingFallbacks._product_metric(),
+            [0.4, -0.2]).method == "single-shooting"
+        # a constant metric takes the closed form in every dimension
+        for p, e in ((np.array([[2.0, 0.3], [0.3, 1.0]]), [0.4, -0.2]),
+                     (np.array([[2.0]]), [1.5])):
+            d = geometry.distance_to_origin(constant_metric(p), e)
+            assert d.method == "closed-form" and d.iterations == 0
 
     @pytest.mark.parametrize("which", ["quadratic", "tabulated"])
     def test_matches_single_shooting(self, which, quadratic_1d_metric,
@@ -325,21 +339,24 @@ class TestOneDimensionalQuadrature:
         dini = geometry.dini_derivative_V(tab, model, [1.0])
         assert not dini.flagged and dini.value < 0.0
 
-    def test_unconverged_quadrature_is_flagged(self, cusp_metric):
+    def test_unconverged_quadrature_is_flagged(self, oscillating_metric):
+        from lyapmetric.metric import _QUAD_PANELS
+
         length, panels, converged = geometry._segment_length(
-            cusp_metric, np.zeros(1), np.ones(1), 1e-10)
+            oscillating_metric, np.zeros(1), np.ones(1), geometry._BVP_TOL)
         assert not converged
-        assert panels == geometry._MAX_PANELS
-        d = geometry.distance_to_origin(cusp_metric, [1.0])
+        assert panels == _QUAD_PANELS
+        d = geometry.distance_to_origin(oscillating_metric, [1.0])
         assert d.flagged
         assert d.method == "quadrature"
         assert d.value == length
-        # a segment that avoids the cusp converges as usual
-        assert not geometry.distance_to_origin(cusp_metric, [0.3]).flagged
+        # a segment that stops short of the oscillation converges as usual
+        assert not geometry.distance_to_origin(oscillating_metric,
+                                               [0.3]).flagged
 
-    def test_unconverged_quadrature_flags_dini(self, cusp_metric):
+    def test_unconverged_quadrature_flags_dini(self, oscillating_metric):
         model = parse_system("dim=1; F1 = -x1")
-        dini = geometry.dini_derivative_V(cusp_metric, model, [1.0])
+        dini = geometry.dini_derivative_V(oscillating_metric, model, [1.0])
         assert dini.flagged
 
 

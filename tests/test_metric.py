@@ -385,6 +385,38 @@ class TestScalarClosedForm:
         np.testing.assert_allclose(ours[:, 1], 0.5 * weights, rtol=0,
                                    atol=2e-16)
 
+    def test_quadrature_exact_on_degree_19(self):
+        # the 10-point rule integrates degree <= 19 exactly on each half
+        # and on the whole panel, so the first panel already converges
+        from lyapmetric.metric import _adaptive_gauss
+
+        value, panels, converged = _adaptive_gauss(
+            lambda u: 20.0 * u ** 19 - 8.0 * u ** 7 + 2.0, 1e-12)
+        assert converged and panels == 1
+        assert value == pytest.approx(2.0, rel=1e-15)
+
+    def test_quadrature_floor_converges_zero_integral(self):
+        # int_0^1 sin(2 pi u) = 0: with no floor the error is compared with
+        # a value at rounding level, and the panels run to the cap
+        from lyapmetric.metric import _QUAD_PANELS, _adaptive_gauss
+
+        def fn(u):
+            return math.sin(2.0 * math.pi * u)
+
+        value, panels, converged = _adaptive_gauss(fn, 1e-10)
+        assert not converged and panels == _QUAD_PANELS
+        value, panels, converged = _adaptive_gauss(fn, 1e-10, floor=1.0)
+        assert converged and panels == 1
+        assert abs(value) <= 1e-15
+
+    def test_quadrature_unresolved_oscillation_hits_cap(self):
+        from lyapmetric.metric import _QUAD_PANELS, _adaptive_gauss
+
+        value, panels, converged = _adaptive_gauss(
+            lambda u: math.sin(1e6 * u), 1e-10, floor=1.0)
+        assert not converged and panels == _QUAD_PANELS
+        assert math.isfinite(value)
+
     def test_quadrature_non_convergence_is_operational_error(self):
         # a field oscillating far faster than 200 panels resolve
         model = SystemModel(

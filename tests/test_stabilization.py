@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -114,14 +116,16 @@ class TestConstructU:
         assert direct == pytest.approx(two_leg, abs=1e-12)
 
     def test_unconverged_potential_raises(self):
-        # the cusp of p at w = 1/3 keeps the Simpson refinement above its
-        # tolerance up to the panel cap: no value may come back silently
+        # p oscillating at frequency 1e6 beyond w = 1/2 keeps the quadrature
+        # above its tolerance up to the panel cap: no value may come back
+        # silently
         from lyapmetric.errors import LyapmetricError
         from lyapmetric.metric import from_callable
         from lyapmetric.stabilization import PotentialU
 
         field = from_callable(
-            lambda w: [[1.0 + abs(w[0] - 1.0 / 3.0) ** 0.5]], 1)
+            lambda w: [[1.0 + 1e-4 * math.sin(1e6 * max(w[0] - 0.5, 0.0))]],
+            1)
         g = parse_system("dim=1; F1 = 1")
         with pytest.raises(LyapmetricError, match=r"w = \[1\.\]"):
             PotentialU(field, g)([1.0])
