@@ -495,8 +495,8 @@ def _adaptive_gauss(fn, epsrel, floor=0.0):
     panels = [panel(0.0, 1.0, rule(0.0, 1.0))]
     while True:
         total = math.fsum(p[3] + p[4] for p in panels)
-        if -math.fsum(p[0] for p in panels) <= epsrel * max(abs(total),
-                                                             floor):
+        error = -math.fsum(p[0] for p in panels)
+        if error <= epsrel * max(abs(total), floor):
             return total, len(panels), True
         if len(panels) >= _QUAD_PANELS:
             return total, len(panels), False
