@@ -16,12 +16,12 @@ affine parameter [0, 1] by one damped-Newton shooting solver
 _SEGMENTS segments (multiple shooting); as a last resort the straight-line
 length is returned, only ever flagged as an upper bound.  Shooting also
 serves as the test oracle for the closed form and the 1-D route.  Its
-segment solves read only their end, but they run the 5(4) pair of
-:func:`integrate.solve`, not the 8(5,3) pair of every other solve: the
-geodesic rhs differences P (Christoffel symbols), so it is smooth only to
-the noise of P, and on the C^2 cubic spline of :meth:`MetricField.tabulate`
-the 8(5,3) pair's end states put single shooting up to 4.0e-9 from the
-1-D quadrature, where the 5(4) pair stays within 1.3e-10.
+segment solves run the 8(5,3) pair of :func:`integrate.solve`, as every
+other solve does.  The geodesic rhs differences P (Christoffel symbols),
+so a high-order pair needs P smooth well past its first derivative: on a
+C^2 cubic spline the segments' end states put single shooting up to
+4.0e-9 from the 1-D quadrature, which is why
+:meth:`MetricField.tabulate` fits a C^4 quintic spline.
 
 Every unflagged distance carries its gradient at both endpoints, by the
 first variation of length: P(b) gamma'(1) / L at the target b and
@@ -125,7 +125,7 @@ def _geodesic_rhs(metric, n):
 def _integrate_geodesic(metric, start, velocity, s_span):
     y0 = np.concatenate([start, velocity, [0.0]])
     return integrate.solve(_geodesic_rhs(metric, start.size), y0, s_span,
-                           rtol=_BVP_TOL, pair="dp5")
+                           rtol=_BVP_TOL)
 
 
 def geodesic_ivp(metric, e, v, s_max):

@@ -1,38 +1,31 @@
-"""Adaptive explicit Runge-Kutta integration: two embedded Dormand-Prince
-pairs, chosen by the caller (`pair`), each with or without storage of its
-accepted steps (`trajectory`).
-
-* The 8(5,3) pair of Prince & Dormand (``pair="dop853"``, the default;
-  J. Comput. Appl. Math. 1981; Hairer, Norsett & Wanner, Solving ODEs I,
-  II.10): eighth-order propagation, the err5/err3 error norm of DOP853 and
-  FSAL.  Twelve rhs evaluations per attempt, and at tight tolerances
-  several times fewer attempts than the 5(4) pair.  Every flow of
-  :mod:`dynamics` and every endpoint metric solve runs it.
-* The 5(4) pair (``pair="dp5"``): fifth-order propagation with a
-  fourth-order error estimate and FSAL.  Six rhs evaluations per attempt.
-  The geodesic solves of :mod:`geometry` run it.
+"""Adaptive explicit Runge-Kutta integration with the embedded 8(5,3) pair
+of Prince & Dormand (J. Comput. Appl. Math. 1981; Hairer, Norsett & Wanner,
+Solving ODEs I, II.10), with or without storage of its accepted steps
+(`trajectory`): eighth-order propagation, the err5/err3 error norm of
+DOP853 and FSAL, twelve rhs evaluations per attempt.  Every flow of
+:mod:`dynamics`, every metric solve and every geodesic segment of
+:mod:`geometry` runs it.
 
 A stored trajectory keeps t, y and f = rhs(t, y) at every accepted node;
 f is the FSAL stage, so it costs no evaluation, and it gives the caller a
 cubic Hermite interpolant between the nodes (Solving ODEs I, II.6).
 
-Everything is deterministic given (rhs, y0, t_end, tolerances, pair),
-which the certificate machinery relies on.
+Everything is deterministic given (rhs, y0, t_end, tolerances), which the
+certificate machinery relies on.
 
 The states here are small (one to a few dozen floats), where a numpy call
 costs more than the arithmetic it does.  So the stepping loop itself is
-generated source over Python floats, one generator for both pairs: the
-stage combinations, the embedded error norm, the step control, FSAL and
-the storage of accepted steps (when the node buffers are given) are
-unrolled scalar arithmetic with the tableau constants inlined.  For any
-rhs, each stage calls `rhs(t, point)`; that loop is built on the first
-solve of each state size and pair.  A closure compiled from a system text
-(see :mod:`expressions`) carries its own source, and once it has made
-_INLINE_AFTER rhs evaluations through a pair's called loop, its unpack,
-local lines and outputs are emitted into each stage of a loop of its own
-for that pair, with no call; a domain exit there re-runs the attempt
-through the called loop, where the closure raises the typed error.
-Both loops of a pair give the same bits, so a solve may switch between
+generated source over Python floats: the stage combinations, the embedded
+error norm, the step control, FSAL and the storage of accepted steps
+(when the node buffers are given) are unrolled scalar arithmetic with the
+tableau constants inlined.  For any rhs, each stage calls `rhs(t, point)`;
+that loop is built on the first solve of each state size.  A closure
+compiled from a system text (see :mod:`expressions`) carries its own
+source, and once it has made _INLINE_AFTER rhs evaluations through the
+called loop, its unpack, local lines and outputs are emitted into each
+stage of a loop of its own, with no call; a domain exit there re-runs the
+attempt through the called loop, where the closure raises the typed
+error.  Both loops give the same bits, so a solve may switch between
 them.  Each call of a loop runs at most _CHUNK attempts and returns its
 state to :func:`solve`: CPython 3.11 specializes a code object's float
 arithmetic only from its ninth call on, so a loop that ran a whole solve
@@ -56,25 +49,12 @@ import functools
 import math
 import weakref
 from array import array
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .errors import BlowUpError, StepSizeUnderflowError
-
-# Dormand-Prince tableau: stage i is evaluated at t + _C[i] h on
-# y + h * sum_j _A[i][j] k_j; the fifth-order solution is stage 6's point
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_A = ((),
-      (1 / 5,),
-      (3 / 40, 9 / 40),
-      (44 / 45, -56 / 15, 32 / 9),
-      (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-      (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-      (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920,
-      -17253 / 339200, 22 / 525, -1 / 40)   # b - b_hat
 
 # Dormand-Prince 8(5,3) tableau, the twelve stages of DOP853 as doubles:
 # stage i at t + _DOP853_C[i] h on y + h * sum_j _DOP853_A[i][j] k_j; the
@@ -125,10 +105,21 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _ATOL_PER_RTOL = 1e-3
 _CHUNK = 32           # attempts per call of a generated loop
-# rhs evaluations a compiled closure makes through a pair's called loop
-# before its inlined loop is built: about where that compile (1-6 ms) has
-# paid for itself, for either pair (1024 DP5 or 512 DOP853 attempts)
+# rhs evaluations a compiled closure makes through the called loop before
+# its inlined loop is built (512 attempts): about where that compile
+# (1-6 ms) has paid for itself
 _INLINE_AFTER = 6144
+
+# the rows the loop generator reads: stage i >= 1 runs at t + _ROW_C[i] h
+# on y + h sum_j _ROW_A[i][j] k_j; the last row gives the solution, at
+# which stage STAGES (FSAL) runs at t + h
+_ROW_C = (*_DOP853_C, 1.0)
+_ROW_A = (*_DOP853_A, _DOP853_B)
+STAGES = 12           # rhs evaluations per attempt
+_EXPONENT = -1 / 8    # of the step factor: -1 / (error order 7 + 1)
+# compiled closure -> its rhs evaluations through the called loop, then its
+# inlined loop
+_INLINED = weakref.WeakKeyDictionary()
 
 
 def _combination(weights, stages, c, keep_zeros=False):
@@ -139,24 +130,11 @@ def _combination(weights, stages, c, keep_zeros=False):
     return " + ".join(terms)
 
 
-def _dp5_error(comps, solution):
-    """Source setting `err`: the RMS of the 5(4) estimate h (b - b_hat) k
-    over scale = atol + rtol max(|y|, |y_new|); a NaN in y_new is kept."""
-    lines = []
-    for c, name in zip(comps, solution):
-        estimate = _combination(_E, range(7), c, keep_zeros=True)
-        lines += [f"        b{c} = abs({name})",
-                  f"        e{c} = h * ({estimate}) / "
-                  f"(atol + rtol * (a{c} if a{c} > b{c} else b{c}))"]
-    squares = " + ".join(f"e{c} * e{c}" for c in comps)
-    lines.append(f"        err = sqrt({squares}) / {math.sqrt(len(comps))!r}")
-    return lines
-
-
 def _dop853_error(comps, solution):
     """Source setting `err`: DOP853's h |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) m)
-    over the same scale, 0 where both estimates are.  Every stage enters
-    e5, zero weights included, so a NaN anywhere makes err NaN."""
+    over scale = atol + rtol max(|y|, |y_new|), 0 where both estimates are.
+    Every stage enters e5, zero weights included, so a NaN anywhere makes
+    err NaN."""
     lines = []
     for c, name in zip(comps, solution):
         five = _combination(_DOP853_E5, range(13), c, keep_zeros=True)
@@ -174,59 +152,28 @@ def _dop853_error(comps, solution):
     return lines
 
 
-@dataclass(frozen=True, eq=False)
-class _Pair:
-    """An embedded pair as the loop generator reads it.  Stage i >= 1 runs
-    at t + c[i] h on y + h sum_j a[i][j] k_j; the last row of `a` gives the
-    solution, at which the last stage (FSAL) runs at t + h."""
-
-    name: str                 # in the generated loops' filenames
-    c: tuple
-    a: tuple
-    error: Callable           # (components, solution names) -> err source
-    order: int                # of the error estimate; exponent -1/(order+1)
-    # compiled closure -> its rhs evaluations through the called loop,
-    # then its inlined loop
-    inlined: weakref.WeakKeyDictionary = field(
-        default_factory=weakref.WeakKeyDictionary)
-
-    @property
-    def stages(self):
-        """rhs evaluations per attempt."""
-        return len(self.a) - 1
-
-
-_DP5 = _Pair("dp5", _C, _A, _dp5_error, order=4)
-_DOP853 = _Pair("dop853", (*_DOP853_C, 1.0), (*_DOP853_A, _DOP853_B),
-                _dop853_error, order=7)
-_PAIRS = {pair.name: pair for pair in (_DP5, _DOP853)}
-# rhs evaluations per attempt of the 8(5,3) pair, which endpoint solves run
-ENDPOINT_STAGES = _DOP853.stages
-
-
-def _point(pair, i, c):
+def _point(i, c):
     """Source of component c of stage i's point (the last stage's is the
     solution)."""
-    return f"y{c} + h * ({_combination(pair.a[i], range(i), c)})"
+    return f"y{c} + h * ({_combination(_ROW_A[i], range(i), c)})"
 
 
-def _called_stages(pair, m):
+def _called_stages(m):
     """Source of the stages as rhs calls: k{i}_{c} is component c of the
     rhs at stage i, n{c} of the solution."""
     comps = range(m)
-    last = pair.stages
     lines = []
-    for i in range(1, last):
-        point = ", ".join(_point(pair, i, c) for c in comps)
+    for i in range(1, STAGES):
+        point = ", ".join(_point(i, c) for c in comps)
         lines.append(f"{', '.join(f'k{i}_{c}' for c in comps)}, = "
-                     f"rhs(t + {pair.c[i]!r} * h, ({point},))")
-    lines += [f"n{c} = {_point(pair, last, c)}" for c in comps]
-    lines.append(f"{', '.join(f'k{last}_{c}' for c in comps)}, = "
+                     f"rhs(t + {_ROW_C[i]!r} * h, ({point},))")
+    lines += [f"n{c} = {_point(STAGES, c)}" for c in comps]
+    lines.append(f"{', '.join(f'k{STAGES}_{c}' for c in comps)}, = "
                  f"rhs(t + h, ({', '.join(f'n{c}' for c in comps)},))")
     return lines
 
 
-def _inlined_stages(pair, parts):
+def _inlined_stages(parts):
     """Source of the stages with a compiled closure's input names, local
     lines and outputs in place of each rhs call.  A point component whose
     input is `_` (not read) is formed only for the solution, which lands
@@ -234,9 +181,9 @@ def _inlined_stages(pair, parts):
     solution = [f"n{c}" if name == "_" else name
                 for c, name in enumerate(parts.inputs)]
     lines = []
-    for i in range(1, pair.stages + 1):
-        names = solution if i == pair.stages else parts.inputs
-        lines += [f"{name} = {_point(pair, i, c)}"
+    for i in range(1, STAGES + 1):
+        names = solution if i == STAGES else parts.inputs
+        lines += [f"{name} = {_point(i, c)}"
                   for c, name in enumerate(names) if name != "_"]
         lines += parts.lines
         lines += [f"k{i}_{c} = {out}" for c, out in enumerate(parts.outputs)]
@@ -249,27 +196,26 @@ def _blow_up(t, norm, bound):
     return BlowUpError(t, norm if math.isfinite(norm) else math.inf, bound)
 
 
-def _loop_source(m, pair, parts=None):
-    """Source of `_loop(rhs, ...)`: up to _CHUNK attempts of `pair` from
-    the solver state, for states of size m.  Without `parts` each stage
-    calls rhs; with a compiled closure's `parts` each stage runs its lines
-    inline, and a domain exit re-runs the attempt through the called loop,
-    where the closure raises its typed error.  Given the node buffers
+def _loop_source(m, parts=None):
+    """Source of `_loop(rhs, ...)`: up to _CHUNK attempts from the solver
+    state, for states of size m.  Without `parts` each stage calls rhs;
+    with a compiled closure's `parts` each stage runs its lines inline,
+    and a domain exit re-runs the attempt through the called loop, where
+    the closure raises its typed error.  Given the node buffers
     (`ts` not None), each accepted step is appended to them.  Returns
     (stopped, t, h, y, f, n_steps, n_rejected, non_finite): `stopped` when
     the solve reached t_end, ran out of attempts or of step size, which
     :func:`solve` tells apart; blow-ups raise in the loop."""
     comps = range(m)
-    last = pair.stages
     y = ", ".join(f"y{c}" for c in comps) + ","
     k0 = ", ".join(f"k0_{c}" for c in comps) + ","
     a = ", ".join(f"a{c}" for c in comps) + ","
     state = f"t, h, ({y}), ({k0}), n_steps, n_rejected, non_finite"
     if parts is None:
-        stages = [" " * 8 + line for line in _called_stages(pair, m)]
+        stages = [" " * 8 + line for line in _called_stages(m)]
         solution = [f"n{c}" for c in comps]
     else:
-        inlined, solution = _inlined_stages(pair, parts)
+        inlined, solution = _inlined_stages(parts)
         stages = ["        try:", *(" " * 12 + line for line in inlined),
                   "        except _exits:",
                   f"            _called_loop({m})(rhs, t, h, ({y}), ({k0}), "
@@ -277,7 +223,6 @@ def _loop_source(m, pair, parts=None):
                   "atol, blowup_norm, n_steps + n_rejected + 1, ts, ys, fs)",
                   "            raise"]
     n = ", ".join(solution) + ","
-    exponent = -1 / (pair.order + 1)
     lines = [
         f"def _loop(rhs, t, h, y, f, n_steps, n_rejected, non_finite, t_end,"
         f" end_gap, rtol, atol, blowup_norm, max_steps, ts, ys, fs):",
@@ -293,10 +238,10 @@ def _loop_source(m, pair, parts=None):
         "max_steps or h < 1e-14 * (t if t > 1.0 else 1.0)):",
         f"            return True, {state}",
         *stages,
-        *pair.error(comps, solution),
+        *_dop853_error(comps, solution),
     ]
     norm = f"max({', '.join(f'b{c}' for c in comps)})" if m > 1 else "b0"
-    k_last = ", ".join(f"k{last}_{c}" for c in comps) + ","
+    k_last = ", ".join(f"k{STAGES}_{c}" for c in comps) + ","
     lines += [
         # a NaN or infinite err is rejected at the smallest factor, which
         # is what max() gives it
@@ -314,15 +259,15 @@ def _loop_source(m, pair, parts=None):
         f"                fs.extend(({k_last}))",
         f"            t, {y} {a} {k0} = t_new, {n} "   # FSAL: k0 = k_last
         f"{', '.join(f'b{c}' for c in comps)}, "
-        f"{', '.join(f'k{last}_{c}' for c in comps)}",
+        f"{', '.join(f'k{STAGES}_{c}' for c in comps)}",
         "            n_steps += 1",
         f"            h *= {_MAX_FACTOR!r} if err == 0.0 else max("
         f"{_MIN_FACTOR!r}, min({_MAX_FACTOR!r}, {_SAFETY!r} * err ** "
-        f"{exponent!r}))",
+        f"{_EXPONENT!r}))",
         "        else:",
         "            n_rejected += 1",
         f"            h *= max({_MIN_FACTOR!r}, {_SAFETY!r} * err ** "
-        f"{exponent!r})",
+        f"{_EXPONENT!r})",
         f"    return False, {state}",
     ]
     return "".join(line + "\n" for line in lines)
@@ -339,36 +284,34 @@ def _build(source, filename, names):
 
 
 @functools.cache
-def _called_loop(m, pair):
-    """The loop of `pair` for any rhs of state size m, compiled once under
-    the filename ``<lyapmetric PAIR m=M>``, so profiles keep sizes and
-    pairs apart."""
-    return _build(_loop_source(m, pair), f"<lyapmetric {pair.name} m={m}>",
-                  {})
+def _called_loop(m):
+    """The loop for any rhs of state size m, compiled once under the
+    filename ``<lyapmetric dop853 m=M>``, so profiles keep sizes apart."""
+    return _build(_loop_source(m), f"<lyapmetric dop853 m={m}>", {})
 
 
-def _loop(rhs, m, pair, evaluations=0, build=True):
-    """The loop of `pair` for the next chunk of a solve with `rhs`, which
-    has just made `evaluations` more rhs evaluations.  A closure of
+def _loop(rhs, m, evaluations=0, build=True):
+    """The loop for the next chunk of a solve with `rhs`, which has just
+    made `evaluations` more rhs evaluations.  A closure of
     :mod:`expressions` runs through the called loop of its size until it
     has made _INLINE_AFTER evaluations in all through it, then through its
     own inlined loop, compiled when a chunk first asks for it (`build`; a
     solve's last chunk only counts) under the filename
-    ``<lyapmetric PAIR KIND>``; both give the same bits.  Any other rhs,
+    ``<lyapmetric dop853 KIND>``; both give the same bits.  Any other rhs,
     or a closure whose inputs or outputs are not of size m, runs through
     the called loop."""
     parts = getattr(rhs, "source_parts", None)
     if parts is None or not len(parts.inputs) == len(parts.outputs) == m:
-        return _called_loop(m, pair)
-    made = pair.inlined.get(rhs, 0)
+        return _called_loop(m)
+    made = _INLINED.get(rhs, 0)
     if callable(made):
         return made
     if made + evaluations < _INLINE_AFTER or not build:
-        pair.inlined[rhs] = made + evaluations
-        return _called_loop(m, pair)
-    loop = pair.inlined[rhs] = _build(
-        _loop_source(m, pair, parts), f"<lyapmetric {pair.name} {parts.kind}>",
-        dict(parts.names, _called_loop=lambda size: _called_loop(size, pair)))
+        _INLINED[rhs] = made + evaluations
+        return _called_loop(m)
+    loop = _INLINED[rhs] = _build(
+        _loop_source(m, parts), f"<lyapmetric dop853 {parts.kind}>",
+        dict(parts.names, _called_loop=_called_loop))
     return loop
 
 
@@ -391,10 +334,9 @@ def _rms(values, scale):
         return math.inf
 
 
-def _initial_step(rhs, y0, f0, t_end, rtol, atol, order):
-    """First step size from t = 0 (t_end > 0) for a pair whose error
-    estimate has order `order`, and the rhs calls its probe made.  The
-    size is 0.0 when the scaled norm of f0 or of its change overflows,
+def _initial_step(rhs, y0, f0, t_end, rtol, atol):
+    """First step size from t = 0 (t_end > 0), and the rhs calls its probe
+    made.  The size is 0.0 when the scaled norm of f0 or of its change overflows,
     which leaves the first step to the solver's floor."""
     scale = [atol + rtol * abs(v) for v in y0]
     d0 = _rms(y0, scale)
@@ -408,7 +350,7 @@ def _initial_step(rhs, y0, f0, t_end, rtol, atol, order):
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / (order + 1))
+        h1 = (0.01 / max(d1, d2)) ** -_EXPONENT
     return min(100 * h0, h1, t_end), 1
 
 
@@ -417,7 +359,7 @@ def _views(ts, ys, m):
 
 
 def solve(rhs, y0, t_end, rtol=1e-9, blowup_norm=1e8,
-          max_steps=5_000_000, trajectory=True, pair="dop853"):
+          max_steps=5_000_000, trajectory=True):
     """Integrate y' = rhs(t, y) from 0 to t_end, with the absolute
     tolerance _ATOL_PER_RTOL * rtol.
 
@@ -427,9 +369,8 @@ def solve(rhs, y0, t_end, rtol=1e-9, blowup_norm=1e8,
     :mod:`expressions` is inlined into its stages after _INLINE_AFTER rhs
     evaluations, with the same results (see the module docstring).
 
-    `pair` is "dop853", the 8(5,3) pair, or "dp5", the 5(4) pair.  With
-    `trajectory` (the default) every accepted step is kept: `t`, `y` and
-    `f`, the rhs at each node (the FSAL stage, no extra evaluation).
+    With `trajectory` (the default) every accepted step is kept: `t`, `y`
+    and `f`, the rhs at each node (the FSAL stage, no extra evaluation).
     Without it only the end state is kept: `t` is [0, t_end], `y` is
     [y0, y(t_end)] and `f` is None.  Storing changes no arithmetic, so
     both ways give the same end state and counts.
@@ -440,11 +381,9 @@ def solve(rhs, y0, t_end, rtol=1e-9, blowup_norm=1e8,
     estimate; :class:`StepSizeUnderflowError` when the controller drives
     the step below the floating floor otherwise, or after `max_steps`
     attempts (accepted plus rejected).  `n_fev` counts the rhs evaluations
-    made, inlined or called: 1 + probes + 6 attempts for the 5(4) pair,
-    1 + probes + 12 attempts for the 8(5,3) pair, where probes (0 or 1) is
-    the initial-step probe.
+    made, inlined or called: 1 + probes + 12 attempts, where probes (0 or
+    1) is the initial-step probe.
     """
-    pair = _PAIRS[pair]
     y = tuple(np.asarray(y0, dtype=float).ravel().tolist())
     m = len(y)
     atol = _ATOL_PER_RTOL * rtol
@@ -456,7 +395,7 @@ def solve(rhs, y0, t_end, rtol=1e-9, blowup_norm=1e8,
     if t_end == 0.0:
         return OdeSolution(*_views(ts, ys, m), 0, 0, 0)
 
-    loop = _loop(rhs, m, pair)
+    loop = _loop(rhs, m)
     f = rhs(0.0, y)
     if not all(map(math.isfinite, (*y, *f))):
         # the first step's size would divide by zero (an infinite f0) or be
@@ -465,7 +404,7 @@ def solve(rhs, y0, t_end, rtol=1e-9, blowup_norm=1e8,
     fs = array("d", f)
     # the loop stores nothing without the node buffers
     buffers = (ts, ys, fs) if trajectory else (None, None, None)
-    h, probes = _initial_step(rhs, y, f, t_end, rtol, atol, pair.order)
+    h, probes = _initial_step(rhs, y, f, t_end, rtol, atol)
     h = max(h, 1e-12)
     end_gap = 1e-14 * max(1.0, abs(t_end))
 
@@ -477,8 +416,7 @@ def solve(rhs, y0, t_end, rtol=1e-9, blowup_norm=1e8,
         stopped, t, h, y, f, n_steps, n_rejected, non_finite = loop(
             rhs, t, h, y, f, n_steps, n_rejected, non_finite, t_end,
             end_gap, rtol, atol, blowup_norm, max_steps, *buffers)
-        loop = _loop(rhs, m, pair,
-                     pair.stages * (n_steps + n_rejected - attempts),
+        loop = _loop(rhs, m, STAGES * (n_steps + n_rejected - attempts),
                      build=not stopped)
         if not stopped:
             continue
@@ -492,7 +430,7 @@ def solve(rhs, y0, t_end, rtol=1e-9, blowup_norm=1e8,
         raise StepSizeUnderflowError(
             f"step size underflow at t = {t:.6g} (stiffness)")
 
-    n_fev = 1 + probes + pair.stages * (n_steps + n_rejected)
+    n_fev = 1 + probes + STAGES * (n_steps + n_rejected)
     if not trajectory:
         ts.append(t)
         ys.extend(y)

@@ -180,22 +180,33 @@ class MetricField:
     # -- derived fields ------------------------------------------------------
 
     def tabulate(self, lo, hi, n_points=201):
-        """Sample the evaluator on a grid and wrap a smooth interpolant.
+        """Sample the evaluator on n_points of [lo, hi] and wrap a C^4
+        quintic interpolating spline.
 
         Makes the many repeated evaluations inside geodesic work affordable
-        for quadrature-defined metrics.  One spatial dimension only; the
-        command line needs no table there (:func:`scalar_metric_field` is
-        cheaper than the spline's samples), and higher dimensional work uses
-        the exact evaluator.
+        for quadrature-defined metrics.  The geodesic rhs differentiates P,
+        so on a C^2 cubic spline it would be only C^1, too rough for the
+        8(5,3) pair to reach its tolerance (de Boor, A Practical Guide to
+        Splines).  One spatial dimension only; the command line needs no
+        table there (:func:`scalar_metric_field` is cheaper than the
+        spline's samples), and higher dimensional work uses the exact
+        evaluator.  lo and hi must be finite with lo < hi, and the quintic
+        needs n_points >= 6.
         """
         if self.point_dim != 1:
             raise LyapmetricError("tabulation is implemented for 1-D points")
-        from scipy.interpolate import CubicSpline
+        lo, hi, n_points = float(lo), float(hi), int(n_points)
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise LyapmetricError(
+                f"tabulation needs finite lo < hi, got [{lo}, {hi}]")
+        if n_points < 6:
+            raise LyapmetricError(
+                f"tabulation needs at least 6 points, got {n_points}")
+        from scipy.interpolate import make_interp_spline
 
-        lo, hi = float(lo), float(hi)
-        grid = np.linspace(lo, hi, int(n_points))
+        grid = np.linspace(lo, hi, n_points)
         values = np.array([self(np.array([g]))[0, 0] for g in grid])
-        spline = CubicSpline(grid, values)
+        spline = make_interp_spline(grid, values, k=5)
 
         def evaluator(point, horizon):
             x = float(point[0])
@@ -288,14 +299,14 @@ def gramian_at_origin(model, q=None):
 def _p_solve(variant, point, horizon, rhs, y0, ode_tol, blowup_norm=1e8,
              start=0.0):
     """The end state of one P solve of `rhs` from y0 over [start, horizon]:
-    endpoint only, so the 8(5,3) pair, within _P_EVALS rhs evaluations.
+    endpoint only, within _P_EVALS rhs evaluations of the 8(5,3) pair.
     Running out of them or of step size re-raises with the variant, the
     point and the horizon."""
     try:
         return integrate.solve(
             rhs, y0, float(horizon) - start, rtol=ode_tol,
             blowup_norm=blowup_norm,
-            max_steps=_P_EVALS // integrate.ENDPOINT_STAGES,
+            max_steps=_P_EVALS // integrate.STAGES,
             trajectory=False).y[-1]
     except StepSizeUnderflowError as err:
         at = ", ".join(f"{v:.6g}" for v in np.ravel(point))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lyapmetric import catalog, estimation, integrate, parse_system, sampling
+from lyapmetric import catalog, estimation, parse_system, sampling
 from lyapmetric.dynamics import (
     Trajectory,
     flow,
@@ -162,14 +162,14 @@ class TestLinearizedDecay:
                                         row_block=1)
         assert est.rate > 0.0
 
-    def test_hermite_sup_loses_no_more_than_the_5_4_grid(self):
+    def test_hermite_sup_loses_no_more_than_the_8_5_3_grid(self):
         # the planar linearized samples of analyze's defaults (radii 0.5,
         # 1, 2, four each): against a fine reference, SciPy's DOP853 dense
         # output at rtol 1e-12 on 100k points, each sup of |Phi| e^{rate t}
         # over the 8(5,3) steps and their Hermite points falls no further
-        # short than the sup over the 5(4) pair's steps.  Worst shortfalls
-        # measured: 3.4e-5 on the 5(4) steps, 1.4e-3 on the 8(5,3) steps
-        # alone, 4.4e-6 with three Hermite points per step
+        # short than the sup over the 8(5,3) steps alone.  Worst shortfalls
+        # measured: 1.4e-3 on the steps alone, 4.4e-6 with three Hermite
+        # points per step
         from scipy.integrate import solve_ivp
 
         model = parse_system("dim=2; F1 = -x1 + x2^2; F2 = -2*x2 - x1*x2")
@@ -196,10 +196,9 @@ class TestLinearizedDecay:
             phi = ref.sol(fine)[2:].T.reshape(-1, 2, 2)
             want = np.max(np.linalg.norm(phi, 2, axis=(1, 2))
                           * np.exp(rate * fine))
-            # the 5(4) pair's nodes at the flows' default tolerance
-            sol = integrate.solve(lift.rhs, lift.y0(e0), 10.0, pair="dp5")
-            states, phi, _ = lift.split(sol.y)
-            coarse = Trajectory(t=sol.t, states=states, phi=phi)
+            # the flow's nodes alone, without their Hermite points
+            traj = variational_flow(model, e0, 10.0)
+            coarse = Trajectory(t=traj.t, states=traj.states, phi=traj.phi)
             coarse_sup = np.max(estimation._phi_norms(e0, coarse)
                                 * np.exp(rate * coarse.t))
             hermite_loss = max(hermite_loss, want - got)

@@ -27,27 +27,28 @@ from lyapmetric.integrate import solve
 
 
 def test_polynomial_rhs_is_exact():
-    # fifth-order scheme integrates y' = t^4 exactly up to rounding
-    sol = solve(lambda t, y: [t ** 4], [0.0], 2.0, rtol=1e-6, pair="dp5")
-    assert sol.y[-1, 0] == pytest.approx(2.0 ** 5 / 5.0, rel=1e-12)
+    # the eighth-order scheme integrates y' = t^7 exactly up to rounding
+    sol = solve(lambda t, y: [t ** 7], [0.0], 2.0, rtol=1e-6)
+    assert sol.y[-1, 0] == pytest.approx(2.0 ** 8 / 8.0, rel=1e-12)
 
 
 def test_exponential_accuracy_tracks_tolerance():
+    # errors 3.2e-9, 4.2e-12 and 4.5e-15 measured
     errors = []
     for rtol in (1e-6, 1e-9, 1e-12):
-        sol = solve(lambda t, y: [-y[0]], [1.0], 4.0, rtol=rtol, pair="dp5")
+        sol = solve(lambda t, y: [-y[0]], [1.0], 4.0, rtol=rtol)
         errors.append(abs(sol.y[-1, 0] - math.exp(-4.0)))
     assert errors[1] < errors[0] and errors[2] < errors[1]
 
 
 def test_zero_horizon_returns_initial_node():
-    sol = solve(lambda t, y: [-y[0]], [3.0], 0.0, pair="dp5")
+    sol = solve(lambda t, y: [-y[0]], [3.0], 0.0)
     assert len(sol.t) == 1 and sol.y[0, 0] == 3.0
 
 
 def test_backward_integration_rejected():
     with pytest.raises(ValueError):
-        solve(lambda t, y: [-y[0]], [1.0], -1.0, pair="dp5")
+        solve(lambda t, y: [-y[0]], [1.0], -1.0)
 
 
 def test_step_budget_exhaustion():
@@ -56,18 +57,11 @@ def test_step_budget_exhaustion():
         return [y[1], -1e6 * y[0]]
 
     with pytest.raises(StepSizeUnderflowError):
-        solve(rhs, [1.0, 0.0], 50.0, rtol=1e-9, max_steps=10, pair="dp5")
+        solve(rhs, [1.0, 0.0], 50.0, rtol=1e-9, max_steps=10)
 
 
-# the solve arguments of each pair and storage: the 5(4) trajectory, the
-# 8(5,3) endpoint solve and the 8(5,3) trajectory
-RUNS = ({"pair": "dp5"}, {"pair": "dop853", "trajectory": False},
-        {"pair": "dop853"})
-
-
-def _stages(run):
-    """rhs evaluations per attempt of the pair `solve` runs."""
-    return 12 if run.get("pair") == "dop853" else 6
+# the solve arguments of each storage: the endpoint solve and the trajectory
+RUNS = ({"trajectory": False}, {})
 
 
 def test_blowup_detection_time():
@@ -80,10 +74,8 @@ def test_blowup_detection_time():
 
 
 def test_deterministic_repetition():
-    a = solve(lambda t, y: [math.sin(t) - y[0]], [0.5], 5.0,
-              rtol=1e-9, pair="dp5")
-    b = solve(lambda t, y: [math.sin(t) - y[0]], [0.5], 5.0,
-              rtol=1e-9, pair="dp5")
+    a = solve(lambda t, y: [math.sin(t) - y[0]], [0.5], 5.0, rtol=1e-9)
+    b = solve(lambda t, y: [math.sin(t) - y[0]], [0.5], 5.0, rtol=1e-9)
     assert np.array_equal(a.t, b.t)
     assert np.array_equal(a.y, b.y)
 
@@ -107,7 +99,7 @@ def test_non_finite_attempts_end_as_blowup():
         return [math.nan] if t > 0.5 else [-y[0]]
 
     with pytest.raises(BlowUpError) as err:
-        solve(rhs, [1.0], 2.0, rtol=1e-9, pair="dp5")
+        solve(rhs, [1.0], 2.0, rtol=1e-9)
     assert err.value.t == pytest.approx(0.5, abs=1e-9)
     assert err.value.norm == math.inf
 
@@ -122,13 +114,13 @@ def test_non_finite_start_is_blowup_at_t0(rhs, y0):
     # a NaN initial step would never meet the underflow floor
     counting = _Counting(rhs)
     with pytest.raises(BlowUpError) as err:
-        solve(counting, y0, 1.0, rtol=1e-9, pair="dp5")
+        solve(counting, y0, 1.0, rtol=1e-9)
     assert err.value.t == 0.0
     # f(t0) only: the start is checked before the initial-step probe
     assert counting.calls == 1
 
 
-def _initial_step_reference(rhs, y0, f0, t_end, rtol, atol, order):
+def _initial_step_reference(rhs, y0, f0, t_end, rtol, atol):
     """The first-step rule as written before overflow was handled."""
     scale = [atol + rtol * abs(v) for v in y0]
 
@@ -144,7 +136,7 @@ def _initial_step_reference(rhs, y0, f0, t_end, rtol, atol, order):
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1.0 / (order + 1))
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8)   # error order 7
     return min(100 * h0, h1, t_end)
 
 
@@ -159,11 +151,9 @@ def test_initial_step_unchanged_where_norms_are_finite(scale, y0):
     f0 = tuple(rhs(0.0, y0))
     for rtol in (1e-4, 1e-9, 1e-12):
         atol = integrate._ATOL_PER_RTOL * rtol
-        for order in (4, 7):   # the 5(4) and the 8(5,3) pair
-            want = _initial_step_reference(rhs, y0, f0, 10.0, rtol, atol,
-                                           order)
-            assert integrate._initial_step(rhs, y0, f0, 10.0, rtol, atol,
-                                           order) == (want, 1)
+        want = _initial_step_reference(rhs, y0, f0, 10.0, rtol, atol)
+        assert integrate._initial_step(rhs, y0, f0, 10.0, rtol,
+                                       atol) == (want, 1)
 
 
 @pytest.mark.parametrize("scale", [1e160, -1e160, 1e300],
@@ -176,7 +166,7 @@ def test_overflowing_initial_norm_starts_at_the_floor(scale):
         return [scale * y[0]]
 
     f0 = tuple(rhs(0.0, (0.5,)))
-    assert integrate._initial_step(rhs, (0.5,), f0, 1.0, 1e-9, 1e-12, 4) == \
+    assert integrate._initial_step(rhs, (0.5,), f0, 1.0, 1e-9, 1e-12) == \
         (0.0, 0)
     for run in RUNS:
         with pytest.raises(BlowUpError) as err:
@@ -191,8 +181,8 @@ def test_step_budget_counts_exactly_max_steps_attempts():
                            match="after 10 attempts"):
             solve(rhs, [1.0, 0.0], 50.0, rtol=1e-9, max_steps=10,
                   **run)
-        # f(t0), the initial-step probe, then the pair's stages per attempt
-        assert rhs.calls == 2 + _stages(run) * 10
+        # f(t0), the initial-step probe, then the stages per attempt
+        assert rhs.calls == 2 + integrate.STAGES * 10
 
 
 def test_fev_counts_rhs_calls():
@@ -201,7 +191,7 @@ def test_fev_counts_rhs_calls():
         sol = solve(rhs, [1.0], 3.0, rtol=1e-9, **run)
         assert sol.n_fev == rhs.calls
         assert sol.n_fev == \
-            2 + _stages(run) * (sol.n_steps + sol.n_rejected)
+            2 + integrate.STAGES * (sol.n_steps + sol.n_rejected)
 
         rhs = _Counting(lambda t, y: [-y[0]])
         assert solve(rhs, [1.0], 0.0, **run).n_fev == \
@@ -221,17 +211,16 @@ def test_nan_in_one_component_of_one_stage_is_rejected():
         def rhs(t, y):
             out = calls(t, y)
             # calls 1-2 are f(t0) and the initial-step probe; then the
-            # pair's stages per attempt
-            if t > 0.5 and (calls.calls - 3) % _stages(run) == 0:
+            # stages per attempt
+            if t > 0.5 and (calls.calls - 3) % integrate.STAGES == 0:
                 out[1] = math.nan
             return out
 
         with pytest.raises(BlowUpError) as err:
             solve(rhs, [1.0, 0.0, 2.0], 2.0, rtol=1e-9,
                   **run)
-        # a step may still cross 0.5 with its second stage before it; the
-        # 8(5,3) pair's steps are longer, and its second stage earlier
-        assert 0.5 < err.value.t < (0.6 if _stages(run) == 6 else 0.7)
+        # a step may still cross 0.5 with its second stage before it
+        assert 0.5 < err.value.t < 0.7
         assert err.value.norm == math.inf
 
 
@@ -264,47 +253,53 @@ def test_counterexample_phi_matches_oracle(x0):
 def test_loop_is_built_once_per_state_size(monkeypatch):
     built = []
     real = integrate._loop_source
-    monkeypatch.setattr(integrate, "_loop_source", lambda m, pair, parts=None:
-                        built.append((m, pair.name)) or real(m, pair, parts))
+    monkeypatch.setattr(integrate, "_loop_source", lambda m, parts=None:
+                        built.append(m) or real(m, parts))
     integrate._called_loop.cache_clear()
     for y0 in ([1.0, 2.0], [3.0], [0.5, 0.5], [1.0, 1.0, 1.0], [2.0]):
         for run in RUNS:
             solve(lambda t, y: [-v for v in y], y0, 1.0, **run)
-    assert built == [(2, "dp5"), (2, "dop853"), (1, "dp5"), (1, "dop853"),
-                     (3, "dp5"), (3, "dop853")]
+    assert built == [2, 1, 3]
 
 
 def test_nothing_is_compiled_at_import():
     code = ("import lyapmetric, lyapmetric.cli, lyapmetric.integrate as i; "
             "assert i._called_loop.cache_info().currsize == 0; "
-            "assert len(i._DP5.inlined) == len(i._DOP853.inlined) == 0")
+            "assert len(i._INLINED) == 0")
     src = str(Path(integrate.__file__).resolve().parents[1])
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": src})
 
 
 def _numpy_attempt(rhs, t, h, y, f, rtol):
-    """One Dormand-Prince attempt with numpy tableau products: the
-    reference for the generated loop, whose sums run left to right."""
-    a = np.zeros((7, 7))
-    for i, row in enumerate(integrate._A):
+    """One 8(5,3) attempt with numpy tableau products: the reference for
+    the generated loop, whose sums run left to right.  Returns DOP853's
+    err5/err3 norm, the eighth-order solution and the 13 stages, the last
+    of them FSAL."""
+    n = integrate.STAGES
+    a = np.zeros((n, n))
+    for i, row in enumerate(integrate._DOP853_A):
         a[i, :len(row)] = row
-    k = np.zeros((7, len(y)))
+    k = np.zeros((n + 1, len(y)))
     k[0] = f
-    for i in range(1, 7):
+    for i in range(1, n):
         point = np.asarray(y) + h * (a[i, :i] @ k[:i])
-        k[i] = rhs(t + integrate._C[i] * h, tuple(point.tolist()))
+        k[i] = rhs(t + integrate._DOP853_C[i] * h, tuple(point.tolist()))
+    point = np.asarray(y) + h * (np.array(integrate._DOP853_B) @ k[:n])
+    k[n] = rhs(t + h, tuple(point.tolist()))
     scale = integrate._ATOL_PER_RTOL * rtol + rtol * np.maximum(
         np.abs(y), np.abs(point))
-    r = h * (np.array(integrate._E) @ k) / scale
-    return math.sqrt(r @ r / len(y)), point, k
+    e5 = (np.array(integrate._DOP853_E5) @ k) / scale
+    e3 = (np.array(integrate._DOP853_E3) @ k) / scale
+    denom = e5 @ e5 + 0.01 * (e3 @ e3)
+    return h * (e5 @ e5) / math.sqrt(denom * len(y)), point, k
 
 
 def _one_attempt(rhs, t, h, y, f, rtol, blowup_norm=math.inf):
     """Run the called loop for one attempt of step h from (t, y), with
     t_end at t + 2h; returns its result tuple and the node buffers."""
     ts, ys, fs = array("d", (t,)), array("d", y), array("d", f)
-    result = integrate._called_loop(len(y), integrate._DP5)(
+    result = integrate._called_loop(len(y))(
         rhs, t, h, y, f, 0, 0, False, t + 2 * h, 1e-14, rtol,
         integrate._ATOL_PER_RTOL * rtol, blowup_norm, 1, ts, ys, fs)
     return result, ts, ys
@@ -323,27 +318,31 @@ def test_attempt_matches_numpy_tableau(m):
 
     y = tuple(rng.normal(size=m).tolist())
     f = rhs(0.3, y)
-    # a tolerance that accepts the attempt at err = 0.8: the next step
-    # 0.9 err^-0.2 h is unclamped and shorter than what remains, so the
-    # step size the loop returns (out of attempts) shows err
-    rtol = _numpy_attempt(rhs, 0.3, 0.05, y, f, 1.0)[0] / 0.8
-    want_err, want_y, want_k = _numpy_attempt(rhs, 0.3, 0.05, y, f, rtol)
+    # a step long enough that err stands above the rounding of the
+    # estimates' stage sums, at a tolerance that accepts the attempt at
+    # err = 0.8: the next step 0.9 err^-1/8 h is unclamped and shorter
+    # than what remains, so the step size the loop returns (out of
+    # attempts) shows err
+    rtol = _numpy_attempt(rhs, 0.3, 0.25, y, f, 1.0)[0] / 0.8
+    want_err, want_y, want_k = _numpy_attempt(rhs, 0.3, 0.25, y, f, rtol)
     del calls[:]
     (stopped, t, h, _, f_new, n_steps, n_rejected, _), ts, ys = \
-        _one_attempt(rhs, 0.3, 0.05, y, f, rtol)
-    assert (stopped, t, n_steps, n_rejected) == (True, 0.3 + 0.05, 1, 0)
+        _one_attempt(rhs, 0.3, 0.25, y, f, rtol)
+    assert (stopped, t, n_steps, n_rejected) == (True, 0.3 + 0.25, 1, 0)
     y_new = ys[m:]
     stages = [f] + calls
-    np.testing.assert_allclose(y_new, want_y, rtol=1e-14, atol=1e-15)
+    # the solution weighs twelve stages by weights up to 5.8 in size, so
+    # its summation order shows at a few 1e-15 absolute
+    np.testing.assert_allclose(y_new, want_y, rtol=1e-14, atol=1e-14)
     np.testing.assert_allclose(np.array(stages), want_k, rtol=1e-13,
                                atol=1e-14)
     assert f_new == tuple(calls[-1])   # FSAL
-    # the error estimate cancels stage sums of size |k| down to about
-    # h^5 |k|, so its summation order shows at a few 1e-8 relative; err
-    # is read back from h = 0.05 * 0.9 err^-0.2 to about 1e-15
-    assert (h / (0.05 * 0.9)) ** -5 == pytest.approx(want_err, rel=1e-6)
+    # the error estimates cancel stage sums of size |k| down to err, so
+    # their summation order shows at up to 5e-7 relative; err is read
+    # back from h = 0.25 * 0.9 err^-1/8
+    assert (h / (0.25 * 0.9)) ** -8 == pytest.approx(want_err, rel=1e-6)
     with pytest.raises(BlowUpError) as err:
-        _one_attempt(rhs, 0.3, 0.05, y, f, rtol, blowup_norm=0.0)
+        _one_attempt(rhs, 0.3, 0.25, y, f, rtol, blowup_norm=0.0)
     assert err.value.norm == max(abs(v) for v in y_new)
 
 
@@ -362,18 +361,16 @@ def test_generated_code_has_its_own_filenames():
                      "<lyapmetric jacobian dim=2>",
                      "<lyapmetric lift dim=2>",
                      "<lyapmetric lift+gramian dim=2>"]
-    for pair in (integrate._DP5, integrate._DOP853):
-        names = [integrate._called_loop(2, pair).__code__.co_filename,
-                 integrate._called_loop(6, pair).__code__.co_filename]
-        # the Jacobian's four outputs are no rhs of its two inputs
-        names += [integrate._loop(fn, m, pair, integrate._INLINE_AFTER)
-                  .__code__.co_filename for fn, m in zip(closures, sizes)]
-        p = pair.name
-        assert names == [f"<lyapmetric {p} m=2>", f"<lyapmetric {p} m=6>",
-                         f"<lyapmetric {p} field dim=2>",
-                         f"<lyapmetric {p} m=2>",
-                         f"<lyapmetric {p} lift dim=2>",
-                         f"<lyapmetric {p} lift+gramian dim=2>"]
+    names = [integrate._called_loop(2).__code__.co_filename,
+             integrate._called_loop(6).__code__.co_filename]
+    # the Jacobian's four outputs are no rhs of its two inputs
+    names += [integrate._loop(fn, m, integrate._INLINE_AFTER)
+              .__code__.co_filename for fn, m in zip(closures, sizes)]
+    assert names == ["<lyapmetric dop853 m=2>", "<lyapmetric dop853 m=6>",
+                     "<lyapmetric dop853 field dim=2>",
+                     "<lyapmetric dop853 m=2>",
+                     "<lyapmetric dop853 lift dim=2>",
+                     "<lyapmetric dop853 lift+gramian dim=2>"]
 
 
 # -- the inlined loop against the called loop --------------------------------
@@ -395,9 +392,8 @@ def _called(closure):
 def _solve_both(closure, y0, t_end, **kwargs):
     """`closure` solved through its inlined loop and through the called
     loop; every field of the two solutions must be equal."""
-    pair = integrate._PAIRS[kwargs.get("pair", "dop853")]
     inlined = solve(closure, y0, t_end, **kwargs)
-    assert callable(pair.inlined[closure])
+    assert callable(integrate._INLINED[closure])
     called = solve(_called(closure), y0, t_end, **kwargs)
     for a, b in ((inlined.t, called.t), (inlined.y, called.y),
                  (inlined.f, called.f)):
@@ -410,27 +406,28 @@ def _solve_both(closure, y0, t_end, **kwargs):
 def test_inlined_planar_gramian_lift_is_bit_identical(inline_at_once):
     model = parse_system(PLANAR)
     lift = model_lift(model, np.eye(2))
-    sol = _solve_both(lift.rhs, lift.y0([0.8, -0.5]), 8.0, rtol=1e-12,
-                      pair="dp5")
-    assert sol.n_steps > 100
+    sol = _solve_both(lift.rhs, lift.y0([0.8, -0.5]), 8.0, rtol=1e-12)
+    assert sol.n_steps > 50
 
 
 def test_inlined_endpoint_gramian_is_bit_identical(inline_at_once):
-    # the planar lift+gramian as every P(e) solve runs it: 8(5,3), end
-    # state only, through its inlined and its called loop
+    # the planar lift+gramian as every P(e) solve runs it: end state only,
+    # through its inlined and its called loop
+    from scipy.integrate import solve_ivp
+
     model = parse_system(PLANAR)
     lift = model_lift(model, np.eye(2))
-    sol = _solve_both(lift.rhs, lift.y0([0.8, -0.5]), 7.772, rtol=1e-12,
-                      trajectory=False, pair="dop853")
+    y0 = lift.y0([0.8, -0.5])
+    sol = _solve_both(lift.rhs, y0, 7.772, rtol=1e-12, trajectory=False)
     assert sol.n_steps > 50
     assert sol.t.tolist() == [0.0, 7.772]
     assert sol.n_fev == 2 + 12 * (sol.n_steps + sol.n_rejected)
-    # the same end state as the 5(4) pair's trajectory, to rounding
-    full = solve(lift.rhs, lift.y0([0.8, -0.5]), 7.772, rtol=1e-12,
-                 pair="dp5")
-    assert full.n_steps > 5 * sol.n_steps
-    np.testing.assert_allclose(sol.y[-1], full.y[-1], rtol=0, atol=1e-13)
-    np.testing.assert_array_equal(sol.y[0], full.y[0])
+    np.testing.assert_array_equal(sol.y[0], y0)
+    # the same end state as SciPy's DOP853, to rounding (3.5e-15 measured)
+    ref = solve_ivp(lambda t, y: lift.rhs(t, tuple(y)), (0.0, 7.772),
+                    np.asarray(y0, dtype=float), method="DOP853",
+                    rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(sol.y[-1], ref.y[:, -1], rtol=0, atol=1e-13)
 
 
 def test_dop853_tableau_is_scipys():
@@ -445,41 +442,36 @@ def test_dop853_tableau_is_scipys():
     assert integrate._DOP853_B == tuple(ref.B.tolist())
     assert integrate._DOP853_E3 == tuple(ref.E3.tolist())
     assert integrate._DOP853_E5 == tuple(ref.E5.tolist())
-    assert integrate._DOP853.stages == n == integrate.ENDPOINT_STAGES
+    assert len(integrate._DOP853_A) == n == integrate.STAGES
 
 
 def test_endpoint_solve_keeps_no_dense_output():
     sol = solve(lambda t, y: [-y[0]], [1.0], 3.0, rtol=1e-10,
-                trajectory=False, pair="dop853")
+                trajectory=False)
     assert sol.f is None and sol.y.shape == (2, 1)
     assert sol.y[-1, 0] == pytest.approx(math.exp(-3.0), rel=1e-10)
 
 
 def test_inlined_transverse_falsify_solve_is_bit_identical(inline_at_once):
-    # the transverse-falsify workload's one solve: ~107k attempts of the
-    # counterexample's lift, ending in a blow-up past 1e12 before t = 10
+    # the transverse-falsify workload's one solve, through the storing loop
+    # the sampled decay flows run: ~31k attempts of the counterexample's
+    # lift, ending in a blow-up past 1e12 before t = 10
     model = catalog.get("transverse-counterexample").build({})
     lift = model_lift(model.full)
     y0 = lift.y0([-0.4021148723065759, -0.29715926616860894])
-    sol = _solve_both(lift.rhs, y0, 10.0, rtol=1e-9, blowup_norm=1e12,
-                      pair="dp5")
-    assert (sol.n_steps, sol.n_rejected, sol.n_fev) == (100803, 6466, 643616)
-    # the storing 8(5,3) loop, which the sampled decay flows run
-    sol = _solve_both(lift.rhs, y0, 10.0, rtol=1e-9, blowup_norm=1e12,
-                      pair="dop853")
+    sol = _solve_both(lift.rhs, y0, 10.0, rtol=1e-9, blowup_norm=1e12)
     assert (sol.n_steps, sol.n_rejected, sol.n_fev) == (22909, 7843, 369026)
 
 
-@pytest.mark.parametrize("pair", ["dp5", "dop853"])
-def test_storing_changes_no_arithmetic(pair):
+def test_storing_changes_no_arithmetic():
     # a trajectory solve ends where the endpoint solve does, bit for bit
     # and after the same attempts, and each node carries rhs(t, y) exactly
     source = parse_system(PLANAR).source
     lift = model_lift(parse_system(PLANAR), np.eye(2))
     for rhs, y0 in ((source.field_rhs, [0.8, -0.5]),
                     (lift.rhs, lift.y0([0.8, -0.5]))):
-        end = solve(rhs, y0, 7.5, rtol=1e-10, trajectory=False, pair=pair)
-        sol = solve(rhs, y0, 7.5, rtol=1e-10, pair=pair)
+        end = solve(rhs, y0, 7.5, rtol=1e-10, trajectory=False)
+        sol = solve(rhs, y0, 7.5, rtol=1e-10)
         np.testing.assert_array_equal(sol.y[-1], end.y[-1])
         assert sol.t[-1] == end.t[-1] == 7.5
         assert (sol.n_steps, sol.n_rejected, sol.n_fev) == \
@@ -492,7 +484,7 @@ def test_storing_changes_no_arithmetic(pair):
 @pytest.mark.parametrize("q", [None, np.eye(1)], ids=["lift", "gramian"])
 def test_inlined_scalar_example_lift_is_bit_identical(inline_at_once, q):
     lift = model_lift(catalog.get("scalar-example").build({}), q)
-    _solve_both(lift.rhs, lift.y0([2.0]), 12.0, rtol=1e-11, pair="dp5")
+    _solve_both(lift.rhs, lift.y0([2.0]), 12.0, rtol=1e-11)
 
 
 def test_unit_factors_are_not_emitted():
@@ -571,38 +563,34 @@ def test_solve_ending_on_a_chunk_boundary(inline_at_once):
     # t_end at the node after 2 * _CHUNK attempts: the loop returns with
     # the solve complete, and the next call finds it done
     field = parse_system(PLANAR).source.field_rhs
-    long = solve(_called(field), [0.8, -0.5], 20.0, rtol=1e-11, pair="dp5")
+    long = solve(_called(field), [0.8, -0.5], 20.0, rtol=1e-11)
     assert long.n_rejected == 0
     t_end = float(long.t[2 * integrate._CHUNK])
     sol = _solve_both(field, [0.8, -0.5], t_end, rtol=1e-11,
-                      max_steps=2 * integrate._CHUNK, pair="dp5")
+                      max_steps=2 * integrate._CHUNK)
     assert sol.n_steps + sol.n_rejected == 2 * integrate._CHUNK
     assert sol.t[-1] == t_end
 
 
-# per pair, the tolerance whose solve first crosses the domain edge in a
-# given stage: the first stage, and a stage at t + h (the 5(4) pair's
-# last; the 8(5,3) pair's solution stage is never first)
-@pytest.mark.parametrize("crossings", [
-    pytest.param({6: (1e-7, 1), 12: (1.25e-7, 1)}, id="1e-07-1"),
-    pytest.param({6: (1e-3, 6), 12: (2.5e-7, 11)}, id="0.001-6"),
-])
-def test_domain_exit_in_an_inlined_stage(inline_at_once, crossings):
+# the tolerance whose solve first crosses the domain edge in a given
+# stage: the first stage, and stage 11, at t + h (the solution stage is
+# never first)
+@pytest.mark.parametrize("rtol, stage", [(1.25e-7, 1), (2.5e-7, 11)])
+def test_domain_exit_in_an_inlined_stage(inline_at_once, rtol, stage):
     # x1 oscillates through -1, where ln(x1 + 1) leaves the domain; these
     # tolerances make the given stage of an attempt the first to cross,
     # which the called solve's rhs calls show
     field = parse_system(
         "dim=2; F1 = x2; F2 = -20*x1 + 0*ln(x1 + 1)").source.field_rhs
     for run in RUNS:
-        rtol, stage = crossings[_stages(run)]
         counted = _Counting(field)
         texts = []
         for rhs in (field, counted):
             with pytest.raises(DomainEvaluationError) as err:
                 solve(rhs, [2.8, 0.5], 10.0, rtol=rtol, **run)
             texts.append(str(err.value))
-        # f(t0), the initial-step probe, then the pair's stages per attempt
-        assert (counted.calls - 3) % _stages(run) + 1 == stage
+        # f(t0), the initial-step probe, then the stages per attempt
+        assert (counted.calls - 3) % integrate.STAGES + 1 == stage
         assert texts[0] == texts[1] == \
             "math domain error in subexpression 'ln((x1 + 1.0))'"
 
@@ -612,12 +600,12 @@ def test_no_inlined_loop_is_built_after_the_last_chunk(monkeypatch):
     # nothing; the next solve's first chunk builds and runs the loop
     monkeypatch.setattr(integrate, "_INLINE_AFTER", 60)   # evaluations
     field = parse_system("dim=2; F1 = x2; F2 = -x1").source.field_rhs
-    sol = solve(field, [1.0, 0.0], 1.0, rtol=1e-8, pair="dp5")
+    sol = solve(field, [1.0, 0.0], 1.0, rtol=1e-8)
     attempts = sol.n_steps + sol.n_rejected
-    assert 10 <= attempts <= integrate._CHUNK
-    assert integrate._DP5.inlined[field] == 6 * attempts
-    solve(field, [1.0, 0.0], 1.0, rtol=1e-8, pair="dp5")
-    assert callable(integrate._DP5.inlined[field])
+    assert 5 <= attempts <= integrate._CHUNK
+    assert integrate._INLINED[field] == integrate.STAGES * attempts
+    solve(field, [1.0, 0.0], 1.0, rtol=1e-8)
+    assert callable(integrate._INLINED[field])
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11),
@@ -626,9 +614,9 @@ def test_generated_loop_specializes_its_float_arithmetic():
     # CPython specializes a code object only after several calls, so a
     # loop that ran a whole solve in one call would stay generic
     field = parse_system("dim=2; F1 = x2; F2 = -x1").source.field_rhs
-    sol = solve(field, [1.0, 0.0], 2000.0, rtol=1e-10, pair="dp5")
+    sol = solve(field, [1.0, 0.0], 4000.0, rtol=1e-10)
     assert sol.n_steps + sol.n_rejected >= 10_000
-    loop = integrate._loop(field, 2, integrate._DP5)
-    assert callable(integrate._DP5.inlined[field])
+    loop = integrate._loop(field, 2)
+    assert callable(integrate._INLINED[field])
     ops = {i.opname for i in dis.get_instructions(loop, adaptive=True)}
     assert "BINARY_OP_MULTIPLY_FLOAT" in ops and "BINARY_OP_ADD_FLOAT" in ops

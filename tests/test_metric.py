@@ -781,3 +781,31 @@ class TestMetricBounds:
 def test_constant_metric_rejects_indefinite_q():
     with pytest.raises(LyapmetricError):
         constant_metric(np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+
+@pytest.mark.parametrize("args", [(1, 1), (1, -1), (-1, 1, 1), (-1, math.nan),
+                                  (-math.inf, 1), (-1, 1, 5)],
+                         ids=["empty", "reversed", "one-point", "nan",
+                              "infinite", "five-points"])
+def test_tabulate_rejects_bad_grids(args):
+    # a grid the quintic spline cannot take is a typed error, raised before
+    # any sample is evaluated
+    calls = []
+    field = metric_module.from_callable(
+        lambda x: calls.append(x) or np.array([[1.0]]), dim=1)
+    with pytest.raises(LyapmetricError, match="tabulation needs"):
+        field.tabulate(*args)
+    assert calls == []
+
+
+def test_tabulate_reproduces_quintics():
+    # the C^4 quintic spline is exact on a quintic p from six samples
+    def p(x):
+        return 2.0 + x - 0.5 * x ** 2 + 0.2 * x ** 3 + 0.1 * x ** 4 \
+            - 0.05 * x ** 5
+
+    field = metric_module.from_callable(
+        lambda x: np.array([[p(float(x[0]))]]), dim=1)
+    tab = field.tabulate(-1.5, 1.5, 6)
+    for x in np.linspace(-1.5, 1.5, 17):
+        assert tab(np.array([x]))[0, 0] == pytest.approx(p(x), rel=1e-13)
